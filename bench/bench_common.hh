@@ -3,6 +3,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -34,19 +35,23 @@ inline std::string ledger_path(const std::string& name) {
 /// Writes a committed benchmark ledger (BENCH_*.json) at the repo root and
 /// fails the process loudly if it cannot — a silently missing ledger reads
 /// as "bench ran and was recorded" when it wasn't. Every ledger is stamped
-/// with resource telemetry: the process's peak RSS and the process-wide
-/// ArchiveSource byte counter (0 for benches that decode from memory),
-/// inserted as two extra members of the top-level JSON object.
+/// with resource telemetry: the peak RSS of this process or of the largest
+/// child it waited for, whichever is larger (sweeps that measure in
+/// subprocesses would otherwise record only the small parent), and the
+/// process-wide ArchiveSource byte counter (0 for benches that decode from
+/// memory), inserted as two extra members of the top-level JSON object.
 inline void write_ledger(const std::string& name, std::string json) {
-  struct rusage ru = {};
-  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is KiB on Linux
+  struct rusage self = {}, children = {};
+  getrusage(RUSAGE_SELF, &self);  // ru_maxrss is KiB on Linux
+  getrusage(RUSAGE_CHILDREN, &children);
+  const long peak_kib = std::max(self.ru_maxrss, children.ru_maxrss);
   const auto brace = json.rfind('}');
   if (brace != std::string::npos) {
     char stamp[128];
     std::snprintf(stamp, sizeof stamp,
                   ",\n  \"peak_rss_bytes\": %llu,\n"
                   "  \"archive_bytes_read\": %llu\n",
-                  static_cast<unsigned long long>(ru.ru_maxrss) * 1024ull,
+                  static_cast<unsigned long long>(peak_kib) * 1024ull,
                   static_cast<unsigned long long>(io::archive_bytes_read()));
     // The stamp replaces the newline that preceded the closing brace.
     const auto at = brace > 0 && json[brace - 1] == '\n' ? brace - 1 : brace;

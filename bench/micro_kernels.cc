@@ -295,8 +295,8 @@ const std::vector<std::byte>& e2e_wrapped_archive() {
 }
 
 void BM_DecompressEndToEnd(benchmark::State& state) {
-  // Pipelined decode: LZSS blocks decode on a stream while the inner
-  // archive parses and Huffman-decodes behind the watermark.
+  // Phased decode: every LZSS block decodes in one pool-wide launch, then
+  // the raw decoder runs over the inner archive with workspace scratch.
   const auto& bytes = e2e_wrapped_archive();
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);

@@ -10,11 +10,13 @@
 //      book across every segment under identical framing.
 // Emits BENCH_progressive.json. `--smoke` runs one tiny configuration and
 // writes no ledger (CI gates on crashes, never on timings).
+#include <algorithm>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -64,6 +66,8 @@ int main(int argc, char** argv) {
 
   std::string json;
   json += "{\n  \"bench\": \"progressive\",\n";
+  appendf(json, "  \"cpu_cores\": %u,\n",
+          std::max(1u, std::thread::hardware_concurrency()));
   appendf(json, "  \"error_mode\": \"rel\",\n  \"error_bound\": %g,\n", p.value);
   appendf(json, "  \"reps\": %d,\n  \"datasets\": [\n", reps);
 

@@ -15,10 +15,9 @@
 // Three phases are timed per child:
 //   compress         cuszi_compress        (fused chunk-streamed pipeline)
 //   decompress       cuszi_decompress_f32  (slab-parallel reconstruction)
-//   decompress_bc    cuszi_decompress_bitcomp_f32 on the BBCP-wrapped
-//                    archive (parallel LZSS + Huffman group decode feeding
-//                    the slab-parallel reconstruction through the
-//                    codes_needed watermark)
+//   decompress_bc    cuszi_decompress_bitcomp_f32 on the BBC2-wrapped
+//                    archive (pool-wide LZSS block unwrap, then the same
+//                    decode as the plain path)
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>

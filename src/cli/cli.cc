@@ -49,9 +49,9 @@ void print_stages(const StageTimings& t) {
   }
 }
 
-/// Decode-side breakdown for --stages after -x. When the pipelined decoder
-/// overlapped stages on streams, the numbers are per-stage busy time (their
-/// sum can exceed the wall clock), flagged so nobody reads them as slices.
+/// Decode-side breakdown for --stages after -x. When ROI decode overlapped
+/// slabs on streams, the numbers are per-stage busy time (their sum can
+/// exceed the wall clock), flagged so nobody reads them as slices.
 void print_stages(const DecodeTimings& t) {
   std::printf(
       "stages: unwrap (lzss) %.4f s | huffman %.4f s | reconstruct %.4f s | "
@@ -296,8 +296,8 @@ options:
   --stages          print the per-stage timing breakdown. After -z: predict /
                     histogram / codebook / encode (fused stages report as one
                     entry). After -x: unwrap / huffman / reconstruct — when
-                    the pipelined decoder overlaps stages on streams, each
-                    number is that stage's busy time, not a wall-clock slice —
+                    ROI decode overlaps slabs on streams, each number is
+                    that stage's busy time, not a wall-clock slice —
                     plus one size/ratio line per segment of an SZI2 archive
                     and, for --bitcomp archives, one line per wrapper segment
                     naming the chosen lossless method and its achieved ratio

@@ -65,14 +65,14 @@ struct CheckedCompressResult {
   [[nodiscard]] bool ok() const { return error == nullptr; }
 };
 
-/// Decompression-side stage breakdown (--stages on -x). When the pipelined
-/// decoder overlaps stages on dev::Streams, the per-stage numbers are
-/// accumulated busy time across threads — not wall-clock slices — so their
-/// sum can exceed `total` (good overlap) or undershoot it (stall-bound);
-/// `overlapped` tells reporters which reading applies.
+/// Decompression-side stage breakdown (--stages on -x). Full decode runs
+/// its stages one after another, so each is a wall-clock slice of `total`.
+/// ROI decode runs its slabs on dev::Streams; its reconstruct figure is then
+/// busy time accumulated across threads, whose sum with the other stages
+/// can exceed `total` — `overlapped` tells reporters which reading applies.
 struct DecodeTimings {
   double unwrap = 0;       ///< de-redundancy (LZSS block) decode
-  double huffman = 0;      ///< entropy decode: plan parse + chunk decode
+  double huffman = 0;      ///< entropy decode (full decode: + level scatter)
   double reconstruct = 0;  ///< anchor/outlier scatter + interpolation tiles
   double total = 0;        ///< wall clock for the whole decode
   bool overlapped = false;
@@ -177,15 +177,17 @@ class Compressor {
       const Field& field, const CompressParams& p);
 
   /// Inverse of compress_bitcomp. The default unwraps then forwards to
-  /// decompress(); overrides may pipeline the LZSS decode with the inner
-  /// decode. `decode_seconds` covers unwrap + inner decode.
+  /// decompress(); overrides may unwrap into workspace memory instead (cuSZ-i
+  /// decodes every LZSS block in one pool-wide launch). `decode_seconds`
+  /// covers unwrap + inner decode.
   [[nodiscard]] virtual std::vector<float> decompress_bitcomp(
       std::span<const std::byte> bytes, double* decode_seconds = nullptr);
 
   /// Decompress with a per-stage breakdown (the -x counterpart of
   /// StageTimings). The default times the whole decode as `total` and
-  /// leaves the stages at zero; cuSZ-i fills the real split and sets
-  /// `overlapped` when the pipelined path ran stages on streams.
+  /// leaves the stages at zero; cuSZ-i fills the real split. Its full
+  /// decode runs the stages in turn and reports `overlapped` false — only
+  /// ROI decode overlaps.
   [[nodiscard]] virtual std::vector<float> decompress_stages(
       std::span<const std::byte> bytes, DecodeTimings& t);
 
@@ -276,7 +278,7 @@ struct WrapSegmentInfo {
 /// whose raw_size is unknown until its LZSS frame header is read. Throws
 /// core::CorruptArchive on bad magic, reserved bits, unknown method ids, or
 /// payload sizes that don't fill the container. This is the entry point of
-/// both the pipelined decompressor and the CLI's method audit.
+/// both the wrapped full decoder and the CLI's method audit.
 ///
 /// With `prefix_ok` (the progressive reader's mode) a 'BBC2' container whose
 /// payload region is *truncated* still parses: the table must be complete

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -193,12 +192,12 @@ struct Tuned {
   predictor::InterpConfig cfg;
 };
 
-/// Whether offloading LZSS blocks to a dev::Stream can actually overlap
-/// with the host thread. On a single-hardware-thread machine the stream
-/// only adds context-switch ping-pong, so the pipelined paths run the same
-/// block tasks inline at the same watermark points instead — identical
-/// bytes, better cache locality (each block is processed while still hot
-/// from being written/needed).
+/// Whether offloading work to a dev::Stream can actually overlap with the
+/// host thread. On a single-hardware-thread machine the stream only adds
+/// context-switch ping-pong, so the pipelined compress runs the same block
+/// tasks inline at the same watermark points instead — identical bytes,
+/// better cache locality (each block is processed while still hot from
+/// being written) — and ROI decode runs its slabs inline.
 bool stream_overlap_pays() {
   return dev::ThreadPool::instance().worker_count() > 1;
 }
@@ -848,11 +847,12 @@ std::vector<SegmentEntry> parse_v2_directory(core::ByteReader& rd,
   return segs;
 }
 
-/// Serial SZI2 decode: anchors and outliers come straight from their
-/// segments, the code array is prefilled with the "perfectly predicted"
-/// code (what anchor positions carried in the v1 single stream), and each
-/// level's Huffman stream decodes and scatters through LevelScatterCursor.
-/// The reconstruction is then exactly the v1 path over an identical code
+/// SZI2 full decode: anchors and outliers come straight from their
+/// segments, each level's Huffman stream decodes (chunks fan out across the
+/// pool), and one plane-parallel scatter rebuilds the code array — every
+/// position the "perfectly predicted" code (what anchor positions carried
+/// in the v1 single stream) unless a level stream names it. The
+/// reconstruction is then exactly the v1 path over an identical code
 /// array, so v2 decode is bit-identical to v1 decode of the same field.
 template <typename T>
 std::vector<T> decompress_v2_typed(std::span<const std::byte> bytes,
@@ -876,18 +876,22 @@ std::vector<T> decompress_v2_typed(std::span<const std::byte> bytes,
 
   (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
   auto codes = ws.make<quant::Code>(h.volume);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
 
   core::Timer hufft;
-  // Stops at the trailing tile index (full decode never reads it).
-  for (std::size_t i = 2; i < segs.size() && segs[i].kind == kSegLevel; ++i) {
+  // The directory parse pinned the level segments to descending order with
+  // closed-form counts, so streams[level - 1] comes out sized for the
+  // scatter. The trailing tile index is never read.
+  std::vector<std::span<const quant::Code>> streams(
+      static_cast<std::size_t>(predictor::ginterp_level_count(h.dims)));
+  for (std::size_t i = 2; i < 2 + streams.size(); ++i) {
     const auto stream = rd.read_bytes(static_cast<std::size_t>(segs[i].size));
     const auto syms = huffman::decode(stream, ws);
     if (syms.size() != segs[i].count)
       rd.fail("level stream symbol count mismatch");
-    predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-    cur.advance(syms, syms.size(), codes);
+    streams[static_cast<std::size_t>(segs[i].level - 1)] = syms;
   }
+  predictor::ginterp_scatter_levels(h.dims, streams,
+                                    static_cast<quant::Code>(h.radius), codes);
   const double huff_s = hufft.lap();
 
   std::vector<T> out(h.volume);
@@ -956,44 +960,28 @@ std::vector<T> decompress_typed(std::span<const std::byte> bytes,
   return decompress_typed<T>(bytes, ws, dt);
 }
 
-/// The pipelined wrapped-archive decompressor (the tentpole, mirrored):
-/// LZSS blocks decode on a dev::Stream in submission order while the host
-/// thread parses the inner archive behind a watermark of decoded bytes —
-/// waiting on per-group events only when it needs bytes that have not
-/// landed yet — and Huffman-decodes chunk groups as their payload arrives.
-/// Every read of `raw` happens below the watermark, every stream write
-/// above it. All parses go through the bounds-checked ByteReader over the
-/// fixed-size raw buffer, so corrupt archives fail exactly like the
-/// unfused path (the corruption-fuzz harness drives this route).
+/// Full decode of a wrapped archive, in two phases. Unwrap: every LZSS
+/// block of every wrapper segment decodes in one pool-wide launch — a
+/// method-0 segment straight into its range of the inner archive, a
+/// transformed (zero-RLE / bitshuffle) segment into scratch that then
+/// untransforms into its range. Decode: the inner archive goes to the same
+/// decompress_typed raw archives use. Every block decodes before the inner
+/// parse, so a corrupt block anywhere — including in segments the full
+/// decode never reads, like the tile index — throws CorruptArchive exactly
+/// as bitcomp_unwrap_archive does.
 template <typename T>
 std::vector<T> decompress_bitcomp_typed(std::span<const std::byte> bytes,
                                         dev::Workspace& ws,
                                         DecodeTimings* dt = nullptr) {
   core::Timer wall;
-  // Per-stage busy time. LZSS groups and reconstruction slabs may run on
-  // dev::Streams (other threads), so those two accumulate atomically in
-  // nanoseconds; Huffman decode always runs on this thread. Pipeline stalls
-  // (ensure()/event waits) are deliberately excluded — stages report work
-  // done, `total` reports the wall clock, and DecodeTimings::overlapped
-  // tells reporters the stages ran concurrently.
-  std::atomic<std::int64_t> lzss_ns{0}, recon_ns{0};
-  double huff_s = 0;
-  const auto now = [] { return std::chrono::steady_clock::now(); };
-  const auto since = [&now](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(now() - t0)
-        .count();
-  };
-
   // Container-general front end: both wrapper generations parse into the
-  // same per-segment (frame, method, raw range) records, so the pipelined
-  // machinery below is identical for a legacy 'BBCP' single stream and a
-  // 'BBC2' table. All frames parse and all scratch allocates here, on the
-  // host — dev::Workspace is not thread-safe, so stream tasks only ever
-  // touch memory handed out before submission.
+  // same per-segment (frame, method, raw range) records. All frames parse
+  // and all scratch allocates here, before the launch — dev::Workspace is
+  // not thread-safe, so pool tasks only touch memory handed out up front.
   const auto container = bitcomp_parse_container(bytes);
   const std::size_t nwseg = container.segments.size();
   std::vector<lossless::LzssFrame> frames(nwseg);
-  std::vector<std::size_t> seg_off(nwseg);
+  std::vector<std::size_t> seg_off(nwseg), seg_len(nwseg);
   std::size_t raw_size = 0;
   for (std::size_t i = 0; i < nwseg; ++i) {
     frames[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
@@ -1014,463 +1002,47 @@ std::vector<T> decompress_bitcomp_typed(std::span<const std::byte> bytes,
                                    "bitshuffle payload size does not match "
                                    "segment");
     }
+    seg_len[i] = slen;
     raw_size += slen;
   }
   auto raw = ws.make<std::byte>(raw_size);
 
-  // Decode units, in raw order. A method-0 segment decodes straight into
-  // its raw range in ~4-block groups (blocks of one group write disjoint
-  // ranges, so they fan out across the pool at grain 1; with one worker the
-  // launch degrades to a serial walk). A transformed segment is
-  // all-or-nothing: one unit block-decodes its LZSS stream into scratch in
-  // parallel, then untransforms into the raw range. Each unit's `end` is
-  // the raw watermark that is final once it completes.
-  constexpr std::size_t kGroupBlocks = 4;
-  struct DecodeUnit {
-    std::function<void()> run;
-    std::size_t end = 0;
-  };
-  std::vector<DecodeUnit> units;
+  // Where each segment's blocks land, and the global index of its first
+  // block: the launch runs over the blocks of all segments at once.
+  std::vector<std::byte*> dst(nwseg);
+  std::vector<std::size_t> first_block(nwseg + 1, 0);
   for (std::size_t i = 0; i < nwseg; ++i) {
-    const lossless::LzssFrame* fp = &frames[i];
-    const auto m = container.segments[i].method;
-    const std::size_t soff = seg_off[i];
-    const std::size_t slen = container.legacy
-                                 ? static_cast<std::size_t>(fp->raw_size)
-                                 : static_cast<std::size_t>(
-                                       container.segments[i].raw_size);
-    if (m == lossless::Method::Lzss) {
-      std::byte* base = raw.data() + soff;
-      for (std::size_t b = 0; b < fp->nblocks; b += kGroupBlocks) {
-        const std::size_t be = std::min(b + kGroupBlocks, fp->nblocks);
-        const std::size_t gend =
-            soff + std::min(be * fp->block_size,
-                            static_cast<std::size_t>(fp->raw_size));
-        units.push_back({[fp, base, b, be, &lzss_ns, &since] {
-                           const auto t0 = std::chrono::steady_clock::now();
-                           dev::ThreadPool::instance().parallel_for(
-                               be - b,
-                               [&](std::size_t k0) {
-                                 const std::size_t k = b + k0;
-                                 const std::size_t begin = k * fp->block_size;
-                                 const std::size_t len = std::min(
-                                     fp->block_size, fp->raw_size - begin);
-                                 lossless::lzss_decompress_block(
-                                     *fp, k, {base + begin, len});
-                               },
-                               1);
-                           lzss_ns += since(t0);
-                         },
-                         gend});
-      }
-    } else if (slen > 0 || fp->raw_size > 0) {
-      auto tmp = ws.make<std::byte>(fp->raw_size);
-      std::byte* dst = raw.data() + soff;
-      units.push_back({[fp, tmp, dst, m, slen, &lzss_ns, &since] {
-                         const auto t0 = std::chrono::steady_clock::now();
-                         dev::ThreadPool::instance().parallel_for(
-                             fp->nblocks,
-                             [&](std::size_t k) {
-                               const std::size_t begin = k * fp->block_size;
-                               const std::size_t len = std::min(
-                                   fp->block_size, fp->raw_size - begin);
-                               lossless::lzss_decompress_block(
-                                   *fp, k, {tmp.data() + begin, len});
-                             },
-                             1);
-                         lossless::method_untransform(tmp, m, {dst, slen});
-                         lzss_ns += since(t0);
-                       },
-                       soff + slen});
-    }
+    dst[i] = container.segments[i].method == lossless::Method::Lzss
+                 ? raw.data() + seg_off[i]
+                 : ws.make<std::byte>(frames[i].raw_size).data();
+    first_block[i + 1] = first_block[i] + frames[i].nblocks;
   }
+  dev::ThreadPool::instance().parallel_for(
+      first_block.back(),
+      [&](std::size_t g) {
+        // Last segment starting at or before g (empty segments share their
+        // successor's start and are skipped by upper_bound).
+        const std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(first_block.begin(), first_block.end(), g) -
+            first_block.begin() - 1);
+        const auto& fr = frames[i];
+        const std::size_t k = g - first_block[i];
+        const std::size_t begin = k * fr.block_size;
+        const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
+        lossless::lzss_decompress_block(fr, k, {dst[i] + begin, len});
+      },
+      1);
+  for (std::size_t i = 0; i < nwseg; ++i)
+    if (container.segments[i].method != lossless::Method::Lzss)
+      lossless::method_untransform({dst[i], frames[i].raw_size},
+                                   container.segments[i].method,
+                                   {raw.data() + seg_off[i], seg_len[i]});
+  const double unwrap_s = wall.lap();
 
-  std::optional<dev::Stream> lz;
-  std::vector<dev::Event> unit_ev;
-  if (stream_overlap_pays() && !units.empty()) {
-    lz.emplace();
-    for (auto& u : units) {
-      lz->submit(u.run);
-      unit_ev.push_back(lz->record());
-    }
-  }
-
-  std::size_t decoded = 0;
-  std::size_t next_unit = 0;
-  const auto ensure = [&](std::size_t off) {
-    if (off > raw_size) off = raw_size;
-    while (decoded < off) {
-      if (next_unit >= units.size()) {
-        // Only empty segments remain past the last unit.
-        decoded = raw_size;
-        break;
-      }
-      if (lz) {
-        unit_ev[next_unit].wait();
-        decoded = std::max(decoded, units[next_unit++].end);
-        // A failed block poisons the stream before its unit's event
-        // fires; surface the CorruptArchive instead of reading
-        // half-written bytes.
-        if (lz->errored()) lz->synchronize();
-      } else {
-        // Serial machine: pull-decode the next unit right before it is
-        // parsed (same bytes, no thread ping-pong, cache-hot handoff).
-        units[next_unit].run();
-        decoded = std::max(decoded, units[next_unit].end);
-        ++next_unit;
-      }
-    }
-  };
-  // Saturating cursor advance: lengths are attacker-controlled u64s, and
-  // clamping to raw_size lets the ByteReader report the truncation.
-  const auto sat = [&](std::size_t base, std::uint64_t extra) {
-    if (base >= raw_size) return raw_size;
-    const std::size_t room = raw_size - base;
-    return extra >= room ? raw_size : base + static_cast<std::size_t>(extra);
-  };
-
-  // Version dispatch on the inner magic; both layouts decode behind the
-  // same frame/ensure/sat machinery.
-  ensure(sizeof(std::uint32_t));
-  std::uint32_t inner_magic = 0;
-  if (raw_size >= sizeof(inner_magic))
-    std::memcpy(&inner_magic, raw.data(), sizeof(inner_magic));
-
-  if (inner_magic == kMagicV2) {
-    core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-    ensure(kInnerFixedBytes + sizeof(std::uint32_t));
-    const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-    // The directory's size follows from the segment count, so peek it
-    // (clamped to the largest legal value — a hostile count cannot force a
-    // full decode) and ensure the exact directory before the parse: every
-    // entry read stays below the watermark, and a wrong segment count fails
-    // before any entry is read.
-    const int nlevels = predictor::ginterp_level_count(h.dims);
-    ensure(sat(rd.offset(), sizeof(std::uint32_t)));
-    std::uint32_t nseg_peek = 0;
-    if (raw_size >= rd.offset() + sizeof(nseg_peek))
-      std::memcpy(&nseg_peek, raw.data() + rd.offset(), sizeof(nseg_peek));
-    const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
-    ensure(sat(rd.offset(),
-               sizeof(std::uint32_t) +
-                   static_cast<std::uint64_t>(std::min(nseg_peek, nseg_max)) *
-                       sizeof(SegmentEntry)));
-    const auto segs = parse_v2_directory<T>(rd, h);
-
-    const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-    const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-    ensure(sat(rd.offset(), abytes));
-    auto anchors = ws.make<T>(acount);
-    if (acount > 0)
-      std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-    ensure(sat(rd.offset(), segs[1].size));
-    const auto outliers = parse_outlier_blob<T>(
-        rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-    if (outliers.indices.size() != segs[1].count)
-      rd.fail("outlier blob count disagrees with directory");
-
-    (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-    auto codes = ws.make<quant::Code>(h.volume);
-    std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-
-    // Coarse levels (>= 2) are a sliver of the volume: decode each whole
-    // segment as its bytes land and scatter it. Level 1 — the bulk — then
-    // pipelines chunk groups against slab reconstruction below, exactly
-    // like the v1 single stream did, with the scatter cursor's watermark
-    // standing in for the chunk count. A trailing tile index rides behind
-    // the last level and is never parsed here.
-    std::size_t last_level = segs.size();
-    for (std::size_t i = segs.size(); i-- > 2;)
-      if (segs[i].kind == kSegLevel) {
-        last_level = i;
-        break;
-      }
-    for (std::size_t i = 2; i < last_level; ++i) {
-      ensure(sat(rd.offset(), segs[i].size));
-      core::Timer huft;
-      const auto syms = huffman::decode(
-          rd.read_bytes(static_cast<std::size_t>(segs[i].size)), ws);
-      if (syms.size() != segs[i].count)
-        rd.fail("level stream symbol count mismatch");
-      predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-      cur.advance(syms, syms.size(), codes);
-      huff_s += huft.lap();
-    }
-
-    std::vector<T> out(h.volume);
-    predictor::GInterpReconstructorT<T> recon(
-        codes, std::span<const T>(anchors), outliers, h.dims, h.eb, h.cfg,
-        h.radius, std::span<T>(out));
-    const auto run_slab_timed = [&recon, &recon_ns, &since](std::size_t bz) {
-      const auto t0 = std::chrono::steady_clock::now();
-      recon.run_slab(bz);
-      recon_ns += since(t0);
-    };
-    std::deque<dev::Stream> rcs;
-    if (stream_overlap_pays() && recon.slab_count() > 1) {
-      const std::size_t n = std::min<std::size_t>(
-          dev::ThreadPool::instance().worker_count(), recon.slab_count());
-      for (std::size_t i = 0; i < n; ++i) rcs.emplace_back();
-    }
-    std::size_t next_slab = 0;
-    const auto reconstruct_upto = [&](std::size_t code_watermark) {
-      while (next_slab < recon.slab_count() &&
-             recon.codes_needed(next_slab) <= code_watermark) {
-        const std::size_t bz = next_slab++;
-        if (!rcs.empty())
-          rcs[bz % rcs.size()].submit(
-              [&run_slab_timed, bz] { run_slab_timed(bz); });
-        else
-          run_slab_timed(bz);
-      }
-    };
-
-    if (last_level < segs.size()) {
-      const auto& seg1 = segs[last_level];
-      const auto huff = rd.read_bytes(static_cast<std::size_t>(seg1.size));
-      const std::size_t hoff = rd.offset() - huff.size();
-      ensure(sat(hoff, sizeof(std::uint32_t)));
-      std::uint32_t nbins = 0;
-      if (huff.size() >= sizeof(nbins))
-        std::memcpy(&nbins, huff.data(), sizeof(nbins));
-      const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                                 sizeof(std::uint64_t) +
-                                 sizeof(std::uint32_t) + sizeof(std::uint64_t);
-      ensure(sat(hoff, hfixed));
-      std::uint64_t nsym = 0;
-      std::uint32_t csz = 0;
-      if (huff.size() >= hfixed) {
-        std::memcpy(&nsym, huff.data() + sizeof(std::uint32_t) + nbins,
-                    sizeof(nsym));
-        std::memcpy(&csz,
-                    huff.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                    sizeof(csz));
-      }
-      const std::uint64_t nchunks64 =
-          csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-      ensure(sat(hoff, hfixed + std::min<std::uint64_t>(nchunks64,
-                                                        raw_size) *
-                                    sizeof(std::uint64_t)));
-      core::Timer plant;
-      const auto plan = huffman::decode_plan(huff, ws);
-      huff_s += plant.lap();
-      if (plan.n != seg1.count)
-        throw core::CorruptArchive("cusz-i", hoff,
-                                   "level stream symbol count mismatch");
-
-      auto syms1 = ws.make<quant::Code>(plan.n);
-      const std::size_t pay_off =
-          plan.payload.empty()
-              ? raw_size
-              : static_cast<std::size_t>(plan.payload.data() - raw.data());
-      predictor::LevelScatterCursor cur(h.dims, 1);
-
-      constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
-      std::size_t c = 0;
-      while (c < plan.nchunks) {
-        const std::uint64_t start = plan.offsets[c];
-        std::size_t cend = c + 1;
-        while (cend < plan.nchunks &&
-               plan.offsets[cend] - start < kGroupBytes)
-          ++cend;
-        const std::uint64_t done =
-            cend < plan.nchunks ? plan.offsets[cend] : plan.payload_bytes;
-        ensure(sat(pay_off, done));
-        core::Timer huft;
-        huffman::decode_chunks(plan, c, cend, syms1);
-        c = cend;
-        cur.advance(syms1, std::min(cend * plan.chunk_size, plan.n), codes);
-        huff_s += huft.lap();
-        reconstruct_upto(cur.watermark());
-      }
-    }
-    // Drain: every unit must run even if the parser never read its bytes,
-    // so a corrupt tail block or payload throws exactly as it does in the
-    // unfused path (zero-length tail units included — ensure() may reach
-    // raw_size before running them).
-    if (lz) {
-      lz->synchronize();
-    } else {
-      for (; next_unit < units.size(); ++next_unit) units[next_unit].run();
-      decoded = raw_size;
-    }
-
-    reconstruct_upto(h.volume);
-    const bool overlapped = lz.has_value() || !rcs.empty();
-    {
-      std::exception_ptr err;
-      for (auto& s : rcs) {
-        try {
-          s.synchronize();
-        } catch (...) {
-          if (!err) err = std::current_exception();
-        }
-      }
-      if (err) std::rethrow_exception(err);
-    }
-    ws.reset();
-    if (dt) {
-      dt->unwrap = static_cast<double>(lzss_ns.load()) * 1e-9;
-      dt->huffman = huff_s;
-      dt->reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-      dt->overlapped = overlapped;
-      dt->total = wall.lap();
-    }
-    return out;
-  }
-
-  core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-  ensure(kInnerFixedBytes + sizeof(std::uint64_t));
-  const InnerHeader h = parse_inner_header<T>(rd);
-
-  const auto acount64 = rd.read<std::uint64_t>();
-  if (acount64 > rd.remaining()) rd.fail("array count exceeds remaining bytes");
-  const std::size_t acount = static_cast<std::size_t>(acount64);
-  const std::size_t abytes = rd.checked_array_bytes(acount, sizeof(T));
-  ensure(sat(rd.offset(), abytes));
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  ensure(sat(rd.offset(), sizeof(std::uint64_t)));
-  const auto oblob64 = rd.read<std::uint64_t>();
-  if (oblob64 > rd.remaining()) rd.fail("length prefix exceeds remaining bytes");
-  ensure(sat(rd.offset(), oblob64));
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(oblob64)), ws);
-
-  ensure(sat(rd.offset(), sizeof(std::uint64_t)));
-  const auto hsize64 = rd.read<std::uint64_t>();
-  if (hsize64 > rd.remaining()) rd.fail("length prefix exceeds remaining bytes");
-  const auto huff = rd.read_bytes(static_cast<std::size_t>(hsize64));
-  const std::size_t hoff = rd.offset() - huff.size();
-
-  // Huffman header extent (u32 nbins | lengths | u64 n | u32 chunk |
-  // u64 payload | offsets): peek just enough to know how many bytes
-  // decode_plan will touch, wait for them, then build the plan. The plan
-  // never reads payload bytes, so the stream may still be producing them.
-  ensure(sat(hoff, sizeof(std::uint32_t)));
-  std::uint32_t nbins = 0;
-  if (huff.size() >= sizeof(nbins)) std::memcpy(&nbins, huff.data(), sizeof(nbins));
-  const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                             sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                             sizeof(std::uint64_t);
-  ensure(sat(hoff, hfixed));
-  std::uint64_t nsym = 0;
-  std::uint32_t csz = 0;
-  if (huff.size() >= hfixed) {
-    std::memcpy(&nsym, huff.data() + sizeof(std::uint32_t) + nbins,
-                sizeof(nsym));
-    std::memcpy(&csz,
-                huff.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                sizeof(csz));
-  }
-  const std::uint64_t nchunks64 =
-      csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-  ensure(sat(hoff, hfixed + std::min<std::uint64_t>(nchunks64,
-                                                    raw_size) *
-                                sizeof(std::uint64_t)));
-  core::Timer plant;
-  const auto plan = huffman::decode_plan(huff, ws);
-  huff_s += plant.lap();
-  if (plan.n != h.volume)
-    throw core::CorruptArchive("cusz-i", hoff, "code count mismatch");
-
-  auto codes = ws.make<quant::Code>(plan.n);
-  const std::size_t pay_off =
-      plan.payload.empty()
-          ? raw_size
-          : static_cast<std::size_t>(plan.payload.data() - raw.data());
-
-  // In-place reconstruction rides the same watermark idea one level up:
-  // the reconstructor validates and scatters anchors/outliers into `out`
-  // now, and as each Huffman chunk group lands, every tile z-slab whose
-  // code prefix is complete reconstructs immediately — inline on a serial
-  // machine (the slab's codes are still cache-hot), round-robin across a
-  // per-worker stream fleet when workers exist. Slabs are mutually
-  // independent (the reconstructor snapshots the cross-slab border planes
-  // at construction), so any number of them may run concurrently the
-  // moment their code prefix lands; every stream reads only codes below
-  // the watermark, the host writes only above it. `rcs` is declared after
-  // everything its tasks borrow, so unwind order drains it before those
-  // locals die.
-  std::vector<T> out(h.volume);
-  predictor::GInterpReconstructorT<T> recon(codes, std::span<const T>(anchors),
-                                            outliers, h.dims, h.eb, h.cfg,
-                                            h.radius, std::span<T>(out));
-  const auto run_slab_timed = [&recon, &recon_ns, &since](std::size_t bz) {
-    const auto t0 = std::chrono::steady_clock::now();
-    recon.run_slab(bz);
-    recon_ns += since(t0);
-  };
-  std::deque<dev::Stream> rcs;
-  if (stream_overlap_pays() && recon.slab_count() > 1) {
-    const std::size_t n = std::min<std::size_t>(
-        dev::ThreadPool::instance().worker_count(), recon.slab_count());
-    for (std::size_t i = 0; i < n; ++i) rcs.emplace_back();
-  }
-  std::size_t next_slab = 0;
-  const auto reconstruct_upto = [&](std::size_t code_watermark) {
-    while (next_slab < recon.slab_count() &&
-           recon.codes_needed(next_slab) <= code_watermark) {
-      const std::size_t bz = next_slab++;
-      if (!rcs.empty())
-        rcs[bz % rcs.size()].submit(
-            [&run_slab_timed, bz] { run_slab_timed(bz); });
-      else
-        run_slab_timed(bz);
-    }
-  };
-
-  constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
-  std::size_t c = 0;
-  while (c < plan.nchunks) {
-    const std::uint64_t start = plan.offsets[c];
-    std::size_t cend = c + 1;
-    while (cend < plan.nchunks && plan.offsets[cend] - start < kGroupBytes)
-      ++cend;
-    const std::uint64_t done =
-        cend < plan.nchunks ? plan.offsets[cend] : plan.payload_bytes;
-    ensure(sat(pay_off, done));
-    core::Timer huft;
-    huffman::decode_chunks(plan, c, cend, codes);
-    huff_s += huft.lap();
-    c = cend;
-    reconstruct_upto(std::min(cend * plan.chunk_size, plan.n));
-  }
-  // Drain: every unit must run even if the parser never read its bytes, so
-  // a corrupt tail block or payload throws exactly as it does in the
-  // unfused path.
-  if (lz) {
-    lz->synchronize();
-  } else {
-    for (; next_unit < units.size(); ++next_unit) units[next_unit].run();
-    decoded = raw_size;
-  }
-
-  reconstruct_upto(plan.n);
-  const bool overlapped = lz.has_value() || !rcs.empty();
-  {
-    // Drain every reconstruction stream before rethrowing so no task still
-    // references the locals; the first failure wins.
-    std::exception_ptr err;
-    for (auto& s : rcs) {
-      try {
-        s.synchronize();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  }
-  ws.reset();
+  auto out = decompress_typed<T>({raw.data(), raw_size}, ws, dt);
   if (dt) {
-    dt->unwrap = static_cast<double>(lzss_ns.load()) * 1e-9;
-    dt->huffman = huff_s;
-    dt->reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-    dt->overlapped = overlapped;
-    dt->total = wall.lap();
+    dt->unwrap = unwrap_s;
+    dt->total += unwrap_s;
   }
   return out;
 }
@@ -1777,7 +1349,7 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
   };
 
   // Fixed header, then the exact directory (segment count peeked and
-  // clamped to the largest legal value, as the pipelined decoder does).
+  // clamped to the largest legal value, as the progressive reader does).
   std::vector<std::byte> hdr;
   {
     const auto v = view_pfx(inner, 0, kInnerFixedBytes + sizeof(std::uint32_t));
@@ -2001,8 +1573,8 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
     }
   }
 
-  // Box-clipped reconstruction, slabs fanned across worker streams exactly
-  // like the full decoder (slabs are mutually independent).
+  // Box-clipped reconstruction, slabs fanned across worker streams (slabs
+  // are mutually independent).
   predictor::GInterpRoiReconstructorT<T> recon(codes, plan, h.dims, h.eb,
                                                h.cfg, h.radius,
                                                std::span<T>(boxout));

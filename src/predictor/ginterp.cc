@@ -1026,16 +1026,6 @@ GInterpReconstructorT<T>::GInterpReconstructorT(
 }
 
 template <typename T>
-std::size_t GInterpReconstructorT<T>::codes_needed(std::size_t bz) const {
-  // A slab's closed regions reach one plane past the owned extent, and the
-  // z-major linearization makes everything below that plane a contiguous
-  // prefix of the code array.
-  const std::size_t zmax = std::min<std::size_t>((bz + 1) * geo_.tile.z + 1,
-                                                 dims_.z);
-  return zmax * dims_.x * dims_.y;
-}
-
-template <typename T>
 void GInterpReconstructorT<T>::run_slab(std::size_t bz) {
   // Four (bx, by)-parity waves: same-parity tiles are >= 2 blocks apart in
   // every in-slab direction, so their closed regions (owned + 1 border
@@ -1455,6 +1445,48 @@ std::size_t LevelScatterCursor::advance(std::span<const quant::Code> stream,
     enter_row();
   }
   return watermark_;
+}
+
+void ginterp_scatter_levels(
+    const dev::Dim3& dims,
+    std::span<const std::span<const quant::Code>> streams, quant::Code fill,
+    std::span<quant::Code> codes) {
+  const InterpDims id = interp_dims_of(dims);
+  const auto nlv = static_cast<std::size_t>(id.nlevels);
+  if (codes.size() != dims.volume() || streams.size() != nlv)
+    throw std::invalid_argument("ginterp_scatter_levels: size/dims mismatch");
+  for (std::size_t v = 0; v < nlv; ++v)
+    if (streams[v].size() !=
+        ginterp_level_volume(dims, static_cast<int>(v) + 1))
+      throw std::invalid_argument(
+          "ginterp_scatter_levels: level stream size mismatch");
+  const std::size_t plane = dims.x * dims.y;
+  // Thin planes (1D and narrow fields) batch so a claimed chunk of planes
+  // still carries tens of thousands of codes.
+  const std::size_t grain = 1 + (std::size_t{1} << 16) / (plane + 1);
+  dev::launch_linear(
+      dims.z,
+      [&](std::size_t z) {
+        quant::Code* pz = codes.data() + z * plane;
+        std::fill_n(pz, plane, fill);
+        for (std::size_t v = 0; v < nlv; ++v) {
+          const std::size_t s = std::size_t{1} << v;
+          const quant::Code* src =
+              streams[v].data() + level_box(dims.x, dims.y, z, id, s);
+          for (std::size_t y = 0; y < dims.y; ++y) {
+            const RowPattern p = row_pattern(y, z, id, static_cast<int>(v), s);
+            quant::Code* row = pz + y * dims.x;
+            if (p.step == 1) {  // every x of the row: one contiguous run
+              std::memcpy(row, src, dims.x * sizeof(quant::Code));
+              src += dims.x;
+            } else if (p.step != 0) {
+              for (std::size_t x = p.start; x < dims.x; x += p.step)
+                row[x] = *src++;
+            }
+          }
+        }
+      },
+      grain);
 }
 
 GInterpLevelsT<float> ginterp_compress_fused_levels(

@@ -135,9 +135,9 @@ struct GInterpLevelSplit {
 /// full code array in ascending linear order. advance() consumes stream
 /// symbols [consumed(), upto) and returns the new watermark — the linear
 /// index below which every position of this level has been scattered (the
-/// field volume once the stream is exhausted). The pipelined decompressor
-/// advances the finest level's cursor chunk-group by chunk-group and feeds
-/// the watermark to GInterpReconstructorT::codes_needed.
+/// field volume once the stream is exhausted). The progressive readers
+/// scatter the levels a preview needs with it; full decode uses
+/// ginterp_scatter_levels.
 class LevelScatterCursor {
  public:
   LevelScatterCursor(const dev::Dim3& dims, int level);
@@ -162,6 +162,18 @@ class LevelScatterCursor {
   std::size_t consumed_ = 0;
   std::size_t watermark_ = 0;
 };
+
+/// Whole-field inverse of the split in one parallel pass: `codes` comes out
+/// equal to a `fill` prefill followed by a LevelScatterCursor walk over
+/// every level. streams[ℓ-1] holds level ℓ and must be exactly
+/// ginterp_level_volume(dims, ℓ) long. Each z-plane is one pool task: it
+/// fills itself, then copies every level's symbols starting at the plane's
+/// closed-form rank (ginterp_level_prefix), so tasks write disjoint planes
+/// and carry no cursor state between them.
+void ginterp_scatter_levels(
+    const dev::Dim3& dims,
+    std::span<const std::span<const quant::Code>> streams, quant::Code fill,
+    std::span<quant::Code> codes);
 
 /// Fused predict+quantize with per-level emission: the same tile walk as
 /// ginterp_compress_fused, but each owned row's codes are re-bucketed into
@@ -241,10 +253,9 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const InterpConfig& cfg, int radius,
                              std::span<double> out, dev::Workspace& ws);
 
-/// Incremental in-place reconstruction, one tile-grid z-slab at a time —
-/// the unit the pipelined decompressor interleaves with Huffman chunk
-/// decode (slab bz only reads codes below codes_needed(bz), so it can run
-/// as soon as the entropy decoder's watermark passes that index).
+/// In-place reconstruction, one tile-grid z-slab at a time — the unit
+/// ginterp_decompress_into and the progressive preview fan out across the
+/// pool.
 ///
 /// Why in place is safe (the full argument is in docs/PERF.md):
 ///   - the only *loaded* values a tile ever consumes are anchors (never a
@@ -279,12 +290,11 @@ class GInterpReconstructorT {
  public:
   /// Validates archive metadata (same core::CorruptArchive throws as
   /// ginterp_decompress) and scatters anchors + outlier originals into
-  /// `out`. `codes` and `out` are borrowed and must outlive the slab runs;
-  /// `codes` may be filled lazily as long as slab bz's prefix is decoded
-  /// before run_slab(bz). `max_level` > 1 stops the per-tile level walk
-  /// above that level's stride: only stride-2^(max_level-1) grid positions
-  /// are reconstructed (the progressive preview path); everything finer
-  /// keeps whatever `out` held after the scatter.
+  /// `out`. `codes` and `out` are borrowed and must outlive the slab runs.
+  /// `max_level` > 1 stops the per-tile level walk above that level's
+  /// stride: only stride-2^(max_level-1) grid positions are reconstructed
+  /// (the progressive preview path); everything finer keeps whatever `out`
+  /// held after the scatter.
   GInterpReconstructorT(std::span<const quant::Code> codes,
                         std::span<const T> anchors,
                         const quant::OutlierViewT<T>& outliers,
@@ -294,14 +304,10 @@ class GInterpReconstructorT {
 
   [[nodiscard]] std::size_t slab_count() const { return grid_.z; }
 
-  /// Exclusive upper bound on the linear code indices slab `bz` reads
-  /// (monotone in bz; slab_count()-1 maps to the full volume).
-  [[nodiscard]] std::size_t codes_needed(std::size_t bz) const;
-
   /// Reconstructs every tile with block index z == bz. Slabs are mutually
   /// independent (cross-slab borders come from the constructor's snapshot),
   /// so calls may come in any order and from concurrent streams — each bz
-  /// exactly once. Slab bz still requires codes_needed(bz) codes decoded.
+  /// exactly once.
   void run_slab(std::size_t bz);
 
  private:

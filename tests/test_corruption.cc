@@ -289,6 +289,28 @@ TEST(CorruptionFuzz, WrapperTableInvariantsRejected) {
   const std::uint64_t nudged = raw_sh + 16;
   std::memcpy(bad.data() + kEntries + 8, &nudged, sizeof(nudged));
   expect_rejected(bad, "bitshuffle frame size mismatch");
+
+  // A corrupt LZSS block inside the trailing tile-index segment — bytes the
+  // full decode never parses — must still fail the wrapped full decode,
+  // because every block decodes before the inner archive is read. Block 0
+  // is rewritten to open with a match reaching before the block start.
+  ASSERT_EQ(szi::cuszi_archive_segments(inner).back().kind, 3u);
+  const auto tidx = szi::bitcomp_parse_container(wrapped).payloads.back();
+  std::uint64_t block0 = 0;  // u64 raw_size | u32 bsize | u32 nblocks | offs
+  std::memcpy(&block0, tidx.data() + 16, sizeof(block0));
+  auto bad_block = wrapped;
+  const auto at =
+      static_cast<std::size_t>(tidx.data() - wrapped.data() + block0);
+  bad_block[at] = std::byte{1};         // mode: LZSS tokens
+  bad_block[at + 1] = std::byte{1};     // control: first token is a match
+  bad_block[at + 2] = std::byte{0xFF};  // distance 0xFFFF
+  bad_block[at + 3] = std::byte{0xFF};
+  EXPECT_THROW((void)szi::bitcomp_unwrap_archive(bad_block),
+               szi::core::CorruptArchive);
+  ws.reset();
+  EXPECT_THROW((void)szi::cuszi_decompress_bitcomp_f32(bad_block, ws),
+               szi::core::CorruptArchive)
+      << "corrupt tile-index block";
 }
 
 // Structured tile-index coverage: each TIDX invariant the ROI decoder

@@ -258,10 +258,16 @@ TEST(GInterpLevels, ClosedFormsTileTheVolume) {
 // Split and scatter are exact inverses: re-bucketing a code array into
 // per-level streams and scattering every stream back over a prefilled array
 // must reproduce the original codes bit for bit, and each stream's length
-// must match the closed-form level volume.
+// must match the closed-form level volume. The one-pass plane-parallel
+// ginterp_scatter_levels must rebuild the same array from the same streams,
+// for both precisions' code arrays, over odd, tiny, 2D (z = 1), 1x1xN and
+// paper-size-plane (384x384) shapes.
 TEST(GInterpLevels, SplitScatterRoundTrip) {
-  for (const auto& dims : {Dim3{33, 9, 9}, Dim3{65, 33, 17}, Dim3{100, 10, 3},
-                           Dim3{257, 129, 1}}) {
+  for (const auto& dims :
+       {Dim3{33, 9, 9}, Dim3{65, 33, 17}, Dim3{100, 10, 3}, Dim3{257, 129, 1},
+        Dim3{7, 7, 7}, Dim3{5, 3, 2}, Dim3{2, 2, 2}, Dim3{1, 1, 1},
+        Dim3{31, 17, 1}, Dim3{1024, 1, 1}, Dim3{1, 1, 300},
+        Dim3{384, 384, 20}}) {
     SCOPED_TRACE(::testing::Message() << dims.x << "x" << dims.y << "x"
                                       << dims.z);
     const auto data = smooth_field(dims, dims.volume());
@@ -301,6 +307,24 @@ TEST(GInterpLevels, SplitScatterRoundTrip) {
       EXPECT_EQ(mark, dims.volume()) << "level " << l;
     }
     EXPECT_EQ(rebuilt, enc.codes);
+
+    // A non-prefill starting value proves the scatter writes every position.
+    const auto fill = static_cast<szi::quant::Code>(radius);
+    const auto other = static_cast<szi::quant::Code>(fill + 1);
+    std::vector<szi::quant::Code> scattered(dims.volume(), other);
+    szi::predictor::ginterp_scatter_levels(dims, split.streams, fill,
+                                           scattered);
+    EXPECT_EQ(scattered, enc.codes);
+
+    const std::vector<double> data64(data.begin(), data.end());
+    const auto enc64 = ginterp_compress(std::span<const double>(data64), dims,
+                                        eb, prof.config, radius);
+    const auto split64 = szi::predictor::ginterp_split_levels(
+        enc64.codes, dims, 2 * static_cast<std::size_t>(radius), ws);
+    std::vector<szi::quant::Code> scattered64(dims.volume(), other);
+    szi::predictor::ginterp_scatter_levels(dims, split64.streams, fill,
+                                           scattered64);
+    EXPECT_EQ(scattered64, enc64.codes);
   }
 }
 
