@@ -263,8 +263,8 @@ const szi::Field& e2e_field() {
 
 void BM_CompressEndToEnd(benchmark::State& state) {
   // The fused pipeline to the bitcomp-wrapped archive: histogram inside the
-  // predict kernel, Huffman payload emitted into its final slot, LZSS
-  // streamed behind a watermark, all scratch from one persistent workspace.
+  // predict kernel, Huffman payload emitted into its final slot, every LZSS
+  // block in one pool-wide launch, all scratch from one persistent workspace.
   const auto& f = e2e_field();
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);

@@ -11,6 +11,8 @@
 #include "core/compressor_iface.hh"
 #include "core/cuszi.hh"
 #include "core/timer.hh"
+#include "device/dims.hh"
+#include "device/thread_pool.hh"
 #include "lossless/bitcomp.hh"
 #include "lossless/orchestrate.hh"
 
@@ -21,8 +23,7 @@ namespace {
 /// Wrapper-segment byte ranges of the inner archive: for a valid SZI2
 /// archive one range per directory segment plus a leading range for the
 /// header + directory; anything else (SZI1, baselines, malformed) wraps as
-/// a single segment. Pure function of the inner bytes — the fused writer
-/// computes the same split from its own directory, so the two paths agree.
+/// a single segment. Pure function of the inner bytes.
 std::vector<std::pair<std::size_t, std::size_t>> wrap_partition(
     std::span<const std::byte> bytes) {
   std::vector<std::pair<std::size_t, std::size_t>> parts;
@@ -54,35 +55,84 @@ std::vector<std::byte> bitcomp_wrap_archive(
     std::span<const std::byte> bytes, lossless::LzssMode mode,
     lossless::MethodPolicy policy,
     std::vector<lossless::ChoiceAudit>* audits) {
-  const auto parts = wrap_partition(bytes);
-  if (audits) audits->assign(parts.size(), {});
-
   dev::Workspace ws(dev::Arena::instance());
-  std::vector<WrapSegmentEntry> entries(parts.size());
-  std::vector<std::vector<std::byte>> payloads(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
+  return bitcomp_wrap_archive(bytes, mode, policy, audits, ws);
+}
+
+std::vector<std::byte> bitcomp_wrap_archive(
+    std::span<const std::byte> bytes, lossless::LzssMode mode,
+    lossless::MethodPolicy policy, std::vector<lossless::ChoiceAudit>* audits,
+    dev::Workspace& ws) {
+  const auto parts = wrap_partition(bytes);
+  const std::size_t nseg = parts.size();
+  if (audits) audits->assign(nseg, {});
+  constexpr std::size_t bs = lossless::kLzssBlock;
+  constexpr std::size_t stride = bs + lossless::kLzssTokenSlack;
+
+  // Choose and transform every segment first, serially: dev::Workspace is
+  // not thread-safe, so the launch below only touches memory handed out
+  // here. The chooser is a pure function of (bytes, mode), and each block's
+  // encoding depends only on its bytes and the mode, so the container is the
+  // same however the blocks are scheduled.
+  std::vector<WrapSegmentEntry> entries(nseg);
+  std::vector<std::span<const std::byte>> src(nseg);
+  std::vector<std::size_t> first_block(nseg + 1, 0);
+  for (std::size_t i = 0; i < nseg; ++i) {
     const auto seg = bytes.subspan(parts[i].first, parts[i].second);
     const auto m = lossless::resolve_method(policy, seg, mode, ws,
                                             audits ? &(*audits)[i] : nullptr);
-    const auto t = lossless::method_transform(seg, m, ws);
-    payloads[i] = lossless::lzss_compress(t, lossless::kLzssBlock, mode);
+    src[i] = lossless::method_transform(seg, m, ws);
     entries[i].method = static_cast<std::uint8_t>(m);
     entries[i].raw_size = seg.size();
-    entries[i].size = payloads[i].size();
-    ws.reset();
+    first_block[i + 1] = first_block[i] + dev::ceil_div(src[i].size(), bs);
   }
 
-  core::ByteWriter w;
-  std::size_t total = sizeof(std::uint32_t) * 2 +
-                      entries.size() * sizeof(WrapSegmentEntry);
-  for (const auto& p : payloads) total += p.size();
-  w.reserve(total);
-  w.put(kBitcompWrapMagicV2);
-  w.put(static_cast<std::uint32_t>(entries.size()));
-  w.put_raw({reinterpret_cast<const std::byte*>(entries.data()),
-             entries.size() * sizeof(WrapSegmentEntry)});
-  for (const auto& p : payloads) w.put_raw(p);
-  return w.take();
+  // Every block of every segment LZSS-encodes in one pool-wide launch.
+  const std::size_t nblocks = first_block.back();
+  auto slices = ws.make<std::byte>(nblocks * stride);
+  auto enc = ws.make<std::uint64_t>(nblocks);
+  dev::ThreadPool::instance().parallel_for(
+      nblocks,
+      [&](std::size_t g) {
+        // Last segment starting at or before g (empty segments share their
+        // successor's start and are skipped by upper_bound).
+        const std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(first_block.begin(), first_block.end(), g) -
+            first_block.begin() - 1);
+        const std::size_t begin = (g - first_block[i]) * bs;
+        const std::size_t len = std::min(bs, src[i].size() - begin);
+        enc[g] = lossless::lzss_compress_block(src[i].subspan(begin, len),
+                                               slices.subspan(g * stride, stride),
+                                               dev::Arena::instance(), mode);
+      },
+      1);
+
+  // 'BBC2' magic | u32 nseg | segment table | per-segment LZSS streams.
+  std::size_t total =
+      2 * sizeof(std::uint32_t) + nseg * sizeof(WrapSegmentEntry);
+  for (std::size_t i = 0; i < nseg; ++i) {
+    entries[i].size = lossless::lzss_stream_size(
+        src[i].size(), bs,
+        enc.subspan(first_block[i], first_block[i + 1] - first_block[i]));
+    total += static_cast<std::size_t>(entries[i].size);
+  }
+  std::vector<std::byte> out(total);
+  std::byte* op = out.data();
+  const auto nseg32 = static_cast<std::uint32_t>(nseg);
+  std::memcpy(op, &kBitcompWrapMagicV2, sizeof(kBitcompWrapMagicV2));
+  std::memcpy(op + sizeof(kBitcompWrapMagicV2), &nseg32, sizeof(nseg32));
+  op += 2 * sizeof(std::uint32_t);
+  std::memcpy(op, entries.data(), nseg * sizeof(WrapSegmentEntry));
+  op += nseg * sizeof(WrapSegmentEntry);
+  for (std::size_t i = 0; i < nseg; ++i) {
+    const std::size_t b0 = first_block[i];
+    const std::size_t nb = first_block[i + 1] - b0;
+    const auto size = static_cast<std::size_t>(entries[i].size);
+    lossless::lzss_assemble(src[i], bs, slices.subspan(b0 * stride, nb * stride),
+                            stride, enc.subspan(b0, nb), {op, size});
+    op += size;
+  }
+  return out;
 }
 
 std::vector<std::byte> bitcomp_unwrap_archive(

@@ -168,11 +168,11 @@ class Compressor {
       std::span<const std::byte> bytes, double* decode_seconds,
       dev::Workspace& ws);
 
-  /// Produces the §VI-B bitcomp-wrapped archive ('BBCP' + LZSS over the
-  /// inner archive). The default wraps compress()'s bytes after the fact;
-  /// implementations may override to pipeline the inner encode with the
-  /// LZSS pass (cuSZ-i does) — the bytes must stay identical to the
-  /// default composition. Wrap time is folded into encode/total.
+  /// Produces the §VI-B bitcomp-wrapped archive ('BBC2' over the inner
+  /// archive). The default wraps compress()'s bytes after the fact;
+  /// implementations may override to wrap workspace-resident inner bytes
+  /// without the extra copy (cuSZ-i does) — the bytes must stay identical
+  /// to the default composition. Wrap time is folded into encode/total.
   [[nodiscard]] virtual CompressResult compress_bitcomp(
       const Field& field, const CompressParams& p);
 
@@ -229,15 +229,24 @@ class Compressor {
 /// through the best-of-three de-redundancy pipeline picked by the sampled
 /// chooser (lossless/orchestrate.hh), then LZSS'd into its own stream. The
 /// no-argument overload wraps with LzssMode::Lazy + MethodPolicy::Auto —
-/// byte-identical to the fused cuszi_compress_bitcomp() composition. Legacy
-/// 'BBCP' archives (single implicit-LZSS stream) unwrap forever; unwrapping
-/// a corrupt buffer throws core::CorruptArchive.
+/// what cuszi_compress_bitcomp() emits. Legacy 'BBCP' archives (single
+/// implicit-LZSS stream) unwrap forever; unwrapping a corrupt buffer throws
+/// core::CorruptArchive.
 [[nodiscard]] std::vector<std::byte> bitcomp_wrap_archive(
     std::span<const std::byte> bytes);
 [[nodiscard]] std::vector<std::byte> bitcomp_wrap_archive(
     std::span<const std::byte> bytes, lossless::LzssMode mode,
     lossless::MethodPolicy policy = lossless::MethodPolicy::Auto,
     std::vector<lossless::ChoiceAudit>* audits = nullptr);
+/// Workspace form, the one wrap implementation: every segment is chosen and
+/// transformed in turn, then every LZSS block of every segment encodes in
+/// one pool-wide launch, then the container is assembled. Transforms and
+/// block slices come from `ws`, which is not reset here (the bytes may live
+/// in it). Same bytes as the other overloads.
+[[nodiscard]] std::vector<std::byte> bitcomp_wrap_archive(
+    std::span<const std::byte> bytes, lossless::LzssMode mode,
+    lossless::MethodPolicy policy, std::vector<lossless::ChoiceAudit>* audits,
+    dev::Workspace& ws);
 [[nodiscard]] std::vector<std::byte> bitcomp_unwrap_archive(
     std::span<const std::byte> bytes);
 

@@ -10,8 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <optional>
-
 #include "core/bytes.hh"
 #include "core/timer.hh"
 #include "device/stream.hh"
@@ -74,8 +72,8 @@ constexpr std::uint8_t kSegTileIndex = 3;
 /// z-slab) pair maps the slab's first level symbol to its exact coordinates
 /// in the archive: stream rank, Huffman chunk, payload byte, and the 64 KiB
 /// LZSS block a 'BBC2' wrapper would place that byte in. Every field is a
-/// closed form of (dims, per-level chunk tables), so both SZI2 writers emit
-/// identical index bytes and decoders re-derive and cross-check all of it.
+/// closed form of (dims, per-level chunk tables), so decoders re-derive and
+/// cross-check all of it.
 constexpr std::uint16_t kTidxVersion = 1;
 
 /// Payload header: u16 version | u16 reserved | u32 slab_z | u32 nlevels |
@@ -110,23 +108,14 @@ std::uint64_t tidx_payload_bytes(const dev::Dim3& dims, int nlevels) {
   return kTidxHeaderBytes + tidx_entry_count(dims, nlevels) * sizeof(TidxEntry);
 }
 
-/// Per-level stream shape the tile index derives from. Both SZI2 writers
-/// populate this from their own framing state (the plain writer by
-/// re-parsing the stream headers it just wrote, the fused writer straight
-/// from its encode plans), so the emitted index bytes agree byte-for-byte.
-struct TidxLevelMeta {
-  std::size_t chunk_size = 0;
-  std::size_t nchunks = 0;
-  std::uint64_t payload_bytes = 0;
-  std::size_t header_bytes = 0;
-  std::span<const std::uint64_t> offsets;  ///< per-chunk payload bytes
-};
-
+/// The tile index payload, a closed form of dims and each level's encode
+/// plan (`plans[l - 1]` for level l): its chunk size, chunk count, payload
+/// and header bytes, and chunk offsets.
 std::vector<std::byte> build_tidx(const dev::Dim3& dims,
-                                  std::span<const TidxLevelMeta> metas) {
+                                  std::span<const huffman::EncodePlan> plans) {
   const std::size_t slab_z = tidx_slab_z(dims);
   const std::size_t nslabs = tidx_nslabs(dims);
-  const int nlevels = static_cast<int>(metas.size());
+  const int nlevels = static_cast<int>(plans.size());
   core::ByteWriter w;
   w.reserve(static_cast<std::size_t>(tidx_payload_bytes(dims, nlevels)));
   w.put(kTidxVersion);
@@ -135,7 +124,7 @@ std::vector<std::byte> build_tidx(const dev::Dim3& dims,
   w.put(static_cast<std::uint32_t>(nlevels));
   w.put(static_cast<std::uint32_t>(nslabs));
   for (int level = nlevels; level >= 1; --level) {
-    const auto& m = metas[static_cast<std::size_t>(level - 1)];
+    const auto& m = plans[static_cast<std::size_t>(level - 1)];
     for (std::size_t k = 0; k < nslabs; ++k) {
       TidxEntry e{};
       e.sym_rank = predictor::ginterp_level_prefix(dims, level, k * slab_z);
@@ -193,11 +182,9 @@ struct Tuned {
 };
 
 /// Whether offloading work to a dev::Stream can actually overlap with the
-/// host thread. On a single-hardware-thread machine the stream only adds
-/// context-switch ping-pong, so the pipelined compress runs the same block
-/// tasks inline at the same watermark points instead — identical bytes,
-/// better cache locality (each block is processed while still hot from
-/// being written) — and ROI decode runs its slabs inline.
+/// host thread — used only by ROI decode, which otherwise runs its slabs
+/// inline. On a single-hardware-thread machine a stream only adds
+/// context-switch ping-pong.
 bool stream_overlap_pays() {
   return dev::ThreadPool::instance().worker_count() > 1;
 }
@@ -283,17 +270,15 @@ std::vector<std::byte> compress_v1_typed(std::span<const T> data,
 }
 
 /// Builds the v2 segment directory from the prediction output and the
-/// already-framed per-level Huffman streams (indexed level-1). Offsets are
-/// assigned contiguously from the end of the header in archive order:
-/// anchors, outliers, levels descending, then the trailing tile index
-/// (whose size is a closed form of dims, so the directory freezes before
-/// the index payload exists).
+/// per-level Huffman encode plans (`plans[l - 1]` for level l), before any
+/// payload exists. Offsets are assigned contiguously from the end of the
+/// header in archive order: anchors, outliers, levels descending, then the
+/// trailing tile index (whose size is a closed form of dims).
 template <typename T>
 std::vector<SegmentEntry> make_directory(
     const predictor::GInterpViewT<T>& pred, const dev::Dim3& dims,
-    std::span<const std::uint64_t> level_counts,
-    std::span<const std::uint64_t> level_sizes) {
-  const int nlevels = static_cast<int>(level_sizes.size());
+    std::span<const huffman::EncodePlan> plans) {
+  const int nlevels = static_cast<int>(plans.size());
   std::vector<SegmentEntry> segs(3 + static_cast<std::size_t>(nlevels));
   std::uint64_t off = v2_header_bytes(segs.size());
   segs[0].kind = kSegAnchors;
@@ -311,9 +296,10 @@ std::vector<SegmentEntry> make_directory(
     auto& s = segs[2 + static_cast<std::size_t>(j)];
     s.kind = kSegLevel;
     s.level = static_cast<std::uint8_t>(level);
-    s.count = level_counts[static_cast<std::size_t>(level - 1)];
+    const auto& plan = plans[static_cast<std::size_t>(level - 1)];
+    s.count = plan.n;
     s.offset = off;
-    s.size = level_sizes[static_cast<std::size_t>(level - 1)];
+    s.size = plan.stream_bytes();
     off += s.size;
   }
   auto& tx = segs.back();
@@ -324,28 +310,82 @@ std::vector<SegmentEntry> make_directory(
   return segs;
 }
 
-/// The SZI2 writer behind every default compress path. The fused pipeline
-/// re-buckets each owned row's codes into per-level streams inside the
-/// predict kernel (one exact histogram per level as a byproduct); the
-/// unfused reference splits the finished code array afterwards — the
-/// streams and histograms are byte-identical, so fused and unfused archives
-/// stay in lockstep. Each level is framed through the one-pass
-/// encode_with_book_serial with its own codebook (`unified` shares one book
-/// across all levels for the ratio ablation; the framing is unchanged).
-/// `topk` is accepted for call-site stability but inert here: the per-level
-/// histograms are exact by construction.
+/// The SZI2 writer behind every default compress path, raw and wrapped, in
+/// phases that each span the pool. Every level's Huffman stream is planned
+/// (per-chunk sizes, then offsets), which freezes the directory — every
+/// segment's offset and size — before the first payload byte. Then the
+/// header, directory, anchors and outliers are written, each level's chunks
+/// are emitted straight into their final slot, and the tile index follows
+/// from the plans. The archive is assembled once, in `ws` memory (valid
+/// until the caller resets `ws`). Level l's codes and codebook are
+/// `levels.streams[l - 1]` and `books[l - 1]`.
 template <typename T>
-std::vector<std::byte> compress_typed(std::span<const T> data,
-                                      const dev::Dim3& dims,
-                                      const CompressParams& p,
-                                      StageTimings* timings, bool fused,
-                                      bool topk, dev::Workspace& ws,
-                                      bool unified = false) {
-  (void)topk;
-  core::Timer total;
-  core::Timer stage;
-  StageTimings t;
+std::span<const std::byte> write_v2(const predictor::GInterpViewT<T>& pred,
+                                    const predictor::GInterpLevelSplit& levels,
+                                    std::span<const huffman::Codebook> books,
+                                    const dev::Dim3& dims, const Tuned& tuned,
+                                    int radius, dev::Workspace& ws) {
+  const std::size_t nlevels = levels.streams.size();
+  std::vector<huffman::EncodePlan> plans(nlevels);
+  for (std::size_t i = 0; i < nlevels; ++i)
+    plans[i] = huffman::encode_plan(levels.streams[i], books[i],
+                                    huffman::kDefaultChunk, ws);
+  const auto segs = make_directory<T>(pred, dims, plans);
+  auto raw = ws.make<std::byte>(
+      static_cast<std::size_t>(segs.back().offset + segs.back().size));
 
+  std::byte* wp = raw.data();
+  const auto put_raw = [&wp](std::span<const std::byte> b) {
+    if (!b.empty()) std::memcpy(wp, b.data(), b.size());
+    wp += b.size();
+  };
+  const auto put = [&put_raw](const auto& v) {
+    put_raw(std::as_bytes(std::span(&v, 1)));
+  };
+  put(kMagicV2);
+  put(static_cast<std::uint8_t>(precision_of<T>()));
+  put(static_cast<std::uint64_t>(dims.x));
+  put(static_cast<std::uint64_t>(dims.y));
+  put(static_cast<std::uint64_t>(dims.z));
+  put(tuned.eb);
+  put(pack_config(tuned.cfg, radius));
+  put(static_cast<std::uint32_t>(segs.size()));
+  put_raw(std::as_bytes(std::span(segs)));
+  put_raw(std::as_bytes(pred.anchors));
+  put(static_cast<std::uint64_t>(pred.outliers.count()));
+  put_raw(std::as_bytes(pred.outliers.indices));
+  put_raw(std::as_bytes(pred.outliers.values));
+
+  for (std::size_t i = 0; i < nlevels; ++i) {
+    const auto& seg = segs[2 + nlevels - 1 - i];  // levels run descending
+    const auto dst = raw.subspan(static_cast<std::size_t>(seg.offset),
+                                 static_cast<std::size_t>(seg.size));
+    huffman::write_stream_header(plans[i], books[i], dst);
+    huffman::encode_chunks(levels.streams[i], books[i], plans[i], 0,
+                           plans[i].nchunks,
+                           dst.subspan(plans[i].header_bytes));
+  }
+  const auto tidx = build_tidx(dims, plans);
+  std::memcpy(raw.data() + static_cast<std::size_t>(segs.back().offset),
+              tidx.data(), tidx.size());
+  return raw;
+}
+
+/// Autotune, prediction, codebooks and the writer: everything up to the
+/// inner archive, which lives in `ws` memory. The fused pipeline re-buckets
+/// each owned row's codes into per-level streams inside the predict kernel
+/// (one exact histogram per level as a byproduct); the unfused reference
+/// splits the finished code array afterwards — the streams and histograms
+/// are byte-identical, so fused and unfused archives stay in lockstep.
+/// `unified` shares one codebook across all levels for the ratio ablation
+/// (the framing is unchanged). Fills `t` except `total`.
+template <typename T>
+std::span<const std::byte> compress_v2(std::span<const T> data,
+                                       const dev::Dim3& dims,
+                                       const CompressParams& p, StageTimings& t,
+                                       bool fused, bool unified,
+                                       dev::Workspace& ws) {
+  core::Timer stage;
   const Tuned tuned = autotune_checked(data, dims, p, ws);
   t.predict += stage.lap();
 
@@ -369,70 +409,40 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
     t.histogram = stage.lap();
   }
 
-  const int nlevels = static_cast<int>(levels.streams.size());
   std::vector<huffman::Codebook> books;
   if (unified) {
     std::vector<std::uint32_t> sum(nbins, 0);
     for (const auto& h : levels.histograms)
       for (std::size_t b = 0; b < nbins; ++b) sum[b] += h[b];
-    const auto book = huffman::Codebook::build(sum);
-    books.assign(static_cast<std::size_t>(nlevels), book);
+    books.assign(levels.streams.size(), huffman::Codebook::build(sum));
   } else {
     books = huffman::build_level_books(levels.histograms);
   }
   t.codebook = stage.lap();
 
-  std::vector<std::span<const std::byte>> streams(
-      static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> sizes(static_cast<std::size_t>(nlevels));
-  for (int l = 1; l <= nlevels; ++l) {
-    const auto i = static_cast<std::size_t>(l - 1);
-    streams[i] = huffman::encode_with_book_serial(
-        levels.streams[i], books[i], huffman::kDefaultChunk, ws);
-    counts[i] = levels.streams[i].size();
-    sizes[i] = streams[i].size();
-  }
-
-  // Tile index, derived from the streams just framed: re-parse each header
-  // for its chunk-offset table (header-only, no payload decode) so this
-  // writer and the fused one compute the index from identical inputs.
-  std::vector<TidxLevelMeta> metas(static_cast<std::size_t>(nlevels));
-  for (int l = 1; l <= nlevels; ++l) {
-    const auto i = static_cast<std::size_t>(l - 1);
-    const auto plan =
-        huffman::decode_plan_header(streams[i], streams[i].size(), ws);
-    metas[i] = {plan.chunk_size, plan.nchunks, plan.payload_bytes,
-                streams[i].size() - static_cast<std::size_t>(plan.payload_bytes),
-                plan.offsets};
-  }
-  const auto tidx = build_tidx(dims, metas);
+  const auto raw = write_v2<T>(pred, levels, books, dims, tuned, kRadius, ws);
   t.encode = stage.lap();
+  return raw;
+}
 
-  const auto segs = make_directory<T>(pred, dims, counts, sizes);
-  core::ByteWriter w;
-  w.reserve(static_cast<std::size_t>(segs.back().offset + segs.back().size));
-  w.put(kMagicV2);
-  w.put(static_cast<std::uint8_t>(precision_of<T>()));
-  w.put(static_cast<std::uint64_t>(dims.x));
-  w.put(static_cast<std::uint64_t>(dims.y));
-  w.put(static_cast<std::uint64_t>(dims.z));
-  w.put(tuned.eb);
-  w.put(pack_config(tuned.cfg, kRadius));
-  w.put(static_cast<std::uint32_t>(segs.size()));
-  for (const auto& s : segs) w.put(s);
-  w.put_raw(std::as_bytes(pred.anchors));
-  w.put(static_cast<std::uint64_t>(pred.outliers.count()));
-  w.put_raw(std::as_bytes(pred.outliers.indices));
-  w.put_raw(std::as_bytes(pred.outliers.values));
-  for (std::size_t i = 2; i < segs.size(); ++i)
-    if (segs[i].kind == kSegLevel)
-      w.put_raw(streams[static_cast<std::size_t>(segs[i].level - 1)]);
-  w.put_raw(tidx);
+/// A raw SZI2 archive. `topk` is accepted for call-site stability but inert
+/// here: the per-level histograms are exact by construction.
+template <typename T>
+std::vector<std::byte> compress_typed(std::span<const T> data,
+                                      const dev::Dim3& dims,
+                                      const CompressParams& p,
+                                      StageTimings* timings, bool fused,
+                                      bool topk, dev::Workspace& ws,
+                                      bool unified = false) {
+  (void)topk;
+  core::Timer total;
+  StageTimings t;
+  const auto raw = compress_v2<T>(data, dims, p, t, fused, unified, ws);
+  std::vector<std::byte> out(raw.begin(), raw.end());
   ws.reset();
   t.total = total.lap();
   if (timings) *timings = t;
-  return w.take();
+  return out;
 }
 
 template <typename T>
@@ -448,21 +458,10 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
   return compress_typed<T>(data, dims, p, timings, fused, topk, ws, unified);
 }
 
-/// The fused compress-to-wrapped-archive pipeline (re-threaded for the
-/// level-segmented SZI2 layout and the per-segment 'BBC2' container):
-/// predict and per-level re-bucketing fuse into one pass; every level's
-/// Huffman stream is planned up front (the segment directory needs exact
-/// sizes before the first payload byte), the inner archive is assembled
-/// exactly once in workspace memory with each segment's payload emitted
-/// straight into its final slot, and the de-redundancy pass rides the same
-/// rising watermark — each wrapper segment speculatively LZSS-compresses
-/// its 64 KiB blocks as raw bytes finalize (stream mode), then runs the
-/// sampled method chooser the moment the segment completes; a transform
-/// win (zero-RLE / bitshuffle) re-encodes the transformed bytes and the
-/// speculative blocks are simply dropped (their tasks finish harmlessly
-/// before the drain). Per-block output depends only on the block's bytes,
-/// so the archive is byte-identical to
-/// bitcomp_wrap_archive(compress_typed(...), mode) for every worker count.
+/// A wrapped ('BBC2') archive: the same inner archive as compress_typed,
+/// then the one wrap phase (bitcomp_wrap_archive's workspace form) over it,
+/// so the bytes equal bitcomp_wrap_archive(compress_typed(...), mode) by
+/// construction. Wrap time is folded into `encode`.
 template <typename T>
 std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
                                               const dev::Dim3& dims,
@@ -471,257 +470,14 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
                                               dev::Workspace& ws,
                                               lossless::LzssMode mode) {
   core::Timer total;
-  core::Timer stage;
   StageTimings t;
-
-  const Tuned tuned = autotune_checked(data, dims, p, ws);
-  t.predict += stage.lap();
-
-  constexpr int kRadius = quant::kDefaultRadius;
-  const auto fl = predictor::ginterp_compress_fused_levels(
-      data, dims, tuned.eb, tuned.cfg, kRadius, ws);
-  const auto& pred = fl.pred;
-  t.predict += stage.lap();
-  t.histogram = 0;
-  t.histogram_fused = true;
-
-  const auto books = huffman::build_level_books(fl.levels.histograms);
-  t.codebook = stage.lap();
-
-  // Per-level encode plans. The sizing pass always runs — even serially —
-  // because the directory freezes every segment's offset and size before
-  // any payload byte can be written; the chunk emission below is then
-  // byte-identical to the one-pass encode_with_book_serial the plain writer
-  // uses (chunk contents depend only on the codes and the book).
-  const int nlevels = static_cast<int>(fl.levels.streams.size());
-  std::vector<huffman::EncodePlan> plans(static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> sizes(static_cast<std::size_t>(nlevels));
-  for (int l = 1; l <= nlevels; ++l) {
-    const auto i = static_cast<std::size_t>(l - 1);
-    plans[i] = huffman::encode_plan(fl.levels.streams[i], books[i],
-                                    huffman::kDefaultChunk, ws);
-    counts[i] = fl.levels.streams[i].size();
-    sizes[i] = plans[i].stream_bytes();
-  }
-  const auto segs = make_directory<T>(pred, dims, counts, sizes);
-  const std::size_t raw_size =
-      static_cast<std::size_t>(segs.back().offset + segs.back().size);
-
-  std::optional<dev::Stream> lz;
-  if (stream_overlap_pays()) lz.emplace();
-  auto raw = ws.make<std::byte>(raw_size);
-
-  // De-redundancy state, one record per BBC2 wrapper segment: the header +
-  // directory range, then one range per inner segment (the same split
-  // wrap_partition derives from the directory, so the two paths agree).
-  // Blocks are submitted to the stream once the watermark of final raw
-  // bytes passes their end; each task reads only bytes below the watermark
-  // at submit time and the host thread writes only bytes above it, so the
-  // two sides never touch the same byte concurrently. Submissions below a
-  // segment's end speculate method 0 (LZSS over raw bytes); when the
-  // watermark closes the segment the sampled chooser runs, and a transform
-  // win re-encodes fresh blocks over the transformed bytes while the
-  // speculative tasks finish into their never-read slices. On a serial
-  // machine each segment compresses inline at its completion watermark.
-  const std::size_t bs = lossless::kLzssBlock;
-  const std::size_t stride = bs + lossless::kLzssTokenSlack;
-
-  struct WSeg {
-    std::size_t off = 0;  ///< raw-archive offset
-    std::size_t len = 0;  ///< raw-archive length
-    lossless::Method method = lossless::Method::Lzss;
-    std::span<const std::byte> src;  ///< stream source (raw or transformed)
-    std::size_t nblocks = 0;
-    std::span<std::byte> slices;
-    std::span<std::uint64_t> enc;
-    std::size_t next = 0;  ///< speculative submit progress
-  };
-  std::vector<WSeg> wsegs(segs.size() + 1);
-  wsegs[0].len = static_cast<std::size_t>(segs.front().offset);
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    wsegs[i + 1].off = static_cast<std::size_t>(segs[i].offset);
-    wsegs[i + 1].len = static_cast<std::size_t>(segs[i].size);
-  }
-  for (auto& wsg : wsegs) {
-    wsg.src = std::span<const std::byte>(raw.data() + wsg.off, wsg.len);
-    wsg.nblocks = wsg.len == 0 ? 0 : dev::ceil_div(wsg.len, bs);
-    wsg.slices = ws.make<std::byte>(wsg.nblocks * stride);
-    wsg.enc = ws.make<std::uint64_t>(wsg.nblocks);
-  }
-
-  const auto submit_block = [&](WSeg& wsg, std::size_t b) {
-    const std::size_t begin = b * bs;
-    const std::size_t len = std::min(bs, wsg.src.size() - begin);
-    const std::byte* in = wsg.src.data() + begin;
-    std::byte* out = wsg.slices.data() + b * stride;
-    std::uint64_t* esz = wsg.enc.data() + b;
-    if (lz) {
-      lz->submit([in, len, out, stride, esz, mode] {
-        *esz = lossless::lzss_compress_block({in, len}, {out, stride},
-                                             dev::Arena::instance(), mode);
-      });
-    } else {
-      *esz = lossless::lzss_compress_block({in, len}, {out, stride},
-                                           dev::Arena::instance(), mode);
-    }
-  };
-
-  const auto finalize_seg = [&](WSeg& wsg) {
-    // The chooser reads the completed raw range on the host; in-flight
-    // speculative tasks read the same bytes — both sides are read-only
-    // below the watermark, so no handshake is needed. choose_method is a
-    // pure function of (bytes, mode): this decision is byte-for-byte the
-    // one bitcomp_wrap_archive makes for the same segment.
-    const auto seg_bytes =
-        std::span<const std::byte>(raw.data() + wsg.off, wsg.len);
-    wsg.method = lossless::choose_method(seg_bytes, mode, ws);
-    if (wsg.method == lossless::Method::Lzss) {
-      // Speculation was right. Stream mode already submitted every block
-      // (the watermark covers the segment); serial mode compresses now.
-      if (!lz)
-        for (std::size_t b = 0; b < wsg.nblocks; ++b) submit_block(wsg, b);
-      return;
-    }
-    // Transform won: re-point the segment at the transformed bytes and
-    // encode fresh blocks over them. The speculative slices are dropped —
-    // any tasks still running write into memory nothing reads again.
-    wsg.src = lossless::method_transform(seg_bytes, wsg.method, ws);
-    wsg.nblocks = wsg.src.empty() ? 0 : dev::ceil_div(wsg.src.size(), bs);
-    wsg.slices = ws.make<std::byte>(wsg.nblocks * stride);
-    wsg.enc = ws.make<std::uint64_t>(wsg.nblocks);
-    for (std::size_t b = 0; b < wsg.nblocks; ++b) submit_block(wsg, b);
-  };
-
-  std::size_t cur_seg = 0;
-  const auto submit_upto = [&](std::size_t watermark) {
-    while (cur_seg < wsegs.size()) {
-      WSeg& wsg = wsegs[cur_seg];
-      if (lz) {
-        while (wsg.next < wsg.nblocks) {
-          const std::size_t bend =
-              wsg.off + std::min((wsg.next + 1) * bs, wsg.len);
-          if (bend > watermark) break;
-          submit_block(wsg, wsg.next);
-          ++wsg.next;
-        }
-      }
-      if (watermark < wsg.off + wsg.len) break;
-      finalize_seg(wsg);
-      ++cur_seg;
-    }
-  };
-
-  // Header + directory + anchor/outlier segments (small, serial), then the
-  // level segments coarsest-first: each segment's stream header, then its
-  // payload in ~4-block chunk groups, advancing the watermark after every
-  // group so whole 64 KiB regions hand off to the LZSS pass while the next
-  // level is still encoding.
-  {
-    std::byte* wp = raw.data();
-    const auto put = [&wp](const auto& v) {
-      std::memcpy(wp, &v, sizeof(v));
-      wp += sizeof(v);
-    };
-    put(kMagicV2);
-    put(static_cast<std::uint8_t>(precision_of<T>()));
-    put(static_cast<std::uint64_t>(dims.x));
-    put(static_cast<std::uint64_t>(dims.y));
-    put(static_cast<std::uint64_t>(dims.z));
-    put(tuned.eb);
-    put(pack_config(tuned.cfg, kRadius));
-    put(static_cast<std::uint32_t>(segs.size()));
-    std::memcpy(wp, segs.data(), segs.size() * sizeof(SegmentEntry));
-    wp += segs.size() * sizeof(SegmentEntry);
-    std::memcpy(wp, pred.anchors.data(), pred.anchors.size() * sizeof(T));
-    wp += pred.anchors.size() * sizeof(T);
-    put(static_cast<std::uint64_t>(pred.outliers.count()));
-    std::memcpy(wp, pred.outliers.indices.data(),
-                pred.outliers.indices.size_bytes());
-    wp += pred.outliers.indices.size_bytes();
-    std::memcpy(wp, pred.outliers.values.data(),
-                pred.outliers.values.size_bytes());
-    wp += pred.outliers.values.size_bytes();
-    submit_upto(static_cast<std::size_t>(wp - raw.data()));
-  }
-
-  constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
-  for (std::size_t si = 2; si < segs.size(); ++si) {
-    if (segs[si].kind != kSegLevel) continue;
-    const auto i = static_cast<std::size_t>(segs[si].level - 1);
-    const auto& plan = plans[i];
-    const auto& book = books[i];
-    const auto codes = fl.levels.streams[i];
-    const std::size_t base = static_cast<std::size_t>(segs[si].offset);
-    huffman::write_stream_header(plan, book, raw.subspan(base));
-    const std::size_t payload_off = base + plan.header_bytes;
-    submit_upto(payload_off);
-    const auto payload = raw.subspan(
-        payload_off, static_cast<std::size_t>(plan.payload_bytes));
-    std::size_t c = 0;
-    while (c < plan.nchunks) {
-      const std::uint64_t start = plan.offsets[c];
-      std::size_t cend = c + 1;
-      while (cend < plan.nchunks && plan.offsets[cend] - start < kGroupBytes)
-        ++cend;
-      huffman::encode_chunks(codes, book, plan, c, cend, payload);
-      c = cend;
-      const std::uint64_t done =
-          c < plan.nchunks ? plan.offsets[c] : plan.payload_bytes;
-      submit_upto(payload_off + static_cast<std::size_t>(done));
-    }
-  }
-  {
-    // Tile index, straight from the encode plans, written into its final
-    // slot; closing the watermark then hands its wrapper segment to the
-    // chooser like any other.
-    std::vector<TidxLevelMeta> metas(static_cast<std::size_t>(nlevels));
-    for (int l = 1; l <= nlevels; ++l) {
-      const auto i = static_cast<std::size_t>(l - 1);
-      metas[i] = {plans[i].chunk_size, plans[i].nchunks,
-                  plans[i].payload_bytes, plans[i].header_bytes,
-                  plans[i].offsets};
-    }
-    const auto tidx = build_tidx(dims, metas);
-    std::memcpy(raw.data() + static_cast<std::size_t>(segs.back().offset),
-                tidx.data(), tidx.size());
-  }
-  submit_upto(raw_size);
-  if (lz) lz->synchronize();
-
-  // Final wrapped archive, assembled directly into the returned vector:
-  // 'BBC2' magic | u32 nseg | segment table | per-segment LZSS streams.
-  const std::size_t nwseg = wsegs.size();
-  std::vector<std::size_t> stream_sizes(nwseg);
-  std::size_t payload_total = 0;
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    stream_sizes[i] =
-        lossless::lzss_stream_size(wsegs[i].src.size(), bs, wsegs[i].enc);
-    payload_total += stream_sizes[i];
-  }
-  std::vector<std::byte> out(2 * sizeof(std::uint32_t) +
-                             nwseg * sizeof(WrapSegmentEntry) + payload_total);
-  std::byte* op = out.data();
-  std::memcpy(op, &kBitcompWrapMagicV2, sizeof(kBitcompWrapMagicV2));
-  op += sizeof(kBitcompWrapMagicV2);
-  const auto nseg32 = static_cast<std::uint32_t>(nwseg);
-  std::memcpy(op, &nseg32, sizeof(nseg32));
-  op += sizeof(nseg32);
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    WrapSegmentEntry e;
-    e.method = static_cast<std::uint8_t>(wsegs[i].method);
-    e.raw_size = wsegs[i].len;
-    e.size = stream_sizes[i];
-    std::memcpy(op, &e, sizeof(e));
-    op += sizeof(e);
-  }
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    lossless::lzss_assemble(wsegs[i].src, bs, wsegs[i].slices, stride,
-                            wsegs[i].enc, {op, stream_sizes[i]});
-    op += stream_sizes[i];
-  }
+  const auto raw = compress_v2<T>(data, dims, p, t, /*fused=*/true,
+                                  /*unified=*/false, ws);
+  core::Timer wrap;
+  auto out = bitcomp_wrap_archive(raw, mode, lossless::MethodPolicy::Auto,
+                                  nullptr, ws);
   ws.reset();
-  t.encode = stage.lap();
+  t.encode += wrap.lap();
   t.total = total.lap();
   if (timings) *timings = t;
   return out;

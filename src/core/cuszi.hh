@@ -98,12 +98,11 @@ namespace szi {
     std::span<const double> data, const dev::Dim3& dims,
     const CompressParams& params, StageTimings* timings = nullptr);
 
-/// Fused compress straight to the §VI-B bitcomp-wrapped archive: the inner
-/// archive is assembled once in `ws` memory with the Huffman payload
-/// emitted directly into its final slot, and whole 64 KiB regions are
-/// handed to the LZSS pass on a dev::Stream as soon as their bytes are
-/// final — the stages overlap instead of running back to back over full
-/// arrays. Bytes are identical to
+/// Compress straight to the §VI-B bitcomp-wrapped archive, in phases that
+/// each span the pool: the inner archive is assembled once in `ws` memory
+/// with every level's Huffman payload emitted directly into its final slot,
+/// then every 64 KiB LZSS block of every wrapper segment encodes in one
+/// launch. Bytes are identical to
 /// bitcomp_wrap_archive(cuszi_compress(data, ...)) with the same `mode`.
 [[nodiscard]] std::vector<std::byte> cuszi_compress_bitcomp(
     std::span<const float> data, const dev::Dim3& dims,

@@ -55,12 +55,12 @@ inline constexpr std::size_t kDefaultChunk = 4096;
 
 // ---- Phase-split API ----------------------------------------------------
 //
-// The fused stage pipeline interleaves Huffman encode with the downstream
-// LZSS pass (and LZSS decode with Huffman decode on the way back), so the
-// two phases of the chunk-parallel codec are exposed separately: plan
-// (per-chunk sizes -> offsets, total stream size known up front) and
-// emit/decode over any chunk subrange. encode()/decode() are thin
-// compositions of these, so the split is byte-identical by construction.
+// The SZI2 writer freezes its segment directory before it writes any level
+// stream, and readers fetch chunks selectively, so the two phases of the
+// chunk-parallel codec are exposed separately: plan (per-chunk sizes ->
+// offsets, total stream size known up front) and emit/decode over any chunk
+// subrange. encode()/decode() are thin compositions of these, so the split
+// is byte-identical by construction.
 
 /// Phase-1 result: everything needed to size and emit the stream.
 struct EncodePlan {
@@ -115,8 +115,8 @@ void encode_chunks(std::span<const quant::Code> codes, const Codebook& book,
 /// Serial one-pass counterpart of encode_with_book, built on
 /// encode_emit_serial: plans and emits in a single walk over the codes and
 /// assembles the self-describing stream in `ws` memory. Byte-identical to
-/// encode_with_book — the SZI2 writer emits each level segment through this
-/// so per-level framing costs one pass per stream, not two.
+/// encode_with_book. No archive writer uses it (the SZI2 writer plans and
+/// emits across the pool); the benchmark's traced replay still does.
 [[nodiscard]] std::span<const std::byte> encode_with_book_serial(
     std::span<const quant::Code> codes, const Codebook& book,
     std::size_t chunk_size, dev::Workspace& ws);

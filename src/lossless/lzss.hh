@@ -69,18 +69,18 @@ enum class LzssMode { Greedy, Lazy };
 
 // ---- Block-granular API -------------------------------------------------
 //
-// The fused stage pipeline compresses/decompresses the stream in block
-// groups as upstream stages produce (or downstream stages consume) bytes,
-// instead of materializing the whole input first. These pieces expose
-// exactly the units lzss_compress/lzss_decompress are built from, so the
-// pipelined form is byte-identical by construction.
+// The wrapped writer and reader run every block of every wrapper segment in
+// one pool-wide launch, and the ROI reader decodes only the blocks it
+// needs. These pieces expose exactly the units lzss_compress/
+// lzss_decompress are built from, so those forms are byte-identical by
+// construction.
 
 /// Encodes one independent block into `out` (capacity must be at least
 /// block.size() + kLzssTokenSlack). Returns the encoded byte count, or
 /// kLzssStoreRaw when the block is incompressible and must be stored raw
 /// (the caller emits the original bytes with mode 0). The hash-chain
-/// scratch is drawn from `arena` (thread-safe; callers on stream worker
-/// threads pass the shared pool).
+/// scratch is drawn from `arena` (thread-safe, so concurrent pool tasks
+/// may share one).
 [[nodiscard]] std::uint64_t lzss_compress_block(std::span<const std::byte> block,
                                                std::span<std::byte> out,
                                                dev::Arena& arena,

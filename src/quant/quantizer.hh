@@ -33,7 +33,7 @@ class Quantizer {
   /// per-level bound here); `radius` bounds representable codes.
   Quantizer(double eb, int radius = kDefaultRadius)
       : eb_(eb), twice_eb_(2.0 * eb), inv_twice_eb_(1.0 / (2.0 * eb)),
-        radius_(radius) {}
+        code_limit_(radius - 0.5), radius_(radius) {}
 
   [[nodiscard]] double eb() const { return eb_; }
   [[nodiscard]] int radius() const { return radius_; }
@@ -50,9 +50,19 @@ class Quantizer {
   template <typename T>
   [[nodiscard]] Result<T> quantize(T original, T predicted) const {
     const double err = static_cast<double>(original) - predicted;
-    const auto q = static_cast<long>(std::lround(err * inv_twice_eb_));
-    if (q <= -radius_ || q >= radius_)
-      return {kOutlierMarker, original, true};
+    // q = std::lround(x) without the libm call. |lround(x)| >= radius
+    // exactly when |x| >= radius - 0.5, and NaN/±Inf fail the comparison,
+    // so every outlier is caught before the conversion; below that bound
+    // x - trunc(x) is the exact fraction and the ±0.5 test rounds half away
+    // from zero, as lround does.
+    const double x = err * inv_twice_eb_;
+    if (!(std::abs(x) < code_limit_)) return {kOutlierMarker, original, true};
+    auto q = static_cast<long>(x);
+    const double frac = x - static_cast<double>(q);
+    if (frac >= 0.5)
+      ++q;
+    else if (frac <= -0.5)
+      --q;
     const auto recon = static_cast<T>(
         static_cast<double>(predicted) + twice_eb_ * static_cast<double>(q));
     // Rounding of the reconstruction to T can nudge the error past eb for
@@ -76,6 +86,7 @@ class Quantizer {
   double eb_;
   double twice_eb_;
   double inv_twice_eb_;
+  double code_limit_;  ///< radius - 0.5: |x| at or past it is an outlier
   int radius_;
 };
 

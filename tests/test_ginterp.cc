@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
 #include "predictor/interp_config.hh"
+#include "quant/quantizer.hh"
 
 namespace {
 
@@ -396,6 +399,113 @@ TEST(GInterpLevels, DecompressToLevelMatchesSubsample) {
                              sub.size() * sizeof(float)))
         << "level " << l;
   }
+}
+
+// The lround-based Quantizer::quantize body the call-free rounding
+// replaced, kept verbatim as the reference it must reproduce.
+template <typename T>
+szi::quant::Quantizer::Result<T> quantize_lround(double eb, int radius,
+                                                 T original, T predicted) {
+  const double twice_eb = 2.0 * eb;
+  const double inv_twice_eb = 1.0 / (2.0 * eb);
+  const double err = static_cast<double>(original) - predicted;
+  const auto q = static_cast<long>(std::lround(err * inv_twice_eb));
+  if (q <= -radius || q >= radius)
+    return {szi::quant::kOutlierMarker, original, true};
+  const auto recon = static_cast<T>(static_cast<double>(predicted) +
+                                    twice_eb * static_cast<double>(q));
+  if (std::abs(static_cast<double>(original) - recon) > eb)
+    return {szi::quant::kOutlierMarker, original, true};
+  return {static_cast<szi::quant::Code>(q + radius), recon, false};
+}
+
+template <typename T>
+void expect_matches_lround(double eb, int radius, T original, T predicted,
+                           int& outliers, int& inliers) {
+  const szi::quant::Quantizer qz(eb, radius);
+  const auto got = qz.quantize(original, predicted);
+  const auto want = quantize_lround(eb, radius, original, predicted);
+  ASSERT_EQ(got.is_outlier, want.is_outlier)
+      << "original " << original << " predicted " << predicted << " eb "
+      << eb << " radius " << radius;
+  ASSERT_EQ(got.stored, want.stored)
+      << "original " << original << " predicted " << predicted << " eb "
+      << eb << " radius " << radius;
+  // Bitwise, so NaN recon (an outlier carrying its NaN original) compares.
+  ASSERT_EQ(0, std::memcmp(&got.recon, &want.recon, sizeof(T)))
+      << "original " << original << " predicted " << predicted << " eb "
+      << eb << " radius " << radius;
+  (got.is_outlier ? outliers : inliers) += 1;
+}
+
+template <typename T>
+void quantizer_matches_lround() {
+  using lim = std::numeric_limits<double>;
+  int outliers = 0, inliers = 0;
+  for (const int radius : {szi::quant::kDefaultRadius, 7}) {
+    const double r = radius;
+    // eb = 0.5 makes x = err * inv_twice_eb equal the error itself, so the
+    // listed values are the rounding inputs (after the cast to T).
+    std::vector<double> xs = {0.0,
+                              -0.0,
+                              0.5,
+                              -0.5,
+                              std::nextafter(0.5, 0.0),
+                              -std::nextafter(0.5, 0.0),
+                              0.49999999999999994,
+                              lim::denorm_min(),
+                              -lim::denorm_min(),
+                              lim::min() / 4,
+                              1e300,
+                              -1e300,
+                              lim::infinity(),
+                              -lim::infinity(),
+                              lim::quiet_NaN()};
+    for (int k = 0; k <= radius; ++k) {
+      xs.push_back(k + 0.5);
+      xs.push_back(-(k + 0.5));
+    }
+    for (const double edge : {r - 0.5, r - 1.5, r + 0.5}) {
+      for (const double v : {edge, std::nextafter(edge, 0.0),
+                             std::nextafter(edge, lim::infinity())}) {
+        xs.push_back(v);
+        xs.push_back(-v);
+      }
+    }
+    for (const double x : xs) {
+      expect_matches_lround<T>(0.5, radius, static_cast<T>(x), T(0), outliers,
+                               inliers);
+      expect_matches_lround<T>(0.5, radius, static_cast<T>(3.25 + x),
+                               static_cast<T>(3.25), outliers, inliers);
+    }
+    expect_matches_lround<T>(0.5, radius, std::numeric_limits<T>::max(),
+                             -std::numeric_limits<T>::max(), outliers, inliers);
+    expect_matches_lround<T>(0.5, radius, std::numeric_limits<T>::infinity(),
+                             std::numeric_limits<T>::infinity(), outliers,
+                             inliers);
+
+    std::mt19937_64 rng(0x5eedULL + static_cast<std::uint64_t>(radius));
+    std::uniform_real_distribution<double> around(-r - 2, r + 2);
+    std::uniform_real_distribution<double> value(-1e3, 1e3);
+    std::uniform_int_distribution<int> exponent(-12, 2);
+    for (int i = 0; i < 20000; ++i) {
+      expect_matches_lround<T>(0.5, radius, static_cast<T>(around(rng)), T(0),
+                               outliers, inliers);
+      const double eb = std::ldexp(1.0, exponent(rng)) * (1 + value(rng) / 2e3);
+      const auto pred = static_cast<T>(value(rng));
+      const auto orig =
+          static_cast<T>(static_cast<double>(pred) + 2 * eb * around(rng));
+      expect_matches_lround<T>(eb, radius, orig, pred, outliers, inliers);
+    }
+  }
+  // Both outcomes are exercised, not just one side of the bound.
+  EXPECT_GT(outliers, 1000);
+  EXPECT_GT(inliers, 1000);
+}
+
+TEST(Quantizer, MatchesLroundReference) {
+  quantizer_matches_lround<float>();
+  quantizer_matches_lround<double>();
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(ParallelDeterminism, ArchivesAndReconsMatchAcrossWorkerCounts) {
   // The fused wrapped compress must agree with the after-the-fact wrap at
   // this worker count too — the BBC2 segment table pins the chooser's
   // per-segment method decisions, so any scheduling leak into the sampled
-  // chooser or the speculative block submission shows up as a byte diff.
+  // chooser or the pool-wide block launch shows up as a byte diff.
   szi::StageTimings wt;
   const auto fused_wrapped = szi::cuszi_compress_bitcomp(
       std::span<const float>(fields.front().data), fields.front().dims,
