@@ -1,31 +1,32 @@
-// Open-loop load bench for szi::serve — the service-layer counterpart of
+// Load bench for szi::serve — the service-layer counterpart of
 // bench/scaling.cc.
 //
-// A deterministic Poisson arrival process (fixed-seed exponential gaps)
-// submits a mixed workload — f32 compresses over three size classes, f64
-// compresses, full decompresses, and ROI decodes — against a Service and
-// never waits for completions while submitting (open loop: the arrival
-// clock, not the service, paces the offered load). Per-request latency is
-// taken from the service's own submit->dispatch->complete stamps.
-//
-// Three scenarios ablate the scheduler's two control knobs:
-//   coalesced     waves on, no budget           (the default configuration)
-//   uncoalesced   coalesce=false                (every compress is its own
-//                                                wave — what batching buys)
-//   admission     waves on, workspace budget on (what the budget costs; the
-//                                                Queue flavor trims + splits)
+// One mixed workload — f32 compresses over three size classes, f64
+// compresses, full decompresses, and ROI decodes — driven two ways:
+//   open-loop    a deterministic Poisson arrival schedule (fixed seed,
+//                600/s) taken in schedule order by one sender thread per
+//                core (the handler pool a front end runs the inline service
+//                on). Each request is timed from its *scheduled* arrival, so
+//                a request that finds every sender busy carries that wait in
+//                its latency; lateness (actual send - scheduled arrival)
+//                reports how far behind the generator ran.
+//   closed-loop  one client per core, each sending its next request as soon
+//                as the previous one completes: the service's maximum
+//                throughput (saturation).
 //
 // Byte-identity is enforced two ways:
 //   1. In-process: every compress response is memcmp'd against the direct
 //      cuszi_compress() call, every decompress against cuszi_decompress.
 //   2. Cross-worker-count: the pool reads SZI_THREADS once per process, so
 //      the parent re-executes itself with `--child` under SZI_THREADS =
-//      1, 2, 4, 8 and asserts the FNV-1a hash over all responses (in
-//      submission order) matches the 1-worker reference.
+//      1, 2, 4, 8 and asserts the FNV-1a hash over all open-loop responses
+//      (in schedule order) matches the 1-worker reference.
 //
-// Writes BENCH_serve.json at the repo root. `--smoke` runs a tiny
-// single-scenario workload with no children and no ledger — the CI crash
-// gate.
+// Writes BENCH_serve.json at the repo root. `--smoke` runs a tiny workload
+// with no children and no ledger — the CI crash gate.
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -45,14 +46,17 @@
 
 namespace {
 using namespace szi;
-using serve::ServeConfig;
 using serve::Service;
 using serve::Status;
 using serve::Ticket;
+using Clock = std::chrono::steady_clock;
 
 constexpr int kSweep[] = {1, 2, 4, 8};
 constexpr std::uint64_t kSeed = 42;
 constexpr double kArrivalsPerSec = 600.0;
+// 1200 requests per run leave at least ten samples beyond the p99.
+constexpr int kRequests = 1200;
+constexpr int kSmokeRequests = 32;
 
 std::uint64_t fnv1a(const void* p, std::size_t n,
                     std::uint64_t h = 0xcbf29ce484222325ull) {
@@ -64,9 +68,12 @@ std::uint64_t fnv1a(const void* p, std::size_t n,
   return h;
 }
 
-/// The fixed asset set every request draws from: three f32 size classes
-/// (distinct wave keys), one f64 field, and pre-built archives for the
-/// decompress/ROI legs.
+double ms_between(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/// The fixed asset set every request draws from: three f32 size classes,
+/// one f64 field, and pre-built archives for the decompress/ROI legs.
 struct Assets {
   std::vector<Field> f32_fields;                   // small / medium / large
   std::vector<std::vector<std::byte>> f32_direct;  // direct-call archives
@@ -111,19 +118,24 @@ Assets build_assets() {
   return a;
 }
 
-/// One scheduled arrival. kind: 0-2 compress f32 (size class = kind),
-/// 3 compress f64, 4 decompress, 5 ROI.
+/// Request kinds: 0-2 compress f32 (size class = kind), 3 compress f64,
+/// 4 decompress, 5 ROI; weighted ~55% f32 compress, 10% f64 compress, 25%
+/// decompress, 10% ROI.
+std::discrete_distribution<int> kind_mix() {
+  return std::discrete_distribution<int>({25, 20, 10, 10, 25, 10});
+}
+
+/// One scheduled arrival of the open loop.
 struct Arrival {
   int kind;
   double at_seconds;
 };
 
-/// Deterministic open-loop schedule: Poisson gaps, weighted kind mix
-/// (~55% f32 compress, 10% f64 compress, 25% decompress, 10% ROI).
+/// Deterministic open-loop schedule: Poisson gaps over the kind mix.
 std::vector<Arrival> build_schedule(int n) {
   std::mt19937_64 rng(kSeed);
   std::exponential_distribution<double> gap(kArrivalsPerSec);
-  std::discrete_distribution<int> kind({25, 20, 10, 10, 25, 10});
+  auto kind = kind_mix();
   std::vector<Arrival> plan;
   plan.reserve(n);
   double t = 0;
@@ -134,72 +146,64 @@ std::vector<Arrival> build_schedule(int n) {
   return plan;
 }
 
+Ticket submit(Service& svc, const Assets& a, int kind) {
+  switch (kind) {
+    case 0:
+    case 1:
+    case 2: {
+      const Field& f = a.f32_fields[std::size_t(kind)];
+      return svc.submit_compress("load", f.view(), f.dims, a.params);
+    }
+    case 3:
+      return svc.submit_compress_f64("load", a.f64_data, a.f64_dims,
+                                     a.params);
+    case 4:
+      return svc.submit_decompress("load", a.f32_direct[0]);
+    default:
+      return svc.submit_roi("load", a.f32_direct[1], a.roi_box);
+  }
+}
+
+/// One request's record: its kind, its response, and its timings.
+struct Outcome {
+  int kind = 0;
+  Ticket ticket;
+  double latency_ms = 0;  ///< from scheduled arrival (closed loop: send)
+  double late_ms = 0;     ///< send - scheduled arrival (open loop only)
+};
+
 struct ScenarioResult {
   std::string name;
+  unsigned clients = 0;
   double wall_seconds = 0;
   std::size_t requests = 0, ok = 0, failed = 0, rejected = 0;
   std::size_t bytes_in = 0, bytes_out = 0;
   double p50_ms = 0, p95_ms = 0, p99_ms = 0;
+  double late_p50_ms = 0, late_p99_ms = 0, late_max_ms = 0;
   serve::ServiceStats stats;
   bool byte_identical = true;
-  std::uint64_t response_hash = 0;  ///< FNV over responses, submission order
+  std::uint64_t response_hash = 0;  ///< FNV over responses, request order
 };
 
-double percentile(std::vector<double>& sorted, double q) {
+double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
   const auto idx = static_cast<std::size_t>(
       std::ceil(q * double(sorted.size()))) - 1;
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-ScenarioResult run_scenario(const std::string& name, const ServeConfig& cfg,
-                            const Assets& a,
-                            const std::vector<Arrival>& plan) {
-  ScenarioResult res;
-  res.name = name;
-  Service svc(cfg);
-  std::vector<Ticket> tickets;
-  tickets.reserve(plan.size());
-
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto& arr : plan) {
-    // Open loop: pace by the arrival clock, never by completions.
-    std::this_thread::sleep_until(
-        start + std::chrono::duration<double>(arr.at_seconds));
-    switch (arr.kind) {
-      case 0:
-      case 1:
-      case 2: {
-        const Field& f = a.f32_fields[std::size_t(arr.kind)];
-        tickets.push_back(
-            svc.submit_compress("load", f.view(), f.dims, a.params));
-        break;
-      }
-      case 3:
-        tickets.push_back(svc.submit_compress_f64("load", a.f64_data,
-                                                  a.f64_dims, a.params));
-        break;
-      case 4:
-        tickets.push_back(svc.submit_decompress("load", a.f32_direct[0]));
-        break;
-      default:
-        tickets.push_back(svc.submit_roi("load", a.f32_direct[1], a.roi_box));
-    }
-  }
-  for (const auto& t : tickets) (void)t.wait();
-  svc.drain();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  std::vector<double> latencies;
-  latencies.reserve(tickets.size());
+/// Checks every response against the direct calls and fills the counts,
+/// percentiles and response hash.
+void summarize(const Assets& a, const std::vector<Outcome>& outcomes,
+               ScenarioResult& res) {
+  std::vector<double> latencies, lateness;
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    const auto& r = tickets[i].wait();
+  for (const auto& o : outcomes) {
+    const auto& r = o.ticket.wait();
     ++res.requests;
     res.bytes_in += r.bytes_in;
     res.bytes_out += r.bytes_out;
+    lateness.push_back(o.late_ms);
     if (r.status == Status::Rejected) {
       ++res.rejected;
       continue;
@@ -209,13 +213,13 @@ ScenarioResult run_scenario(const std::string& name, const ServeConfig& cfg,
       continue;
     }
     ++res.ok;
-    latencies.push_back(r.total_seconds * 1e3);
-    switch (plan[i].kind) {
+    latencies.push_back(o.latency_ms);
+    switch (o.kind) {
       case 0:
       case 1:
       case 2:
         res.byte_identical = res.byte_identical &&
-                             r.archive == a.f32_direct[std::size_t(plan[i].kind)];
+                             r.archive == a.f32_direct[std::size_t(o.kind)];
         h = fnv1a(r.archive.data(), r.archive.size(), h);
         break;
       case 3:
@@ -233,48 +237,90 @@ ScenarioResult run_scenario(const std::string& name, const ServeConfig& cfg,
   }
   res.response_hash = h;
   std::sort(latencies.begin(), latencies.end());
+  std::sort(lateness.begin(), lateness.end());
   res.p50_ms = percentile(latencies, 0.50);
   res.p95_ms = percentile(latencies, 0.95);
   res.p99_ms = percentile(latencies, 0.99);
+  res.late_p50_ms = percentile(lateness, 0.50);
+  res.late_p99_ms = percentile(lateness, 0.99);
+  res.late_max_ms = lateness.empty() ? 0 : lateness.back();
+}
+
+ScenarioResult run_open_loop(const Assets& a, const std::vector<Arrival>& plan,
+                             unsigned senders) {
+  ScenarioResult res;
+  res.name = "open-loop";
+  res.clients = senders;
+  Service svc;
+  std::vector<Outcome> outcomes(plan.size());
+  std::atomic<std::size_t> next{0};
+  const auto start = Clock::now();
+  {
+    // Each free sender takes the next arrival in schedule order and sends it
+    // when it is due — or at once, late, when it became free after that.
+    std::vector<std::thread> pool;
+    for (unsigned s = 0; s < senders; ++s)
+      pool.emplace_back([&] {
+        for (std::size_t i = next++; i < plan.size(); i = next++) {
+          const auto due =
+              start + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(plan[i].at_seconds));
+          std::this_thread::sleep_until(due);
+          const auto sent = Clock::now();
+          Outcome& o = outcomes[i];
+          o.kind = plan[i].kind;
+          o.ticket = submit(svc, a, o.kind);
+          o.late_ms = ms_between(due, sent);
+          o.latency_ms = ms_between(due, Clock::now());
+        }
+      });
+    for (auto& t : pool) t.join();
+  }
+  res.wall_seconds = ms_between(start, Clock::now()) / 1e3;
+  summarize(a, outcomes, res);
   res.stats = svc.stats();
   return res;
 }
 
-// The ablation scenarios force Dispatch::Scheduler so the knobs under test
-// actually engage on any host (Auto would go inline at 1 worker and make
-// coalesce a no-op); the inline scenario measures that degradation mode
-// explicitly.
-ServeConfig coalesced_cfg() {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  return cfg;
+ScenarioResult run_closed_loop(const Assets& a, unsigned clients,
+                               int requests) {
+  ScenarioResult res;
+  res.name = "closed-loop";
+  res.clients = clients;
+  Service svc;
+  const std::size_t per_client =
+      (static_cast<std::size_t>(requests) + clients - 1) / clients;
+  std::vector<Outcome> outcomes(per_client * clients);
+  const auto start = Clock::now();
+  {
+    std::vector<std::thread> pool;
+    for (unsigned c = 0; c < clients; ++c)
+      pool.emplace_back([&, c] {
+        std::mt19937_64 rng(kSeed + 1 + c);
+        auto kind = kind_mix();
+        for (std::size_t i = 0; i < per_client; ++i) {
+          Outcome& o = outcomes[c * per_client + i];
+          o.kind = kind(rng);
+          const auto sent = Clock::now();
+          o.ticket = submit(svc, a, o.kind);
+          o.latency_ms = ms_between(sent, Clock::now());
+        }
+      });
+    for (auto& t : pool) t.join();
+  }
+  res.wall_seconds = ms_between(start, Clock::now()) / 1e3;
+  summarize(a, outcomes, res);
+  res.stats = svc.stats();
+  return res;
 }
 
-ServeConfig uncoalesced_cfg() {
-  ServeConfig cfg = coalesced_cfg();
-  cfg.coalesce = false;
-  return cfg;
+unsigned core_count() {
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ServeConfig admission_cfg() {
-  ServeConfig cfg = coalesced_cfg();
-  // Below the largest size class's workspace estimate: big-compress waves
-  // must trim the pools and split before dispatching.
-  cfg.workspace_budget_bytes = std::size_t{6} << 20;
-  cfg.over_budget = ServeConfig::OverBudget::Queue;
-  return cfg;
-}
-
-ServeConfig inline_cfg() {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Inline;
-  return cfg;
-}
-
-int run_child(const char* outfile, int requests) {
+int run_child(const char* outfile) {
   const Assets a = build_assets();
-  const auto plan = build_schedule(requests);
-  const auto res = run_scenario("child", coalesced_cfg(), a, plan);
+  const auto res = run_open_loop(a, build_schedule(kRequests), core_count());
   FILE* out = std::fopen(outfile, "w");
   if (!out) {
     std::fprintf(stderr, "error: cannot open %s\n", outfile);
@@ -287,27 +333,30 @@ int run_child(const char* outfile, int requests) {
   return res.byte_identical && res.failed == 0 ? 0 : 1;
 }
 
-std::string scenario_json(const ScenarioResult& r, bool last) {
+std::string scenario_json(const ScenarioResult& r, bool open_loop,
+                          bool last) {
+  const double wall = r.wall_seconds > 0 ? r.wall_seconds : 1.0;
+  char late[160] = "";
+  if (open_loop)
+    std::snprintf(late, sizeof late,
+                  "     \"late_p50_ms\": %.3f, \"late_p99_ms\": %.3f, "
+                  "\"late_max_ms\": %.3f,\n",
+                  r.late_p50_ms, r.late_p99_ms, r.late_max_ms);
   char buf[1024];
   std::snprintf(
       buf, sizeof buf,
-      "    {\"scenario\": \"%s\", \"requests\": %zu, \"ok\": %zu, "
-      "\"failed\": %zu, \"rejected\": %zu,\n"
+      "    {\"scenario\": \"%s\", \"clients\": %u, \"requests\": %zu, "
+      "\"ok\": %zu, \"failed\": %zu, \"rejected\": %zu,\n"
       "     \"wall_seconds\": %.4f, \"requests_per_second\": %.1f, "
       "\"in_mb_per_second\": %.2f, \"out_mb_per_second\": %.2f,\n"
       "     \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f,\n"
-      "     \"waves\": %" PRIu64 ", \"coalesced_requests\": %" PRIu64
-      ", \"admission_deferrals\": %" PRIu64
-      ", \"admission_rejects\": %" PRIu64 ",\n"
+      "%s"
       "     \"arena_high_water_bytes\": %zu, \"byte_identical\": %s}%s\n",
-      r.name.c_str(), r.requests, r.ok, r.failed, r.rejected, r.wall_seconds,
-      r.wall_seconds > 0 ? double(r.requests) / r.wall_seconds : 0.0,
-      r.wall_seconds > 0 ? double(r.bytes_in) / 1e6 / r.wall_seconds : 0.0,
-      r.wall_seconds > 0 ? double(r.bytes_out) / 1e6 / r.wall_seconds : 0.0,
-      r.p50_ms, r.p95_ms, r.p99_ms, r.stats.waves, r.stats.coalesced,
-      r.stats.admission_deferrals, r.stats.admission_rejects,
-      r.stats.arena_high_water_bytes, r.byte_identical ? "true" : "false",
-      last ? "" : ",");
+      r.name.c_str(), r.clients, r.requests, r.ok, r.failed, r.rejected,
+      r.wall_seconds, double(r.requests) / wall,
+      double(r.bytes_in) / 1e6 / wall, double(r.bytes_out) / 1e6 / wall,
+      r.p50_ms, r.p95_ms, r.p99_ms, late, r.stats.arena_high_water_bytes,
+      r.byte_identical ? "true" : "false", last ? "" : ",");
   return buf;
 }
 
@@ -316,41 +365,33 @@ std::string scenario_json(const ScenarioResult& r, bool last) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   if (argc == 3 && std::strcmp(argv[1], "--child") == 0)
-    return run_child(argv[2], 240);
+    return run_child(argv[2]);
 
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const int requests = smoke ? 32 : 240;
-  std::printf("serve_load: %d requests, Poisson %.0f/s, mixed "
-              "compress/decompress/ROI, %u core(s)\n",
-              requests, kArrivalsPerSec, cores);
-  if (cores == 1)
-    std::printf("note: single-core host — the service degrades to inline "
-                "execution (Auto dispatch) and coalescing cannot overlap "
-                "work; latencies are honest, speedups cannot manifest\n");
+  const unsigned cores = core_count();
+  const int requests = smoke ? kSmokeRequests : kRequests;
+  std::printf("serve_load: %d requests per run, open loop Poisson %.0f/s and "
+              "closed loop, %u client(s), mixed compress/decompress/ROI, "
+              "%u core(s)\n",
+              requests, kArrivalsPerSec, cores, cores);
 
   const Assets a = build_assets();
-  const auto plan = build_schedule(requests);
-
   std::vector<ScenarioResult> scenarios;
-  scenarios.push_back(run_scenario("coalesced", coalesced_cfg(), a, plan));
-  if (!smoke) {
-    scenarios.push_back(
-        run_scenario("uncoalesced", uncoalesced_cfg(), a, plan));
-    scenarios.push_back(run_scenario("admission", admission_cfg(), a, plan));
-    scenarios.push_back(run_scenario("inline", inline_cfg(), a, plan));
-  }
+  scenarios.push_back(run_open_loop(a, build_schedule(requests), cores));
+  scenarios.push_back(run_closed_loop(a, cores, requests));
 
   bool all_identical = true;
   for (const auto& s : scenarios) {
-    std::printf("  %-12s %5.2f s  %6.1f req/s  p50 %6.3f ms  p95 %6.3f ms  "
-                "p99 %6.3f ms  waves %" PRIu64 "  coalesced %" PRIu64
-                "  identical %s\n",
+    std::printf("  %-11s %5.2f s  %6.1f req/s  p50 %6.3f ms  p95 %6.3f ms  "
+                "p99 %6.3f ms  identical %s\n",
                 s.name.c_str(), s.wall_seconds,
                 s.wall_seconds > 0 ? double(s.requests) / s.wall_seconds : 0.0,
-                s.p50_ms, s.p95_ms, s.p99_ms, s.stats.waves, s.stats.coalesced,
-                s.byte_identical ? "yes" : "NO");
+                s.p50_ms, s.p95_ms, s.p99_ms, s.byte_identical ? "yes" : "NO");
     all_identical = all_identical && s.byte_identical && s.failed == 0;
   }
+  std::printf("  open-loop generator late p50 %.3f ms  p99 %.3f ms  "
+              "max %.3f ms\n",
+              scenarios[0].late_p50_ms, scenarios[0].late_p99_ms,
+              scenarios[0].late_max_ms);
 
   if (smoke) {
     std::printf("smoke: %s\n", all_identical ? "ok" : "FAILED");
@@ -402,22 +443,19 @@ int main(int argc, char** argv) {
 
   std::string json;
   json += "{\n  \"bench\": \"serve_load\",\n";
-  json += "  \"workload\": \"open-loop Poisson " +
+  json += "  \"workload\": \"" + std::to_string(kRequests) +
+          " requests per run: 55% f32 compress (3 size classes), 10% f64 "
+          "compress, 25% decompress, 10% ROI; open loop: Poisson " +
           std::to_string(int(kArrivalsPerSec)) +
-          "/s, 240 requests: 55% f32 compress (3 size classes), 10% f64 "
-          "compress, 25% decompress, 10% ROI\",\n";
+          "/s sent by one thread per core, latency from scheduled arrival; "
+          "closed loop: one client per core\",\n";
   json += "  \"cpu_cores\": " + std::to_string(cores) + ",\n";
-  if (cores == 1)
-    json += "  \"single_core_host\": \"true — the service runs inline (Auto "
-            "dispatch picks no scheduler thread at 1 worker) and scenarios "
-            "time-slice one core; latencies are honest measurements on this "
-            "box, coalescing/parallel speedup cannot manifest\",\n";
   json += std::string("  \"byte_identical_across_workers\": ") +
           (sweep_identical ? "true" : "false") + ",\n";
   json += "  \"worker_sweep\": [1, 2, 4, 8],\n";
   json += "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    json += scenario_json(scenarios[i], i + 1 == scenarios.size());
+  json += scenario_json(scenarios[0], /*open_loop=*/true, /*last=*/false);
+  json += scenario_json(scenarios[1], /*open_loop=*/false, /*last=*/true);
   json += "  ]\n}\n";
   bench::write_ledger("BENCH_serve.json", json);
   return all_identical && sweep_identical ? 0 : 1;

@@ -148,9 +148,7 @@ struct BatchItem {
 /// field's exception is captured into its BatchItem instead of being
 /// rethrown, so one bad field (NaN range, zero-range Rel bound, ...) fails
 /// only its own slot while every other field still produces its archive —
-/// byte-identical to per-field cuszi_compress(). This is the entry point
-/// the szi::serve scheduler coalesces compress waves onto: a wave member's
-/// failure must fail one request, not the wave.
+/// byte-identical to per-field cuszi_compress().
 [[nodiscard]] std::vector<BatchItem> cuszi_compress_many_checked(
     std::span<const FieldView> fields, const CompressParams& params,
     std::size_t streams = 0);

@@ -13,6 +13,14 @@ namespace szi::metrics {
 
 namespace {
 
+/// |a - b| under the non-finite contract: 0 where the values are equal or
+/// both NaN, +inf for any other mismatch involving a non-finite value.
+double abs_error(double a, double b) {
+  if (a == b || (std::isnan(a) && std::isnan(b))) return 0;
+  const double e = std::abs(a - b);
+  return std::isfinite(e) ? e : std::numeric_limits<double>::infinity();
+}
+
 template <typename T>
 Distortion distortion_impl(std::span<const T> original,
                            std::span<const T> reconstructed) {
@@ -38,10 +46,9 @@ Distortion distortion_impl(std::span<const T> original,
         Acc a;
         a.lo = a.hi = original[begin];
         for (std::size_t i = begin; i < end; ++i) {
-          const double e = static_cast<double>(original[i]) -
-                           static_cast<double>(reconstructed[i]);
+          const double e = abs_error(original[i], reconstructed[i]);
           a.sum_sq += e * e;
-          a.max_abs = std::max(a.max_abs, std::abs(e));
+          a.max_abs = std::max(a.max_abs, e);
           a.lo = std::min(a.lo, static_cast<double>(original[i]));
           a.hi = std::max(a.hi, static_cast<double>(original[i]));
         }
@@ -93,10 +100,11 @@ bool error_bounded_impl(std::span<const T> original,
         const std::size_t end = std::min(begin + chunk, n);
         for (std::size_t i = begin; i < end; ++i) {
           const double a = original[i], b = reconstructed[i];
-          const double e = std::abs(a - b);
+          const double e = abs_error(a, b);
+          if (e == 0) continue;
           const double limit =
               base_limit + kUlps * std::max(std::abs(a), std::abs(b));
-          if (e > limit) {
+          if (std::isinf(e) || e > limit) {
             ok[c] = 0;
             return;
           }

@@ -11,7 +11,7 @@ namespace szi::metrics {
 struct Distortion {
   double psnr = 0;      ///< 20*log10(range) - 10*log10(mse)
   double nrmse = 0;     ///< sqrt(mse)/range
-  double max_err = 0;   ///< max |orig - recon|
+  double max_err = 0;   ///< max |orig - recon|; +inf on a non-finite mismatch
   double mse = 0;
   double range = 0;     ///< max(orig) - min(orig)
 };
@@ -26,8 +26,9 @@ struct Distortion {
 [[nodiscard]] double value_range(std::span<const float> data);
 [[nodiscard]] double value_range(std::span<const double> data);
 
-/// True iff every |orig-recon| <= bound*(1+slack) + a few float ulps of the
-/// operand magnitude. The ulp term matches what GPU compressors guarantee:
+/// True iff every position is equal, NaN in both, or finite with
+/// |orig-recon| <= bound*(1+slack) + a few float ulps of the operand
+/// magnitude. The ulp term matches what GPU compressors guarantee:
 /// all reconstruction arithmetic is single-precision, so a value far from
 /// zero can overshoot a tiny absolute bound by half an ulp (cuSZ's
 /// dual-quant scale-back does exactly this).

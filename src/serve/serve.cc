@@ -1,25 +1,23 @@
 #include "serve/serve.hh"
 
 #include <algorithm>
-#include <bit>
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <utility>
 
 #include "core/cuszi.hh"
 #include "device/arena.hh"
-#include "device/stream.hh"
-#include "device/thread_pool.hh"
 
 namespace szi::serve {
 
 namespace detail {
 
-/// One submitted request, shared between its Ticket copies and the service.
-struct RequestState {
+/// One submitted request: what run() needs to execute and book it.
+struct Request {
   enum class Kind : std::uint8_t {
-    CompressF32,   ///< coalescable: batches into compress_batch waves
-    CompressF64,   ///< direct (the batch front end is f32)
+    CompressF32,
+    CompressF64,
     DecompressF32,
     DecompressF64,
     Roi,
@@ -28,7 +26,7 @@ struct RequestState {
   Kind kind = Kind::CompressF32;
   std::string tenant;
 
-  // Borrowed payloads — the caller keeps them alive until completion.
+  // Borrowed payloads — alive for the duration of the submit_*() call.
   std::span<const float> f32;
   std::span<const double> f64;
   std::span<const std::byte> archive;
@@ -37,23 +35,14 @@ struct RequestState {
   RoiBox box{};
 
   std::size_t payload_bytes = 0;
-  std::size_t ws_estimate = 0;
-
-  std::chrono::steady_clock::time_point submitted{};
-  std::chrono::steady_clock::time_point dispatched{};
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Response resp;
 };
 
 }  // namespace detail
 
 namespace {
 
-using detail::RequestState;
-using Kind = RequestState::Kind;
+using detail::Request;
+using Kind = Request::Kind;
 using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
@@ -67,79 +56,60 @@ std::uint32_t peek_magic(std::span<const std::byte> bytes) {
   return magic;
 }
 
-/// Executes one non-coalesced request body (everything except the batched
-/// f32 compress wave): shared by the inline path, the direct-wave stream
-/// tasks, and the single-request fallback. Fills resp.{archive,data,...};
-/// exceptions propagate to the caller, which parks them in the response.
-void run_request_body(RequestState& st, dev::Workspace& ws) {
-  switch (st.kind) {
+/// Executes one request body through the direct library call. Fills
+/// resp.{archive,data,...}; exceptions propagate to the caller, which parks
+/// them in the response.
+void run_request_body(const Request& req, Response& resp,
+                      dev::Workspace& ws) {
+  switch (req.kind) {
     case Kind::CompressF32:
-      st.resp.archive = cuszi_compress(st.f32, st.dims, st.params,
-                                       /*timings=*/nullptr, ws);
-      st.resp.bytes_out = st.resp.archive.size();
+      resp.archive = cuszi_compress(req.f32, req.dims, req.params,
+                                    /*timings=*/nullptr, ws);
+      resp.bytes_out = resp.archive.size();
       break;
     case Kind::CompressF64:
-      st.resp.archive = cuszi_compress(st.f64, st.dims, st.params,
-                                       /*timings=*/nullptr, ws);
-      st.resp.bytes_out = st.resp.archive.size();
+      resp.archive = cuszi_compress(req.f64, req.dims, req.params,
+                                    /*timings=*/nullptr, ws);
+      resp.bytes_out = resp.archive.size();
       break;
     case Kind::DecompressF32: {
-      const std::uint32_t magic = peek_magic(st.archive);
+      const std::uint32_t magic = peek_magic(req.archive);
       if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2)
-        st.resp.data = cuszi_decompress_bitcomp_f32(st.archive, ws);
+        resp.data = cuszi_decompress_bitcomp_f32(req.archive, ws);
       else
-        st.resp.data = cuszi_decompress_f32(st.archive, ws);
-      st.resp.bytes_out = st.resp.data.size() * sizeof(float);
+        resp.data = cuszi_decompress_f32(req.archive, ws);
+      resp.bytes_out = resp.data.size() * sizeof(float);
       break;
     }
     case Kind::DecompressF64: {
-      const std::uint32_t magic = peek_magic(st.archive);
+      const std::uint32_t magic = peek_magic(req.archive);
       if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2)
-        st.resp.data_f64 = cuszi_decompress_bitcomp_f64(st.archive, ws);
+        resp.data_f64 = cuszi_decompress_bitcomp_f64(req.archive, ws);
       else
-        st.resp.data_f64 = cuszi_decompress_f64(st.archive, ws);
-      st.resp.bytes_out = st.resp.data_f64.size() * sizeof(double);
+        resp.data_f64 = cuszi_decompress_f64(req.archive, ws);
+      resp.bytes_out = resp.data_f64.size() * sizeof(double);
       break;
     }
     case Kind::Roi: {
-      auto r = cuszi_decompress_roi_f32(st.archive, st.box);
-      st.resp.data = std::move(r.data);
-      st.resp.bytes_out = st.resp.data.size() * sizeof(float);
+      auto r = cuszi_decompress_roi_f32(req.archive, req.box);
+      resp.data = std::move(r.data);
+      resp.bytes_out = resp.data.size() * sizeof(float);
       break;
     }
   }
 }
 
-const char* describe(const std::exception_ptr& err) {
+std::string describe(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
   } catch (const std::exception& e) {
-    thread_local std::string msg;
-    msg = e.what();
-    return msg.c_str();
+    return e.what();
   } catch (...) {
     return "unknown error";
   }
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Ticket
-
-const Response& Ticket::wait() const {
-  std::unique_lock lk(st_->mu);
-  st_->cv.wait(lk, [&] { return st_->done; });
-  return st_->resp;
-}
-
-bool Ticket::ready() const {
-  std::lock_guard lk(st_->mu);
-  return st_->done;
-}
-
-// ---------------------------------------------------------------------------
-// Service
 
 std::size_t Service::estimate_workspace_bytes(std::size_t payload_bytes) {
   // The compress pipeline holds quant codes, per-level code buckets, the
@@ -150,384 +120,188 @@ std::size_t Service::estimate_workspace_bytes(std::size_t payload_bytes) {
   return 6 * payload_bytes + (std::size_t{1} << 20);
 }
 
-Service::Service(ServeConfig cfg) : cfg_(cfg) {
-  cfg_.max_wave = std::max<std::size_t>(1, cfg_.max_wave);
-  cfg_.queue_capacity = std::max<std::size_t>(1, cfg_.queue_capacity);
-  inline_ = cfg_.dispatch == ServeConfig::Dispatch::Inline ||
-            (cfg_.dispatch == ServeConfig::Dispatch::Auto &&
-             dev::ThreadPool::instance().worker_count() <= 1);
-  if (!inline_) scheduler_ = std::thread([this] { scheduler_loop(); });
-}
+Service::Service(ServeConfig cfg) : cfg_(cfg) {}
 
-Service::~Service() {
-  if (inline_) return;
-  {
-    std::lock_guard lk(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  scheduler_.join();
-}
+Service::~Service() { drain(); }
 
 Ticket Service::submit_compress(std::string tenant, std::span<const float> data,
                                 const dev::Dim3& dims,
                                 const CompressParams& params) {
-  auto st = std::make_shared<RequestState>();
-  st->kind = Kind::CompressF32;
-  st->tenant = std::move(tenant);
-  st->f32 = data;
-  st->dims = dims;
-  st->params = params;
-  st->payload_bytes = data.size_bytes();
-  return enqueue(std::move(st));
+  Request req;
+  req.kind = Kind::CompressF32;
+  req.tenant = std::move(tenant);
+  req.f32 = data;
+  req.dims = dims;
+  req.params = params;
+  req.payload_bytes = data.size_bytes();
+  return run(req);
 }
 
 Ticket Service::submit_compress_f64(std::string tenant,
                                     std::span<const double> data,
                                     const dev::Dim3& dims,
                                     const CompressParams& params) {
-  auto st = std::make_shared<RequestState>();
-  st->kind = Kind::CompressF64;
-  st->tenant = std::move(tenant);
-  st->f64 = data;
-  st->dims = dims;
-  st->params = params;
-  st->payload_bytes = data.size_bytes();
-  return enqueue(std::move(st));
+  Request req;
+  req.kind = Kind::CompressF64;
+  req.tenant = std::move(tenant);
+  req.f64 = data;
+  req.dims = dims;
+  req.params = params;
+  req.payload_bytes = data.size_bytes();
+  return run(req);
 }
 
 Ticket Service::submit_decompress(std::string tenant,
                                   std::span<const std::byte> archive) {
-  auto st = std::make_shared<RequestState>();
-  st->kind = Kind::DecompressF32;
-  st->tenant = std::move(tenant);
-  st->archive = archive;
-  st->payload_bytes = archive.size();
-  return enqueue(std::move(st));
+  Request req;
+  req.kind = Kind::DecompressF32;
+  req.tenant = std::move(tenant);
+  req.archive = archive;
+  req.payload_bytes = archive.size();
+  return run(req);
 }
 
 Ticket Service::submit_decompress_f64(std::string tenant,
                                       std::span<const std::byte> archive) {
-  auto st = std::make_shared<RequestState>();
-  st->kind = Kind::DecompressF64;
-  st->tenant = std::move(tenant);
-  st->archive = archive;
-  st->payload_bytes = archive.size();
-  return enqueue(std::move(st));
+  Request req;
+  req.kind = Kind::DecompressF64;
+  req.tenant = std::move(tenant);
+  req.archive = archive;
+  req.payload_bytes = archive.size();
+  return run(req);
 }
 
 Ticket Service::submit_roi(std::string tenant,
                            std::span<const std::byte> archive,
                            const RoiBox& box) {
-  auto st = std::make_shared<RequestState>();
-  st->kind = Kind::Roi;
-  st->tenant = std::move(tenant);
-  st->archive = archive;
-  st->box = box;
+  Request req;
+  req.kind = Kind::Roi;
+  req.tenant = std::move(tenant);
+  req.archive = archive;
+  req.box = box;
   // The indexed ROI path's working set is bounded by the halo'd box, not
   // the archive — budget the box.
-  st->payload_bytes = box.ext.volume() * sizeof(float);
-  return enqueue(std::move(st));
+  req.payload_bytes = box.ext.volume() * sizeof(float);
+  return run(req);
 }
 
-Ticket Service::enqueue(ReqPtr req) {
-  req->submitted = Clock::now();
-  req->ws_estimate = estimate_workspace_bytes(req->payload_bytes);
-  req->resp.bytes_in = req->payload_bytes;
-
-  {
-    std::lock_guard lk(stats_mu_);
-    ++stats_.submitted;
+Ticket Service::run(const Request& req) {
+  const auto submitted = Clock::now();
+  auto resp = std::make_shared<Response>();
+  resp->bytes_in = req.payload_bytes;
+  const std::size_t estimate = estimate_workspace_bytes(req.payload_bytes);
+  if (!admit(req.tenant, estimate)) {
+    resp->status = Status::Rejected;
+    resp->error = "admission: workspace budget exceeded";
+    return Ticket(std::move(resp));
   }
 
-  // Admission control, Reject flavor: fail fast when the pooled arenas plus
-  // the estimated in-flight work would breach the budget. Queue flavor
-  // defers the decision to the scheduler (which can trim and split waves).
-  if (cfg_.workspace_budget_bytes > 0 &&
-      cfg_.over_budget == ServeConfig::OverBudget::Reject) {
-    std::size_t inflight_est;
-    {
-      std::lock_guard lk(mu_);
-      inflight_est = inflight_estimate_;
+  const auto started = Clock::now();
+  {
+    // The workspace's pages go back to the pool before retire() wakes the
+    // admission waiters, so their trim can release them.
+    dev::Workspace ws(dev::Arena::instance());
+    try {
+      run_request_body(req, *resp, ws);
+    } catch (...) {
+      resp->status = Status::Failed;
+      resp->error = describe(std::current_exception());
     }
+  }
+  const auto done = Clock::now();
+  resp->queue_seconds = seconds_between(submitted, started);
+  resp->service_seconds = seconds_between(started, done);
+  resp->total_seconds = seconds_between(submitted, done);
+  retire(req.tenant, *resp, estimate);
+  return Ticket(std::move(resp));
+}
+
+bool Service::admit(const std::string& tenant, std::size_t estimate) {
+  std::unique_lock lk(mu_);
+  ++stats_.submitted;
+  const std::size_t budget = cfg_.workspace_budget_bytes;
+  const auto fits = [&] {
+    if (budget == 0) return true;
     const std::size_t held = dev::Arena::aggregate_stats().held_bytes;
-    if (held + inflight_est + req->ws_estimate > cfg_.workspace_budget_bytes) {
-      req->resp.status = Status::Rejected;
-      req->resp.error = "admission: workspace budget exceeded";
-      {
-        std::lock_guard lk(req->mu);
-        req->done = true;
-      }
-      std::lock_guard lk(stats_mu_);
+    return held + inflight_estimate_ + estimate <= budget;
+  };
+  if (cfg_.over_budget == ServeConfig::OverBudget::Reject) {
+    // Fail fast: the pooled arenas plus the estimated in-flight work would
+    // breach the budget.
+    if (!fits()) {
       ++stats_.rejected;
       ++stats_.admission_rejects;
-      auto& t = tenants_[req->tenant];
-      ++t.rejected;
-      return Ticket(std::move(req));
-    }
-  }
-
-  if (inline_) {
-    execute_inline(req);
-    return Ticket(std::move(req));
-  }
-
-  {
-    std::unique_lock lk(mu_);
-    // Backpressure: a full queue blocks the submitter until the scheduler
-    // retires work. Tenants pushing an open-loop overload are slowed at
-    // the door instead of ballooning the queue.
-    cv_space_.wait(lk, [&] { return queued_ < cfg_.queue_capacity || stop_; });
-    // f32 compresses always queue by wave key; with coalescing off,
-    // pop_wave() caps their waves at one request (the ablation's shape).
-    if (req->kind == Kind::CompressF32) {
-      const WaveKey key{
-          static_cast<unsigned>(std::bit_width(req->payload_bytes)),
-          static_cast<int>(req->params.mode), req->params.value};
-      compress_q_[key].push_back(req);
-    } else {
-      direct_q_.push_back(req);
-    }
-    ++queued_;
-  }
-  cv_work_.notify_one();
-  return Ticket(std::move(req));
-}
-
-void Service::execute_inline(const ReqPtr& req) {
-  req->dispatched = Clock::now();
-  // Queue-flavor budget on the inline path: trim pooled pages before a
-  // request that would breach the cap (there is nothing in flight to wait
-  // for on a single-core host).
-  if (cfg_.workspace_budget_bytes > 0 &&
-      cfg_.over_budget == ServeConfig::OverBudget::Queue) {
-    const std::size_t held = dev::Arena::aggregate_stats().held_bytes;
-    if (held + req->ws_estimate > cfg_.workspace_budget_bytes) {
-      dev::Arena::trim_all();
-      std::lock_guard lk(stats_mu_);
-      ++stats_.admission_deferrals;
-    }
-  }
-  dev::Workspace ws(dev::Arena::instance());
-  try {
-    run_request_body(*req, ws);
-  } catch (...) {
-    req->resp.status = Status::Failed;
-    req->resp.error = describe(std::current_exception());
-  }
-  {
-    std::lock_guard lk(stats_mu_);
-    ++stats_.waves;
-  }
-  finish(req);
-}
-
-std::vector<Service::ReqPtr> Service::pop_wave() {
-  // Caller holds mu_. Direct requests first (decompress/ROI/f64 — usually
-  // cheaper and latency-sensitive), then the deepest compress class.
-  std::vector<ReqPtr> wave;
-  if (!direct_q_.empty()) {
-    const std::size_t n = std::min(cfg_.max_wave, direct_q_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      wave.push_back(std::move(direct_q_.front()));
-      direct_q_.pop_front();
+      ++tenants_[tenant].rejected;
+      return false;
     }
   } else {
-    auto best = compress_q_.end();
-    for (auto it = compress_q_.begin(); it != compress_q_.end(); ++it)
-      if (best == compress_q_.end() || it->second.size() > best->second.size())
-        best = it;
-    if (best != compress_q_.end()) {
-      const std::size_t limit = cfg_.coalesce ? cfg_.max_wave : 1;
-      const std::size_t n = std::min(limit, best->second.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        wave.push_back(std::move(best->second.front()));
-        best->second.pop_front();
-      }
-      if (best->second.empty()) compress_q_.erase(best);
+    // A byte gate: release idle pooled pages before deciding, and wait for
+    // in-flight requests to retire while the estimate does not fit. A
+    // request with nothing else in flight always runs.
+    const auto fits_after_trim = [&] {
+      if (fits()) return true;
+      dev::Arena::trim_all();
+      return fits();
+    };
+    if (!fits_after_trim() && inflight_ > 0) {
+      ++stats_.admission_deferrals;
+      cv_retired_.wait(lk, [&] { return inflight_ == 0 || fits_after_trim(); });
     }
   }
-  queued_ -= wave.size();
-  inflight_ += wave.size();
-  for (const auto& r : wave) inflight_estimate_ += r->ws_estimate;
+  ++inflight_;
+  inflight_estimate_ += estimate;
+  stats_.peak_inflight_estimate =
+      std::max(stats_.peak_inflight_estimate, inflight_estimate_);
+  return true;
+}
+
+void Service::retire(const std::string& tenant, const Response& resp,
+                     std::size_t estimate) {
   {
-    std::lock_guard lk(stats_mu_);
-    stats_.peak_inflight_estimate =
-        std::max(stats_.peak_inflight_estimate, inflight_estimate_);
+    // Counters land with the in-flight decrement: a caller reading stats()
+    // after drain() sees every retired request.
+    std::lock_guard lk(mu_);
+    --inflight_;
+    inflight_estimate_ -= estimate;
+    const bool failed = resp.status == Status::Failed;
+    ++stats_.completed;
+    ++stats_.waves;
+    if (failed) ++stats_.failed;
+    auto& t = tenants_[tenant];
+    ++t.requests;
+    if (failed) ++t.failed;
+    t.bytes_in += resp.bytes_in;
+    t.bytes_out += resp.bytes_out;
+    t.busy_seconds += resp.service_seconds;
+    t.queue_seconds += resp.queue_seconds;
   }
-  return wave;
-}
-
-void Service::scheduler_loop() {
-  for (;;) {
-    std::vector<ReqPtr> wave;
-    {
-      std::unique_lock lk(mu_);
-      cv_work_.wait(lk, [&] { return queued_ > 0 || stop_; });
-      if (queued_ == 0 && stop_) return;
-      wave = pop_wave();
-    }
-    cv_space_.notify_all();
-    if (wave.empty()) continue;
-
-    // Admission control, Queue flavor: when dispatching the wave would push
-    // the pooled-arena footprint past the budget, first release idle pooled
-    // pages (trim), then shrink the wave to what fits — held-back requests
-    // go back to the queue head. A lone request always dispatches: holding
-    // it with nothing in flight would starve the service.
-    if (cfg_.workspace_budget_bytes > 0 &&
-        cfg_.over_budget == ServeConfig::OverBudget::Queue) {
-      std::size_t est = 0;
-      for (const auto& r : wave) est += r->ws_estimate;
-      std::size_t held = dev::Arena::aggregate_stats().held_bytes;
-      if (held + est > cfg_.workspace_budget_bytes) {
-        dev::Arena::trim_all();
-        held = dev::Arena::aggregate_stats().held_bytes;
-      }
-      std::size_t deferred = 0;
-      while (wave.size() > 1 && held + est > cfg_.workspace_budget_bytes) {
-        ReqPtr back = std::move(wave.back());
-        wave.pop_back();
-        est -= back->ws_estimate;
-        ++deferred;
-        std::lock_guard lk(mu_);
-        inflight_estimate_ -= back->ws_estimate;
-        --inflight_;
-        ++queued_;
-        if (back->kind == Kind::CompressF32) {
-          const WaveKey key{
-              static_cast<unsigned>(std::bit_width(back->payload_bytes)),
-              static_cast<int>(back->params.mode), back->params.value};
-          compress_q_[key].push_front(std::move(back));
-        } else {
-          direct_q_.push_front(std::move(back));
-        }
-      }
-      if (deferred > 0) {
-        std::lock_guard lk(stats_mu_);
-        stats_.admission_deferrals += deferred;
-      }
-    }
-
-    const auto now = Clock::now();
-    for (const auto& r : wave) r->dispatched = now;
-    if (wave.front()->kind == Kind::CompressF32)
-      run_compress_wave(wave);
-    else
-      run_direct_wave(wave);
-
-    // Wave counters must land before drain() can wake: a caller reading
-    // stats() right after drain() must see every retired wave.
-    {
-      std::lock_guard lk(stats_mu_);
-      ++stats_.waves;
-      if (wave.size() > 1 && wave.front()->kind == Kind::CompressF32)
-        stats_.coalesced += wave.size();
-    }
-    {
-      std::lock_guard lk(mu_);
-      for (const auto& r : wave) inflight_estimate_ -= r->ws_estimate;
-      inflight_ -= wave.size();
-    }
-    cv_drain_.notify_all();
-  }
-}
-
-void Service::run_compress_wave(const std::vector<ReqPtr>& wave) {
-  std::vector<FieldView> views;
-  views.reserve(wave.size());
-  for (const auto& r : wave) views.push_back({r->f32, r->dims});
-  // All wave members share params by construction of the wave key.
-  auto items = cuszi_compress_many_checked(views, wave.front()->params);
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    if (items[i].ok()) {
-      wave[i]->resp.archive = std::move(items[i].bytes);
-      wave[i]->resp.bytes_out = wave[i]->resp.archive.size();
-    } else {
-      wave[i]->resp.status = Status::Failed;
-      wave[i]->resp.error = describe(items[i].error);
-    }
-    finish(wave[i]);
-  }
-}
-
-void Service::run_direct_wave(const std::vector<ReqPtr>& wave) {
-  // Mirror of the batch pipeline's stream fan-out: one in-order stream per
-  // pool worker (capped by the wave), each with a Workspace over its own
-  // arena shard. Exceptions are per-request — caught inside the task, so a
-  // failing decode never poisons its stream's later requests.
-  const std::size_t n = std::min<std::size_t>(
-      wave.size(),
-      std::max<std::size_t>(1, dev::ThreadPool::instance().worker_count()));
-  std::deque<dev::Stream> ss(n);
-  std::deque<dev::Workspace> wss;
-  for (std::size_t s = 0; s < n; ++s) wss.emplace_back(dev::Arena::shard(s));
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    RequestState* req = wave[i].get();
-    dev::Workspace& ws = wss[i % n];
-    ss[i % n].submit([req, &ws] {
-      try {
-        run_request_body(*req, ws);
-      } catch (...) {
-        req->resp.status = Status::Failed;
-        req->resp.error = describe(std::current_exception());
-        ws.reset();
-      }
-    });
-  }
-  for (auto& s : ss) s.synchronize();
-  for (const auto& r : wave) finish(r);
-}
-
-void Service::finish(const ReqPtr& req) {
-  const auto now = Clock::now();
-  req->resp.queue_seconds = seconds_between(req->submitted, req->dispatched);
-  req->resp.service_seconds = seconds_between(req->dispatched, now);
-  req->resp.total_seconds = seconds_between(req->submitted, now);
-  account_finish(req);
-  {
-    std::lock_guard lk(req->mu);
-    req->done = true;
-  }
-  req->cv.notify_all();
-}
-
-void Service::account_finish(const ReqPtr& req) {
-  std::lock_guard lk(stats_mu_);
-  ++stats_.completed;
-  if (req->resp.status == Status::Failed) ++stats_.failed;
-  auto& t = tenants_[req->tenant];
-  ++t.requests;
-  if (req->resp.status == Status::Failed) ++t.failed;
-  t.bytes_in += req->resp.bytes_in;
-  t.bytes_out += req->resp.bytes_out;
-  t.busy_seconds += req->resp.service_seconds;
-  t.queue_seconds += req->resp.queue_seconds;
+  cv_retired_.notify_all();
 }
 
 void Service::drain() {
-  if (inline_) return;
   std::unique_lock lk(mu_);
-  cv_drain_.wait(lk, [&] { return queued_ == 0 && inflight_ == 0; });
+  cv_retired_.wait(lk, [&] { return inflight_ == 0; });
 }
 
 ServiceStats Service::stats() const {
-  std::lock_guard lk(stats_mu_);
-  ServiceStats s = stats_;
-  s.arena_high_water_bytes =
-      dev::Arena::aggregate_stats().high_water_bytes;
+  ServiceStats s;
+  {
+    std::lock_guard lk(mu_);
+    s = stats_;
+  }
+  s.arena_high_water_bytes = dev::Arena::aggregate_stats().high_water_bytes;
   return s;
 }
 
 TenantStats Service::tenant_stats(const std::string& tenant) const {
-  std::lock_guard lk(stats_mu_);
+  std::lock_guard lk(mu_);
   const auto it = tenants_.find(tenant);
   return it == tenants_.end() ? TenantStats{} : it->second;
 }
 
 std::vector<std::pair<std::string, TenantStats>> Service::all_tenant_stats()
     const {
-  std::lock_guard lk(stats_mu_);
+  std::lock_guard lk(mu_);
   return {tenants_.begin(), tenants_.end()};
 }
 

@@ -1,49 +1,36 @@
-// szi::serve — a batched multi-tenant compression service over the
-// Stream/Arena substrate.
+// szi::serve — a multi-tenant compression service over the ThreadPool/Arena
+// substrate.
 //
-// The one-shot CLI and library entry points serve exactly one request at a
-// time; a fleet-scale deployment sees thousands of concurrent
-// compress/decompress/ROI requests for fields of wildly mixed sizes. What
-// unlocks throughput there is not per-field micro-optimization but
-// coarse-grained batching (cuSZ+, Tian et al. 2021): amortizing scheduling,
-// keeping arena pages warm across requests of similar size, and running
-// whole waves through the pipelined batch front end. The Service implements
-// that shape on the host:
+// Every request runs inline on the thread that submits it: submit_*() runs
+// the same cuszi_* entry point a direct library call would, over a
+// dev::Workspace on the shared Arena, and returns a Ticket that is already
+// complete. Concurrency comes from the calling threads — N clients give N
+// concurrent requests, and each of them already fans out across the shared
+// dev::ThreadPool, as cuSZ-i runs each field as device-wide kernels. Batching
+// requests into waves (cuSZ+, where it amortizes GPU kernel launches) would
+// amortize nothing here and only add queueing: requests waiting for a wave
+// leave pool workers idle that their own kernels could use.
 //
-//   submit_*()  --> bounded queues (backpressure: submit blocks when full)
-//                     | compress requests shard by size class + params
-//                     | decompress/ROI requests queue separately
-//   scheduler   --> coalesces same-class compress requests into
-//                   compress_batch waves (cuszi_compress_many_checked);
-//                   fans decompress/ROI waves across dev::Streams with
-//                   per-shard Workspaces
-//   admission   --> a wave is held (or a request rejected, per config)
-//                   when the pooled-arena high-water would exceed the
-//                   configured workspace budget
+//   submit_*()  --> admission (workspace budget: reject, or wait for bytes)
+//               --> the cuszi_* call on the caller's thread
+//               --> accounting, completed Ticket
 //
-// Outputs are byte-identical to the direct Compressor/library calls — the
-// scheduler only changes *when* work runs, never *what* runs (the worker-
-// count determinism suite and bench/serve_load's golden pinning enforce
-// this). On a single-core host the service degrades gracefully to inline
-// execution: submit() runs the request synchronously on the caller's
-// thread, no scheduler thread, no queues, same bytes.
+// Outputs are byte-identical to the direct Compressor/library calls (the
+// worker-count determinism suite and bench/serve_load's golden pinning
+// enforce this).
 //
-// Failure isolation: one bad field fails only its own request
-// (Status::Failed with the exception text); the rest of its wave completes
-// normally via the checked batch API.
+// Failure isolation: a bad field fails only its own request (Status::Failed
+// with the exception text); requests on other threads are unaffected.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/compressor_iface.hh"
@@ -52,38 +39,17 @@
 namespace szi::serve {
 
 struct ServeConfig {
-  /// Maximum compress requests coalesced into one compress_batch wave (and
-  /// the decompress/ROI wave width). 1 disables wave formation.
-  std::size_t max_wave = 8;
-
-  /// Coalesce same-size-class compress requests into batch waves. Off, each
-  /// request becomes its own single-field wave (the bench's uncoalesced
-  /// ablation).
-  bool coalesce = true;
-
-  /// Total queued requests across all queues before submit() blocks — the
-  /// backpressure bound that keeps an open-loop overload from ballooning
-  /// memory. Must be >= 1.
-  std::size_t queue_capacity = 1024;
-
   /// Workspace budget for admission control, in bytes; 0 = unlimited.
   /// Budgeted against the pooled arenas' held bytes (Arena::aggregate_stats
-  /// held_bytes / high_water_bytes) plus the estimated footprint of
-  /// in-flight waves.
+  /// held_bytes) plus the estimated footprint of in-flight requests.
   std::size_t workspace_budget_bytes = 0;
 
-  /// Over-budget behavior. Queue: the scheduler holds the wave until
-  /// in-flight work retires (a lone wave always dispatches — holding it
-  /// with nothing in flight would starve). Reject: submit() fails the
+  /// Over-budget behavior. Queue: the caller waits until its estimate fits
+  /// (pooled pages are trimmed first; a request with nothing else in flight
+  /// always runs — holding it would starve). Reject: submit() fails the
   /// request immediately with Status::Rejected, never blocking on budget.
   enum class OverBudget { Queue, Reject };
   OverBudget over_budget = OverBudget::Queue;
-
-  /// Execution mode. Auto picks Inline when the thread pool has one worker
-  /// (single-core host: a scheduler thread would only add context switches
-  /// and latency) and Scheduler otherwise.
-  enum class Dispatch { Auto, Scheduler, Inline };
-  Dispatch dispatch = Dispatch::Auto;
 };
 
 enum class Status : std::uint8_t { Ok, Rejected, Failed };
@@ -99,35 +65,35 @@ struct Response {
   std::vector<double> data_f64;    ///< f64 decompress output
   std::size_t bytes_in = 0;
   std::size_t bytes_out = 0;
-  double queue_seconds = 0;    ///< submit -> wave dispatch
-  double service_seconds = 0;  ///< wave dispatch -> completion
+  double queue_seconds = 0;    ///< submit -> start (admission wait)
+  double service_seconds = 0;  ///< start -> completion
   double total_seconds = 0;    ///< submit -> completion
 };
 
 namespace detail {
-struct RequestState;
+struct Request;
 }  // namespace detail
 
-/// Future-like handle for a submitted request. Copyable; copies share the
-/// completion state. Default-constructed tickets are empty (valid() false).
+/// Handle for a submitted request. Copyable; copies share the response.
+/// Default-constructed tickets are empty (valid() false).
 class Ticket {
  public:
   Ticket() = default;
 
-  [[nodiscard]] bool valid() const { return st_ != nullptr; }
+  [[nodiscard]] bool valid() const { return resp_ != nullptr; }
 
-  /// Blocks until the request completes; returns the response (stable
-  /// reference, alive as long as any ticket copy).
-  const Response& wait() const;
+  /// Returns the response (stable reference, alive as long as any ticket
+  /// copy). Never blocks: submit_*() returns a completed ticket.
+  const Response& wait() const { return *resp_; }
 
-  /// Non-blocking completion check.
-  [[nodiscard]] bool ready() const;
+  /// Completion check; true for every ticket submit_*() returned.
+  [[nodiscard]] bool ready() const { return valid(); }
 
  private:
   friend class Service;
-  explicit Ticket(std::shared_ptr<detail::RequestState> st)
-      : st_(std::move(st)) {}
-  std::shared_ptr<detail::RequestState> st_;
+  explicit Ticket(std::shared_ptr<const Response> resp)
+      : resp_(std::move(resp)) {}
+  std::shared_ptr<const Response> resp_;
 };
 
 /// Per-tenant accounting, returned by Service::tenant_stats().
@@ -138,7 +104,7 @@ struct TenantStats {
   std::uint64_t bytes_in = 0;   ///< request payload bytes
   std::uint64_t bytes_out = 0;  ///< response payload bytes
   double busy_seconds = 0;      ///< summed service time
-  double queue_seconds = 0;     ///< summed queue wait
+  double queue_seconds = 0;     ///< summed admission wait
 };
 
 /// Whole-service counters, returned by Service::stats().
@@ -147,9 +113,9 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
-  std::uint64_t waves = 0;      ///< batches dispatched
-  std::uint64_t coalesced = 0;  ///< compress requests that shared a wave
-  std::uint64_t admission_deferrals = 0;  ///< waves held for budget
+  std::uint64_t waves = 0;      ///< requests executed (Ok + Failed)
+  std::uint64_t coalesced = 0;  ///< always 0: requests never share a call
+  std::uint64_t admission_deferrals = 0;  ///< requests that waited on budget
   std::uint64_t admission_rejects = 0;    ///< requests rejected for budget
   std::size_t peak_inflight_estimate = 0;  ///< estimator bytes, peak
   /// Arena::aggregate_stats().high_water_bytes at the time of the call —
@@ -157,13 +123,12 @@ struct ServiceStats {
   std::size_t arena_high_water_bytes = 0;
 };
 
-/// The service. One instance owns one scheduler thread (or none, inline
-/// mode) and serves any number of concurrently submitting tenants.
+/// The service. Owns no thread; serves any number of concurrently
+/// submitting tenants, each request on its submitter's thread.
 ///
-/// Lifetime: request payloads (`data`, `archive` spans) are borrowed — the
-/// caller must keep them alive until the request's ticket completes.
-/// Destruction drains: every accepted request completes before the
-/// destructor returns.
+/// Lifetime: request payloads (`data`, `archive` spans) are borrowed for the
+/// duration of the submit_*() call. Destruction drains: every in-flight call
+/// completes before the destructor returns.
 class Service {
  public:
   explicit Service(ServeConfig cfg = {});
@@ -179,8 +144,7 @@ class Service {
                                        const dev::Dim3& dims,
                                        const CompressParams& params);
 
-  /// Compress an f64 field. f64 requests are not coalesced (the batch
-  /// front end is f32); they dispatch as single-request waves.
+  /// Compress an f64 field.
   [[nodiscard]] Ticket submit_compress_f64(std::string tenant,
                                            std::span<const double> data,
                                            const dev::Dim3& dims,
@@ -198,12 +162,8 @@ class Service {
                                   std::span<const std::byte> archive,
                                   const RoiBox& box);
 
-  /// Blocks until every accepted request has completed.
+  /// Blocks until every in-flight call (on any thread) has completed.
   void drain();
-
-  /// True when this instance executes requests inline (single-core host or
-  /// Dispatch::Inline).
-  [[nodiscard]] bool inline_mode() const { return inline_; }
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] TenantStats tenant_stats(const std::string& tenant) const;
@@ -218,47 +178,24 @@ class Service {
       std::size_t payload_bytes);
 
  private:
-  using ReqPtr = std::shared_ptr<detail::RequestState>;
-
-  /// Compress coalescing key: same size class (log2 bucket of the raw
-  /// payload) + identical params batch together.
-  struct WaveKey {
-    unsigned size_class;
-    int mode;
-    double value;
-    auto operator<=>(const WaveKey&) const = default;
-  };
-
-  Ticket enqueue(ReqPtr req);
-  void execute_inline(const ReqPtr& req);
-  void scheduler_loop();
-  /// Pops the next wave (same-key compress requests up to max_wave, or a
-  /// batch of direct requests) under mu_. Empty when nothing is queued.
-  std::vector<ReqPtr> pop_wave();
-  void run_compress_wave(const std::vector<ReqPtr>& wave);
-  void run_direct_wave(const std::vector<ReqPtr>& wave);
-  void finish(const ReqPtr& req);
-  void account_finish(const ReqPtr& req);
+  /// Admission, execution and accounting of one request on this thread.
+  Ticket run(const detail::Request& req);
+  /// Admission control under mu_: false when the request is rejected;
+  /// otherwise waits (Queue flavor) until it may run, then counts it in
+  /// flight.
+  bool admit(const std::string& tenant, std::size_t estimate);
+  /// Takes a finished request out of flight and books it.
+  void retire(const std::string& tenant, const Response& resp,
+              std::size_t estimate);
 
   ServeConfig cfg_;
-  bool inline_ = false;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   ///< scheduler: queues non-empty / stop
-  std::condition_variable cv_space_;  ///< submitters: queue has capacity
-  std::condition_variable cv_drain_;  ///< drain(): all work retired
-  std::map<WaveKey, std::deque<ReqPtr>> compress_q_;
-  std::deque<ReqPtr> direct_q_;  ///< decompress / ROI / f64 compress
-  std::size_t queued_ = 0;
-  std::size_t inflight_ = 0;           ///< requests dispatched, not finished
-  std::size_t inflight_estimate_ = 0;  ///< estimator bytes in flight
-  bool stop_ = false;
-
-  mutable std::mutex stats_mu_;
+  std::condition_variable cv_retired_;  ///< a request left flight
+  std::size_t inflight_ = 0;            ///< requests admitted, not retired
+  std::size_t inflight_estimate_ = 0;   ///< estimator bytes in flight
   ServiceStats stats_;
   std::map<std::string, TenantStats> tenants_;
-
-  std::thread scheduler_;
 };
 
 }  // namespace szi::serve

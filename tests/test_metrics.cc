@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "metrics/stats.hh"
@@ -26,6 +27,18 @@ TEST(Metrics, DistortionKnownValues) {
   EXPECT_NEAR(d.max_err, 0.1, 1e-6);
   EXPECT_NEAR(d.psnr, 20.0 * std::log10(3.0) + 20.0, 1e-3);
   EXPECT_NEAR(d.nrmse, 0.1 / 3.0, 1e-6);
+
+  // A NaN where the original is finite is an unbounded error, not a skipped
+  // position; NaN in both is a match.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> finite{1.0f, 2.0f, 3.0f};
+  const std::vector<float> holed{1.0f, kNaN, 3.0f};
+  const auto dn = distortion(finite, holed);
+  EXPECT_TRUE(std::isinf(dn.max_err) && dn.max_err > 0);
+  EXPECT_FALSE(std::isnan(dn.psnr));
+  const auto both = distortion(holed, holed);
+  EXPECT_EQ(both.max_err, 0.0);
+  EXPECT_EQ(both.mse, 0.0);
 }
 
 TEST(Metrics, PerfectReconstructionIsInfinitePsnr) {
@@ -48,6 +61,20 @@ TEST(Metrics, ErrorBoundedEdges) {
   EXPECT_FALSE(error_bounded(orig, outside, 1e-3));
   std::vector<float> other(3);
   EXPECT_FALSE(error_bounded(orig, other, 1.0));  // size mismatch
+
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> finite{1.0f, 2.0f, 3.0f};
+  const std::vector<float> holed{1.0f, kNaN, 3.0f};
+  const std::vector<float> blown{1.0f, kInf, 3.0f};
+  EXPECT_FALSE(error_bounded(finite, holed, 1e-3));  // NaN where finite
+  EXPECT_FALSE(error_bounded(holed, finite, 1e-3));  // NaN lost
+  EXPECT_FALSE(error_bounded(finite, blown, 1e-3));  // Inf where finite
+  EXPECT_FALSE(error_bounded(blown, holed, 1e-3));   // Inf became NaN
+  EXPECT_FALSE(error_bounded(blown, std::vector<float>{1.0f, -kInf, 3.0f},
+                             1e-3));                  // sign of Inf lost
+  EXPECT_TRUE(error_bounded(holed, holed, 1e-3));    // NaN kept
+  EXPECT_TRUE(error_bounded(blown, blown, 1e-3));    // Inf kept
 }
 
 TEST(Metrics, ErrorBoundedUlpToleranceScalesWithMagnitude) {

@@ -1,8 +1,7 @@
-// szi::serve — the batched multi-tenant service must change *when* work
-// runs, never *what* runs: every response here is checked byte-for-byte
-// against the direct library call. The concurrency tests (concurrent
-// submit/drain, backpressure) are the tsan targets; the admission and
-// failure-isolation tests pin the scheduler's control decisions.
+// szi::serve — the multi-tenant service must never change *what* runs:
+// every response here is checked byte-for-byte against the direct library
+// call. The concurrency tests (concurrent submit/drain, failure isolation,
+// the admission byte gate) are the tsan targets.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -97,10 +96,7 @@ TEST(Serve, F64RoundTripThroughService) {
 }
 
 TEST(Serve, InlineModeProducesIdenticalBytes) {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Inline;
-  Service svc(cfg);
-  EXPECT_TRUE(svc.inline_mode());
+  Service svc;
   const Field f = small_field();
   auto t = svc.submit_compress("t0", f.view(), f.dims, rel3());
   EXPECT_TRUE(t.ready());  // inline: completed inside submit()
@@ -111,58 +107,43 @@ TEST(Serve, InlineModeProducesIdenticalBytes) {
   EXPECT_EQ(td.wait().data, cuszi_decompress_f32(r.archive));
 }
 
-TEST(Serve, CoalescesSameSizeClassRequests) {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  cfg.max_wave = 8;
-  Service svc(cfg);
-  // Park the scheduler on a big field; the small same-class requests that
-  // arrive meanwhile must leave the queue as one coalesced wave.
-  const Field big = small_field(96, 96, 96);
-  const Field small = small_field();
-  std::vector<Ticket> tickets;
-  tickets.push_back(svc.submit_compress("t0", big.view(), big.dims, rel3()));
-  for (int i = 0; i < 8; ++i)
-    tickets.push_back(
-        svc.submit_compress("t0", small.view(), small.dims, rel3()));
-  for (auto& t : tickets) ASSERT_EQ(t.wait().status, Status::Ok);
-  svc.drain();
-  const auto s = svc.stats();
-  EXPECT_EQ(s.submitted, 9u);
-  EXPECT_EQ(s.completed, 9u);
-  EXPECT_GT(s.coalesced, 0u);
-  EXPECT_LT(s.waves, s.submitted);
-  // Coalesced or not, bytes match the direct call.
-  EXPECT_EQ(tickets[1].wait().archive,
-            cuszi_compress(small.view(), small.dims, rel3()));
-}
-
 TEST(Serve, FailedRequestDoesNotPoisonItsWave) {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  Service svc(cfg);
-  const Field big = small_field(96, 96, 96);
+  Service svc;
   const Field good = small_field();
-  Field corrupt = small_field();  // same size class as `good`
+  Field corrupt = small_field();
   std::fill(corrupt.data.begin(), corrupt.data.end(), 1.f);
   // Constant field under Rel: value range 0 -> non-positive absolute bound.
+  const auto direct = cuszi_compress(good.view(), good.dims, rel3());
 
-  auto t0 = svc.submit_compress("t0", big.view(), big.dims, rel3());
-  auto t1 = svc.submit_compress("t0", good.view(), good.dims, rel3());
-  auto t2 = svc.submit_compress("t0", corrupt.view(), corrupt.dims, rel3());
-  auto t3 = svc.submit_compress("t0", good.view(), good.dims, rel3());
+  // The corrupt field runs on one thread while good ones run on three others.
+  constexpr int kGoodThreads = 3;
+  constexpr int kPerThread = 4;
+  Ticket bad;
+  std::vector<std::vector<Ticket>> goods(kGoodThreads);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    bad = svc.submit_compress("t0", corrupt.view(), corrupt.dims, rel3());
+  });
+  for (int t = 0; t < kGoodThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        goods[t].push_back(
+            svc.submit_compress("t0", good.view(), good.dims, rel3()));
+    });
+  for (auto& th : threads) th.join();
 
-  EXPECT_EQ(t0.wait().status, Status::Ok);
-  EXPECT_EQ(t1.wait().status, Status::Ok);
-  const auto& bad = t2.wait();
-  EXPECT_EQ(bad.status, Status::Failed);
-  EXPECT_NE(bad.error.find("error bound"), std::string::npos) << bad.error;
-  const auto& after = t3.wait();
-  ASSERT_EQ(after.status, Status::Ok) << after.error;
-  EXPECT_EQ(after.archive, cuszi_compress(good.view(), good.dims, rel3()));
+  const auto& b = bad.wait();
+  EXPECT_EQ(b.status, Status::Failed);
+  EXPECT_NE(b.error.find("error bound"), std::string::npos) << b.error;
+  for (const auto& mine : goods)
+    for (const auto& t : mine) {
+      const auto& r = t.wait();
+      ASSERT_EQ(r.status, Status::Ok) << r.error;
+      EXPECT_EQ(r.archive, direct);
+    }
   const auto s = svc.stats();
   EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.completed, 4u);
+  EXPECT_EQ(s.completed, std::uint64_t(1 + kGoodThreads * kPerThread));
 }
 
 TEST(Serve, AdmissionRejectModeRejectsOverBudget) {
@@ -181,36 +162,67 @@ TEST(Serve, AdmissionRejectModeRejectsOverBudget) {
   EXPECT_EQ(svc.tenant_stats("t0").rejected, 1u);
 }
 
-TEST(Serve, AdmissionQueueModeSplitsWavesButCompletesAll) {
+TEST(Serve, AdmissionQueueModeRunsLoneRequestOverBudget) {
   ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  cfg.workspace_budget_bytes = 1;  // every wave over budget
+  cfg.workspace_budget_bytes = 1;  // no estimate ever fits
   cfg.over_budget = ServeConfig::OverBudget::Queue;
-  cfg.max_wave = 8;
   Service svc(cfg);
+  const Field f = small_field();
+  // Nothing else is in flight, so waiting could only starve: it runs now.
+  auto t = svc.submit_compress("t0", f.view(), f.dims, rel3());
+  const auto& r = t.wait();
+  ASSERT_EQ(r.status, Status::Ok) << r.error;
+  EXPECT_EQ(r.archive, cuszi_compress(f.view(), f.dims, rel3()));
+  const auto s = svc.stats();
+  EXPECT_EQ(s.admission_deferrals, 0u);
+  EXPECT_EQ(s.admission_rejects, 0u);
+  EXPECT_EQ(s.completed, 1u);
+}
+
+TEST(Serve, AdmissionQueueModeSplitsWavesButCompletesAll) {
   const Field big = small_field(96, 96, 96);
   const Field small = small_field();
-  std::vector<Ticket> tickets;
-  tickets.push_back(svc.submit_compress("t0", big.view(), big.dims, rel3()));
-  for (int i = 0; i < 6; ++i)
-    tickets.push_back(
-        svc.submit_compress("t0", small.view(), small.dims, rel3()));
-  for (auto& t : tickets) {
-    const auto& r = t.wait();
-    ASSERT_EQ(r.status, Status::Ok) << r.error;  // lone waves always dispatch
+  ServeConfig cfg;
+  // Fits the big request alone, never the big and the small one together.
+  cfg.workspace_budget_bytes =
+      Service::estimate_workspace_bytes(big.bytes()) + 1;
+  cfg.over_budget = ServeConfig::OverBudget::Queue;
+  Service svc(cfg);
+  const auto big_direct = cuszi_compress(big.view(), big.dims, rel3());
+  const auto small_direct = cuszi_compress(small.view(), small.dims, rel3());
+
+  // Thread A submits the big field; once it is admitted, this thread
+  // submits the small one, which must wait for A to retire. A round where
+  // A finished before the small request arrived defers nothing; retry it.
+  std::uint64_t rounds = 0;
+  while (rounds < 8 && svc.stats().admission_deferrals == 0) {
+    ++rounds;
+    Ticket ta;
+    std::thread a([&] {
+      ta = svc.submit_compress("t0", big.view(), big.dims, rel3());
+    });
+    while (svc.stats().submitted < 2 * rounds - 1) std::this_thread::yield();
+    const auto tb = svc.submit_compress("t1", small.view(), small.dims, rel3());
+    a.join();
+    const auto& ra = ta.wait();
+    const auto& rb = tb.wait();
+    ASSERT_EQ(ra.status, Status::Ok) << ra.error;
+    ASSERT_EQ(rb.status, Status::Ok) << rb.error;
+    EXPECT_EQ(ra.archive, big_direct);
+    EXPECT_EQ(rb.archive, small_direct);
+    if (svc.stats().admission_deferrals > 0) {
+      EXPECT_GT(rb.queue_seconds, 0.0);  // the wait shows in the response
+    }
   }
   svc.drain();
   const auto s = svc.stats();
-  EXPECT_EQ(s.completed, 7u);
-  EXPECT_GT(s.admission_deferrals, 0u);  // over-budget waves were split
-  EXPECT_EQ(tickets[1].wait().archive,
-            cuszi_compress(small.view(), small.dims, rel3()));
+  EXPECT_EQ(s.completed, 2 * rounds);
+  EXPECT_GT(s.admission_deferrals, 0u);  // the second caller waited
+  EXPECT_EQ(s.rejected, 0u);
 }
 
 TEST(Serve, ConcurrentSubmitAndDrainFromManyTenants) {
-  ServeConfig cfg;
-  cfg.queue_capacity = 16;  // exercise backpressure under contention
-  Service svc(cfg);
+  Service svc;
   const Field f = small_field();
   const auto archive = cuszi_compress(f.view(), f.dims, rel3());
   const auto direct = cuszi_decompress_f32(archive);
@@ -221,8 +233,8 @@ TEST(Serve, ConcurrentSubmitAndDrainFromManyTenants) {
   for (int t = 0; t < kThreads; ++t) {
     tenants.emplace_back([&, t] {
       const std::string name = "tenant" + std::to_string(t);
-      // Burst-submit before waiting: 4 x 12 requests against capacity 16
-      // forces submit() through the backpressure wait.
+      // 4 x 12 mixed requests: each runs on its tenant's thread, all four
+      // tenants at once over the shared pool and arena.
       std::vector<std::pair<int, Ticket>> mine;
       for (int i = 0; i < kPerThread; ++i) {
         if (i % 3 == 0)
@@ -274,6 +286,52 @@ TEST(Serve, PerTenantAccountingSeparatesTenants) {
   EXPECT_GT(svc.stats().arena_high_water_bytes, 0u);
 }
 
+TEST(Serve, StatsCountEveryExecutedRequestAndNoCoalescing) {
+  Service svc;
+  const Field good = small_field();
+  Field corrupt = small_field();
+  std::fill(corrupt.data.begin(), corrupt.data.end(), 1.f);
+  const auto c = svc.submit_compress("t0", good.view(), good.dims, rel3());
+  ASSERT_EQ(c.wait().status, Status::Ok) << c.wait().error;
+  const auto d = svc.submit_decompress("t0", c.wait().archive);
+  const auto bad =
+      svc.submit_compress("t0", corrupt.view(), corrupt.dims, rel3());
+  EXPECT_EQ(d.wait().status, Status::Ok);
+  EXPECT_EQ(bad.wait().status, Status::Failed);
+  const auto s = svc.stats();
+  EXPECT_EQ(s.waves, 3u);  // one execution per request, failed ones too
+  EXPECT_EQ(s.waves, s.completed);
+  EXPECT_EQ(s.coalesced, 0u);
+
+  // A rejected request never executes.
+  ServeConfig cfg;
+  cfg.workspace_budget_bytes = 1;
+  cfg.over_budget = ServeConfig::OverBudget::Reject;
+  Service strict(cfg);
+  const auto r = strict.submit_compress("t0", good.view(), good.dims, rel3());
+  EXPECT_EQ(r.wait().status, Status::Rejected);
+  EXPECT_EQ(strict.stats().waves, 0u);
+  EXPECT_EQ(strict.stats().coalesced, 0u);
+}
+
+TEST(Serve, DrainWaitsForInFlightCallsOnOtherThreads) {
+  Service svc;
+  const Field big = small_field(96, 96, 96);
+  Ticket t;
+  std::thread caller(
+      [&] { t = svc.submit_compress("t0", big.view(), big.dims, rel3()); });
+  // submitted ticks in the same critical section that puts the request in
+  // flight, so drain() below must wait for it to retire.
+  while (svc.stats().submitted < 1) std::this_thread::yield();
+  svc.drain();
+  const auto s = svc.stats();
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(svc.tenant_stats("t0").requests, 1u);
+  caller.join();
+  ASSERT_EQ(t.wait().status, Status::Ok) << t.wait().error;
+  EXPECT_EQ(t.wait().archive, cuszi_compress(big.view(), big.dims, rel3()));
+}
+
 TEST(Serve, DestructionDrainsAcceptedRequests) {
   const Field f = small_field();
   std::vector<Ticket> tickets;
@@ -286,20 +344,6 @@ TEST(Serve, DestructionDrainsAcceptedRequests) {
     EXPECT_TRUE(t.ready());
     EXPECT_EQ(t.wait().status, Status::Ok);
   }
-}
-
-TEST(Serve, UncoalescedAblationStillByteIdentical) {
-  ServeConfig cfg;
-  cfg.coalesce = false;
-  Service svc(cfg);
-  const Field f = small_field();
-  std::vector<Ticket> tickets;
-  for (int i = 0; i < 4; ++i)
-    tickets.push_back(svc.submit_compress("t0", f.view(), f.dims, rel3()));
-  const auto direct = cuszi_compress(f.view(), f.dims, rel3());
-  for (auto& t : tickets) EXPECT_EQ(t.wait().archive, direct);
-  svc.drain();
-  EXPECT_EQ(svc.stats().coalesced, 0u);
 }
 
 }  // namespace
