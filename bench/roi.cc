@@ -6,7 +6,9 @@
 //      (raw SZI2 and the 'BBC2'-wrapped archive, whose granularity is the
 //      64 KiB LZSS block).
 //   3. Scaling — both metrics across 16^3 .. 128^3 regions; time and bytes
-//      must grow with the region, not the field.
+//      must grow with the region, not the field. A full-x/y region 8 planes
+//      deep covers 2 tile slabs; with more than 2 workers it times the
+//      reconstructor's slabs-in-turn side.
 //   4. Concurrent readers — aggregate regions/s when N threads each serve
 //      ROI requests from their own mmap of the same archive file, the
 //      many-readers-of-one-snapshot scenario the index exists for.
@@ -93,9 +95,9 @@ int main(int argc, char** argv) {
   appendf(json, "  \"input_bytes\": %zu,\n", f.bytes());
   appendf(json, "  \"archive_bytes\": %zu,\n  \"wrapped_bytes\": %zu,\n",
           bytes.size(), wrapped.size());
-  // host_cpus contextualizes the reader sweep: on a single-core host the
+  // cpu_cores contextualizes the reader sweep: on a single-core host the
   // readers time-slice one core and aggregate throughput cannot rise.
-  appendf(json, "  \"workers\": %zu,\n  \"host_cpus\": %u,\n  \"reps\": %d,\n",
+  appendf(json, "  \"workers\": %zu,\n  \"cpu_cores\": %u,\n  \"reps\": %d,\n",
           dev::ThreadPool::instance().worker_count(),
           std::thread::hardware_concurrency(), reps);
   appendf(json,
@@ -103,16 +105,18 @@ int main(int argc, char** argv) {
           "  \"full_decode_wrapped_seconds\": %.6f,\n  \"regions\": [\n",
           full_s, full_w_s);
 
-  // Unaligned origins exercise the halo path; each region is centered-ish
-  // so every level contributes interior slabs.
-  const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{16, 32}
-            : std::vector<std::size_t>{16, 32, 64, 128};
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    const std::size_t n = sizes[si];
-    const RoiBox box{{f.dims.x / 2 - n / 2 + 3, f.dims.y / 2 - n / 2 + 5,
-                      f.dims.z / 2 - n / 2 + 1},
-                     {n, n, n}};
+  // Unaligned origins exercise the halo path; each cube is centered-ish so
+  // every level contributes interior slabs. The thin region spans the whole
+  // x/y plane and 8 planes from an unaligned z, so it covers 2 slabs.
+  std::vector<RoiBox> regions;
+  for (const std::size_t n : smoke ? std::vector<std::size_t>{16, 32}
+                                   : std::vector<std::size_t>{16, 32, 64, 128})
+    regions.push_back({{f.dims.x / 2 - n / 2 + 3, f.dims.y / 2 - n / 2 + 5,
+                        f.dims.z / 2 - n / 2 + 1},
+                       {n, n, n}});
+  regions.push_back({{0, 0, f.dims.z / 2 + 1}, {f.dims.x, f.dims.y, 8}});
+  for (std::size_t si = 0; si < regions.size(); ++si) {
+    const RoiBox& box = regions[si];
     RoiResult r, rw;
     const double roi_s =
         best_of(reps, [&] { r = cuszi_decompress_roi_f32(bytes, box); });
@@ -124,20 +128,19 @@ int main(int argc, char** argv) {
                           static_cast<double>(wrapped.size());
     const double speedup = roi_s > 0 ? full_s / roi_s : 0.0;
     std::printf(
-        "  %3zu^3: raw %8.3f ms (%5.1fx vs full, reads %5.1f%%)  "
-        "wrapped %8.3f ms (reads %5.1f%%)%s\n",
-        n, roi_s * 1e3, speedup, frac * 100.0, roi_w_s * 1e3, frac_w * 100.0,
-        r.indexed ? "" : "  [fallback!]");
+        "  %3zux%3zux%3zu: raw %8.3f ms (%5.1fx vs full, reads %5.1f%%)  "
+        "wrapped %8.3f ms (reads %5.1f%%)\n",
+        box.ext.x, box.ext.y, box.ext.z, roi_s * 1e3, speedup, frac * 100.0,
+        roi_w_s * 1e3, frac_w * 100.0);
     appendf(json,
-            "    {\"size\": %zu, \"lo\": [%zu, %zu, %zu],\n"
+            "    {\"ext\": [%zu, %zu, %zu], \"lo\": [%zu, %zu, %zu],\n"
             "     \"seconds\": %.6f, \"bytes_read\": %zu, "
             "\"archive_fraction\": %.4f, \"speedup_vs_full\": %.2f,\n"
             "     \"wrapped_seconds\": %.6f, \"wrapped_bytes_read\": %zu, "
-            "\"wrapped_fraction\": %.4f, \"indexed\": %s}%s\n",
-            n, box.lo.x, box.lo.y, box.lo.z, roi_s, r.bytes_read, frac,
-            speedup, roi_w_s, rw.bytes_read, frac_w,
-            r.indexed ? "true" : "false",
-            si + 1 < sizes.size() ? "," : "");
+            "\"wrapped_fraction\": %.4f}%s\n",
+            box.ext.x, box.ext.y, box.ext.z, box.lo.x, box.lo.y, box.lo.z,
+            roi_s, r.bytes_read, frac, speedup, roi_w_s, rw.bytes_read,
+            frac_w, si + 1 < regions.size() ? "," : "");
   }
   json += "  ],\n  \"concurrent_readers\": [\n";
 

@@ -49,16 +49,12 @@ void print_stages(const StageTimings& t) {
   }
 }
 
-/// Decode-side breakdown for --stages after -x. When ROI decode overlapped
-/// slabs on streams, the numbers are per-stage busy time (their sum can
-/// exceed the wall clock), flagged so nobody reads them as slices.
+/// Decode-side breakdown for --stages after -x.
 void print_stages(const DecodeTimings& t) {
   std::printf(
       "stages: unwrap (lzss) %.4f s | huffman %.4f s | reconstruct %.4f s | "
-      "total %.4f s%s\n",
-      t.unwrap, t.huffman, t.reconstruct, t.total,
-      t.overlapped ? " (overlapped: per-stage busy time, not wall slices)"
-                   : "");
+      "total %.4f s\n",
+      t.unwrap, t.huffman, t.reconstruct, t.total);
 }
 
 std::size_t parse_size(const std::string& s, const std::string& flag) {
@@ -95,7 +91,7 @@ RoiBox parse_roi(const std::string& s) {
 }
 
 /// Per-segment size/ratio lines for --stages on a level-segmented (SZI2)
-/// archive. Legacy or non-cusz-i archives have no directory — silent.
+/// archive. Other archives have no directory — silent.
 void print_segments(std::span<const std::byte> bytes) {
   std::vector<SegmentInfo> segs;
   try {
@@ -103,7 +99,6 @@ void print_segments(std::span<const std::byte> bytes) {
   } catch (...) {
     return;  // not a cusz-i archive
   }
-  if (segs.empty()) return;
   std::uint64_t total = 0;
   for (const auto& s : segs) total += s.size;
   for (const auto& s : segs) {
@@ -128,13 +123,13 @@ void print_segments(std::span<const std::byte> bytes) {
 }
 
 /// Per-wrapper-segment lossless-method/ratio lines for --info and --stages
-/// on a de-redundancy ('BBCP'/'BBC2') archive. Other archives are silent;
-/// a corrupt wrapper is left for the decode path to report.
+/// on a de-redundancy ('BBC2') archive. Other archives are silent; a
+/// corrupt wrapper is left for the decode path to report.
 void print_wrap_segments(std::span<const std::byte> bytes) {
-  if (bytes.size() < 4) return;
   std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  if (magic != kBitcompWrapMagic && magic != kBitcompWrapMagicV2) return;
+  if (bytes.size() >= sizeof(magic))
+    std::memcpy(&magic, bytes.data(), sizeof(magic));
+  if (magic != kBitcompWrapMagicV2) return;
   WrapContainerView view;
   try {
     view = bitcomp_parse_container(bytes);
@@ -143,18 +138,35 @@ void print_wrap_segments(std::span<const std::byte> bytes) {
   }
   for (std::size_t i = 0; i < view.segments.size(); ++i) {
     const auto& s = view.segments[i];
-    std::uint64_t raw = s.raw_size;
-    // Legacy containers keep the raw size in the LZSS frame header.
-    if (view.legacy && view.payloads[i].size() >= sizeof(raw))
-      std::memcpy(&raw, view.payloads[i].data(), sizeof(raw));
-    const double ratio = s.size > 0 ? static_cast<double>(raw) /
+    const double ratio = s.size > 0 ? static_cast<double>(s.raw_size) /
                                           static_cast<double>(s.size)
                                     : 0.0;
     std::printf("wrap segment %zu: %s | %llu -> %llu bytes (%.2fx)\n", i,
                 lossless::method_name(s.method),
-                static_cast<unsigned long long>(raw),
+                static_cast<unsigned long long>(s.raw_size),
                 static_cast<unsigned long long>(s.size), ratio);
   }
+}
+
+/// --verify after -z: prints PSNR and max error. An Abs or Rel bound is
+/// then checked, resolved as the compressors resolve it (Rel: the value
+/// times the input's value range); the result is the exit code, 1 when the
+/// bound is broken. Other modes are reported unchecked.
+template <typename T>
+int verify(std::span<const T> original, std::span<const T> decoded,
+           const CompressParams& p) {
+  const auto d = metrics::distortion(original, decoded);
+  const bool checked = p.mode == ErrorMode::Abs || p.mode == ErrorMode::Rel;
+  std::printf("verify: PSNR %.2f dB, max err %.4e%s\n", d.psnr, d.max_err,
+              checked ? "" : " (bound not checked)");
+  if (!checked) return 0;
+  const double eb = p.mode == ErrorMode::Rel
+                        ? p.value * metrics::value_range(original)
+                        : p.value;
+  if (metrics::error_bounded(original, decoded, eb)) return 0;
+  std::fprintf(stderr, "szi: verify: error bound %.4e broken (max err %.4e)\n",
+               eb, d.max_err);
+  return 1;
 }
 
 /// --serve-bench: an in-process probe of the szi::serve layer. Deterministic
@@ -290,7 +302,8 @@ options:
                     sz3, qoz
   -t f32|f64        value type (default f32; f64 supports cusz-i only)
   --bitcomp         wrap with the de-redundancy pass (must match on -x)
-  --verify          after -z, decompress and report PSNR / max error
+  --verify          after -z, decompress and report PSNR / max error; exit 1
+                    when an abs/rel bound is broken
   --level N         with -x: progressive preview decode from a level-segmented
                     (SZI2) cusz-i archive — reconstruct anchors + levels >= N
                     onto the stride-2^(N-1) grid, reading only that prefix of
@@ -298,17 +311,14 @@ options:
                     N = 1 is the full-fidelity decode
   --roi RANGES      with -x: random-access sub-volume decode from a cusz-i
                     archive — x0:x1,y0:y1,z0:z1 half-open element ranges.
-                    The archive is memory-mapped and, when it carries a tile
-                    index (SZI2), only the byte ranges covering the box are
-                    read; older archives fall back to a full decode + crop.
-                    The box is bit-identical to the same crop of a full
+                    The archive is memory-mapped and its tile index steers
+                    the read, so only the byte ranges covering the box are
+                    read. The box is bit-identical to the same crop of a full
                     decompress. Output holds (x1-x0)*(y1-y0)*(z1-z0) values
   --stages          print the per-stage timing breakdown. After -z: predict /
                     histogram / codebook / encode (fused stages report as one
-                    entry). After -x: unwrap / huffman / reconstruct — when
-                    ROI decode overlaps slabs on streams, each number is
-                    that stage's busy time, not a wall-clock slice —
-                    plus one size/ratio line per segment of an SZI2 archive
+                    entry). After -x: unwrap / huffman / reconstruct, plus
+                    one size/ratio line per segment of an SZI2 archive
                     and, for --bitcomp archives, one line per wrapper segment
                     naming the chosen lossless method and its achieved ratio
 )";
@@ -453,7 +463,7 @@ int run(const Options& opt) {
         const char* what;
       };
       static constexpr Known kKnown[] = {
-          {0x31495A53, "cusz-i (legacy single-stream)"},
+          {0x31495A53, "cusz-i (retired single-stream layout; not decodable)"},
           {0x32495A53, "cusz-i (level-segmented)"},
           {0x5A535543, "cusz"},
           {0x505A5543, "cuszp"},
@@ -461,7 +471,9 @@ int run(const Options& opt) {
           {0x55505A46, "fz-gpu"},
           {0x50465A43, "cuzfp"},
           {0x4C335A53, "sz3/qoz"},
-          {0x50434242, "de-redundancy wrapper (legacy single-stream)"},
+          {0x50434242,
+           "de-redundancy wrapper (retired single-stream layout; not "
+           "decodable)"},
           {0x32434242, "de-redundancy wrapper (per-segment orchestrated)"},
           {0x4C525750, "pointwise-rel wrapper"},
           {0x42495A53, "bundle"},
@@ -471,11 +483,12 @@ int run(const Options& opt) {
         if (k.magic == magic) what = k.what;
       std::printf("%s: %zu bytes, pipeline: %s\n", opt.input.c_str(),
                   bytes.size(), what);
-      if (magic == 0x31495A53 || magic == 0x32495A53)
+      if (magic == 0x32495A53) {
         std::printf("precision: %s\n",
                     cuszi_archive_precision(bytes) == Precision::F64 ? "f64"
                                                                      : "f32");
-      if (magic == 0x32495A53) print_segments(bytes);
+        print_segments(bytes);
+      }
       print_wrap_segments(bytes);
       return 0;
     }
@@ -495,12 +508,9 @@ int run(const Options& opt) {
                                                bytes.size()),
                     t.total);
         if (opt.stages) print_stages(t);
-        if (opt.verify) {
-          const auto dec = cuszi_decompress_f64(bytes);
-          const auto d = metrics::distortion(data, dec);
-          std::printf("verify: PSNR %.2f dB, max err %.4e\n", d.psnr,
-                      d.max_err);
-        }
+        if (opt.verify)
+          return verify<double>(data, cuszi_decompress_f64(bytes),
+                                {opt.mode, opt.value});
         return 0;
       }
       auto c = baselines::make_compressor(opt.compressor);
@@ -520,32 +530,28 @@ int run(const Options& opt) {
         print_stages(enc.timings);
         print_wrap_segments(enc.bytes);
       }
-      if (opt.verify) {
-        const auto dec = c->decompress(enc.bytes);
-        const auto d = metrics::distortion(field.data, dec);
-        std::printf("verify: PSNR %.2f dB, max err %.4e\n", d.psnr, d.max_err);
-      }
+      if (opt.verify)
+        return verify<float>(field.data, c->decompress(enc.bytes),
+                             {opt.mode, opt.value});
       return 0;
     }
     case Command::Decompress: {
       DecodeTimings dt;
       // Decode reads go through an ArchiveSource: mmap when possible, pread
       // otherwise — the archive is never copied into RAM up front, and ROI
-      // requests against an indexed archive touch only the covering ranges.
+      // requests touch only the covering ranges.
       auto asrc = io::open_archive(opt.input);
       if (opt.roi) {
         const RoiBox& box = *opt.roi;
         const std::size_t archive = asrc->size();
         const auto report = [&](std::size_t nvals, std::size_t bytes_read,
-                                bool indexed, const DecodeTimings& rt,
-                                double secs) {
+                                const DecodeTimings& rt, double secs) {
           std::printf(
               "cuSZ-i%s: ROI [%zu,%zu)x[%zu,%zu)x[%zu,%zu) (%zu values) -> "
-              "%s in %.3f s (%s)\n",
+              "%s in %.3f s\n",
               opt.f64 ? " (f64)" : "", box.lo.x, box.lo.x + box.ext.x,
               box.lo.y, box.lo.y + box.ext.y, box.lo.z, box.lo.z + box.ext.z,
-              nvals, opt.output.c_str(), secs,
-              indexed ? "indexed" : "full-decode fallback");
+              nvals, opt.output.c_str(), secs);
           if (opt.stages) {
             print_stages(rt);
             std::printf("roi: touched %zu of %zu archive bytes (%.1f%%)\n",
@@ -560,12 +566,12 @@ int run(const Options& opt) {
           const auto r = cuszi_decompress_roi_f64(*asrc, box);
           const double secs = t.lap();
           io::write_f64(opt.output, r.data);
-          report(r.data.size(), r.bytes_read, r.indexed, r.timings, secs);
+          report(r.data.size(), r.bytes_read, r.timings, secs);
         } else {
           const auto r = cuszi_decompress_roi_f32(*asrc, box);
           const double secs = t.lap();
           io::write_f32(opt.output, r.data);
-          report(r.data.size(), r.bytes_read, r.indexed, r.timings, secs);
+          report(r.data.size(), r.bytes_read, r.timings, secs);
         }
         return 0;
       }

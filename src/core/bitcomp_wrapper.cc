@@ -13,7 +13,6 @@
 #include "core/timer.hh"
 #include "device/dims.hh"
 #include "device/thread_pool.hh"
-#include "lossless/bitcomp.hh"
 #include "lossless/orchestrate.hh"
 
 namespace szi {
@@ -22,8 +21,8 @@ namespace {
 
 /// Wrapper-segment byte ranges of the inner archive: for a valid SZI2
 /// archive one range per directory segment plus a leading range for the
-/// header + directory; anything else (SZI1, baselines, malformed) wraps as
-/// a single segment. Pure function of the inner bytes.
+/// header + directory; anything else (baselines, malformed) wraps as a
+/// single segment. Pure function of the inner bytes.
 std::vector<std::pair<std::size_t, std::size_t>> wrap_partition(
     std::span<const std::byte> bytes) {
   std::vector<std::pair<std::size_t, std::size_t>> parts;
@@ -135,43 +134,73 @@ std::vector<std::byte> bitcomp_wrap_archive(
   return out;
 }
 
+std::span<const std::byte> bitcomp_unwrap_archive(
+    std::span<const std::byte> bytes, dev::Workspace& ws) {
+  // Every frame parses and all scratch allocates here, before the launch:
+  // dev::Workspace is not thread-safe, so pool tasks only touch memory
+  // handed out up front.
+  const auto view = bitcomp_parse_container(bytes);
+  const std::size_t nseg = view.segments.size();
+  std::vector<lossless::LzssFrame> frames(nseg);
+  std::vector<std::size_t> seg_off(nseg);
+  std::size_t raw_size = 0;
+  for (std::size_t i = 0; i < nseg; ++i) {
+    const auto& s = view.segments[i];
+    frames[i] = lossless::lzss_parse_frame(view.payloads[i], ws);
+    bitcomp_check_frame(s.method, s.raw_size, frames[i], 0);
+    seg_off[i] = raw_size;
+    raw_size += static_cast<std::size_t>(s.raw_size);
+  }
+  auto raw = ws.make<std::byte>(raw_size);
+
+  // Where each segment's blocks land, and the global index of its first
+  // block: the launch runs over the blocks of all segments at once.
+  std::vector<std::byte*> dst(nseg);
+  std::vector<std::size_t> first_block(nseg + 1, 0);
+  for (std::size_t i = 0; i < nseg; ++i) {
+    dst[i] = view.segments[i].method == lossless::Method::Lzss
+                 ? raw.data() + seg_off[i]
+                 : ws.make<std::byte>(frames[i].raw_size).data();
+    first_block[i + 1] = first_block[i] + frames[i].nblocks;
+  }
+  dev::ThreadPool::instance().parallel_for(
+      first_block.back(),
+      [&](std::size_t g) {
+        // Last segment starting at or before g (empty segments share their
+        // successor's start and are skipped by upper_bound).
+        const std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(first_block.begin(), first_block.end(), g) -
+            first_block.begin() - 1);
+        const auto& fr = frames[i];
+        const std::size_t k = g - first_block[i];
+        const std::size_t begin = k * fr.block_size;
+        const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
+        lossless::lzss_decompress_block(fr, k, {dst[i] + begin, len});
+      },
+      1);
+  for (std::size_t i = 0; i < nseg; ++i)
+    if (view.segments[i].method != lossless::Method::Lzss)
+      lossless::method_untransform(
+          {dst[i], frames[i].raw_size}, view.segments[i].method,
+          {raw.data() + seg_off[i],
+           static_cast<std::size_t>(view.segments[i].raw_size)});
+  return raw;
+}
+
 std::vector<std::byte> bitcomp_unwrap_archive(
     std::span<const std::byte> bytes) {
-  const auto view = bitcomp_parse_container(bytes);
-  if (view.legacy) return lossless::bitcomp_decompress(view.payloads[0]);
-
-  std::size_t raw_total = 0;
-  for (const auto& s : view.segments)
-    raw_total += static_cast<std::size_t>(s.raw_size);
-  std::vector<std::byte> out(raw_total);
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < view.segments.size(); ++i) {
-    const auto& s = view.segments[i];
-    const auto dec = lossless::lzss_decompress(view.payloads[i]);
-    lossless::method_untransform(
-        dec, s.method,
-        {out.data() + off, static_cast<std::size_t>(s.raw_size)});
-    off += static_cast<std::size_t>(s.raw_size);
-  }
-  return out;
+  dev::Workspace ws(dev::Arena::instance());
+  const auto raw = bitcomp_unwrap_archive(bytes, ws);
+  return {raw.begin(), raw.end()};
 }
 
 WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes,
                                           bool prefix_ok) {
   core::ByteReader rd(bytes, "bitcomp-wrapper");
   const auto magic = rd.read<std::uint32_t>();
-  WrapContainerView view;
-  if (magic == kBitcompWrapMagic) {
-    view.legacy = true;
-    const auto stream = rd.read_length_prefixed();
-    view.table_bytes = sizeof(std::uint32_t) + sizeof(std::uint64_t);
-    view.segments.push_back(
-        {lossless::Method::Lzss, 0, static_cast<std::uint64_t>(stream.size())});
-    view.payloads.push_back(stream);
-    return view;
-  }
   if (magic != kBitcompWrapMagicV2) rd.fail("bad magic");
 
+  WrapContainerView view;
   const auto nseg = rd.read<std::uint32_t>();
   if (nseg == 0) rd.fail("empty segment table");
   const auto entries = rd.read_array<WrapSegmentEntry>(nseg);
@@ -207,73 +236,26 @@ WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes,
   return view;
 }
 
-std::span<const std::byte> bitcomp_wrapped_stream(
-    std::span<const std::byte> bytes) {
-  core::ByteReader rd(bytes, "bitcomp-wrapper");
-  rd.expect_magic(kBitcompWrapMagic);
-  return rd.read_length_prefixed();
+void bitcomp_check_frame(lossless::Method method, std::uint64_t raw_size,
+                         const lossless::LzssFrame& frame, std::size_t offset) {
+  if (method == lossless::Method::Lzss && frame.raw_size != raw_size)
+    throw core::CorruptArchive("bitcomp-wrapper", offset,
+                               "segment frame size mismatch");
+  if (method == lossless::Method::Bitshuffle &&
+      frame.raw_size !=
+          lossless::bitshuffle_frame_size(static_cast<std::size_t>(raw_size)))
+    throw core::CorruptArchive("bitcomp-wrapper", offset,
+                               "bitshuffle payload size does not match "
+                               "segment");
 }
 
-// Default (unfused) implementations of the bitcomp/workspace virtuals:
-// compose the plain entry points. Overrides (cuSZ-i) pipeline the stages
-// but must keep the bytes identical to these compositions.
-
-std::vector<float> Compressor::decompress(std::span<const std::byte> bytes,
-                                          double* decode_seconds,
-                                          dev::Workspace& /*ws*/) {
-  return decompress(bytes, decode_seconds);
-}
-
-std::vector<CheckedCompressResult> Compressor::compress_batch_checked(
-    std::span<const Field> fields, const CompressParams& p) {
-  std::vector<CheckedCompressResult> out(fields.size());
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    try {
-      out[i].result = compress(fields[i], p);
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-  }
-  return out;
-}
-
-CompressResult Compressor::compress_bitcomp(const Field& field,
-                                            const CompressParams& p) {
-  CompressResult r = compress(field, p);
-  core::Timer t;
-  r.bytes = bitcomp_wrap_archive(r.bytes);
-  const double extra = t.lap();
-  r.timings.encode += extra;
-  r.timings.total += extra;
-  return r;
-}
-
-std::vector<float> Compressor::decompress_bitcomp(
-    std::span<const std::byte> bytes, double* decode_seconds) {
-  core::Timer t;
-  const auto inner_bytes = bitcomp_unwrap_archive(bytes);
-  const double unwrap = t.lap();
-  double inner_time = 0;
-  auto out = decompress(inner_bytes, &inner_time);
-  if (decode_seconds) *decode_seconds = unwrap + inner_time;
-  return out;
-}
+// Default implementations of the optional virtuals.
 
 std::vector<float> Compressor::decompress_stages(
     std::span<const std::byte> bytes, DecodeTimings& t) {
   core::Timer wall;
   auto out = decompress(bytes, nullptr);
   t.total = wall.lap();
-  return out;
-}
-
-std::vector<float> Compressor::decompress_bitcomp_stages(
-    std::span<const std::byte> bytes, DecodeTimings& t) {
-  core::Timer wall;
-  const auto inner_bytes = bitcomp_unwrap_archive(bytes);
-  t.unwrap = wall.lap();
-  auto out = decompress_stages(inner_bytes, t);
-  t.total += t.unwrap;
   return out;
 }
 
@@ -304,26 +286,48 @@ class BitcompWrapped final : public Compressor {
     return inner_->supports_fixed_rate();
   }
 
-  // Delegates to the inner compressor's (possibly fused/pipelined)
-  // bitcomp entry points; the default implementations reproduce the old
-  // wrap-after / unwrap-before behaviour byte-for-byte.
+  // The wrap runs after the inner compress; wrap time folds into
+  // encode/total.
   [[nodiscard]] CompressResult compress(const Field& field,
                                         const CompressParams& p) override {
-    return inner_->compress_bitcomp(field, p);
+    CompressResult r = inner_->compress(field, p);
+    core::Timer t;
+    r.bytes = bitcomp_wrap_archive(r.bytes);
+    const double wrap_s = t.lap();
+    r.timings.encode += wrap_s;
+    r.timings.total += wrap_s;
+    return r;
   }
 
+  // The unwrap lands in workspace memory the inner decode reads in place;
+  // `decode_seconds` covers unwrap + inner decode.
   [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
                                               double* decode_seconds) override {
-    return inner_->decompress_bitcomp(bytes, decode_seconds);
+    core::Timer t;
+    dev::Workspace ws(dev::Arena::instance());
+    const auto inner_bytes = bitcomp_unwrap_archive(bytes, ws);
+    const double unwrap_s = t.lap();
+    double inner_s = 0;
+    auto out = inner_->decompress(inner_bytes, &inner_s);
+    if (decode_seconds) *decode_seconds = unwrap_s + inner_s;
+    return out;
   }
 
+  // The inner breakdown plus the unwrap, which is added to its `total`.
   [[nodiscard]] std::vector<float> decompress_stages(
       std::span<const std::byte> bytes, DecodeTimings& t) override {
-    return inner_->decompress_bitcomp_stages(bytes, t);
+    core::Timer wall;
+    dev::Workspace ws(dev::Arena::instance());
+    const auto inner_bytes = bitcomp_unwrap_archive(bytes, ws);
+    const double unwrap_s = wall.lap();
+    auto out = inner_->decompress_stages(inner_bytes, t);
+    t.unwrap = unwrap_s;
+    t.total += unwrap_s;
+    return out;
   }
 
   // Progressive decode dispatches on the archive magic inside the inner
-  // compressor, so the wrapped ('BBCP') bytes forward unchanged.
+  // compressor, so the wrapped ('BBC2') bytes forward unchanged.
   [[nodiscard]] ProgressiveResult decompress_progressive(
       std::span<const std::byte> bytes, int max_level) override {
     return inner_->decompress_progressive(bytes, max_level);

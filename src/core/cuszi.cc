@@ -1,18 +1,13 @@
 #include "core/cuszi.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <deque>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/bytes.hh"
 #include "core/timer.hh"
-#include "device/stream.hh"
 #include "device/thread_pool.hh"
 #include "huffman/histogram.hh"
 #include "huffman/huffman.hh"
@@ -26,8 +21,7 @@ namespace szi {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x31495A53;    // "SZI1" (legacy)
-constexpr std::uint32_t kMagicV2 = 0x32495A53;  // "SZI2" (level-segmented)
+constexpr std::uint32_t kMagic = 0x32495A53;  // "SZI2" (level-segmented)
 
 struct PackedConfig {
   double alpha;
@@ -38,8 +32,7 @@ struct PackedConfig {
 static_assert(sizeof(PackedConfig) == 16, "archive layout is padding-free");
 
 /// Bytes of the fixed inner-archive header: magic | precision | dims | eb |
-/// PackedConfig. v1 archives follow with the anchor count; v2 archives with
-/// the segment directory.
+/// PackedConfig. The segment directory follows.
 constexpr std::size_t kInnerFixedBytes =
     sizeof(std::uint32_t) + sizeof(std::uint8_t) + 3 * sizeof(std::uint64_t) +
     sizeof(double) + sizeof(PackedConfig);
@@ -48,7 +41,7 @@ constexpr std::size_t kInnerFixedBytes =
 /// back immediately after the directory: anchors, outliers, then one
 /// independently framed Huffman stream per interpolation level in
 /// descending level order (coarsest first), so a preview at level L is a
-/// prefix of the archive. An optional trailing kind-3 tile-index segment
+/// prefix of the archive. A trailing kind-3 tile-index segment
 /// (TIDX) rides after the levels — behind every prefix a preview needs, so
 /// progressive reads never pay for it. Reserved fields are written zero and
 /// must read zero.
@@ -144,11 +137,17 @@ std::vector<std::byte> build_tidx(const dev::Dim3& dims,
   return w.take();
 }
 
-/// Total header bytes of a v2 archive with `nseg` segments: fixed header,
+/// Segments of an archive over `nlevels` levels: anchors, outliers, one
+/// stream per level, and the trailing tile index.
+constexpr std::size_t segment_count(int nlevels) {
+  return static_cast<std::size_t>(nlevels) + 3;
+}
+
+/// Total header bytes of an archive over `nlevels` levels: fixed header,
 /// u32 segment count, directory. Segment payloads start here.
-constexpr std::size_t v2_header_bytes(std::size_t nseg) {
+constexpr std::size_t header_bytes(int nlevels) {
   return kInnerFixedBytes + sizeof(std::uint32_t) +
-         nseg * sizeof(SegmentEntry);
+         segment_count(nlevels) * sizeof(SegmentEntry);
 }
 
 PackedConfig pack_config(const predictor::InterpConfig& cfg, int radius) {
@@ -181,14 +180,6 @@ struct Tuned {
   predictor::InterpConfig cfg;
 };
 
-/// Whether offloading work to a dev::Stream can actually overlap with the
-/// host thread — used only by ROI decode, which otherwise runs its slabs
-/// inline. On a single-hardware-thread machine a stream only adds
-/// context-switch ping-pong.
-bool stream_overlap_pays() {
-  return dev::ThreadPool::instance().worker_count() > 1;
-}
-
 /// Shared front half of every compress path: parameter validation plus the
 /// profiling auto-tune kernel (which also resolves Rel -> Abs).
 template <typename T>
@@ -214,62 +205,7 @@ Tuned autotune_checked(std::span<const T> data, const dev::Dim3& dims,
   return {eb, prof.config};
 }
 
-/// The legacy SZI1 single-stream writer, retained byte-for-byte so
-/// back-compat tests can mint v1 archives against the version-dispatched
-/// decoders (cuszi_compress_v1).
-template <typename T>
-std::vector<std::byte> compress_v1_typed(std::span<const T> data,
-                                         const dev::Dim3& dims,
-                                         const CompressParams& p,
-                                         StageTimings* timings,
-                                         dev::Workspace& ws) {
-  core::Timer total;
-  core::Timer stage;
-  StageTimings t;
-
-  const Tuned tuned = autotune_checked(data, dims, p, ws);
-  t.predict += stage.lap();
-
-  constexpr int kRadius = quant::kDefaultRadius;
-  auto fz = predictor::ginterp_compress_fused(data, dims, tuned.eb, tuned.cfg,
-                                              kRadius, ws);
-  const auto& pred = fz.pred;
-  t.predict += stage.lap();
-  t.histogram = 0;
-  t.histogram_fused = true;
-
-  const auto book = huffman::Codebook::build(fz.histogram);
-  t.codebook = stage.lap();
-  const auto huff =
-      huffman::encode_with_book(pred.codes, book, huffman::kDefaultChunk, ws);
-  t.encode = stage.lap();
-
-  core::ByteWriter w;
-  const std::size_t outlier_blob =
-      sizeof(std::uint64_t) + pred.outliers.byte_size();
-  w.reserve(64 + pred.anchors.size() * sizeof(T) + outlier_blob + huff.size());
-  w.put(kMagic);
-  w.put(static_cast<std::uint8_t>(precision_of<T>()));
-  w.put(static_cast<std::uint64_t>(dims.x));
-  w.put(static_cast<std::uint64_t>(dims.y));
-  w.put(static_cast<std::uint64_t>(dims.z));
-  w.put(tuned.eb);
-  w.put(pack_config(tuned.cfg, kRadius));
-  w.put_array(pred.anchors);
-  // Outlier blob assembled in place — same framing as
-  // put_blob(OutlierSetT::serialize()): u64 blob size | u64 n | idx | vals.
-  w.put(static_cast<std::uint64_t>(outlier_blob));
-  w.put(static_cast<std::uint64_t>(pred.outliers.count()));
-  w.put_raw(std::as_bytes(pred.outliers.indices));
-  w.put_raw(std::as_bytes(pred.outliers.values));
-  w.put_blob(huff);
-  ws.reset();
-  t.total = total.lap();
-  if (timings) *timings = t;
-  return w.take();
-}
-
-/// Builds the v2 segment directory from the prediction output and the
+/// Builds the segment directory from the prediction output and the
 /// per-level Huffman encode plans (`plans[l - 1]` for level l), before any
 /// payload exists. Offsets are assigned contiguously from the end of the
 /// header in archive order: anchors, outliers, levels descending, then the
@@ -279,8 +215,8 @@ std::vector<SegmentEntry> make_directory(
     const predictor::GInterpViewT<T>& pred, const dev::Dim3& dims,
     std::span<const huffman::EncodePlan> plans) {
   const int nlevels = static_cast<int>(plans.size());
-  std::vector<SegmentEntry> segs(3 + static_cast<std::size_t>(nlevels));
-  std::uint64_t off = v2_header_bytes(segs.size());
+  std::vector<SegmentEntry> segs(segment_count(nlevels));
+  std::uint64_t off = header_bytes(nlevels);
   segs[0].kind = kSegAnchors;
   segs[0].count = pred.anchors.size();
   segs[0].offset = off;
@@ -342,7 +278,7 @@ std::span<const std::byte> write_v2(const predictor::GInterpViewT<T>& pred,
   const auto put = [&put_raw](const auto& v) {
     put_raw(std::as_bytes(std::span(&v, 1)));
   };
-  put(kMagicV2);
+  put(kMagic);
   put(static_cast<std::uint8_t>(precision_of<T>()));
   put(static_cast<std::uint64_t>(dims.x));
   put(static_cast<std::uint64_t>(dims.y));
@@ -425,16 +361,14 @@ std::span<const std::byte> compress_v2(std::span<const T> data,
   return raw;
 }
 
-/// A raw SZI2 archive. `topk` is accepted for call-site stability but inert
-/// here: the per-level histograms are exact by construction.
+/// A raw SZI2 archive.
 template <typename T>
 std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& p,
                                       StageTimings* timings, bool fused,
-                                      bool topk, dev::Workspace& ws,
+                                      dev::Workspace& ws,
                                       bool unified = false) {
-  (void)topk;
   core::Timer total;
   StageTimings t;
   const auto raw = compress_v2<T>(data, dims, p, t, fused, unified, ws);
@@ -450,12 +384,12 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& p,
                                       StageTimings* timings, bool fused,
-                                      bool topk, bool unified = false) {
+                                      bool unified = false) {
   // Throwaway arena: malloc-equivalent lifetime, no global memory retained.
   // Pooling across calls is opt-in via the Workspace overload.
   dev::Arena local;
   dev::Workspace ws(local);
-  return compress_typed<T>(data, dims, p, timings, fused, topk, ws, unified);
+  return compress_typed<T>(data, dims, p, timings, fused, ws, unified);
 }
 
 /// A wrapped ('BBC2') archive: the same inner archive as compress_typed,
@@ -491,12 +425,10 @@ struct InnerHeader {
   int radius = 0;
 };
 
-/// Parses + validates the fixed kInnerFixedBytes header (both versions
-/// share it; `magic` selects which one the caller expects).
+/// Parses + validates the fixed kInnerFixedBytes header.
 template <typename T>
-InnerHeader parse_inner_header(core::ByteReader& rd,
-                               std::uint32_t magic = kMagic) {
-  rd.expect_magic(magic);
+InnerHeader parse_inner_header(core::ByteReader& rd) {
+  rd.expect_magic(kMagic);
   const auto prec_byte = rd.read<std::uint8_t>();
   if (prec_byte > static_cast<std::uint8_t>(Precision::F64))
     rd.fail("unknown precision byte");
@@ -546,21 +478,20 @@ quant::OutlierViewT<T> parse_outlier_blob(std::span<const std::byte> blob,
   return v;
 }
 
-/// Parses + validates the SZI2 segment directory against the header's
-/// geometry: the segment count, kinds, levels, counts, and sizes are all
-/// derivable from `dims` (and the outlier count), so every field is checked
-/// against its closed form; offsets must be exactly contiguous from the end
-/// of the header. The caller's ByteReader sits right after the fixed header
-/// and is left at the first segment payload.
+/// Parses + validates the segment directory against the header's geometry:
+/// the segment count, kinds, levels, counts, and sizes are all derivable
+/// from `dims` (and the outlier count), so every field is checked against
+/// its closed form; offsets must be exactly contiguous from the end of the
+/// header. The caller's ByteReader sits right after the fixed header and is
+/// left at the first segment payload.
 template <typename T>
-std::vector<SegmentEntry> parse_v2_directory(core::ByteReader& rd,
-                                             const InnerHeader& h) {
+std::vector<SegmentEntry> parse_directory(core::ByteReader& rd,
+                                          const InnerHeader& h) {
   const int nlevels = predictor::ginterp_level_count(h.dims);
+  // Anchors + outliers + levels + the trailing tile index; anything else
+  // (the pre-index layout included) is corrupt.
   const auto nseg = rd.read<std::uint32_t>();
-  // Pre-index archives carry anchors + outliers + levels; indexed archives
-  // append one trailing kind-3 tile-index segment. Anything else is corrupt.
-  const auto base = static_cast<std::uint32_t>(nlevels) + 2;
-  if (nseg != base && nseg != base + 1) rd.fail("segment count mismatch");
+  if (nseg != segment_count(nlevels)) rd.fail("segment count mismatch");
   std::vector<SegmentEntry> segs(nseg);
   for (auto& s : segs) s = rd.read<SegmentEntry>();
   std::uint64_t cursor = rd.offset();
@@ -603,21 +534,19 @@ std::vector<SegmentEntry> parse_v2_directory(core::ByteReader& rd,
   return segs;
 }
 
-/// SZI2 full decode: anchors and outliers come straight from their
-/// segments, each level's Huffman stream decodes (chunks fan out across the
-/// pool), and one plane-parallel scatter rebuilds the code array — every
-/// position the "perfectly predicted" code (what anchor positions carried
-/// in the v1 single stream) unless a level stream names it. The
-/// reconstruction is then exactly the v1 path over an identical code
-/// array, so v2 decode is bit-identical to v1 decode of the same field.
+/// Full decode: anchors and outliers come straight from their segments,
+/// each level's Huffman stream decodes (chunks fan out across the pool), and
+/// one plane-parallel scatter rebuilds the code array — every position the
+/// "perfectly predicted" code unless a level stream names it — which the
+/// slab-parallel reconstruction then replays.
 template <typename T>
-std::vector<T> decompress_v2_typed(std::span<const std::byte> bytes,
-                                   dev::Workspace& ws,
-                                   DecodeTimings* dt = nullptr) {
+std::vector<T> decompress_typed(std::span<const std::byte> bytes,
+                                dev::Workspace& ws,
+                                DecodeTimings* dt = nullptr) {
   core::Timer wall;
   core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const auto segs = parse_v2_directory<T>(rd, h);
+  const InnerHeader h = parse_inner_header<T>(rd);
+  const auto segs = parse_directory<T>(rd, h);
 
   const std::size_t acount = static_cast<std::size_t>(segs[0].count);
   const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
@@ -650,46 +579,6 @@ std::vector<T> decompress_v2_typed(std::span<const std::byte> bytes,
                                     static_cast<quant::Code>(h.radius), codes);
   const double huff_s = hufft.lap();
 
-  std::vector<T> out(h.volume);
-  core::Timer recont;
-  predictor::ginterp_decompress_into(codes, std::span<const T>(anchors),
-                                     outliers, h.dims, h.eb, h.cfg, h.radius,
-                                     std::span<T>(out), ws);
-  const double recon_s = recont.lap();
-  ws.reset();
-  if (dt) {
-    dt->huffman = huff_s;
-    dt->reconstruct = recon_s;
-    dt->overlapped = false;
-    dt->total = wall.lap();
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> decompress_typed(std::span<const std::byte> bytes,
-                                dev::Workspace& ws,
-                                DecodeTimings* dt = nullptr) {
-  if (peek_magic(bytes) == kMagicV2)
-    return decompress_v2_typed<T>(bytes, ws, dt);
-  core::Timer wall;
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-
-  const auto acount64 = rd.read<std::uint64_t>();
-  if (acount64 > rd.remaining()) rd.fail("array count exceeds remaining bytes");
-  const std::size_t acount = static_cast<std::size_t>(acount64);
-  const std::size_t abytes = rd.checked_array_bytes(acount, sizeof(T));
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  const auto outliers = parse_outlier_blob<T>(rd.read_length_prefixed(), ws);
-  core::Timer hufft;
-  const auto codes = huffman::decode(rd.read_length_prefixed(), ws);
-  const double huff_s = hufft.lap();
-  if (codes.size() != h.volume) rd.fail("code count mismatch");
-
   // ginterp_decompress_into validates the anchor count and outlier indices
   // against `dims` before scattering.
   std::vector<T> out(h.volume);
@@ -702,7 +591,6 @@ std::vector<T> decompress_typed(std::span<const std::byte> bytes,
   if (dt) {
     dt->huffman = huff_s;
     dt->reconstruct = recon_s;
-    dt->overlapped = false;
     dt->total = wall.lap();
   }
   return out;
@@ -716,86 +604,17 @@ std::vector<T> decompress_typed(std::span<const std::byte> bytes,
   return decompress_typed<T>(bytes, ws, dt);
 }
 
-/// Full decode of a wrapped archive, in two phases. Unwrap: every LZSS
-/// block of every wrapper segment decodes in one pool-wide launch — a
-/// method-0 segment straight into its range of the inner archive, a
-/// transformed (zero-RLE / bitshuffle) segment into scratch that then
-/// untransforms into its range. Decode: the inner archive goes to the same
-/// decompress_typed raw archives use. Every block decodes before the inner
-/// parse, so a corrupt block anywhere — including in segments the full
-/// decode never reads, like the tile index — throws CorruptArchive exactly
-/// as bitcomp_unwrap_archive does.
+/// Full decode of a wrapped archive, in two phases: the one pool-wide
+/// unwrap (bitcomp_unwrap_archive's workspace form) into `ws` memory, then
+/// the same decompress_typed raw archives use.
 template <typename T>
 std::vector<T> decompress_bitcomp_typed(std::span<const std::byte> bytes,
                                         dev::Workspace& ws,
                                         DecodeTimings* dt = nullptr) {
   core::Timer wall;
-  // Container-general front end: both wrapper generations parse into the
-  // same per-segment (frame, method, raw range) records. All frames parse
-  // and all scratch allocates here, before the launch — dev::Workspace is
-  // not thread-safe, so pool tasks only touch memory handed out up front.
-  const auto container = bitcomp_parse_container(bytes);
-  const std::size_t nwseg = container.segments.size();
-  std::vector<lossless::LzssFrame> frames(nwseg);
-  std::vector<std::size_t> seg_off(nwseg), seg_len(nwseg);
-  std::size_t raw_size = 0;
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    frames[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
-    seg_off[i] = raw_size;
-    std::size_t slen = frames[i].raw_size;
-    if (!container.legacy) {
-      const auto& s = container.segments[i];
-      slen = static_cast<std::size_t>(s.raw_size);
-      // Cheap closed-form cross-checks between the table and each frame
-      // header; zero-RLE is self-describing, so its expansion is validated
-      // by the untransform instead.
-      if (s.method == lossless::Method::Lzss && frames[i].raw_size != slen)
-        throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                   "segment frame size mismatch");
-      if (s.method == lossless::Method::Bitshuffle &&
-          frames[i].raw_size != lossless::bitshuffle_frame_size(slen))
-        throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                   "bitshuffle payload size does not match "
-                                   "segment");
-    }
-    seg_len[i] = slen;
-    raw_size += slen;
-  }
-  auto raw = ws.make<std::byte>(raw_size);
-
-  // Where each segment's blocks land, and the global index of its first
-  // block: the launch runs over the blocks of all segments at once.
-  std::vector<std::byte*> dst(nwseg);
-  std::vector<std::size_t> first_block(nwseg + 1, 0);
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    dst[i] = container.segments[i].method == lossless::Method::Lzss
-                 ? raw.data() + seg_off[i]
-                 : ws.make<std::byte>(frames[i].raw_size).data();
-    first_block[i + 1] = first_block[i] + frames[i].nblocks;
-  }
-  dev::ThreadPool::instance().parallel_for(
-      first_block.back(),
-      [&](std::size_t g) {
-        // Last segment starting at or before g (empty segments share their
-        // successor's start and are skipped by upper_bound).
-        const std::size_t i = static_cast<std::size_t>(
-            std::upper_bound(first_block.begin(), first_block.end(), g) -
-            first_block.begin() - 1);
-        const auto& fr = frames[i];
-        const std::size_t k = g - first_block[i];
-        const std::size_t begin = k * fr.block_size;
-        const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
-        lossless::lzss_decompress_block(fr, k, {dst[i] + begin, len});
-      },
-      1);
-  for (std::size_t i = 0; i < nwseg; ++i)
-    if (container.segments[i].method != lossless::Method::Lzss)
-      lossless::method_untransform({dst[i], frames[i].raw_size},
-                                   container.segments[i].method,
-                                   {raw.data() + seg_off[i], seg_len[i]});
+  const auto raw = bitcomp_unwrap_archive(bytes, ws);
   const double unwrap_s = wall.lap();
-
-  auto out = decompress_typed<T>({raw.data(), raw_size}, ws, dt);
+  auto out = decompress_typed<T>(raw, ws, dt);
   if (dt) {
     dt->unwrap = unwrap_s;
     dt->total += unwrap_s;
@@ -969,14 +788,7 @@ class WrappedInnerSource final : public InnerSource {
     const auto head =
         src_.view(s.file_off, std::min(want, s.file_len), scratch_);
     s.frame = lossless::lzss_parse_frame_header(head, s.file_len, ws_);
-    if (s.method == lossless::Method::Lzss && s.frame.raw_size != s.raw_len)
-      throw core::CorruptArchive("bitcomp-wrapper", s.file_off,
-                                 "segment frame size mismatch");
-    if (s.method == lossless::Method::Bitshuffle &&
-        s.frame.raw_size != lossless::bitshuffle_frame_size(s.raw_len))
-      throw core::CorruptArchive(
-          "bitcomp-wrapper", s.file_off,
-          "bitshuffle payload size does not match segment");
+    bitcomp_check_frame(s.method, s.raw_len, s.frame, s.file_off);
     s.frame_parsed = true;
   }
 
@@ -1038,13 +850,6 @@ class WrappedInnerSource final : public InnerSource {
   std::vector<std::byte> cross_;    ///< segment-crossing assembly
 };
 
-std::uint32_t inner_peek_magic(InnerSource& s) {
-  std::uint32_t m = 0;
-  const auto v = view_pfx(s, 0, sizeof(m));
-  if (v.size() == sizeof(m)) std::memcpy(&m, v.data(), sizeof(m));
-  return m;
-}
-
 /// Owned copy of the TIDX payload plus its validated header fields.
 struct TidxView {
   std::size_t slab_z = 0;
@@ -1089,48 +894,30 @@ TidxView fetch_tidx(InnerSource& inner, const SegmentEntry& tseg,
   return t;
 }
 
-/// The indexed ROI decode over an SZI2 inner archive. Returns false when
-/// the archive predates the tile index (the caller falls back to a full
-/// decode + crop); throws core::CorruptArchive when the index disagrees
-/// with the closed forms it must satisfy.
+/// The indexed ROI decode over an inner archive; throws
+/// core::CorruptArchive when the index disagrees with the closed forms it
+/// must satisfy.
 template <typename T>
-bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
-            RoiResultT<T>& r) {
+void roi_decode(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
+                RoiResultT<T>& r) {
   double huff_s = 0;
-  std::atomic<std::int64_t> recon_ns{0};
-  const auto since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
 
-  // Fixed header, then the exact directory (segment count peeked and
-  // clamped to the largest legal value, as the progressive reader does).
+  // Fixed header, whose dims fix the directory's size, then the directory.
   std::vector<std::byte> hdr;
-  {
-    const auto v = view_pfx(inner, 0, kInnerFixedBytes + sizeof(std::uint32_t));
-    hdr.assign(v.begin(), v.end());
-  }
-  std::uint32_t nseg_peek = 0;
-  if (hdr.size() >= kInnerFixedBytes + sizeof(nseg_peek))
-    std::memcpy(&nseg_peek, hdr.data() + kInnerFixedBytes, sizeof(nseg_peek));
   int nlevels = 0;
   {
+    const auto v = view_pfx(inner, 0, kInnerFixedBytes);
+    hdr.assign(v.begin(), v.end());
     core::ByteReader rd0({hdr.data(), hdr.size()}, "cusz-i");
-    const InnerHeader h0 = parse_inner_header<T>(rd0, kMagicV2);
-    nlevels = predictor::ginterp_level_count(h0.dims);
+    nlevels = predictor::ginterp_level_count(parse_inner_header<T>(rd0).dims);
   }
-  const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
   {
-    const auto v =
-        view_pfx(inner, 0, v2_header_bytes(std::min(nseg_peek, nseg_max)));
+    const auto v = view_pfx(inner, 0, header_bytes(nlevels));
     hdr.assign(v.begin(), v.end());
   }
   core::ByteReader rd({hdr.data(), hdr.size()}, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const auto segs = parse_v2_directory<T>(rd, h);
-  if (segs.size() != static_cast<std::size_t>(nlevels) + 3)
-    return false;  // pre-index SZI2: no TIDX to steer by
+  const InnerHeader h = parse_inner_header<T>(rd);
+  const auto segs = parse_directory<T>(rd, h);
 
   const auto plan = predictor::ginterp_roi_plan(h.dims, box.lo, box.ext);
   const TidxView tidx = fetch_tidx(inner, segs.back(), h.dims, nlevels);
@@ -1329,39 +1116,20 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
     }
   }
 
-  // Box-clipped reconstruction, slabs fanned across worker streams (slabs
-  // are mutually independent).
+  // Box-clipped reconstruction. Slabs are mutually independent: with a
+  // slab for every worker they fan out across the pool, as in full decode
+  // (each slab's parity waves then run inline on its worker); with fewer,
+  // the slabs run in turn, each slab's waves spread across the pool.
+  core::Timer recont;
   predictor::GInterpRoiReconstructorT<T> recon(codes, plan, h.dims, h.eb,
                                                h.cfg, h.radius,
                                                std::span<T>(boxout));
-  const auto run_slab_timed = [&recon, &recon_ns, &since](std::size_t k) {
-    const auto t0 = std::chrono::steady_clock::now();
-    recon.run_slab(k);
-    recon_ns += since(t0);
-  };
-  std::deque<dev::Stream> rcs;
-  if (stream_overlap_pays() && recon.slab_count() > 1) {
-    const std::size_t n = std::min<std::size_t>(
-        dev::ThreadPool::instance().worker_count(), recon.slab_count());
-    for (std::size_t s = 0; s < n; ++s) rcs.emplace_back();
-  }
-  for (std::size_t k = 0; k < recon.slab_count(); ++k) {
-    if (!rcs.empty())
-      rcs[k % rcs.size()].submit([&run_slab_timed, k] { run_slab_timed(k); });
-    else
-      run_slab_timed(k);
-  }
-  {
-    std::exception_ptr err;
-    for (auto& s : rcs) {
-      try {
-        s.synchronize();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  }
+  const std::size_t nslabs = recon.slab_count();
+  if (nslabs >= dev::ThreadPool::instance().worker_count())
+    dev::launch_linear(nslabs, [&](std::size_t k) { recon.run_slab(k); }, 1);
+  else
+    for (std::size_t k = 0; k < nslabs; ++k) recon.run_slab(k);
+  const double recon_s = recont.lap();
 
   // Crop the requested box out of the box-local buffer (row memcpys; the
   // halo is scratch and dies here).
@@ -1376,59 +1144,14 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
           boxout.data() + dev::linearize(plan.box_dims, ox, oy + y, oz + z),
           box.ext.x * sizeof(T));
   r.dims = box.ext;
-  r.indexed = true;
   r.timings.huffman = huff_s;
-  r.timings.reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-  r.timings.overlapped = !rcs.empty();
+  r.timings.reconstruct = recon_s;
   ws.reset();
-  return true;
 }
 
-/// Full-decode fallback for archives the index cannot steer (legacy SZI1,
-/// pre-index SZI2, legacy 'BBCP' wrappers): decode everything, then crop.
-template <typename T>
-void roi_fallback(io::ArchiveSource& src, const RoiBox& box,
-                  dev::Workspace& ws, RoiResultT<T>& r) {
-  std::vector<std::byte> scratch;
-  const auto all = src.view(0, src.size(), scratch);
-  const std::uint32_t magic = peek_magic(all);
-  std::vector<T> full;
-  dev::Dim3 dims;
-  const auto dims_of = [](std::span<const std::byte> bytes) {
-    core::ByteReader rd(bytes, "cusz-i");
-    const InnerHeader h = parse_inner_header<T>(
-        rd, peek_magic(bytes) == kMagicV2 ? kMagicV2 : kMagic);
-    return h.dims;
-  };
-  if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2) {
-    const auto inner = bitcomp_unwrap_archive(all);
-    dims = dims_of(inner);
-    full = decompress_typed<T>(inner, ws);
-  } else {
-    dims = dims_of(all);
-    full = decompress_typed<T>(all, ws);
-  }
-  const auto bad = [&](std::size_t lo, std::size_t ext, std::size_t n) {
-    return ext == 0 || ext > n || lo > n - ext;
-  };
-  if (bad(box.lo.x, box.ext.x, dims.x) || bad(box.lo.y, box.ext.y, dims.y) ||
-      bad(box.lo.z, box.ext.z, dims.z))
-    throw std::invalid_argument("cuSZ-i: ROI box is empty or exceeds field");
-  r.data.resize(box.ext.volume());
-  for (std::size_t z = 0; z < box.ext.z; ++z)
-    for (std::size_t y = 0; y < box.ext.y; ++y)
-      std::memcpy(r.data.data() + dev::linearize(box.ext, 0, y, z),
-                  full.data() + dev::linearize(dims, box.lo.x, box.lo.y + y,
-                                               box.lo.z + z),
-                  box.ext.x * sizeof(T));
-  r.dims = box.ext;
-  r.indexed = false;
-}
-
-/// Dispatch on the outermost magic: raw SZI2 and 'BBC2'-wrapped SZI2 take
-/// the indexed path when the archive carries a tile index; everything else
-/// (and pre-index archives) falls back to full decode + crop. `bytes_read`
-/// is the source's honest fetch delta either way.
+/// Dispatch on the outermost magic: raw and 'BBC2'-wrapped archives both
+/// take the indexed path; anything else is corrupt. `bytes_read` is the
+/// source's honest fetch delta.
 template <typename T>
 RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
   dev::Arena local;
@@ -1444,55 +1167,29 @@ RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
       std::memcpy(&magic, v.data(), sizeof(magic));
     }
   }
-  bool done = false;
-  if (magic == kMagicV2) {
-    RawInnerSource inner(src);
-    done = roi_v2<T>(inner, box, ws, r);
-  } else if (magic == kBitcompWrapMagicV2) {
+  if (magic == kBitcompWrapMagicV2) {
     WrappedInnerSource inner(src, ws);
-    if (inner_peek_magic(inner) == kMagicV2)
-      done = roi_v2<T>(inner, box, ws, r);
+    roi_decode<T>(inner, box, ws, r);
+  } else {
+    RawInnerSource inner(src);
+    roi_decode<T>(inner, box, ws, r);
   }
-  if (!done) roi_fallback<T>(src, box, ws, r);
   r.bytes_read = static_cast<std::size_t>(src.bytes_read() - before);
   r.timings.total = wall.lap();
   return r;
 }
 
-/// Full-decode fallback for progressive requests against archives without
-/// a segment directory (legacy SZI1): decode everything, then subsample
-/// onto the preview grid. `whole_size` is what bytes_read reports — the
-/// entire archive was consumed.
-template <typename T>
-ProgressiveResultT<T> progressive_from_full(std::span<const std::byte> inner,
-                                            std::size_t whole_size,
-                                            int max_level,
-                                            dev::Workspace& ws) {
-  core::ByteReader rd(inner, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const int nlevels = predictor::ginterp_level_count(h.dims);
-  const int level = std::clamp(max_level, 1, nlevels + 1);
-  const auto full = decompress_typed<T>(inner, ws);
-  ProgressiveResultT<T> r;
-  r.data =
-      predictor::ginterp_subsample(std::span<const T>(full), h.dims, level);
-  r.dims = predictor::ginterp_preview_dims(h.dims, level);
-  r.level = level;
-  r.bytes_read = whole_size;
-  return r;
-}
-
-/// Prefix decode of a raw SZI2 archive: read the directory, then only the
+/// Prefix decode of a raw archive: read the directory, then only the
 /// segments of levels >= max_level, and replay the partial reconstruction.
 /// Bytes past the consumed prefix are never touched, so truncating the
 /// archive to `bytes_read` bytes decodes identically (the byte-accounting
 /// test does exactly that).
 template <typename T>
-ProgressiveResultT<T> progressive_v2_raw(std::span<const std::byte> bytes,
-                                         int max_level, dev::Workspace& ws) {
+ProgressiveResultT<T> progressive_raw(std::span<const std::byte> bytes,
+                                      int max_level, dev::Workspace& ws) {
   core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const auto segs = parse_v2_directory<T>(rd, h);
+  const InnerHeader h = parse_inner_header<T>(rd);
+  const auto segs = parse_directory<T>(rd, h);
   const int nlevels = predictor::ginterp_level_count(h.dims);
   const int level = std::clamp(max_level, 1, nlevels + 1);
 
@@ -1532,15 +1229,13 @@ ProgressiveResultT<T> progressive_v2_raw(std::span<const std::byte> bytes,
   return r;
 }
 
-/// Progressive decode through the 'BBCP'/'BBC2' wrappers: LZSS blocks
-/// decode serially and only as far as the inner prefix the preview needs;
+/// Progressive decode through the 'BBC2' wrapper: LZSS blocks decode
+/// serially and only as far as the inner prefix the preview needs;
 /// `bytes_read` counts the wrapper framing plus the compressed extent of
 /// the payloads actually decoded. A method-0 wrapper segment consumes
 /// block by block; a transformed (zero-RLE / bitshuffle) segment is
 /// all-or-nothing — its whole payload decodes the moment any of its raw
-/// bytes are needed. A legacy (SZI1) inner archive has no directory to
-/// steer by, so it decodes everything and falls back to full decode +
-/// subsample.
+/// bytes are needed.
 ///
 /// The container parses in prefix mode and each payload's LZSS frame is
 /// parsed (and cross-checked against its table entry) only when the
@@ -1551,8 +1246,6 @@ ProgressiveResultT<T> progressive_v2_raw(std::span<const std::byte> bytes,
 template <typename T>
 ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
                                           int max_level, dev::Workspace& ws) {
-  // prefix_ok only relaxes the 'BBC2' branch; legacy 'BBCP' framing is
-  // never truncation-tolerant.
   const auto container = bitcomp_parse_container(bytes, /*prefix_ok=*/true);
   const std::size_t nwseg = container.segments.size();
   std::vector<lossless::LzssFrame> frames(nwseg);
@@ -1565,17 +1258,7 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
                                    "container truncated inside a segment "
                                    "the preview needs");
       frames[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
-      if (!container.legacy) {
-        const auto slen = static_cast<std::size_t>(s.raw_size);
-        if (s.method == lossless::Method::Lzss && frames[i].raw_size != slen)
-          throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                     "segment frame size mismatch");
-        if (s.method == lossless::Method::Bitshuffle &&
-            frames[i].raw_size != lossless::bitshuffle_frame_size(slen))
-          throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                     "bitshuffle payload size does not match "
-                                     "segment");
-      }
+      bitcomp_check_frame(s.method, s.raw_size, frames[i], 0);
       parsed[i] = 1;
     }
     return frames[i];
@@ -1584,18 +1267,10 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
   std::size_t raw_size = 0;
   for (std::size_t i = 0; i < nwseg; ++i) {
     seg_off[i] = raw_size;
-    // Legacy has no raw_size in its table — the frame header carries it.
-    raw_size += container.legacy
-                    ? static_cast<std::size_t>(frame_at(i).raw_size)
-                    : static_cast<std::size_t>(container.segments[i].raw_size);
+    raw_size += static_cast<std::size_t>(container.segments[i].raw_size);
   }
   auto raw = ws.make<std::byte>(raw_size);
 
-  const auto seg_len = [&](std::size_t i) {
-    return container.legacy
-               ? static_cast<std::size_t>(frames[i].raw_size)
-               : static_cast<std::size_t>(container.segments[i].raw_size);
-  };
   std::size_t cur = 0;  // wrapper segment cursor
   std::size_t nb = 0;   // blocks decoded within the current method-0 segment
   std::size_t decoded = 0;
@@ -1609,7 +1284,8 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
       const auto& fr = frame_at(cur);
       const auto m = container.segments[cur].method;
       const std::size_t soff = seg_off[cur];
-      const std::size_t slen = seg_len(cur);
+      const std::size_t slen =
+          static_cast<std::size_t>(container.segments[cur].raw_size);
       if (m == lossless::Method::Lzss && nb < fr.nblocks) {
         const std::size_t begin = nb * fr.block_size;
         const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
@@ -1641,8 +1317,7 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
   };
   // Wrapper framing + compressed extent consumed so far. Fully-consumed
   // payloads count whole; a partially-decoded method-0 payload counts its
-  // frame header plus the block extent, which for a legacy archive is
-  // exactly the old framing + offsets[nb] accounting.
+  // frame header plus the block extent.
   const auto consumed_bytes = [&] {
     std::size_t consumed = container.table_bytes;
     for (std::size_t i = 0; i < cur; ++i)
@@ -1656,33 +1331,14 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
     return consumed;
   };
 
-  ensure(sizeof(std::uint32_t));
-  std::uint32_t inner_magic = 0;
-  if (raw_size >= sizeof(inner_magic))
-    std::memcpy(&inner_magic, raw.data(), sizeof(inner_magic));
-  if (inner_magic != kMagicV2) {
-    ensure(raw_size);
-    return progressive_from_full<T>({raw.data(), raw_size}, bytes.size(),
-                                    max_level, ws);
-  }
-
   core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-  ensure(kInnerFixedBytes + sizeof(std::uint32_t));
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
+  ensure(kInnerFixedBytes);
+  const InnerHeader h = parse_inner_header<T>(rd);
   const int nlevels = predictor::ginterp_level_count(h.dims);
-  // Peek the segment count (clamped to the largest legal value) so the
-  // ensure covers the exact directory for both pre-index and indexed
-  // layouts; a preview never pays for bytes past it.
-  ensure(sat(rd.offset(), sizeof(std::uint32_t)));
-  std::uint32_t nseg_peek = 0;
-  if (raw_size >= rd.offset() + sizeof(nseg_peek))
-    std::memcpy(&nseg_peek, raw.data() + rd.offset(), sizeof(nseg_peek));
-  const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
-  ensure(sat(rd.offset(),
-             sizeof(std::uint32_t) +
-                 static_cast<std::uint64_t>(std::min(nseg_peek, nseg_max)) *
-                     sizeof(SegmentEntry)));
-  const auto segs = parse_v2_directory<T>(rd, h);
+  // The directory's size is a closed form of dims, so a preview never pays
+  // for bytes past it.
+  ensure(header_bytes(nlevels));
+  const auto segs = parse_directory<T>(rd, h);
   const int level = std::clamp(max_level, 1, nlevels + 1);
 
   const std::size_t acount = static_cast<std::size_t>(segs[0].count);
@@ -1723,26 +1379,24 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
   return r;
 }
 
-/// Version dispatch for the progressive entry points: 'BBCP'/'BBC2' →
-/// payload-lazy wrapped path, 'SZI2' → raw prefix decode, anything else
-/// ('SZI1' or garbage) → full decode + subsample (which rejects bad magic).
+/// Magic dispatch for the progressive entry points: 'BBC2' → payload-lazy
+/// wrapped path, anything else → raw prefix decode (which rejects a magic
+/// other than 'SZI2').
 template <typename T>
 ProgressiveResultT<T> decompress_progressive_typed(
     std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
-  const std::uint32_t magic = peek_magic(bytes);
-  if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2)
+  if (peek_magic(bytes) == kBitcompWrapMagicV2)
     return progressive_wrapped<T>(bytes, max_level, ws);
-  if (magic == kMagicV2) return progressive_v2_raw<T>(bytes, max_level, ws);
-  return progressive_from_full<T>(bytes, bytes.size(), max_level, ws);
+  return progressive_raw<T>(bytes, max_level, ws);
 }
 
-/// SZI2 directory parse for the public cuszi_archive_segments().
+/// Directory parse for the public cuszi_archive_segments().
 template <typename T>
 std::vector<SegmentInfo> archive_segments_typed(
     std::span<const std::byte> bytes) {
   core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const auto segs = parse_v2_directory<T>(rd, h);
+  const InnerHeader h = parse_inner_header<T>(rd);
+  const auto segs = parse_directory<T>(rd, h);
   std::vector<SegmentInfo> out(segs.size());
   for (std::size_t i = 0; i < segs.size(); ++i) {
     out[i].kind = segs[i].kind;
@@ -1754,169 +1408,35 @@ std::vector<SegmentInfo> archive_segments_typed(
   return out;
 }
 
-/// The batched pipeline behind cuszi_compress_many(),
-/// cuszi_compress_many_checked(), and Cuszi::compress_batch: fields go
-/// round-robin onto `streams` in-order async queues. `streams == 0` means
-/// auto — one stream per pool worker (capped by the field count), so the
-/// batch front end scales with SZI_THREADS instead of a caller-guessed
-/// constant. Each stream reuses one Workspace over its own partitioned
-/// arena shard, so field k+streams's buffers are field k's pages — warm,
-/// already faulted in — and concurrent streams never contend on one
-/// free-list mutex. On a multi-core host the streams also overlap (field
-/// B's interpolation runs while field A encodes); outputs stay
-/// byte-identical because every kernel is deterministic regardless of
-/// scheduling.
-///
-/// Failure isolation: each field's exception is caught inside its own task
-/// and parked in its BatchItem, so a throwing field never poisons its
-/// stream — the wave's other fields (including later fields on the same
-/// stream) still compress. A task that threw may have left the shared
-/// Workspace holding blocks mid-flight; reset() before the next field
-/// reuses it.
-std::vector<BatchItem> compress_many_checked_impl(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::size_t streams) {
-  const std::size_t nf = fields.size();
-  std::vector<BatchItem> out(nf);
-  if (streams == 0)
-    streams = std::max<std::size_t>(
-        1, dev::ThreadPool::instance().worker_count());
-  if (nf > 0 && streams > nf) streams = nf;
-
-  // Deques: Stream and Workspace are non-movable.
-  std::deque<dev::Stream> ss(streams);
-  std::deque<dev::Workspace> wss;
-  for (std::size_t s = 0; s < streams; ++s)
-    wss.emplace_back(dev::Arena::shard(s));
-
-  for (std::size_t f = 0; f < nf; ++f) {
-    dev::Workspace& ws = wss[f % streams];
-    ss[f % streams].submit([f, &ws, fields, params, &out] {
-      try {
-        out[f].bytes = compress_typed<float>(fields[f].data, fields[f].dims,
-                                             params, &out[f].timings,
-                                             /*fused=*/true,
-                                             /*topk=*/true, ws);
-      } catch (...) {
-        out[f].error = std::current_exception();
-        ws.reset();
-      }
-    });
-  }
-  for (auto& s : ss) s.synchronize();
-  return out;
-}
-
-std::vector<std::vector<std::byte>> compress_many_impl(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::vector<StageTimings>* timings, std::size_t streams) {
-  auto items = compress_many_checked_impl(fields, params, streams);
-  // Legacy contract: the whole batch throws. The lowest-index failure wins,
-  // matching what a sequential per-field loop would have raised first.
-  for (const auto& it : items)
-    if (!it.ok()) std::rethrow_exception(it.error);
-  std::vector<std::vector<std::byte>> out(items.size());
-  std::vector<StageTimings> times(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out[i] = std::move(items[i].bytes);
-    times[i] = items[i].timings;
-  }
-  if (timings) *timings = std::move(times);
-  return out;
-}
-
-/// The Compressor-interface adapter over the f32 typed API. Compression
-/// runs the fused pipeline (`topk` only affects the unfused free-function
-/// reference path, kept for the §VI-A histogram ablation).
+/// The Compressor-interface adapter over the f32 typed API: the fused
+/// pipeline, with scratch pooled in Arena::instance(). with_bitcomp()
+/// composes these with the wrap and unwrap.
 class Cuszi final : public Compressor {
  public:
-  explicit Cuszi(bool topk) : topk_(topk) {}
-
   [[nodiscard]] std::string name() const override { return "cuSZ-i"; }
 
   [[nodiscard]] CompressResult compress(const Field& field,
                                         const CompressParams& p) override {
     CompressResult r;
+    dev::Workspace ws(dev::Arena::instance());
     r.bytes = compress_typed<float>(field.data, field.dims, p, &r.timings,
-                                    /*fused=*/true, topk_);
+                                    /*fused=*/true, ws);
     return r;
-  }
-
-  [[nodiscard]] std::vector<CompressResult> compress_batch(
-      std::span<const Field> fields, const CompressParams& p) override {
-    std::vector<FieldView> views;
-    views.reserve(fields.size());
-    for (const auto& f : fields) views.push_back({f.view(), f.dims});
-    std::vector<StageTimings> times;
-    auto archives = compress_many_impl(views, p, &times, /*streams=*/0);
-    std::vector<CompressResult> out(archives.size());
-    for (std::size_t i = 0; i < archives.size(); ++i) {
-      out[i].bytes = std::move(archives[i]);
-      out[i].timings = times[i];
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<CheckedCompressResult> compress_batch_checked(
-      std::span<const Field> fields, const CompressParams& p) override {
-    std::vector<FieldView> views;
-    views.reserve(fields.size());
-    for (const auto& f : fields) views.push_back({f.view(), f.dims});
-    auto items = compress_many_checked_impl(views, p, /*streams=*/0);
-    std::vector<CheckedCompressResult> out(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      out[i].result.bytes = std::move(items[i].bytes);
-      out[i].result.timings = items[i].timings;
-      out[i].error = items[i].error;
-    }
-    return out;
   }
 
   [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
                                               double* decode_seconds) override {
     core::Timer total;
-    auto out = decompress_typed<float>(bytes);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
-  }
-
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds,
-                                              dev::Workspace& ws) override {
-    core::Timer total;
+    dev::Workspace ws(dev::Arena::instance());
     auto out = decompress_typed<float>(bytes, ws);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
-  }
-
-  [[nodiscard]] CompressResult compress_bitcomp(
-      const Field& field, const CompressParams& p) override {
-    CompressResult r;
-    dev::Workspace ws(dev::Arena::instance());
-    r.bytes = compress_bitcomp_typed<float>(field.data, field.dims, p,
-                                            &r.timings, ws,
-                                            lossless::LzssMode::Lazy);
-    return r;
-  }
-
-  [[nodiscard]] std::vector<float> decompress_bitcomp(
-      std::span<const std::byte> bytes, double* decode_seconds) override {
-    core::Timer total;
-    dev::Workspace ws(dev::Arena::instance());
-    auto out = decompress_bitcomp_typed<float>(bytes, ws);
     if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
 
   [[nodiscard]] std::vector<float> decompress_stages(
       std::span<const std::byte> bytes, DecodeTimings& t) override {
-    return decompress_typed<float>(bytes, &t);
-  }
-
-  [[nodiscard]] std::vector<float> decompress_bitcomp_stages(
-      std::span<const std::byte> bytes, DecodeTimings& t) override {
     dev::Workspace ws(dev::Arena::instance());
-    return decompress_bitcomp_typed<float>(bytes, ws, &t);
+    return decompress_typed<float>(bytes, ws, &t);
   }
 
   [[nodiscard]] ProgressiveResult decompress_progressive(
@@ -1929,31 +1449,24 @@ class Cuszi final : public Compressor {
                                          const RoiBox& box) override {
     return cuszi_decompress_roi_f32(bytes, box);
   }
-
- private:
-  bool topk_;
 };
 
 }  // namespace
 
-std::unique_ptr<Compressor> make_cuszi(bool use_topk_histogram) {
-  return std::make_unique<Cuszi>(use_topk_histogram);
-}
+std::unique_ptr<Compressor> make_cuszi() { return std::make_unique<Cuszi>(); }
 
 std::vector<std::byte> cuszi_compress(std::span<const float> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& params,
                                       StageTimings* timings) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*topk=*/true);
+  return compress_typed<float>(data, dims, params, timings, /*fused=*/true);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const double> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& params,
                                       StageTimings* timings) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*topk=*/true);
+  return compress_typed<double>(data, dims, params, timings, /*fused=*/true);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const float> data,
@@ -1962,7 +1475,7 @@ std::vector<std::byte> cuszi_compress(std::span<const float> data,
                                       StageTimings* timings,
                                       dev::Workspace& ws) {
   return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*topk=*/true, ws);
+                               ws);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const double> data,
@@ -1971,25 +1484,21 @@ std::vector<std::byte> cuszi_compress(std::span<const double> data,
                                       StageTimings* timings,
                                       dev::Workspace& ws) {
   return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*topk=*/true, ws);
+                                ws);
 }
 
 std::vector<std::byte> cuszi_compress_unfused(std::span<const float> data,
                                               const dev::Dim3& dims,
                                               const CompressParams& params,
-                                              StageTimings* timings,
-                                              bool use_topk_histogram) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/false,
-                               use_topk_histogram);
+                                              StageTimings* timings) {
+  return compress_typed<float>(data, dims, params, timings, /*fused=*/false);
 }
 
 std::vector<std::byte> cuszi_compress_unfused(std::span<const double> data,
                                               const dev::Dim3& dims,
                                               const CompressParams& params,
-                                              StageTimings* timings,
-                                              bool use_topk_histogram) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/false,
-                                use_topk_histogram);
+                                              StageTimings* timings) {
+  return compress_typed<double>(data, dims, params, timings, /*fused=*/false);
 }
 
 std::vector<std::byte> cuszi_compress_bitcomp(std::span<const float> data,
@@ -2010,24 +1519,11 @@ std::vector<std::byte> cuszi_compress_bitcomp(std::span<const double> data,
   return compress_bitcomp_typed<double>(data, dims, params, timings, ws, mode);
 }
 
-std::vector<std::vector<std::byte>> cuszi_compress_many(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::vector<StageTimings>* timings, std::size_t streams) {
-  return compress_many_impl(fields, params, timings, streams);
-}
-
-std::vector<BatchItem> cuszi_compress_many_checked(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::size_t streams) {
-  return compress_many_checked_impl(fields, params, streams);
-}
-
 Precision cuszi_archive_precision(std::span<const std::byte> bytes) {
   // Buffers shorter than magic + precision throw CorruptArchive (not UB),
   // and the magic is verified before the precision byte is interpreted.
   core::ByteReader rd(bytes, "cusz-i");
-  const auto magic = rd.read<std::uint32_t>();
-  if (magic != kMagic && magic != kMagicV2) rd.fail("bad magic");
+  rd.expect_magic(kMagic);
   const auto prec = rd.read<std::uint8_t>();
   if (prec > static_cast<std::uint8_t>(Precision::F64))
     rd.fail("unknown precision byte");
@@ -2036,47 +1532,25 @@ Precision cuszi_archive_precision(std::span<const std::byte> bytes) {
 
 std::vector<SegmentInfo> cuszi_archive_segments(
     std::span<const std::byte> bytes) {
-  const std::uint32_t magic = peek_magic(bytes);
-  if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2) {
-    const auto inner = bitcomp_unwrap_archive(bytes);
-    return cuszi_archive_segments(inner);
-  }
-  if (peek_magic(bytes) == kMagic) return {};
+  if (peek_magic(bytes) == kBitcompWrapMagicV2)
+    return cuszi_archive_segments(bitcomp_unwrap_archive(bytes));
   return cuszi_archive_precision(bytes) == Precision::F32
              ? archive_segments_typed<float>(bytes)
              : archive_segments_typed<double>(bytes);
-}
-
-std::vector<std::byte> cuszi_compress_v1(std::span<const float> data,
-                                         const dev::Dim3& dims,
-                                         const CompressParams& params,
-                                         StageTimings* timings) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  return compress_v1_typed<float>(data, dims, params, timings, ws);
-}
-
-std::vector<std::byte> cuszi_compress_v1(std::span<const double> data,
-                                         const dev::Dim3& dims,
-                                         const CompressParams& params,
-                                         StageTimings* timings) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  return compress_v1_typed<double>(data, dims, params, timings, ws);
 }
 
 std::vector<std::byte> cuszi_compress_unified_book(
     std::span<const float> data, const dev::Dim3& dims,
     const CompressParams& params, StageTimings* timings) {
   return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*topk=*/true, /*unified=*/true);
+                               /*unified=*/true);
 }
 
 std::vector<std::byte> cuszi_compress_unified_book(
     std::span<const double> data, const dev::Dim3& dims,
     const CompressParams& params, StageTimings* timings) {
   return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*topk=*/true, /*unified=*/true);
+                                /*unified=*/true);
 }
 
 ProgressiveResultT<float> cuszi_decompress_progressive_f32(

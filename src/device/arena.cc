@@ -10,13 +10,6 @@ Arena& Arena::instance() {
   return arena;
 }
 
-Arena& Arena::shard(std::size_t i) {
-  // Function-local statics give each shard the same magic-static lifetime
-  // as instance(); an array member would need manual once-init plumbing.
-  static std::array<Arena, kShards> shards;
-  return shards[i % kShards];
-}
-
 Arena::~Arena() { trim(); }
 
 std::size_t Arena::bucket_of(std::size_t bytes) {
@@ -87,32 +80,14 @@ Arena::Stats Arena::stats() const {
   return stats_;
 }
 
-Arena::Stats Arena::aggregate_stats() {
-  Stats total = instance().stats();
-  for (std::size_t i = 0; i < kShards; ++i) {
-    const Stats s = shard(i).stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.pooled_blocks += s.pooled_blocks;
-    total.pooled_bytes += s.pooled_bytes;
-    total.outstanding += s.outstanding;
-    total.outstanding_bytes += s.outstanding_bytes;
-    total.held_bytes += s.held_bytes;
-    total.high_water_bytes += s.high_water_bytes;
-  }
-  return total;
-}
+Arena::Stats Arena::aggregate_stats() { return instance().stats(); }
 
 std::size_t Arena::trim_all() noexcept {
-  const std::size_t before = aggregate_stats().held_bytes;
+  const std::size_t before = instance().stats().held_bytes;
   instance().trim();
-  for (std::size_t i = 0; i < kShards; ++i) shard(i).trim();
-  return before - aggregate_stats().held_bytes;
+  return before - instance().stats().held_bytes;
 }
 
-void Arena::reset_high_water_all() noexcept {
-  instance().reset_high_water();
-  for (std::size_t i = 0; i < kShards; ++i) shard(i).reset_high_water();
-}
+void Arena::reset_high_water_all() noexcept { instance().reset_high_water(); }
 
 }  // namespace szi::dev

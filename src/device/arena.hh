@@ -11,9 +11,10 @@
 //
 // Layering:
 //   Arena      — global, thread-safe, power-of-two buckets, explicit trim().
-//   Workspace  — per-stream scratch handle; hands out typed spans and
+//   Workspace  — per-caller scratch handle; hands out typed spans and
 //                returns every block to its arena on reset()/destruction.
-//                NOT thread-safe: one Workspace per stream, by design.
+//                NOT thread-safe: one Workspace per calling thread, by
+//                design; concurrent callers share the Arena underneath.
 //   PooledBuffer — RAII block for transient per-worker scratch inside a
 //                kernel body (goes straight to the thread-safe Arena).
 //
@@ -36,18 +37,8 @@ namespace szi::dev {
 
 class Arena {
  public:
-  /// Global pool shared by all streams and pipelines.
+  /// Global pool shared by all callers and pipelines.
   static Arena& instance();
-
-  /// Number of partitioned shard arenas available via shard().
-  static constexpr std::size_t kShards = 16;
-
-  /// Partitioned per-stream pools: shard(i) always returns the same Arena
-  /// for the same i, so a stream scheduler that pins stream i to shard
-  /// i % kShards keeps that stream's pages warm across batches while
-  /// eliminating free-list lock contention between concurrent streams.
-  /// Shards are constructed lazily and live for the process.
-  static Arena& shard(std::size_t i);
 
   Arena() = default;
   ~Arena();
@@ -91,20 +82,16 @@ class Arena {
 
   [[nodiscard]] Stats stats() const;
 
-  /// Sum of stats() across instance() and every shard() — what benches
-  /// should report, since the batch pipelines draw from the shards, not the
-  /// global pool. high_water_bytes is the sum of the per-arena peaks: an
-  /// upper bound on the true simultaneous peak (the arenas need not have
-  /// peaked at the same instant), which is the conservative direction for
-  /// admission control.
+  /// stats() of instance(), the pool every shipped pipeline draws from —
+  /// what benches and the serve layer report.
   [[nodiscard]] static Stats aggregate_stats();
 
-  /// trim() on instance() and every shard(); returns the number of bytes
-  /// released back to the OS. The serve layer calls this when an idle
-  /// service's pooled pages should be given back.
+  /// trim() on instance(); returns the number of bytes released back to the
+  /// OS. The serve layer calls this when an idle service's pooled pages
+  /// should be given back.
   static std::size_t trim_all() noexcept;
 
-  /// reset_high_water() on instance() and every shard().
+  /// reset_high_water() on instance().
   static void reset_high_water_all() noexcept;
 
  private:
@@ -188,7 +175,7 @@ class StampedScratch {
   std::uint32_t epoch_ = 0;
 };
 
-/// Per-stream scratch context threaded through the kernel entry points.
+/// Per-caller scratch context threaded through the kernel entry points.
 /// Spans returned by make() stay valid until reset()/destruction, which
 /// hands every block back to the arena for the next invocation to reuse.
 class Workspace {

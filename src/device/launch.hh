@@ -23,8 +23,7 @@ struct BlockIdx {
 /// Launches `grid.volume()` blocks; `body(BlockIdx)` runs once per block,
 /// distributed over the pool. Synchronous, like a CUDA launch followed by
 /// cudaDeviceSynchronize(). The body is borrowed for the duration of the
-/// call (FunctionRef), so no per-launch heap allocation happens here; for
-/// the asynchronous counterpart see device/stream.hh.
+/// call (FunctionRef), so no per-launch heap allocation happens here.
 template <typename Body>
 void launch_blocks(const Dim3& grid, Body&& body) {
   auto& pool = ThreadPool::instance();

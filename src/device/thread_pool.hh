@@ -10,8 +10,10 @@
 // hardware analogue of multiple CUDA streams feeding one device. Each
 // parallel_for enqueues a launch descriptor; idle workers drain whichever
 // launches are active (FIFO between launches, dynamic chunking within one),
-// so a stream's kernel can execute while another stream's kernel is still in
-// flight, and tail blocks of one launch backfill with blocks of the next.
+// so one caller's kernel can execute while another caller's kernel is still
+// in flight, and tail blocks of one launch backfill with blocks of the next.
+// Concurrency across requests therefore comes from callers sharing the pool
+// (szi::serve runs each request on its caller's thread), not from queues.
 #pragma once
 
 #include <atomic>

@@ -199,7 +199,7 @@ template <bool kNak, int kStride>
 /// quantizer runs.
 ///
 /// Interior/rim optimization. The naive walk (retained verbatim in
-/// predictor/reference.cc) re-derived four neighbor-availability flags, a
+/// tests/reference.cc) re-derived four neighbor-availability flags, a
 /// three-multiply dev::linearize, and an ownership test for *every* target
 /// point. But within one pass every quantity that used to be guarded depends
 /// only on the coordinate `cd` along the target dimension d:
@@ -673,145 +673,36 @@ GInterpViewT<T> compress_ws_impl(std::span<const T> data,
   return out;
 }
 
-/// The fused predict+histogram pass (the PR-4 stage-fusion pipeline).
+/// The fused predict pass with per-level emission (the compress front end).
 ///
 /// Tiles are statically partitioned into contiguous ranges over a fixed
 /// worker count (sized exactly like the standalone histogram kernel, so the
 /// fused pass never spawns more accumulation workers than counting the codes
 /// afterwards would). Each worker, per tile:
 ///   1. prefills the tile's owned region with the "perfectly predicted"
-///      code — replacing the standalone full-array prefill launch; safe
+///      code — replacing a standalone full-array prefill launch; safe
 ///      because compression never *reads* codes and every global position is
 ///      owned by exactly one tile, so the union of owned regions covers the
 ///      array exactly once;
 ///   2. runs the unchanged tile passes (run_one_tile), which overwrite the
 ///      owned+targeted positions with real codes;
-///   3. counts the owned region's final codes into its private banked
-///      histogram while the ~4 KiB of codes are still cache-hot;
+///   3. re-buckets each owned row into the per-level streams while its codes
+///      are still cache-hot. Every level-v position's slot is its
+///      closed-form rank, so workers write disjoint stream ranges and the
+///      streams come out in ascending linear order — byte-identical to a
+///      serial left-to-right split no matter how tiles were partitioned.
+///      Per-level histograms are counted in the same walk (plain per-worker
+///      partials, folded in fixed order);
 ///   4. collects the owned region's outliers — (global index, original
 ///      value) pairs wherever the final code is the outlier marker — into a
 ///      private list, replacing quant::gather_outliers' two standalone
 ///      full-array scans over the codes.
-/// Codes are bit-identical to the unfused path (same writes, same values),
-/// and the folded histogram equals huffman::histogram(codes) exactly: both
-/// count every position once and uint32 addition commutes, so neither the
-/// tile-order partition nor the bank assignment is observable in the totals.
+/// Codes are bit-identical to the unfused path (same writes, same values).
 /// The merged outlier lists are sorted by global index before being exposed;
 /// indices are unique (one per position), so the sorted sequence is exactly
 /// the ascending-index order a single left-to-right scan produces, and the
 /// serialized outlier blob is byte-identical to the gather_outliers output
 /// no matter how tiles were partitioned across workers.
-template <typename T>
-GInterpFusedT<T> compress_fused_impl(std::span<const T> data,
-                                     const dev::Dim3& dims, double eb,
-                                     const InterpConfig& cfg, int radius,
-                                     dev::Workspace& ws) {
-  check_compress_args(data, dims, eb);
-
-  const Geometry geo = geometry_for(dims);
-  auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
-  gather_anchors_into<T>(data, dims, geo.anchor, anchors);
-
-  auto codes = ws.make<quant::Code>(data.size());
-  const auto perfect = static_cast<quant::Code>(radius);
-  const std::size_t nbins = 2 * static_cast<std::size_t>(radius);
-
-  const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
-  const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
-  const std::size_t ntiles = grid.volume();
-  const std::size_t nworkers =
-      std::min(huffman::histogram_workers(data.size()), std::max<std::size_t>(ntiles, 1));
-  const std::size_t tiles_per = dev::ceil_div(ntiles, nworkers);
-
-  auto parts =
-      ws.make<std::uint32_t>(nworkers * huffman::kHistogramBanks * nbins);
-  struct Outlier {
-    std::uint64_t index;
-    T value;
-  };
-  std::vector<std::vector<Outlier>> worker_outliers(nworkers);
-  // Private-slot audit (mirrors huffman::histogram): `w` is the launch loop
-  // index, not a thread id, so each of the nworkers slots is written by
-  // exactly one logical worker even when this launch runs nested inside
-  // another parallel_for and degrades to a sequential inline walk.
-  dev::launch_linear(
-      nworkers,
-      [&](std::size_t w) {
-        std::uint32_t* h =
-            parts.data() + w * huffman::kHistogramBanks * nbins;
-        std::fill_n(h, huffman::kHistogramBanks * nbins, 0u);
-        auto& outl = worker_outliers[w];
-        const std::size_t tb = w * tiles_per;
-        const std::size_t te = std::min(tb + tiles_per, ntiles);
-        for (std::size_t ti = tb; ti < te; ++ti) {
-          const dev::Coord3 c = dev::delinearize(grid, ti);
-          const dev::BlockIdx blk{c.x, c.y, c.z, ti};
-          // Owned (half-open) region of this tile.
-          std::size_t origin[3], owned[3];
-          for (int i = 0; i < 3; ++i) {
-            const std::size_t o =
-                (i == 0 ? blk.x : i == 1 ? blk.y : blk.z) * dim_of(geo.tile, i);
-            origin[i] = o;
-            owned[i] = std::min(dim_of(geo.tile, i), dim_of(dims, i) - o);
-          }
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t row = dev::linearize(
-                  dims, origin[0], origin[1] + y, origin[2] + z);
-              std::fill_n(codes.data() + row, owned[0], perfect);
-            }
-          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, cfg, geo,
-                                level_qz);
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t row = dev::linearize(
-                  dims, origin[0], origin[1] + y, origin[2] + z);
-              huffman::accumulate_banked(codes.data() + row, owned[0], h,
-                                         nbins);
-              for (std::size_t x = 0; x < owned[0]; ++x)
-                if (codes[row + x] == quant::kOutlierMarker)
-                  outl.push_back({row + x, data[row + x]});
-            }
-        }
-      },
-      1);
-
-  std::size_t total = 0;
-  for (const auto& v : worker_outliers) total += v.size();
-  auto merged = ws.make<Outlier>(total);
-  std::size_t pos = 0;
-  for (const auto& v : worker_outliers) {
-    std::copy(v.begin(), v.end(), merged.begin() + pos);
-    pos += v.size();
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Outlier& a, const Outlier& b) { return a.index < b.index; });
-  auto oindices = ws.make<std::uint64_t>(total);
-  auto ovalues = ws.make<T>(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    oindices[i] = merged[i].index;
-    ovalues[i] = merged[i].value;
-  }
-
-  GInterpFusedT<T> out;
-  out.pred.codes = codes;
-  out.pred.anchors = anchors;
-  out.pred.outliers = {oindices, ovalues};
-  out.histogram =
-      huffman::merge_histograms(parts, nworkers * huffman::kHistogramBanks,
-                                nbins);
-  return out;
-}
-
-/// The fused pass with per-level emission (the SZI2 compress front end).
-/// Identical tile walk and worker partition as compress_fused_impl; the
-/// difference is step 3: instead of one banked histogram over the owned
-/// codes, each owned row is re-bucketed into the per-level streams. Every
-/// level-v position's slot is its closed-form rank, so workers write
-/// disjoint stream ranges and the streams come out in ascending linear
-/// order — byte-identical to a serial left-to-right split no matter how
-/// tiles were partitioned. Per-level histograms are counted in the same
-/// walk (plain per-worker partials, folded in fixed order).
 template <typename T>
 GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                                              const dev::Dim3& dims, double eb,
@@ -1293,20 +1184,6 @@ GInterpViewT<double> ginterp_compress(std::span<const double> data,
                                       const InterpConfig& cfg, int radius,
                                       dev::Workspace& ws) {
   return compress_ws_impl<double>(data, dims, eb, cfg, radius, ws);
-}
-
-GInterpFusedT<float> ginterp_compress_fused(std::span<const float> data,
-                                            const dev::Dim3& dims, double eb,
-                                            const InterpConfig& cfg, int radius,
-                                            dev::Workspace& ws) {
-  return compress_fused_impl<float>(data, dims, eb, cfg, radius, ws);
-}
-
-GInterpFusedT<double> ginterp_compress_fused(std::span<const double> data,
-                                             const dev::Dim3& dims, double eb,
-                                             const InterpConfig& cfg,
-                                             int radius, dev::Workspace& ws) {
-  return compress_fused_impl<double>(data, dims, eb, cfg, radius, ws);
 }
 
 void ginterp_decompress_into(std::span<const quant::Code> codes,

@@ -71,27 +71,6 @@ struct GInterpViewT {
     std::span<const double> data, const dev::Dim3& dims, double eb,
     const InterpConfig& cfg, int radius, dev::Workspace& ws);
 
-/// Prediction output plus the quant-code histogram accumulated inside the
-/// predict kernel itself (the fused pipeline — no separate read pass over
-/// `codes`). `histogram` has 2*radius bins and is bit-identical to
-/// huffman::histogram(pred.codes, 2*radius).
-template <typename T>
-struct GInterpFusedT {
-  GInterpViewT<T> pred;
-  std::vector<std::uint32_t> histogram;
-};
-
-/// Fused predict+quantize+histogram. Codes/anchors/outliers are pooled in
-/// `ws` and byte-identical to ginterp_compress(); each worker counts the
-/// codes of the tiles it owns into a private banked histogram while they are
-/// cache-hot, and the partials fold with the deterministic serial merge.
-[[nodiscard]] GInterpFusedT<float> ginterp_compress_fused(
-    std::span<const float> data, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius, dev::Workspace& ws);
-[[nodiscard]] GInterpFusedT<double> ginterp_compress_fused(
-    std::span<const double> data, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius, dev::Workspace& ws);
-
 // ---- Level classification (the SZI2 segmented archive) -------------------
 //
 // Every non-anchor position is targeted by exactly one (stride, dim) pass,
@@ -175,12 +154,14 @@ void ginterp_scatter_levels(
     std::span<const std::span<const quant::Code>> streams, quant::Code fill,
     std::span<quant::Code> codes);
 
-/// Fused predict+quantize with per-level emission: the same tile walk as
-/// ginterp_compress_fused, but each owned row's codes are re-bucketed into
-/// per-level streams (rank-addressed, so worker partitioning is
-/// unobservable) with one exact per-level histogram each. `pred.codes`
-/// still holds the full prefilled code array; streams/histograms are
-/// byte-identical to ginterp_split_levels over it.
+/// Fused predict+quantize with per-level emission (the compress front end):
+/// each worker walks a contiguous range of tiles and re-buckets every owned
+/// row's codes into per-level streams (rank-addressed, so worker
+/// partitioning is unobservable) with one exact per-level histogram each,
+/// while the codes are cache-hot. `pred` is byte-identical to
+/// ginterp_compress(), and `pred.codes` holds the full prefilled code
+/// array; streams/histograms are byte-identical to ginterp_split_levels
+/// over it.
 template <typename T>
 struct GInterpLevelsT {
   GInterpViewT<T> pred;

@@ -31,7 +31,7 @@ void prequantize_into(std::span<const float> data, double eb,
 /// positions), so unzeroed workspace inputs are safe.
 ///
 /// Interior/rim split (the same treatment as the G-Interp tile pass; the
-/// naive per-point-guarded formulation is retained in predictor/reference.cc
+/// naive per-point-guarded formulation is retained in tests/reference.cc
 /// and tests/test_predictor_equiv.cc asserts byte-identical codes): which
 /// Lorenzo stencil terms survive the low-boundary guards depends only on
 /// (y > 0, z > 0) for a whole row and on x > 0 for its first element, so

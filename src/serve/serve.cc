@@ -73,8 +73,7 @@ void run_request_body(const Request& req, Response& resp,
       resp.bytes_out = resp.archive.size();
       break;
     case Kind::DecompressF32: {
-      const std::uint32_t magic = peek_magic(req.archive);
-      if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2)
+      if (peek_magic(req.archive) == kBitcompWrapMagicV2)
         resp.data = cuszi_decompress_bitcomp_f32(req.archive, ws);
       else
         resp.data = cuszi_decompress_f32(req.archive, ws);
@@ -82,8 +81,7 @@ void run_request_body(const Request& req, Response& resp,
       break;
     }
     case Kind::DecompressF64: {
-      const std::uint32_t magic = peek_magic(req.archive);
-      if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2)
+      if (peek_magic(req.archive) == kBitcompWrapMagicV2)
         resp.data_f64 = cuszi_decompress_bitcomp_f64(req.archive, ws);
       else
         resp.data_f64 = cuszi_decompress_f64(req.archive, ws);

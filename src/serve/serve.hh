@@ -150,8 +150,8 @@ class Service {
                                            const dev::Dim3& dims,
                                            const CompressParams& params);
 
-  /// Decompress a cuSZ-i archive (SZI1/SZI2, raw or de-redundancy-wrapped
-  /// — dispatched on the magic, like the CLI).
+  /// Decompress a cuSZ-i archive (raw or 'BBC2'-wrapped — dispatched on the
+  /// magic, like the CLI).
   [[nodiscard]] Ticket submit_decompress(std::string tenant,
                                          std::span<const std::byte> archive);
   [[nodiscard]] Ticket submit_decompress_f64(

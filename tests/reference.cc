@@ -1,6 +1,6 @@
 // See reference.hh: verbatim pre-optimization kernels, kept as the ground
 // truth for the interior/rim equivalence tests. Do not optimize.
-#include "predictor/reference.hh"
+#include "reference.hh"
 
 #include <array>
 #include <cmath>

@@ -1,160 +1,19 @@
-// The stream + arena execution layer: in-order async queues, cross-stream
-// events, exception poisoning, pooled workspaces, and the multi-launch
-// thread pool underneath them.
+// The pooled-memory layer: arena bucketing, reuse and footprint accounting,
+// workspaces, and pooled buffers acquired concurrently from kernel bodies.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <numeric>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "device/arena.hh"
 #include "device/launch.hh"
-#include "device/stream.hh"
 
 namespace {
 
 using szi::dev::Arena;
-using szi::dev::Event;
 using szi::dev::PooledBuffer;
-using szi::dev::Stream;
 using szi::dev::Workspace;
-
-TEST(Stream, RunsTasksInSubmissionOrder) {
-  Stream s;
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i)
-    s.submit([i, &order] { order.push_back(i); });
-  s.synchronize();
-  std::vector<int> expect(100);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
-}
-
-TEST(Stream, AsyncLaunchMatchesSyncLaunch) {
-  const std::size_t n = 10000;
-  std::vector<std::uint64_t> sync_out(n), async_out(n);
-  szi::dev::launch_linear(n, [&](std::size_t i) { sync_out[i] = i * i; });
-
-  Stream s;
-  szi::dev::launch_linear_async(
-      s, n, [&](std::size_t i) { async_out[i] = i * i; });
-  s.synchronize();
-  EXPECT_EQ(sync_out, async_out);
-}
-
-TEST(Stream, AsyncBlockLaunchCoversGrid) {
-  Stream s;
-  const szi::dev::Dim3 grid{4, 3, 2};
-  std::vector<int> hits(grid.volume(), 0);
-  szi::dev::launch_blocks_async(
-      s, grid, [&](const szi::dev::BlockIdx& b) { hits[b.linear] += 1; });
-  s.synchronize();
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(Stream, SubmitReturnsBeforeTaskCompletes) {
-  Stream s;
-  std::atomic<bool> release{false};
-  std::atomic<bool> ran{false};
-  s.submit([&] {
-    while (!release.load()) std::this_thread::yield();
-    ran = true;
-  });
-  // If submit were synchronous this would deadlock before the assertions.
-  EXPECT_FALSE(ran.load());
-  release = true;
-  s.synchronize();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(Event, DefaultConstructedIsComplete) {
-  Event e;
-  EXPECT_TRUE(e.query());
-  e.wait();  // must not block
-}
-
-TEST(Event, OrdersWorkAcrossStreams) {
-  for (int round = 0; round < 20; ++round) {
-    Stream a, b;
-    std::atomic<int> value{0};
-    std::atomic<bool> release{false};
-    a.submit([&] {
-      while (!release.load()) std::this_thread::yield();
-      value = 42;
-    });
-    Event done_a = a.record();
-    b.wait(done_a);
-    int seen = -1;
-    b.submit([&] { seen = value.load(); });
-    release = true;
-    b.synchronize();
-    a.synchronize();
-    EXPECT_EQ(seen, 42);
-  }
-}
-
-TEST(Event, QueryFlipsAfterStreamReachesRecordPoint) {
-  Stream s;
-  std::atomic<bool> release{false};
-  s.submit([&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  Event e = s.record();
-  EXPECT_FALSE(e.query());
-  release = true;
-  e.wait();
-  EXPECT_TRUE(e.query());
-  s.synchronize();
-}
-
-TEST(Stream, ExceptionPoisonsSkipsAndRethrows) {
-  Stream s;
-  std::atomic<bool> later_ran{false};
-  s.submit([] { throw std::runtime_error("task failed"); });
-  s.submit([&] { later_ran = true; });  // must be skipped
-  EXPECT_THROW(s.synchronize(), std::runtime_error);
-  EXPECT_FALSE(later_ran.load());
-
-  // synchronize() cleared the poison: the stream is usable again.
-  std::atomic<bool> after_ran{false};
-  s.submit([&] { after_ran = true; });
-  s.synchronize();
-  EXPECT_TRUE(after_ran.load());
-}
-
-TEST(Stream, ExceptionInsideAsyncKernelPropagates) {
-  Stream s;
-  szi::dev::launch_linear_async(s, 1000, [](std::size_t i) {
-    if (i == 567) throw std::invalid_argument("bad block");
-  });
-  EXPECT_THROW(s.synchronize(), std::invalid_argument);
-}
-
-TEST(Stream, EventCompletesOnPoisonedStream) {
-  Stream s;
-  s.submit([] { throw std::runtime_error("poison"); });
-  Event e = s.record();
-  e.wait();  // control tasks run even after a failure — must not hang
-  EXPECT_TRUE(s.errored());
-  EXPECT_THROW(s.synchronize(), std::runtime_error);
-}
-
-TEST(Stream, ConcurrentStreamsShareThePool) {
-  // Two streams launching pool kernels at once exercises the multi-launch
-  // queue; each must see exactly its own result.
-  Stream a, b;
-  const std::size_t n = 50000;
-  std::vector<std::uint32_t> va(n), vb(n);
-  szi::dev::launch_linear_async(a, n, [&](std::size_t i) { va[i] = 1; });
-  szi::dev::launch_linear_async(b, n, [&](std::size_t i) { vb[i] = 2; });
-  a.synchronize();
-  b.synchronize();
-  EXPECT_EQ(std::accumulate(va.begin(), va.end(), std::uint64_t{0}), n);
-  EXPECT_EQ(std::accumulate(vb.begin(), vb.end(), std::uint64_t{0}), 2 * n);
-}
 
 TEST(Arena, RoundsUpAndReusesBlocks) {
   Arena a;
@@ -226,6 +85,41 @@ TEST(Workspace, DestructorReleasesEverything) {
   EXPECT_EQ(a.stats().outstanding, 0u);
 }
 
+// Concurrent callers each hold their own Workspace over one shared Arena:
+// every caller's spans stay private to it through other callers' make and
+// reset traffic, and every block is back in the pool once they finish.
+TEST(Workspace, ConcurrentCallersShareOneArena) {
+  Arena a;
+  constexpr std::size_t kCallers = 4;
+  std::vector<int> bad(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      Workspace ws(a);
+      for (std::uint32_t round = 0; round < 50; ++round) {
+        const std::size_t n = 1000 + 97 * ((c + round) % 7);
+        auto x = ws.make<std::uint32_t>(n);
+        auto y = ws.make<std::uint32_t>(n / 2);
+        const auto tag = static_cast<std::uint32_t>(c << 24 | round << 8);
+        for (std::size_t i = 0; i < x.size(); ++i)
+          x[i] = tag + static_cast<std::uint32_t>(i & 0xFF);
+        for (auto& v : y) v = ~tag;
+        std::this_thread::yield();
+        for (std::size_t i = 0; i < x.size(); ++i)
+          bad[c] += x[i] != tag + static_cast<std::uint32_t>(i & 0xFF);
+        for (const auto v : y) bad[c] += v != ~tag;
+        ws.reset();
+      }
+    });
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) EXPECT_EQ(bad[c], 0) << c;
+  const auto st = a.stats();
+  EXPECT_EQ(st.outstanding, 0u);
+  EXPECT_EQ(st.outstanding_bytes, 0u);
+  EXPECT_GT(st.hits, 0u);
+  EXPECT_EQ(st.pooled_bytes, st.held_bytes);
+}
+
 TEST(PooledBufferTest, ConcurrentAcquireReleaseFromKernels) {
   Arena a;
   const std::size_t n = 2000;
@@ -286,8 +180,7 @@ TEST(Arena, TrimAllReleasesPooledAcrossGlobalArenas) {
   {
     Workspace ws(Arena::instance());
     (void)ws.make<float>(4096);
-    Workspace ws3(Arena::shard(3));
-    (void)ws3.make<float>(4096);
+    (void)ws.make<float>(4096);
   }
   const auto before = Arena::aggregate_stats();
   EXPECT_GT(before.pooled_bytes, 0u);
@@ -304,6 +197,32 @@ TEST(Arena, TrimAllReleasesPooledAcrossGlobalArenas) {
   Arena::reset_high_water_all();
   const auto reset = Arena::aggregate_stats();
   EXPECT_EQ(reset.high_water_bytes, reset.held_bytes);
+}
+
+// With the per-stream shards gone, aggregate_stats() is the global
+// arena's own stats(): a live Workspace on instance() shows up in it block
+// for block, and is gone from it once released.
+TEST(Arena, AggregateStatsReportTheGlobalArena) {
+  const auto base = Arena::aggregate_stats();
+  {
+    Workspace ws(Arena::instance());
+    (void)ws.make<float>(3000);
+    (void)ws.make<double>(5000);
+    const auto live = Arena::aggregate_stats();
+    const auto inst = Arena::instance().stats();
+    EXPECT_EQ(live.outstanding, inst.outstanding);
+    EXPECT_EQ(live.outstanding_bytes, inst.outstanding_bytes);
+    EXPECT_EQ(live.held_bytes, inst.held_bytes);
+    EXPECT_EQ(live.hits + live.misses, inst.hits + inst.misses);
+    EXPECT_EQ(live.outstanding, base.outstanding + 2);
+    EXPECT_GE(live.outstanding_bytes,
+              base.outstanding_bytes + 3000 * sizeof(float) +
+                  5000 * sizeof(double));
+    EXPECT_EQ(live.hits + live.misses, base.hits + base.misses + 2);
+  }
+  const auto after = Arena::aggregate_stats();
+  EXPECT_EQ(after.outstanding, base.outstanding);
+  EXPECT_EQ(after.outstanding_bytes, base.outstanding_bytes);
 }
 
 }  // namespace

@@ -195,9 +195,7 @@ TEST(CorruptionFuzz, V2HeaderInvariantsRejected) {
   expect_rejected(poke(kEntries + kEntry + 16, off + 1),
                   "offsets not contiguous");
 
-  // A v2 archive handed to a v1-only magic (and vice versa) is caught by
-  // the dispatch: flipping '2' back to '1' leaves a directory where the v1
-  // layout expects the anchor count, which cannot parse cleanly.
+  // Any magic but 'SZI2' is rejected before the directory is read.
   auto bad_magic = archive;
   bad_magic[3] = std::byte{'9'};
   expect_rejected(bad_magic, "unknown magic version");

@@ -158,13 +158,10 @@ TEST(DecodeEquiv, BothLzssModes) {
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);
   for (const auto mode :
-       {szi::lossless::LzssMode::Greedy, szi::lossless::LzssMode::Lazy}) {
-    szi::core::ByteWriter w;
-    w.put(szi::kBitcompWrapMagic);
-    w.put_blob(
-        szi::lossless::lzss_compress(inner, szi::lossless::kLzssBlock, mode));
-    ASSERT_EQ(szi::cuszi_decompress_bitcomp_f32(w.take(), ws), ref);
-  }
+       {szi::lossless::LzssMode::Greedy, szi::lossless::LzssMode::Lazy})
+    ASSERT_EQ(szi::cuszi_decompress_bitcomp_f32(
+                  szi::bitcomp_wrap_archive(inner, mode), ws),
+              ref);
 }
 
 // A chunk table that lies about its extent must surface CorruptArchive from

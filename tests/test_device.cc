@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "device/compaction.hh"
@@ -80,6 +83,68 @@ TEST(ThreadPool, NestedLaunchRunsInline) {
   EXPECT_EQ(n.load(), 80);
 }
 
+// Callers on separate threads launch into one pool at once (the serve
+// layer's model: each request runs on its caller's thread); every caller
+// must see exactly its own launches' results.
+TEST(ThreadPool, ConcurrentCallersShareThePool) {
+  ThreadPool pool(3);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kN = 20000;
+  std::vector<std::vector<std::uint32_t>> out(
+      kCallers, std::vector<std::uint32_t>(kN));
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      for (std::uint32_t round = 1; round <= 20; ++round)
+        pool.parallel_for(
+            kN,
+            [&](std::size_t i) {
+              out[c][i] += static_cast<std::uint32_t>(c + 1) * round;
+            },
+            64);
+    });
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    const std::uint32_t want = static_cast<std::uint32_t>(c + 1) * 210;
+    for (std::size_t i = 0; i < kN; ++i)
+      ASSERT_EQ(out[c][i], want) << "caller " << c << " index " << i;
+  }
+}
+
+// A throwing launch fails only its own caller: a launch running beside it
+// on another thread completes every index and throws nothing.
+TEST(ThreadPool, ConcurrentCallerExceptionStaysWithItsLaunch) {
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 20000;
+  std::atomic<std::size_t> good{0};
+  std::exception_ptr good_error;
+  std::thread bystander([&] {
+    try {
+      for (int round = 0; round < 20; ++round)
+        pool.parallel_for(kN, [&](std::size_t) { good++; }, 64);
+    } catch (...) {
+      good_error = std::current_exception();
+    }
+  });
+  int thrown = 0;
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for(
+          kN,
+          [&](std::size_t i) {
+            if (i % 997 == 5) throw std::runtime_error("boom");
+          },
+          64);
+    } catch (const std::runtime_error&) {
+      ++thrown;
+    }
+  }
+  bystander.join();
+  EXPECT_EQ(thrown, 20);
+  EXPECT_FALSE(good_error);
+  EXPECT_EQ(good.load(), 20 * kN);
+}
+
 TEST(Scan, MatchesSerial) {
   std::vector<std::uint64_t> in(100001);
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = (i * 37) % 11;
@@ -150,8 +215,7 @@ TEST(Launch, BlocksCoverGrid) {
 
 // The decoders rely on exceptions thrown inside plain (synchronous) launch
 // workers reaching the caller — e.g. huffman::decode_chunks throwing
-// core::CorruptArchive from a pool worker. The Stream tests cover the async
-// poisoning path; these cover the sync launches.
+// core::CorruptArchive from a pool worker.
 TEST(Launch, LinearExceptionPropagatesToCaller) {
   EXPECT_THROW(
       launch_linear(

@@ -1,9 +1,9 @@
-// Fused-pipeline equivalence: the chunk-streamed compress/decompress paths
-// (histogram fused into the predict kernel, Huffman payload emitted into the
-// final archive slot, LZSS overlapped on a dev::Stream) must produce archives
-// and reconstructions byte-for-byte identical to the unfused reference
-// pipeline, which keeps the pre-fusion stage structure the same way
-// predictor/reference.cc mirrors the optimized kernels.
+// Fused-pipeline equivalence: the phased compress/decompress paths
+// (per-level histograms fused into the predict kernel, Huffman payload
+// emitted into the final archive slot, LZSS blocks in one pool-wide launch)
+// must produce archives and reconstructions byte-for-byte identical to the
+// unfused reference pipeline, which keeps the pre-fusion stage structure the
+// same way tests/reference.cc mirrors the optimized kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -61,19 +61,16 @@ TEST(FusedEquiv, AllDatasetsByteIdentical) {
   }
 }
 
-// The histogram source must not matter: full counts in the fused kernel,
-// full counts in the unfused pass, and the top-k hot-band histogram all
-// yield the same totals, hence the same codebook and the same bytes.
+// The histogram source must not matter: counts in the fused kernel and in
+// the unfused level split yield the same totals, hence the same codebooks
+// and the same bytes.
 TEST(FusedEquiv, TopkHistogramAgrees) {
   const auto f =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small)
           .front();
   const std::span<const float> d(f.data);
-  const auto fused = szi::cuszi_compress(d, f.dims, kRel);
-  ASSERT_EQ(fused, szi::cuszi_compress_unfused(d, f.dims, kRel, nullptr,
-                                               /*use_topk_histogram=*/true));
-  ASSERT_EQ(fused, szi::cuszi_compress_unfused(d, f.dims, kRel, nullptr,
-                                               /*use_topk_histogram=*/false));
+  ASSERT_EQ(szi::cuszi_compress(d, f.dims, kRel),
+            szi::cuszi_compress_unfused(d, f.dims, kRel));
 }
 
 // Odd, even, and degenerate extents in both precisions: the fused kernels

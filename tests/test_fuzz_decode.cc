@@ -359,16 +359,61 @@ TEST(FuzzDecode, TruncationSweepRawV2Archive) {
   }
 }
 
-// The legacy SZI1 single-stream layout stays under the same fuzz contract
-// through the version-dispatched decoder (archives minted by the retained
-// v1 writer).
-TEST(FuzzDecode, LegacyV1ArchiveMutants) {
+// The retired layouts are rejected at the magic, whatever follows it: for
+// seeded mutants of an 'SZI1'-magic archive and of a 'BBCP' framing (the
+// magic restored after each mutation), every decode entry point throws
+// CorruptArchive — none decodes, allocates past the cap, or throws
+// anything else.
+TEST(FuzzDecode, RetiredLayoutMutants) {
   const auto& f = tiny_field();
-  const auto archive = szi::cuszi_compress_v1(
-      std::span<const float>(f.data), f.dims, {szi::ErrorMode::Rel, 1e-3});
-  run_trials("cusz-i-v1", archive, [](std::span<const std::byte> mutant) {
-    (void)szi::cuszi_decompress_f32(mutant);
-  });
+  const auto v2 = szi::cuszi_compress(std::span<const float>(f.data), f.dims,
+                                      {szi::ErrorMode::Rel, 1e-3});
+  auto v1 = v2;
+  const std::uint32_t szi1 = 0x31495A53;  // 'SZI1'
+  std::memcpy(v1.data(), &szi1, sizeof(szi1));
+  szi::core::ByteWriter w;
+  w.put(std::uint32_t{0x50434242});  // 'BBCP'
+  w.put_blob(szi::lossless::lzss_compress(v2, szi::lossless::kLzssBlock,
+                                          szi::lossless::LzssMode::Lazy));
+  const auto bbcp = w.take();
+
+  szi::core::ScopedDecodeAllocCap cap(kAllocCap);
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const szi::RoiBox box{{3, 2, 1}, {8, 8, 4}};
+  for (const auto& [label, archive] :
+       {std::pair{"szi1", v1}, std::pair{"bbcp", bbcp}}) {
+    szi::datagen::Rng rng(seed_of(std::string("retired-") + label));
+    for (int trial = 0; trial < kTrials; ++trial) {
+      auto mutant = szi::testing::mutate_archive(archive, rng);
+      if (mutant.size() < 4) mutant.resize(4);
+      std::memcpy(mutant.data(), archive.data(), 4);
+      const auto rejects = [&](const char* entry, auto&& decode) {
+        try {
+          decode();
+          ADD_FAILURE() << label << " trial " << trial << ": " << entry
+                        << " decoded a retired layout";
+        } catch (const szi::core::CorruptArchive&) {
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << label << " trial " << trial << ": " << entry
+                        << " threw " << typeid(e).name() << " (" << e.what()
+                        << ") instead of CorruptArchive";
+        }
+      };
+      rejects("decompress_f32", [&] { (void)szi::cuszi_decompress_f32(mutant); });
+      rejects("decompress_f64", [&] { (void)szi::cuszi_decompress_f64(mutant); });
+      rejects("decompress_bitcomp_f32", [&] {
+        (void)szi::cuszi_decompress_bitcomp_f32(mutant, ws);
+      });
+      ws.reset();
+      rejects("progressive", [&] {
+        (void)szi::cuszi_decompress_progressive_f32(mutant, 2);
+      });
+      rejects("roi", [&] { (void)szi::cuszi_decompress_roi_f32(mutant, box); });
+      rejects("segments", [&] { (void)szi::cuszi_archive_segments(mutant); });
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 // Mutants confined to the BBC2 wrapper table (u32 magic | u32 nseg |
@@ -446,7 +491,6 @@ TEST(FuzzDecode, WrapperMethodByteMutants) {
                                          f.dims, {szi::ErrorMode::Rel, 1e-3});
   const auto wrapped = szi::bitcomp_wrap_archive(inner);
   const auto view = szi::bitcomp_parse_container(wrapped);
-  ASSERT_FALSE(view.legacy);
 
   szi::core::ScopedDecodeAllocCap cap(kAllocCap);
   szi::dev::Arena arena;
@@ -589,17 +633,18 @@ TEST(FuzzDecode, TileIndexTableMutants) {
                     << ") instead of CorruptArchive";
       return;
     }
-    if (trial % 100 == 0)
+    if (trial % 100 == 0) {
       EXPECT_EQ(szi::cuszi_decompress_f32(mutant), ref)
           << "full decode must ignore the index payload (trial " << trial
           << ")";
+    }
   }
 }
 
 // Every-prefix truncation through the ROI decoder: cuts inside the
 // directory, anchor rows, outlier blob, Huffman headers/payloads, and the
-// trailing tile index (plus the pre-index fallback the shortest prefixes
-// take) must all surface as CorruptArchive, never any other exception.
+// trailing tile index must all surface as CorruptArchive, never any other
+// exception.
 TEST(FuzzDecode, TruncationSweepRoiDecode) {
   const auto& f = tiny_field();
   const auto archive = szi::cuszi_compress(std::span<const float>(f.data),

@@ -187,41 +187,54 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1e-1, 1e-2, 1e-3, 1e-4),
         ::testing::Bool()));
 
-// The fused predict+histogram kernel indexes its private histogram slots by
+// The fused predict kernel indexes its private per-level histogram slots by
 // launch loop index. Running it from inside an outer parallel_for makes its
-// internal launch degrade to an inline walk (g_in_launch); the codes and
-// the folded histogram must still come out identical to a top-level run.
+// internal launch degrade to an inline walk (g_in_launch); the codes, the
+// per-level streams and the folded per-level histograms must still come out
+// identical to a top-level run.
 TEST(GInterpFused, NestedLaunchMatchesTopLevel) {
   const Dim3 dims{96, 96, 48};
   const auto data = smooth_field(dims, 7);
   const double eb = 1e-3;
   const auto prof = autotune(data, dims, eb);
 
+  // Codes, per-level streams and histograms, copied out of workspace
+  // memory.
+  struct Levels {
+    std::vector<szi::quant::Code> codes;
+    std::vector<std::vector<szi::quant::Code>> streams;
+    std::vector<std::vector<std::uint32_t>> hists;
+  };
+  const auto run = [&](szi::dev::Workspace& ws) {
+    const auto fl = szi::predictor::ginterp_compress_fused_levels(
+        std::span<const float>(data), dims, eb, prof.config,
+        szi::quant::kDefaultRadius, ws);
+    Levels out;
+    out.codes.assign(fl.pred.codes.begin(), fl.pred.codes.end());
+    for (const auto& st : fl.levels.streams)
+      out.streams.emplace_back(st.begin(), st.end());
+    out.hists = fl.levels.histograms;
+    return out;
+  };
+
   szi::dev::Arena ref_arena;
   szi::dev::Workspace ref_ws(ref_arena);
-  const auto ref = szi::predictor::ginterp_compress_fused(
-      std::span<const float>(data), dims, eb, prof.config,
-      szi::quant::kDefaultRadius, ref_ws);
-  const std::vector<szi::quant::Code> ref_codes(ref.pred.codes.begin(),
-                                                ref.pred.codes.end());
+  const Levels ref = run(ref_ws);
+  ASSERT_FALSE(ref.streams.empty());
 
-  std::vector<std::vector<std::uint32_t>> hists(3);
-  std::vector<std::vector<szi::quant::Code>> codes(3);
+  std::vector<Levels> got(3);
   szi::dev::ThreadPool::instance().parallel_for(
-      hists.size(),
+      got.size(),
       [&](std::size_t i) {
         szi::dev::Arena arena;
         szi::dev::Workspace ws(arena);
-        const auto fz = szi::predictor::ginterp_compress_fused(
-            std::span<const float>(data), dims, eb, prof.config,
-            szi::quant::kDefaultRadius, ws);
-        hists[i] = fz.histogram;
-        codes[i].assign(fz.pred.codes.begin(), fz.pred.codes.end());
+        got[i] = run(ws);
       },
       1);
-  for (std::size_t i = 0; i < hists.size(); ++i) {
-    EXPECT_EQ(hists[i], ref.histogram) << "outer launch index " << i;
-    EXPECT_EQ(codes[i], ref_codes) << "outer launch index " << i;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].hists, ref.hists) << "outer launch index " << i;
+    EXPECT_EQ(got[i].codes, ref.codes) << "outer launch index " << i;
+    EXPECT_EQ(got[i].streams, ref.streams) << "outer launch index " << i;
   }
 }
 

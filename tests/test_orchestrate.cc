@@ -1,13 +1,15 @@
 // Per-segment lossless orchestration (§VI-B de-redundancy pass): every
 // forced method must round-trip byte-exactly over every dataset in both
-// precisions, the sampled chooser must agree with the forced winner on
-// corpora engineered to have one, and the legacy single-stream ('BBCP')
-// wrapper must keep decoding bit-identically forever.
+// precisions, and the sampled chooser must agree with the forced winner on
+// corpora engineered to have one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/bytes.hh"
@@ -44,16 +46,6 @@ const char* policy_name(MethodPolicy p) {
   return "?";
 }
 
-/// Hand-built legacy 'BBCP' framing — the pre-method-byte wrapper no writer
-/// emits anymore but every decoder must accept forever.
-std::vector<std::byte> wrap_legacy(std::span<const std::byte> inner) {
-  szi::core::ByteWriter w;
-  w.put(szi::kBitcompWrapMagic);
-  w.put_blob(szi::lossless::lzss_compress(inner, szi::lossless::kLzssBlock,
-                                          szi::lossless::LzssMode::Lazy));
-  return w.take();
-}
-
 // Every forced method x every dataset x both precisions: wrap the real
 // inner archive, unwrap it byte-exactly, and decode the wrapped archive
 // through the pipelined path (which exercises the transformed decode
@@ -84,6 +76,87 @@ TEST(Orchestrate, ForcedMethodsRoundTripEveryDatasetBothPrecisions) {
           inner64, szi::lossless::LzssMode::Lazy, policy);
       ASSERT_EQ(szi::bitcomp_unwrap_archive(w64), inner64);
       ASSERT_EQ(szi::cuszi_decompress_bitcomp_f64(w64, ws), ref64);
+    }
+  }
+}
+
+// The workspace form is the one unwrap: its inner archive equals the
+// plain overload's for every method and LZSS mode, in both precisions, and
+// stays intact in `ws` through later unwraps until the caller resets it.
+TEST(Orchestrate, UnwrapWorkspaceFormMatchesPlain) {
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const auto f =
+      szi::datagen::make_dataset("s3d", szi::datagen::Size::Small).front();
+  std::vector<double> v64(f.data.begin(), f.data.end());
+  const std::vector<std::vector<std::byte>> inners = {
+      szi::cuszi_compress(std::span<const float>(f.data), f.dims, kRel),
+      szi::cuszi_compress(std::span<const double>(v64), f.dims, kRel)};
+
+  std::vector<std::vector<std::byte>> wrapped;
+  std::vector<std::size_t> inner_of;
+  for (const auto mode :
+       {szi::lossless::LzssMode::Lazy, szi::lossless::LzssMode::Greedy})
+    for (const auto policy : kAllPolicies)
+      for (std::size_t k = 0; k < inners.size(); ++k) {
+        wrapped.push_back(szi::bitcomp_wrap_archive(inners[k], mode, policy));
+        inner_of.push_back(k);
+      }
+
+  // Every unwrap lands in the same workspace with no reset in between.
+  std::vector<std::span<const std::byte>> views;
+  for (const auto& w : wrapped) views.push_back(szi::bitcomp_unwrap_archive(w, ws));
+  for (std::size_t i = 0; i < wrapped.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& want = inners[inner_of[i]];
+    EXPECT_TRUE(std::ranges::equal(views[i], want));
+    EXPECT_EQ(szi::bitcomp_unwrap_archive(wrapped[i]), want);
+  }
+  ws.reset();
+  EXPECT_EQ(arena.stats().outstanding, 0u);
+
+  // A reset workspace serves the next unwrap from its recycled blocks.
+  const auto hits = arena.stats().hits;
+  EXPECT_TRUE(std::ranges::equal(szi::bitcomp_unwrap_archive(wrapped[0], ws),
+                                 inners[inner_of[0]]));
+  EXPECT_GT(arena.stats().hits, hits);
+}
+
+// The unwrap cross-checks each segment's decoded size against its table
+// entry: a raw_size nudged either way is rejected by both overloads,
+// whether the segment is plain LZSS or zero-RLE under LZSS.
+TEST(Orchestrate, UnwrapRejectsFrameDisagreeingWithTable) {
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const auto f =
+      szi::datagen::make_dataset("nyx", szi::datagen::Size::Small).front();
+  const auto inner =
+      szi::cuszi_compress(std::span<const float>(f.data), f.dims, kRel);
+  constexpr std::size_t kEntries = 8;  // u32 magic | u32 nseg
+  constexpr std::size_t kEntry = sizeof(szi::WrapSegmentEntry);
+  constexpr std::size_t kRawSize = 8;  // entry offset of raw_size
+  for (const auto policy :
+       {MethodPolicy::ForceLzss, MethodPolicy::ForceZeroRle}) {
+    const auto wrapped = szi::bitcomp_wrap_archive(
+        inner, szi::lossless::LzssMode::Lazy, policy);
+    ASSERT_EQ(szi::bitcomp_unwrap_archive(wrapped), inner);
+    const std::size_t nseg = szi::bitcomp_parse_container(wrapped).segments.size();
+    for (std::size_t i = 0; i < nseg; ++i) {
+      const std::size_t at = kEntries + i * kEntry + kRawSize;
+      std::uint64_t raw = 0;
+      std::memcpy(&raw, wrapped.data() + at, sizeof(raw));
+      if (raw == 0) continue;
+      for (const std::uint64_t bad : {raw - 1, raw + 1}) {
+        SCOPED_TRACE(std::string(policy_name(policy)) + " segment " +
+                     std::to_string(i) + " raw_size " + std::to_string(bad));
+        auto mutant = wrapped;
+        std::memcpy(mutant.data() + at, &bad, sizeof(bad));
+        EXPECT_THROW((void)szi::bitcomp_unwrap_archive(mutant),
+                     szi::core::CorruptArchive);
+        EXPECT_THROW((void)szi::bitcomp_unwrap_archive(mutant, ws),
+                     szi::core::CorruptArchive);
+        ws.reset();
+      }
     }
   }
 }
@@ -192,45 +265,6 @@ TEST(Orchestrate, SampledChoiceMatchesFullCompressionWinner) {
   EXPECT_EQ(chosen, Method::ZeroRle);
 }
 
-// Legacy 'BBCP' archives (no method byte) must keep decoding bit-identically
-// through every path: unwrap, the pipelined bitcomp decode, progressive
-// preview, and segment introspection.
-TEST(Orchestrate, LegacyBbcpDecodesBitIdentical) {
-  szi::dev::Arena arena;
-  szi::dev::Workspace ws(arena);
-  const auto f =
-      szi::datagen::make_dataset("miranda", szi::datagen::Size::Small).front();
-  const std::span<const float> d(f.data);
-  const auto inner = szi::cuszi_compress(d, f.dims, kRel);
-  const auto legacy = wrap_legacy(inner);
-
-  EXPECT_EQ(szi::bitcomp_unwrap_archive(legacy), inner);
-  const auto ref = szi::cuszi_decompress_f32(inner);
-  EXPECT_EQ(szi::cuszi_decompress_bitcomp_f32(legacy, ws), ref);
-
-  const auto prog_ref = szi::cuszi_decompress_progressive_f32(inner, 2);
-  const auto prog = szi::cuszi_decompress_progressive_f32(legacy, 2);
-  EXPECT_EQ(prog.data, prog_ref.data);
-  EXPECT_EQ(prog.level, prog_ref.level);
-  EXPECT_LT(prog.bytes_read, legacy.size());
-
-  const auto segs_ref = szi::cuszi_archive_segments(inner);
-  const auto segs = szi::cuszi_archive_segments(legacy);
-  ASSERT_EQ(segs.size(), segs_ref.size());
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    EXPECT_EQ(segs[i].kind, segs_ref[i].kind);
-    EXPECT_EQ(segs[i].size, segs_ref[i].size);
-  }
-
-  // A legacy-wrapped legacy inner (SZI1) takes the full-decode fallback.
-  const auto v1 = szi::cuszi_compress_v1(d, f.dims, kRel);
-  const auto legacy_v1 = wrap_legacy(v1);
-  EXPECT_EQ(szi::cuszi_decompress_bitcomp_f32(legacy_v1, ws),
-            szi::cuszi_decompress_f32(v1));
-  const auto prog_v1 = szi::cuszi_decompress_progressive_f32(legacy_v1, 3);
-  EXPECT_EQ(prog_v1.bytes_read, legacy_v1.size());
-}
-
 // The BBC2 table is the audit trail: parse a fresh fused archive and check
 // the directory's methods/sizes reconcile with the payloads and with the
 // audits the wrap path reports.
@@ -246,7 +280,6 @@ TEST(Orchestrate, ContainerTableMatchesAudits) {
   const auto wrapped = szi::bitcomp_wrap_archive(
       inner, szi::lossless::LzssMode::Lazy, MethodPolicy::Auto, &audits);
   const auto view = szi::bitcomp_parse_container(wrapped);
-  EXPECT_FALSE(view.legacy);
   ASSERT_EQ(view.segments.size(), audits.size());
   // One wrapper segment per inner segment plus the header+directory range.
   ASSERT_EQ(view.segments.size(), szi::cuszi_archive_segments(inner).size() + 1);

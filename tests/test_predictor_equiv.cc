@@ -1,7 +1,7 @@
 // Interior/rim equivalence tests: the optimized predictor kernels
 // (branchless interior walk + guarded boundary rim, hoisted dispatch,
 // incremental indices) must be *byte-identical* to the retained naive
-// formulations in predictor/reference.cc — same quant codes, anchors,
+// formulations in tests/reference.cc — same quant codes, anchors,
 // outliers, and reconstruction bits on every shape, because the
 // optimization only restructures control flow, never the arithmetic.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
 #include "predictor/lorenzo.hh"
-#include "predictor/reference.hh"
+#include "reference.hh"
 
 namespace {
 
@@ -55,6 +55,7 @@ template <typename T>
 void expect_bit_equal(const std::vector<T>& got, const std::vector<T>& want,
                       const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty()) return;  // memcmp must not see an empty vector's null data
   ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(T)))
       << what << " differ";
 }

@@ -2,8 +2,8 @@
 // == subsample of the full decode at every level, full-fidelity progressive
 // decode bit-identical to the plain decode, quality monotonically
 // non-decreasing as levels stream in, byte accounting (a preview reads only
-// its prefix of segments, proven by truncation), legacy SZI1 back-compat,
-// and the unified-codebook ablation writer.
+// its prefix of segments, proven by truncation), and the unified-codebook
+// ablation writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -257,42 +257,6 @@ TEST(Progressive, AnchorGridPreviewIsLossless) {
   EXPECT_EQ(rc.data, r.data);
 }
 
-/// Legacy SZI1 archives decode through the same entry points: plain decode
-/// dispatches on the magic, and progressive requests fall back to full
-/// decode + subsample (bytes_read = whole archive).
-TEST(Progressive, LegacyV1ArchivesStillDecode) {
-  const auto fields =
-      szi::datagen::make_dataset("s3d", szi::datagen::Size::Small);
-  const auto& f = fields.front();
-  const double rel = 1e-3;
-  const auto v1 = szi::cuszi_compress_v1(std::span<const float>(f.data),
-                                         f.dims, {ErrorMode::Rel, rel});
-  const auto dec = szi::cuszi_decompress_f32(v1);
-  const double eb = rel * szi::metrics::value_range(f.data);
-  EXPECT_TRUE(szi::metrics::error_bounded(f.data, dec, eb));
-  EXPECT_TRUE(szi::cuszi_archive_segments(v1).empty());
-
-  const int nlevels = szi::predictor::ginterp_level_count(f.dims);
-  for (const int L : {1, 2, nlevels + 1}) {
-    const auto r = szi::cuszi_decompress_progressive_f32(v1, L);
-    EXPECT_EQ(r.bytes_read, v1.size());
-    const auto sub = szi::predictor::ginterp_subsample(
-        std::span<const float>(dec), f.dims, L);
-    ASSERT_EQ(r.data.size(), sub.size()) << "L=" << L;
-    EXPECT_EQ(0, std::memcmp(r.data.data(), sub.data(),
-                             sub.size() * sizeof(float)))
-        << "L=" << L;
-  }
-  // Wrapped v1 falls back the same way.
-  const auto wrapped = szi::bitcomp_wrap_archive(v1);
-  const auto rw = szi::cuszi_decompress_progressive_f32(wrapped, 2);
-  EXPECT_EQ(rw.bytes_read, wrapped.size());
-  const auto sub2 = szi::predictor::ginterp_subsample(
-      std::span<const float>(dec), f.dims, 2);
-  EXPECT_EQ(0, std::memcmp(rw.data.data(), sub2.data(),
-                           sub2.size() * sizeof(float)));
-}
-
 /// The unified-codebook ablation writer emits valid SZI2: same decoded
 /// field bit-for-bit (codes are identical; only the books differ), same
 /// directory shape, progressive decode included.
@@ -336,16 +300,10 @@ TEST(Progressive, F64PreviewAndBackCompat) {
                              sub.size() * sizeof(double)))
         << "L=" << L;
   }
-  const auto v1 = szi::cuszi_compress_v1(std::span<const double>(data), dims, p);
-  const auto dec1 = szi::cuszi_decompress_f64(v1);
-  ASSERT_EQ(dec1.size(), full.size());
-  // v1 and v2 carry the same codes/anchors/outliers, so the fields match.
-  EXPECT_EQ(0, std::memcmp(dec1.data(), full.data(),
-                           full.size() * sizeof(double)));
 }
 
 /// cuszi_archive_segments: validated directory view — contiguous offsets
-/// ending exactly at the archive size, closed-form symbol counts, 'BBCP'
+/// ending exactly at the archive size, closed-form symbol counts, 'BBC2'
 /// unwrapped transparently.
 TEST(Progressive, ArchiveSegmentsDirectoryView) {
   const auto fields =

@@ -1,9 +1,9 @@
 // Random-access (ROI) decode: every box must be bit-identical to the same
 // crop of the full decompress — raw and 'BBC2'-wrapped, f32 and f64 — while
-// the indexed path reads only a fraction of the archive. Archives the tile
-// index cannot steer (legacy SZI1, pre-index SZI2, wrapped SZI1) fall back
-// to full decode + crop through the same entry points, and every
-// ArchiveSource backend (memory, mmap, pread) returns the same bytes.
+// the tile-index-steered read fetches only a fraction of the archive. The
+// retired layouts (SZI1, 'BBCP', pre-index SZI2) are rejected by every
+// decode entry point, and every ArchiveSource backend (memory, mmap, pread)
+// returns the same bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,7 +20,9 @@
 #include "datagen/datasets.hh"
 #include "io/archive_source.hh"
 #include "io/bin_io.hh"
+#include "lossless/lzss.hh"
 #include "predictor/ginterp.hh"
+#include "serve/serve.hh"
 
 namespace {
 
@@ -48,7 +50,7 @@ std::vector<T> crop(const std::vector<T>& full, const Dim3& dims,
 /// Directory surgery: rewrite an indexed SZI2 archive as its pre-index
 /// form — drop the trailing TIDX entry and payload, shift the remaining
 /// segment offsets back by one directory row. Minting these proves the
-/// fallback contract without keeping an old writer around.
+/// rejection contract without keeping an old writer around.
 std::vector<std::byte> strip_tidx(std::span<const std::byte> bytes) {
   const auto segs = szi::cuszi_archive_segments(bytes);
   EXPECT_EQ(segs.back().kind, 3);
@@ -75,9 +77,11 @@ std::vector<std::byte> strip_tidx(std::span<const std::byte> bytes) {
   return out;
 }
 
-/// Every box — interior, origin corner, far corner, 1-wide slivers, the
-/// whole field — decodes bit-identical to the cropped full decompress, raw
-/// and wrapped, with the tile index steering both.
+/// Every box — interior, origin corner, far corner, 1-wide slivers, a
+/// full-x/y box of 8 planes (2 slabs: with more workers than that, its
+/// slabs run in turn instead of in one pool launch), the whole field —
+/// decodes bit-identical to the cropped full decompress, raw and wrapped,
+/// with the tile index steering both.
 TEST(Roi, MatchesCroppedFullDecode) {
   const auto fields =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
@@ -92,19 +96,18 @@ TEST(Roi, MatchesCroppedFullDecode) {
       {{128 - 17, 128 - 5, 96 - 9}, {17, 5, 9}},       // far corner
       {{63, 0, 0}, {1, 128, 96}},                      // 1-wide x sliver
       {{0, 0, 47}, {128, 128, 1}},                     // single z-plane
+      {{0, 0, 44}, {128, 128, 8}},                     // 8 planes, 2 slabs
       {{0, 0, 0}, {128, 128, 96}},                     // whole field
   };
   for (const auto& box : boxes) {
     const auto want = crop(full, f.dims, box);
     const auto r = szi::cuszi_decompress_roi_f32(bytes, box);
-    EXPECT_TRUE(r.indexed);
     EXPECT_EQ(r.dims, box.ext);
     ASSERT_EQ(r.data.size(), want.size());
     EXPECT_EQ(0, std::memcmp(r.data.data(), want.data(),
                              want.size() * sizeof(float)))
         << "box lo=(" << box.lo.x << "," << box.lo.y << "," << box.lo.z << ")";
     const auto rw = szi::cuszi_decompress_roi_f32(wrapped, box);
-    EXPECT_TRUE(rw.indexed);
     ASSERT_EQ(rw.data.size(), want.size());
     EXPECT_EQ(0, std::memcmp(rw.data.data(), want.data(),
                              want.size() * sizeof(float)));
@@ -123,7 +126,6 @@ TEST(Roi, SmallBoxReadsSmallFractionOfArchive) {
                                          f.dims, {ErrorMode::Rel, 1e-3});
   const RoiBox box{{48, 48, 32}, {16, 16, 16}};
   const auto r = szi::cuszi_decompress_roi_f32(bytes, box);
-  EXPECT_TRUE(r.indexed);
   EXPECT_GT(r.bytes_read, 0u);
   EXPECT_LT(r.bytes_read, bytes.size() / 2);
   // The wrapped archive reads only covering LZSS blocks. 64 KiB block
@@ -132,11 +134,12 @@ TEST(Roi, SmallBoxReadsSmallFractionOfArchive) {
   // measures the real fraction on the paper-size field.
   const auto wrapped = szi::bitcomp_wrap_archive(bytes);
   const auto rw = szi::cuszi_decompress_roi_f32(wrapped, box);
-  EXPECT_TRUE(rw.indexed);
   EXPECT_LT(rw.bytes_read, wrapped.size());
 }
 
-/// f64 archives steer through the identical index.
+/// f64 archives steer through the identical index, on both sides of the
+/// slab branch: a full-x/y box of 8 planes (slabs run in turn when workers
+/// outnumber them) and a box through every slab (one pool launch).
 TEST(Roi, F64MatchesCroppedFullDecode) {
   const Dim3 dims{96, 80, 64};
   std::vector<double> data(dims.volume());
@@ -150,61 +153,141 @@ TEST(Roi, F64MatchesCroppedFullDecode) {
   const auto bytes = szi::cuszi_compress(std::span<const double>(data), dims,
                                          {ErrorMode::Rel, 1e-4});
   const auto full = szi::cuszi_decompress_f64(bytes);
-  const RoiBox box{{17, 9, 30}, {40, 33, 20}};
-  const auto want = crop(full, dims, box);
-  const auto r = szi::cuszi_decompress_roi_f64(bytes, box);
-  EXPECT_TRUE(r.indexed);
-  ASSERT_EQ(r.data.size(), want.size());
-  EXPECT_EQ(0, std::memcmp(r.data.data(), want.data(),
-                           want.size() * sizeof(double)));
-  const auto rw =
-      szi::cuszi_decompress_roi_f64(szi::bitcomp_wrap_archive(bytes), box);
-  EXPECT_TRUE(rw.indexed);
-  EXPECT_EQ(0, std::memcmp(rw.data.data(), want.data(),
-                           want.size() * sizeof(double)));
+  const auto wrapped = szi::bitcomp_wrap_archive(bytes);
+  for (const RoiBox& box : {RoiBox{{17, 9, 30}, {40, 33, 20}},
+                            RoiBox{{0, 0, 28}, {96, 80, 8}},
+                            RoiBox{{5, 7, 0}, {30, 20, 64}}}) {
+    SCOPED_TRACE(box.lo.z);
+    const auto want = crop(full, dims, box);
+    const auto r = szi::cuszi_decompress_roi_f64(bytes, box);
+    ASSERT_EQ(r.data.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(r.data.data(), want.data(),
+                             want.size() * sizeof(double)));
+    const auto rw = szi::cuszi_decompress_roi_f64(wrapped, box);
+    ASSERT_EQ(rw.data.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(rw.data.data(), want.data(),
+                             want.size() * sizeof(double)));
+  }
 }
 
-/// Archives without a tile index still serve ROI requests — legacy SZI1,
-/// surgically de-indexed SZI2, and wrapped SZI1 all fall back to full
-/// decode + crop (indexed=false, whole archive read).
-TEST(Roi, PreIndexArchivesFallBackToFullDecode) {
+/// Lower-rank fields keep a single tile slab: 2-D and 1-D boxes (interior,
+/// edge, whole field) decode bit-identical to the crop of the full decode,
+/// raw and wrapped.
+TEST(Roi, LowerRankFieldsMatchCroppedFullDecode) {
+  struct Case {
+    Dim3 dims;
+    std::vector<RoiBox> boxes;
+  };
+  const std::vector<Case> cases = {
+      {{300, 211, 1},
+       {{{37, 50, 0}, {64, 80, 1}},
+        {{300 - 9, 211 - 13, 0}, {9, 13, 1}},
+        {{0, 0, 0}, {300, 211, 1}}}},
+      {{70000, 1, 1},
+       {{{12345, 0, 0}, {777, 1, 1}},
+        {{0, 0, 0}, {1, 1, 1}},
+        {{0, 0, 0}, {70000, 1, 1}}}},
+  };
+  for (const auto& c : cases) {
+    std::vector<float> data(c.dims.volume());
+    std::size_t i = 0;
+    for (std::size_t y = 0; y < c.dims.y; ++y)
+      for (std::size_t x = 0; x < c.dims.x; ++x, ++i)
+        data[i] = static_cast<float>(
+            std::sin(0.013 * static_cast<double>(x)) *
+                std::cos(0.021 * static_cast<double>(y)) +
+            0.01 * static_cast<double>(i % 5));
+    const auto bytes = szi::cuszi_compress(std::span<const float>(data),
+                                           c.dims, {ErrorMode::Rel, 1e-3});
+    const auto wrapped = szi::bitcomp_wrap_archive(bytes);
+    const auto full = szi::cuszi_decompress_f32(bytes);
+    for (const auto& box : c.boxes) {
+      SCOPED_TRACE(std::to_string(c.dims.x) + "x" + std::to_string(c.dims.y) +
+                   " box lo=(" + std::to_string(box.lo.x) + "," +
+                   std::to_string(box.lo.y) + ")");
+      const auto want = crop(full, c.dims, box);
+      const auto r = szi::cuszi_decompress_roi_f32(bytes, box);
+      EXPECT_EQ(r.dims, box.ext);
+      EXPECT_EQ(r.data, want);
+      EXPECT_EQ(szi::cuszi_decompress_roi_f32(wrapped, box).data, want);
+    }
+  }
+}
+
+/// ROI stages run one after another, so each reported stage is a
+/// wall-clock slice of `total` on both sides of the slab branch — the
+/// reconstruction is timed as one span, never summed over workers.
+TEST(Roi, StageTimingsAreWallSlicesOfTotal) {
+  const auto fields =
+      szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
+  const auto& f = fields.front();
+  const auto bytes = szi::cuszi_compress(std::span<const float>(f.data),
+                                         f.dims, {ErrorMode::Rel, 1e-3});
+  const auto wrapped = szi::bitcomp_wrap_archive(bytes);
+  for (const RoiBox& box : {RoiBox{{0, 0, 44}, {128, 128, 8}},
+                            RoiBox{{16, 16, 0}, {96, 96, 96}}}) {
+    for (const auto* archive : {&bytes, &wrapped}) {
+      SCOPED_TRACE(box.ext.z);
+      const auto r = szi::cuszi_decompress_roi_f32(*archive, box);
+      const auto& t = r.timings;
+      EXPECT_GE(t.unwrap, 0.0);
+      EXPECT_GT(t.huffman, 0.0);
+      EXPECT_GT(t.reconstruct, 0.0);
+      EXPECT_LE(t.unwrap + t.huffman + t.reconstruct, t.total);
+    }
+  }
+}
+
+/// Only the layout the writer emits decodes. An SZI1-magic archive, the
+/// retired 'BBCP' framing, and a pre-index SZI2 archive — raw, and the SZI1
+/// and pre-index ones also inside a 'BBC2' wrapper — each throw
+/// core::CorruptArchive from every decode entry point, and a service
+/// decompress request for any of them comes back Failed.
+TEST(Roi, RetiredLayoutsAreRejected) {
   const auto fields =
       szi::datagen::make_dataset("s3d", szi::datagen::Size::Small);
   const auto& f = fields.front();
-  const CompressParams p{ErrorMode::Rel, 1e-3};
-  const auto v2 = szi::cuszi_compress(std::span<const float>(f.data), f.dims, p);
-  const auto full = szi::cuszi_decompress_f32(v2);
-  const RoiBox box{{10, 20, 30}, {24, 24, 24}};
-  const auto want = crop(full, f.dims, box);
+  const auto v2 = szi::cuszi_compress(std::span<const float>(f.data), f.dims,
+                                      {ErrorMode::Rel, 1e-3});
 
-  // Pre-index SZI2: same stream contents, directory one row shorter.
+  auto v1 = v2;
+  const std::uint32_t szi1 = 0x31495A53;  // 'SZI1'
+  std::memcpy(v1.data(), &szi1, sizeof(szi1));
+  // 'BBCP': u32 magic + a length-prefixed LZSS stream over the whole inner
+  // archive.
+  szi::core::ByteWriter w;
+  w.put(std::uint32_t{0x50434242});
+  w.put_blob(szi::lossless::lzss_compress(v2, szi::lossless::kLzssBlock,
+                                          szi::lossless::LzssMode::Lazy));
+  const auto bbcp = w.take();
   const auto pre = strip_tidx(v2);
-  const auto dec_pre = szi::cuszi_decompress_f32(pre);
-  ASSERT_EQ(dec_pre.size(), full.size());
-  EXPECT_EQ(0, std::memcmp(dec_pre.data(), full.data(),
-                           full.size() * sizeof(float)));
-  const auto r_pre = szi::cuszi_decompress_roi_f32(pre, box);
-  EXPECT_FALSE(r_pre.indexed);
-  ASSERT_EQ(r_pre.data.size(), want.size());
-  EXPECT_EQ(0, std::memcmp(r_pre.data.data(), want.data(),
-                           want.size() * sizeof(float)));
 
-  // Legacy SZI1 and its wrapped form: same field, so same crop.
-  const auto v1 = szi::cuszi_compress_v1(std::span<const float>(f.data),
-                                         f.dims, p);
-  const auto full1 = szi::cuszi_decompress_f32(v1);
-  const auto want1 = crop(full1, f.dims, box);
-  const auto r1 = szi::cuszi_decompress_roi_f32(v1, box);
-  EXPECT_FALSE(r1.indexed);
-  EXPECT_GE(r1.bytes_read, v1.size());  // magic peek + whole-archive read
-  ASSERT_EQ(r1.data.size(), want1.size());
-  EXPECT_EQ(0, std::memcmp(r1.data.data(), want1.data(),
-                           want1.size() * sizeof(float)));
-  const auto r1w =
-      szi::cuszi_decompress_roi_f32(szi::bitcomp_wrap_archive(v1), box);
-  EXPECT_FALSE(r1w.indexed);
-  EXPECT_EQ(0, std::memcmp(r1w.data.data(), want1.data(),
-                           want1.size() * sizeof(float)));
+  const std::vector<std::pair<const char*, std::vector<std::byte>>> inputs = {
+      {"SZI1", v1},
+      {"BBCP", bbcp},
+      {"pre-index", pre},
+      {"SZI1 in BBC2", szi::bitcomp_wrap_archive(v1)},
+      {"pre-index in BBC2", szi::bitcomp_wrap_archive(pre)},
+  };
+  const RoiBox box{{10, 20, 30}, {24, 24, 24}};
+  szi::serve::Service svc;
+  szi::dev::Workspace ws;
+  for (const auto& [name, bytes] : inputs) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW((void)szi::cuszi_decompress_f32(bytes),
+                 szi::core::CorruptArchive);
+    EXPECT_THROW((void)szi::cuszi_decompress_bitcomp_f32(bytes, ws),
+                 szi::core::CorruptArchive);
+    ws.reset();
+    EXPECT_THROW((void)szi::cuszi_decompress_progressive_f32(bytes, 2),
+                 szi::core::CorruptArchive);
+    EXPECT_THROW((void)szi::cuszi_decompress_roi_f32(bytes, box),
+                 szi::core::CorruptArchive);
+    EXPECT_THROW((void)szi::cuszi_archive_segments(bytes),
+                 szi::core::CorruptArchive);
+    EXPECT_EQ(svc.submit_decompress("retired", bytes).wait().status,
+              szi::serve::Status::Failed);
+  }
 }
 
 /// Memory, mmap, and pread sources return the identical box; file-backed
@@ -223,18 +306,15 @@ TEST(Roi, AllArchiveSourcesAgree) {
 
   const RoiBox box{{30, 40, 50}, {20, 24, 28}};
   const auto rm = szi::cuszi_decompress_roi_f32(bytes, box);
-  EXPECT_TRUE(rm.indexed);
   {
     szi::io::MmapSource src(path);
     auto r = szi::cuszi_decompress_roi_f32(src, box);
-    EXPECT_TRUE(r.indexed);
     EXPECT_EQ(r.data, rm.data);
     EXPECT_EQ(r.bytes_read, rm.bytes_read);
   }
   {
     szi::io::StreamSource src(path);
     auto r = szi::cuszi_decompress_roi_f32(src, box);
-    EXPECT_TRUE(r.indexed);
     EXPECT_EQ(r.data, rm.data);
     EXPECT_EQ(r.bytes_read, rm.bytes_read);
   }
@@ -246,16 +326,14 @@ TEST(Roi, AllArchiveSourcesAgree) {
   fs::remove_all(dir);
 }
 
-/// Degenerate and out-of-range boxes are rejected up front — indexed and
-/// fallback paths alike — and baseline compressors report no ROI support.
+/// Degenerate and out-of-range boxes are rejected up front, and baseline
+/// compressors report no ROI support.
 TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
   const auto fields =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
   const auto& f = fields.front();
   const CompressParams p{ErrorMode::Rel, 1e-3};
   const auto v2 = szi::cuszi_compress(std::span<const float>(f.data), f.dims, p);
-  const auto v1 = szi::cuszi_compress_v1(std::span<const float>(f.data),
-                                         f.dims, p);
   for (const auto& box : std::vector<RoiBox>{
            {{0, 0, 0}, {0, 8, 8}},        // empty extent
            {{0, 0, 0}, {129, 8, 8}},      // wider than the field
@@ -264,14 +342,12 @@ TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
        }) {
     EXPECT_THROW((void)szi::cuszi_decompress_roi_f32(v2, box),
                  std::invalid_argument);
-    EXPECT_THROW((void)szi::cuszi_decompress_roi_f32(v1, box),
-                 std::invalid_argument);
   }
   // Through the Compressor interface: cuSZ-i serves ROI (wrapped too),
   // baselines throw the not-supported error.
   auto cuszi = szi::make_cuszi();
   const auto r = cuszi->decompress_roi(v2, {{8, 8, 8}, {16, 16, 16}});
-  EXPECT_TRUE(r.indexed);
+  EXPECT_EQ(r.dims, (Dim3{16, 16, 16}));
   auto sz3 = szi::baselines::make_compressor("sz3");
   const auto a = sz3->compress(f, p);
   EXPECT_THROW((void)sz3->decompress_roi(a.bytes, {{0, 0, 0}, {8, 8, 8}}),
@@ -281,7 +357,8 @@ TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
 /// ROI reads are byte-identical across worker counts: the slab fan-out
 /// changes scheduling, never values. (CI sweeps SZI_THREADS over this
 /// suite; within one process the pool size is fixed, so this guards the
-/// sequential/overlapped boundary via a 1-slab box vs a many-slab box.)
+/// slabs-in-turn / slabs-across-the-pool boundary via 1-slab boxes vs a
+/// many-slab box.)
 TEST(Roi, ManySlabBoxMatchesSingleSlabUnion) {
   const auto fields =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);

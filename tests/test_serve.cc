@@ -61,21 +61,24 @@ TEST(Serve, CompressBytesIdenticalToDirectCall) {
 TEST(Serve, DecompressAndRoiMatchDirectCalls) {
   Service svc;
   const Field f = small_field();
-  const auto archive = cuszi_compress(f.view(), f.dims, rel3());
-  const auto direct = cuszi_decompress_f32(archive);
-
-  auto td = svc.submit_decompress("t0", archive);
+  const auto raw = cuszi_compress(f.view(), f.dims, rel3());
+  const auto direct = cuszi_decompress_f32(raw);
   const RoiBox box{{3, 2, 1}, {8, 6, 5}};
-  auto troi = svc.submit_roi("t0", archive, box);
+  const auto roi_direct = cuszi_decompress_roi_f32(raw, box);
 
-  const auto& rd = td.wait();
-  ASSERT_EQ(rd.status, Status::Ok) << rd.error;
-  EXPECT_EQ(rd.data, direct);
+  // Raw and 'BBC2'-wrapped archives, dispatched on the magic.
+  for (const auto& archive : {raw, bitcomp_wrap_archive(raw)}) {
+    auto td = svc.submit_decompress("t0", archive);
+    auto troi = svc.submit_roi("t0", archive, box);
 
-  const auto roi_direct = cuszi_decompress_roi_f32(archive, box);
-  const auto& rr = troi.wait();
-  ASSERT_EQ(rr.status, Status::Ok) << rr.error;
-  EXPECT_EQ(rr.data, roi_direct.data);
+    const auto& rd = td.wait();
+    ASSERT_EQ(rd.status, Status::Ok) << rd.error;
+    EXPECT_EQ(rd.data, direct);
+
+    const auto& rr = troi.wait();
+    ASSERT_EQ(rr.status, Status::Ok) << rr.error;
+    EXPECT_EQ(rr.data, roi_direct.data);
+  }
 }
 
 TEST(Serve, F64RoundTripThroughService) {
@@ -93,6 +96,10 @@ TEST(Serve, F64RoundTripThroughService) {
   const auto& rdec = tdec.wait();
   ASSERT_EQ(rdec.status, Status::Ok) << rdec.error;
   EXPECT_EQ(rdec.data_f64, cuszi_decompress_f64(rc.archive));
+  auto tw = svc.submit_decompress_f64("t0", bitcomp_wrap_archive(rc.archive));
+  const auto& rw = tw.wait();
+  ASSERT_EQ(rw.status, Status::Ok) << rw.error;
+  EXPECT_EQ(rw.data_f64, rdec.data_f64);
 }
 
 TEST(Serve, InlineModeProducesIdenticalBytes) {
