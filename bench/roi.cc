@@ -8,7 +8,8 @@
 //   3. Scaling — both metrics across 16^3 .. 128^3 regions; time and bytes
 //      must grow with the region, not the field. A full-x/y region 8 planes
 //      deep covers 2 tile slabs; with more than 2 workers it times the
-//      reconstructor's slabs-in-turn side.
+//      reconstructor's slabs-in-turn side. The whole-field region runs the
+//      full decoder's phases and should cost about a full decode.
 //   4. Concurrent readers — aggregate regions/s when N threads each serve
 //      ROI requests from their own mmap of the same archive file, the
 //      many-readers-of-one-snapshot scenario the index exists for.
@@ -115,6 +116,9 @@ int main(int argc, char** argv) {
                         f.dims.z / 2 - n / 2 + 1},
                        {n, n, n}});
   regions.push_back({{0, 0, f.dims.z / 2 + 1}, {f.dims.x, f.dims.y, 8}});
+  // The whole field: the same phases as a full decode, so it should cost
+  // about the same.
+  regions.push_back({{0, 0, 0}, f.dims});
   for (std::size_t si = 0; si < regions.size(); ++si) {
     const RoiBox& box = regions[si];
     RoiResult r, rw;

@@ -10,9 +10,11 @@
 #include "core/bytes.hh"
 #include "core/compressor_iface.hh"
 #include "core/cuszi.hh"
+#include "core/inner_bytes.hh"
 #include "core/timer.hh"
 #include "device/dims.hh"
 #include "device/thread_pool.hh"
+#include "io/archive_source.hh"
 #include "lossless/orchestrate.hh"
 
 namespace szi {
@@ -134,57 +136,174 @@ std::vector<std::byte> bitcomp_wrap_archive(
   return out;
 }
 
-std::span<const std::byte> bitcomp_unwrap_archive(
-    std::span<const std::byte> bytes, dev::Workspace& ws) {
-  // Every frame parses and all scratch allocates here, before the launch:
-  // dev::Workspace is not thread-safe, so pool tasks only touch memory
-  // handed out up front.
-  const auto view = bitcomp_parse_container(bytes);
-  const std::size_t nseg = view.segments.size();
-  std::vector<lossless::LzssFrame> frames(nseg);
-  std::vector<std::size_t> seg_off(nseg);
-  std::size_t raw_size = 0;
-  for (std::size_t i = 0; i < nseg; ++i) {
-    const auto& s = view.segments[i];
-    frames[i] = lossless::lzss_parse_frame(view.payloads[i], ws);
-    bitcomp_check_frame(s.method, s.raw_size, frames[i], 0);
-    seg_off[i] = raw_size;
-    raw_size += static_cast<std::size_t>(s.raw_size);
-  }
-  auto raw = ws.make<std::byte>(raw_size);
+InnerBytes::InnerBytes(io::ArchiveSource& src, bool wrapped,
+                       dev::Workspace& ws)
+    : src_(src), ws_(ws), wrapped_(wrapped) {
+  if (wrapped) parse_table();
+  else size_ = src.size();
+}
 
-  // Where each segment's blocks land, and the global index of its first
-  // block: the launch runs over the blocks of all segments at once.
-  std::vector<std::byte*> dst(nseg);
-  std::vector<std::size_t> first_block(nseg + 1, 0);
-  for (std::size_t i = 0; i < nseg; ++i) {
-    dst[i] = view.segments[i].method == lossless::Method::Lzss
-                 ? raw.data() + seg_off[i]
-                 : ws.make<std::byte>(frames[i].raw_size).data();
-    first_block[i + 1] = first_block[i] + frames[i].nblocks;
+std::pair<std::size_t, std::size_t> InnerBytes::clamp(Range r) const {
+  const std::uint64_t off = std::min(r.off, size_);
+  return {static_cast<std::size_t>(off),
+          static_cast<std::size_t>(std::min(r.len, size_ - off))};
+}
+
+std::vector<std::span<const std::byte>> InnerBytes::fetch(
+    std::span<const Range> ranges) {
+  std::vector<std::span<const std::byte>> out(ranges.size());
+  if (!wrapped_) {
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      const auto [off, len] = clamp(ranges[i]);
+      if (len > 0) out[i] = src_.view(off, len, scratch_.emplace_back());
+    }
+    return out;
+  }
+  core::Timer t;
+  // Every block the ranges need that no earlier fetch decoded: a method-0
+  // block straight into its inner range, a transformed segment's blocks
+  // into scratch it then untransforms from. Frames parse (and all scratch
+  // allocates) here, before the launch: dev::Workspace is not thread-safe.
+  struct Task {
+    const Seg* seg;
+    std::size_t block;
+    std::byte* dst;
+  };
+  std::vector<Task> tasks;
+  std::vector<std::pair<const Seg*, std::span<std::byte>>> transformed;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const auto [off, len] = clamp(ranges[i]);
+    out[i] = {inner_.data() + off, len};
+    for (auto& s : segs_) {
+      const std::size_t lo = std::max(off, s.raw_off);
+      const std::size_t hi = std::min(off + len, s.raw_off + s.raw_len);
+      // Empty segments inside the range are validated too.
+      if (s.raw_len == 0 ? s.raw_off < off || s.raw_off > off + len
+                         : lo >= hi)
+        continue;
+      frame(s);
+      const std::size_t bs = s.frame.block_size;
+      if (s.raw_len == 0) continue;
+      if (s.method == lossless::Method::Lzss) {
+        for (std::size_t b = (lo - s.raw_off) / bs;
+             b < dev::ceil_div(hi - s.raw_off, bs); ++b)
+          if (!s.have[b]) {
+            s.have[b] = 1;
+            tasks.push_back({&s, b, inner_.data() + s.raw_off + b * bs});
+          }
+      } else if (!s.whole) {
+        s.whole = true;
+        const auto tmp = ws_.make<std::byte>(s.frame.raw_size);
+        for (std::size_t b = 0; b < s.frame.nblocks; ++b)
+          tasks.push_back({&s, b, tmp.data() + b * bs});
+        transformed.emplace_back(&s, tmp);
+      }
+    }
   }
   dev::ThreadPool::instance().parallel_for(
-      first_block.back(),
-      [&](std::size_t g) {
-        // Last segment starting at or before g (empty segments share their
-        // successor's start and are skipped by upper_bound).
-        const std::size_t i = static_cast<std::size_t>(
-            std::upper_bound(first_block.begin(), first_block.end(), g) -
-            first_block.begin() - 1);
-        const auto& fr = frames[i];
-        const std::size_t k = g - first_block[i];
-        const std::size_t begin = k * fr.block_size;
-        const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
-        lossless::lzss_decompress_block(fr, k, {dst[i] + begin, len});
+      tasks.size(),
+      [&](std::size_t k) {
+        thread_local std::vector<std::byte> scratch;
+        const Task& task = tasks[k];
+        const auto& fr = task.seg->frame;
+        const auto [begin, end] = lossless::lzss_block_extent(fr, task.block);
+        const std::size_t len =
+            std::min(fr.block_size, fr.raw_size - task.block * fr.block_size);
+        lossless::lzss_decompress_block_bytes(
+            fr, task.block,
+            src_.view(task.seg->file_off + begin, end - begin, scratch),
+            {task.dst, len});
       },
       1);
-  for (std::size_t i = 0; i < nseg; ++i)
-    if (view.segments[i].method != lossless::Method::Lzss)
-      lossless::method_untransform(
-          {dst[i], frames[i].raw_size}, view.segments[i].method,
-          {raw.data() + seg_off[i],
-           static_cast<std::size_t>(view.segments[i].raw_size)});
-  return raw;
+  for (const auto& [s, tmp] : transformed)
+    lossless::method_untransform(tmp, s->method,
+                                 inner_.subspan(s->raw_off, s->raw_len));
+  unwrap_s_ += t.lap();
+  return out;
+}
+
+/// The 'BBC2' table, validated as bitcomp_parse_container validates it
+/// except that (prefix mode) the payload region may be truncated.
+void InnerBytes::parse_table() {
+  const auto fail = [](std::size_t off, const char* what) {
+    throw core::CorruptArchive("bitcomp-wrapper", off, what);
+  };
+  const std::size_t fsize = src_.size();
+  constexpr std::size_t kHead = 2 * sizeof(std::uint32_t);
+  if (fsize < kHead) fail(0, "container truncated");
+  std::uint32_t head[2];
+  std::memcpy(head, src_.view(0, kHead, scratch_.emplace_back()).data(),
+              kHead);
+  if (head[0] != kBitcompWrapMagicV2) fail(0, "bad magic");
+  const std::uint32_t nseg = head[1];
+  if (nseg == 0) fail(kHead, "empty segment table");
+  if (nseg > (fsize - kHead) / sizeof(WrapSegmentEntry))
+    fail(kHead, "segment table exceeds container");
+  const auto tbl = src_.view(kHead, nseg * sizeof(WrapSegmentEntry),
+                             scratch_.emplace_back());
+  std::uint64_t file_off = kHead + nseg * sizeof(WrapSegmentEntry);
+  std::uint64_t raw_off = 0;
+  segs_.resize(nseg);
+  for (std::uint32_t i = 0; i < nseg; ++i) {
+    WrapSegmentEntry e;
+    std::memcpy(&e, tbl.data() + i * sizeof(e), sizeof(e));
+    if (e.method >= lossless::kMethodCount)
+      fail(kHead, "unknown lossless method id");
+    if (e.reserved0 != 0 || e.reserved1 != 0 || e.reserved2 != 0)
+      fail(kHead, "reserved wrapper field set");
+    auto& s = segs_[i];
+    s.method = static_cast<lossless::Method>(e.method);
+    s.file_off = static_cast<std::size_t>(file_off);
+    s.file_len = static_cast<std::size_t>(e.size);
+    s.raw_off = static_cast<std::size_t>(raw_off);
+    s.raw_len = static_cast<std::size_t>(e.raw_size);
+    if (__builtin_add_overflow(file_off, e.size, &file_off) ||
+        __builtin_add_overflow(raw_off, e.raw_size, &raw_off))
+      fail(kHead, "segment sizes overflow");
+  }
+  // Exact fill, or (prefix mode) a truncated payload region; bytes past the
+  // table's total are garbage either way.
+  if (file_off < fsize) fail(kHead, "segment payloads do not fill container");
+  core::guard_decode_alloc("bitcomp-wrapper", kHead,
+                           static_cast<std::size_t>(raw_off));
+  size_ = raw_off;
+  inner_ = ws_.make<std::byte>(static_cast<std::size_t>(size_));
+}
+
+/// Parses a segment's LZSS frame header (fixed fields, then the block
+/// offset table) and cross-checks it against its table entry.
+void InnerBytes::frame(Seg& s) {
+  if (s.framed) return;
+  if (s.file_off > src_.size() || s.file_len > src_.size() - s.file_off)
+    throw core::CorruptArchive("bitcomp-wrapper", s.file_off,
+                               "container truncated inside a segment the "
+                               "decode needs");
+  constexpr std::size_t kFixed = 16;  // u64 raw | u32 block | u32 nblocks
+  const auto fixed = src_.view(s.file_off, std::min(kFixed, s.file_len),
+                               scratch_.emplace_back());
+  std::vector<std::byte> head(fixed.begin(), fixed.end());
+  std::uint32_t nblocks = 0;
+  if (head.size() == kFixed)
+    std::memcpy(&nblocks, head.data() + 12, sizeof(nblocks));
+  const std::size_t table =
+      std::min<std::size_t>(std::size_t{nblocks} * sizeof(std::uint64_t),
+                            s.file_len - head.size());
+  if (table > 0) {
+    const auto offs =
+        src_.view(s.file_off + kFixed, table, scratch_.emplace_back());
+    head.insert(head.end(), offs.begin(), offs.end());
+  }
+  s.frame = lossless::lzss_parse_frame_header(head, s.file_len, ws_);
+  bitcomp_check_frame(s.method, s.raw_len, s.frame, s.file_off);
+  s.have.assign(s.frame.nblocks, 0);
+  s.framed = true;
+}
+
+std::span<const std::byte> bitcomp_unwrap_archive(
+    std::span<const std::byte> bytes, dev::Workspace& ws) {
+  io::MemorySource src(bytes);
+  InnerBytes inner(src, /*wrapped=*/true, ws);
+  return inner.fetch(0, inner.size());
 }
 
 std::vector<std::byte> bitcomp_unwrap_archive(
@@ -194,8 +313,7 @@ std::vector<std::byte> bitcomp_unwrap_archive(
   return {raw.begin(), raw.end()};
 }
 
-WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes,
-                                          bool prefix_ok) {
+WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes) {
   core::ByteReader rd(bytes, "bitcomp-wrapper");
   const auto magic = rd.read<std::uint32_t>();
   if (magic != kBitcompWrapMagicV2) rd.fail("bad magic");
@@ -217,10 +335,7 @@ WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes,
         __builtin_add_overflow(raw_total, e.raw_size, &raw_total))
       rd.fail("segment sizes overflow");
   }
-  // Exact fill is the invariant; prefix mode relaxes only the truncated
-  // direction (bytes *beyond* the table's total are still garbage).
-  if (payload_total != rd.remaining() &&
-      (!prefix_ok || payload_total < rd.remaining()))
+  if (payload_total != rd.remaining())
     rd.fail("segment payloads do not fill container");
   rd.guard_alloc(static_cast<std::size_t>(raw_total));
 
@@ -229,9 +344,7 @@ WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes,
   for (const auto& e : entries) {
     view.segments.push_back(
         {static_cast<lossless::Method>(e.method), e.raw_size, e.size});
-    const auto want = static_cast<std::size_t>(e.size);
-    view.payloads.push_back(
-        rd.read_bytes(prefix_ok ? std::min(want, rd.remaining()) : want));
+    view.payloads.push_back(rd.read_bytes(static_cast<std::size_t>(e.size)));
   }
   return view;
 }

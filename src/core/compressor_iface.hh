@@ -175,12 +175,13 @@ class Compressor {
     dev::Workspace& ws);
 [[nodiscard]] std::vector<std::byte> bitcomp_unwrap_archive(
     std::span<const std::byte> bytes);
-/// Workspace form, the one unwrap implementation: every frame parses and is
-/// cross-checked against its table entry, then every LZSS block of every
-/// segment decodes in one pool-wide launch — a method-0 segment straight
-/// into its range of the inner archive, a transformed one into scratch that
-/// then untransforms into its range. The inner archive lives in `ws`
-/// memory, valid until the caller resets `ws`.
+/// Workspace form: the decoder's fetch (InnerBytes) over the whole inner
+/// archive — every frame parses and is cross-checked against its table
+/// entry, then every LZSS block of every segment decodes in one pool-wide
+/// launch, a method-0 segment straight into its range of the inner
+/// archive, a transformed one into scratch that then untransforms into its
+/// range. The inner archive lives in `ws` memory, valid until the caller
+/// resets `ws`.
 [[nodiscard]] std::span<const std::byte> bitcomp_unwrap_archive(
     std::span<const std::byte> bytes, dev::Workspace& ws);
 
@@ -214,17 +215,9 @@ struct WrapSegmentInfo {
 /// Validated view of a 'BBC2' container: the segment table plus borrowed
 /// views of each payload. Throws core::CorruptArchive on bad magic,
 /// reserved bits, unknown method ids, or payload sizes that don't fill the
-/// container. This is the entry point of both the wrapped full decoder and
-/// the CLI's method audit.
-///
-/// With `prefix_ok` (the progressive reader's mode) a 'BBC2' container whose
-/// payload region is *truncated* still parses: the table must be complete
-/// and valid, trailing bytes beyond the table's total are still rejected,
-/// but a payload may come back shorter than its entry's `size` (empty once
-/// the container is exhausted). Callers must compare `payloads[i].size()`
-/// against `segments[i].size` before trusting a payload — that is how a
-/// preview decode of an archive truncated at `bytes_read` distinguishes
-/// "segment past my prefix" from "segment I need is cut".
+/// container. The CLI's method audit and the benches read containers
+/// through it; the decoder reads the same table through InnerBytes
+/// (core/inner_bytes.hh), in prefix mode.
 struct WrapContainerView {
   std::size_t table_bytes = 0;  ///< header + table size = first payload base
   std::vector<WrapSegmentInfo> segments;
@@ -232,7 +225,7 @@ struct WrapContainerView {
 };
 
 [[nodiscard]] WrapContainerView bitcomp_parse_container(
-    std::span<const std::byte> bytes, bool prefix_ok = false);
+    std::span<const std::byte> bytes);
 
 /// Cross-checks a payload's parsed LZSS frame against its table entry: a
 /// method-0 frame must expand to the segment's `raw_size`, a bitshuffle

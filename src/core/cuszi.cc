@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/bytes.hh"
+#include "core/inner_bytes.hh"
 #include "core/timer.hh"
 #include "device/thread_pool.hh"
 #include "huffman/histogram.hh"
@@ -534,877 +535,512 @@ std::vector<SegmentEntry> parse_directory(core::ByteReader& rd,
   return segs;
 }
 
-/// Full decode: anchors and outliers come straight from their segments,
-/// each level's Huffman stream decodes (chunks fan out across the pool), and
-/// one plane-parallel scatter rebuilds the code array — every position the
-/// "perfectly predicted" code unless a level stream names it — which the
-/// slab-parallel reconstruction then replays.
-template <typename T>
-std::vector<T> decompress_typed(std::span<const std::byte> bytes,
-                                dev::Workspace& ws,
-                                DecodeTimings* dt = nullptr) {
-  core::Timer wall;
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const auto segs = parse_directory<T>(rd, h);
-
-  const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-  const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-  if (outliers.indices.size() != segs[1].count)
-    rd.fail("outlier blob count disagrees with directory");
-
-  (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-  auto codes = ws.make<quant::Code>(h.volume);
-
-  core::Timer hufft;
-  // The directory parse pinned the level segments to descending order with
-  // closed-form counts, so streams[level - 1] comes out sized for the
-  // scatter. The trailing tile index is never read.
-  std::vector<std::span<const quant::Code>> streams(
-      static_cast<std::size_t>(predictor::ginterp_level_count(h.dims)));
-  for (std::size_t i = 2; i < 2 + streams.size(); ++i) {
-    const auto stream = rd.read_bytes(static_cast<std::size_t>(segs[i].size));
-    const auto syms = huffman::decode(stream, ws);
-    if (syms.size() != segs[i].count)
-      rd.fail("level stream symbol count mismatch");
-    streams[static_cast<std::size_t>(segs[i].level - 1)] = syms;
-  }
-  predictor::ginterp_scatter_levels(h.dims, streams,
-                                    static_cast<quant::Code>(h.radius), codes);
-  const double huff_s = hufft.lap();
-
-  // ginterp_decompress_into validates the anchor count and outlier indices
-  // against `dims` before scattering.
-  std::vector<T> out(h.volume);
-  core::Timer recont;
-  predictor::ginterp_decompress_into(codes, std::span<const T>(anchors),
-                                     outliers, h.dims, h.eb, h.cfg, h.radius,
-                                     std::span<T>(out), ws);
-  const double recon_s = recont.lap();
-  ws.reset();
-  if (dt) {
-    dt->huffman = huff_s;
-    dt->reconstruct = recon_s;
-    dt->total = wall.lap();
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> decompress_typed(std::span<const std::byte> bytes,
-                                DecodeTimings* dt = nullptr) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  return decompress_typed<T>(bytes, ws, dt);
-}
-
-/// Full decode of a wrapped archive, in two phases: the one pool-wide
-/// unwrap (bitcomp_unwrap_archive's workspace form) into `ws` memory, then
-/// the same decompress_typed raw archives use.
-template <typename T>
-std::vector<T> decompress_bitcomp_typed(std::span<const std::byte> bytes,
-                                        dev::Workspace& ws,
-                                        DecodeTimings* dt = nullptr) {
-  core::Timer wall;
-  const auto raw = bitcomp_unwrap_archive(bytes, ws);
-  const double unwrap_s = wall.lap();
-  auto out = decompress_typed<T>(raw, ws, dt);
-  if (dt) {
-    dt->unwrap = unwrap_s;
-    dt->total += unwrap_s;
-  }
-  return out;
-}
-
-// ---- Random-access (ROI) decode ------------------------------------------
+// ---- The decoder ----------------------------------------------------------
 //
-// The ROI reader never materializes the archive: every byte range it needs
-// — directory, tile index, anchor rows, outlier blob, Huffman headers, and
-// the payload chunks covering the box's tile slabs — is pulled through an
-// InnerSource, which serves inner-archive byte ranges either straight from
-// an io::ArchiveSource (raw SZI2) or by decoding only the covering 64 KiB
-// LZSS blocks of a 'BBC2' wrapper segment on demand. The per-level working
-// set is bounded by the halo'd box, so a bounded-memory reader can pull a
-// sub-volume out of a larger-than-RAM archive.
+// One decoder serves every request. A full decode is the level-1 lattice of
+// the whole field, a preview the level-L lattice (the positions whose
+// interpolated coordinates are multiples of 2^(L-1)), an ROI the level-1
+// box. It runs in phases, each one pool-wide launch or none:
+//   1. header      — the fixed header and the directory (whose size is a
+//                    closed form of dims), validated; a box request also
+//                    fetches and cross-checks the tile index;
+//   2. fetch       — the inner byte ranges the request covers: views of a
+//                    raw source, or the covering LZSS blocks of a 'BBC2'
+//                    container decoded into workspace memory;
+//   3. huffman     — every covering (level, chunk) pair;
+//   4. scatter     — plane-parallel onto the level lattice (an ROI: over
+//                    its halo'd box);
+//   5. reconstruct — the covered slabs, straight into caller memory; a box
+//                    reconstructs its halo'd box in scratch and crops it.
+// Work and memory scale with the request: a preview never touches a
+// full-volume buffer, and a whole request never reads the tile index.
 
-/// Random-access view of the *inner* (unwrapped) archive's byte space.
-/// Views are valid only until the next view() call on the same source.
-class InnerSource {
- public:
-  virtual ~InnerSource() = default;
-  [[nodiscard]] virtual std::size_t size() const = 0;
-  [[nodiscard]] virtual std::span<const std::byte> view(std::size_t off,
-                                                        std::size_t len) = 0;
+/// One decode: the level-`level` lattice of the whole field, or the box at
+/// level 1. `all_blocks` makes a wrapped decode unwrap every block of the
+/// container, as bitcomp_unwrap_archive does — the full-decode entry points
+/// validate the whole archive, previews and boxes only what they read.
+struct DecodeRequest {
+  int level = 1;
+  const RoiBox* box = nullptr;
+  bool all_blocks = false;
 };
 
-/// Truncation-tolerant view: clamps the range to the source's extent so the
-/// ByteReader (not the source) reports truncation as CorruptArchive.
-std::span<const std::byte> view_pfx(InnerSource& s, std::uint64_t off,
-                                    std::uint64_t len) {
-  const std::size_t sz = s.size();
-  if (off >= sz) return {};
-  return s.view(static_cast<std::size_t>(off),
-                static_cast<std::size_t>(std::min<std::uint64_t>(len, sz - off)));
-}
-
-/// Raw SZI2 file: inner byte space == archive byte space.
-class RawInnerSource final : public InnerSource {
- public:
-  explicit RawInnerSource(io::ArchiveSource& src) : src_(src) {}
-
-  [[nodiscard]] std::size_t size() const override { return src_.size(); }
-  [[nodiscard]] std::span<const std::byte> view(std::size_t off,
-                                                std::size_t len) override {
-    return src_.view(off, len, scratch_);
-  }
-
- private:
-  io::ArchiveSource& src_;
-  std::vector<std::byte> scratch_;
-};
-
-/// 'BBC2' wrapper: the segment table is fetched up front (validated like
-/// bitcomp_parse_container); each wrapper segment's LZSS frame header is
-/// parsed lazily on first touch, and a method-0 segment then decodes only
-/// the 64 KiB blocks covering each requested range — the fetch that makes
-/// ROI reads of wrapped archives proportional to the box, not the field. A
-/// transformed (zero-RLE / bitshuffle) segment is all-or-nothing and
-/// materializes whole on first touch, exactly like the progressive reader.
-class WrappedInnerSource final : public InnerSource {
- public:
-  WrappedInnerSource(io::ArchiveSource& src, dev::Workspace& ws)
-      : src_(src), ws_(ws) {
-    const std::size_t fsize = src.size();
-    constexpr std::size_t kTable = 2 * sizeof(std::uint32_t);
-    if (fsize < kTable)
-      throw core::CorruptArchive("bitcomp-wrapper", 0, "container truncated");
-    std::uint32_t nseg = 0;
-    {
-      const auto head = src_.view(0, kTable, scratch_);
-      std::memcpy(&nseg, head.data() + sizeof(std::uint32_t), sizeof(nseg));
-    }
-    if (nseg > (fsize - kTable) / sizeof(WrapSegmentEntry))
-      throw core::CorruptArchive("bitcomp-wrapper", sizeof(std::uint32_t),
-                                 "segment table exceeds container");
-    const std::size_t table_bytes = kTable + nseg * sizeof(WrapSegmentEntry);
-    segs_.resize(nseg);
-    {
-      const auto tbl =
-          src_.view(kTable, nseg * sizeof(WrapSegmentEntry), scratch_);
-      std::size_t file_off = table_bytes;
-      std::size_t raw_off = 0;
-      for (std::uint32_t i = 0; i < nseg; ++i) {
-        WrapSegmentEntry e;
-        std::memcpy(&e, tbl.data() + i * sizeof(e), sizeof(e));
-        if (e.reserved0 != 0 || e.reserved1 != 0 || e.reserved2 != 0)
-          throw core::CorruptArchive("bitcomp-wrapper", kTable,
-                                     "reserved segment field set");
-        if (e.method >= lossless::kMethodCount)
-          throw core::CorruptArchive("bitcomp-wrapper", kTable,
-                                     "unknown de-redundancy method");
-        if (e.size > fsize - file_off)
-          throw core::CorruptArchive("bitcomp-wrapper", kTable,
-                                     "segment sizes exceed the container");
-        auto& s = segs_[i];
-        s.method = static_cast<lossless::Method>(e.method);
-        s.file_off = file_off;
-        s.file_len = static_cast<std::size_t>(e.size);
-        s.raw_off = raw_off;
-        s.raw_len = static_cast<std::size_t>(e.raw_size);
-        file_off += s.file_len;
-        raw_off += s.raw_len;
-      }
-      if (file_off != fsize)
-        throw core::CorruptArchive("bitcomp-wrapper", kTable,
-                                   "segment sizes do not fill the container");
-      raw_size_ = raw_off;
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const override { return raw_size_; }
-
-  [[nodiscard]] std::span<const std::byte> view(std::size_t off,
-                                                std::size_t len) override {
-    if (len == 0) return {};
-    // The directory mirrors the wrapper partition, so well-formed requests
-    // land inside one segment; a crossing request (possible only against a
-    // hostile directory) assembles per segment into `cross_`.
-    std::size_t i = 0;
-    while (i < segs_.size() && off >= segs_[i].raw_off + segs_[i].raw_len) ++i;
-    if (i < segs_.size() && off + len <= segs_[i].raw_off + segs_[i].raw_len)
-      return fetch(segs_[i], off - segs_[i].raw_off, len);
-    cross_.resize(len);
-    std::size_t done = 0;
-    while (done < len) {
-      if (i >= segs_.size())
-        throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                   "range exceeds the container");
-      auto& s = segs_[i];
-      const std::size_t rel = off + done - s.raw_off;
-      const std::size_t take = std::min(len - done, s.raw_len - rel);
-      const auto part = fetch(s, rel, take);
-      std::memcpy(cross_.data() + done, part.data(), take);
-      done += take;
-      ++i;
-    }
-    return {cross_.data(), len};
-  }
-
- private:
-  struct Seg {
-    lossless::Method method = lossless::Method::Lzss;
-    std::size_t file_off = 0;  ///< payload start in the container
-    std::size_t file_len = 0;  ///< stored payload bytes
-    std::size_t raw_off = 0;   ///< inner-archive offset
-    std::size_t raw_len = 0;   ///< inner-archive length
-    bool frame_parsed = false;
-    bool whole = false;  ///< transformed segment fully materialized
-    lossless::LzssFrame frame;
-    std::vector<std::byte> data;  ///< decoded raw bytes (lazily filled)
-    std::vector<char> have;       ///< per-block flags (method 0)
-  };
-
-  void ensure_frame(Seg& s) {
-    if (s.frame_parsed) return;
-    // Fixed header first (raw_size | block_size | nblocks), then the exact
-    // header + offset-table extent; lzss_parse_frame_header revalidates.
-    std::size_t nblocks = 0;
-    {
-      const auto h0 =
-          src_.view(s.file_off, std::min<std::size_t>(16, s.file_len), scratch_);
-      if (h0.size() >= 16) {
-        std::uint32_t nb32 = 0;
-        std::memcpy(&nb32, h0.data() + 12, sizeof(nb32));
-        nblocks = nb32;
-      }
-    }
-    const std::size_t want = 16 + nblocks * sizeof(std::uint64_t);
-    const auto head =
-        src_.view(s.file_off, std::min(want, s.file_len), scratch_);
-    s.frame = lossless::lzss_parse_frame_header(head, s.file_len, ws_);
-    bitcomp_check_frame(s.method, s.raw_len, s.frame, s.file_off);
-    s.frame_parsed = true;
-  }
-
-  void decode_block(Seg& s, std::size_t b) {
-    const auto [begin, end] = lossless::lzss_block_extent(s.frame, b);
-    const auto bytes = src_.view(s.file_off + begin, end - begin, scratch_);
-    const std::size_t roff = b * s.frame.block_size;
-    const std::size_t rlen = std::min(s.frame.block_size,
-                                      s.frame.raw_size - roff);
-    lossless::lzss_decompress_block_bytes(s.frame, b, bytes,
-                                          {s.data.data() + roff, rlen});
-  }
-
-  std::span<const std::byte> fetch(Seg& s, std::size_t rel, std::size_t len) {
-    ensure_frame(s);
-    if (s.method == lossless::Method::Lzss) {
-      if (s.data.empty()) {
-        s.data.resize(s.raw_len);
-        s.have.assign(s.frame.nblocks, 0);
-      }
-      const std::size_t bs = s.frame.block_size;
-      const std::size_t b0 = bs == 0 ? 0 : rel / bs;
-      const std::size_t b1 =
-          bs == 0 ? 0 : std::min(s.frame.nblocks, dev::ceil_div(rel + len, bs));
-      for (std::size_t b = b0; b < b1; ++b)
-        if (!s.have[b]) {
-          decode_block(s, b);
-          s.have[b] = 1;
-        }
-    } else if (!s.whole) {
-      // Transformed segment: decode the whole LZSS stream into scratch and
-      // untransform once; subsequent ranges are plain memory reads.
-      s.data.resize(s.raw_len);
-      std::vector<std::byte> tmp(s.frame.raw_size);
-      for (std::size_t b = 0; b < s.frame.nblocks; ++b) decode_block_into(
-          s, b, tmp);
-      lossless::method_untransform(tmp, s.method,
-                                   {s.data.data(), s.raw_len});
-      s.whole = true;
-    }
-    return {s.data.data() + rel, len};
-  }
-
-  void decode_block_into(Seg& s, std::size_t b, std::span<std::byte> dst) {
-    const auto [begin, end] = lossless::lzss_block_extent(s.frame, b);
-    const auto bytes = src_.view(s.file_off + begin, end - begin, scratch_);
-    const std::size_t roff = b * s.frame.block_size;
-    const std::size_t rlen = std::min(s.frame.block_size,
-                                      s.frame.raw_size - roff);
-    lossless::lzss_decompress_block_bytes(s.frame, b, bytes,
-                                          {dst.data() + roff, rlen});
-  }
-
-  io::ArchiveSource& src_;
-  dev::Workspace& ws_;
-  std::vector<Seg> segs_;
-  std::size_t raw_size_ = 0;
-  std::vector<std::byte> scratch_;  ///< for src_ views
-  std::vector<std::byte> cross_;    ///< segment-crossing assembly
-};
-
-/// Owned copy of the TIDX payload plus its validated header fields.
-struct TidxView {
-  std::size_t slab_z = 0;
-  std::size_t nslabs = 0;
-  std::vector<std::byte> payload;
-
-  [[nodiscard]] TidxEntry entry(std::size_t level_row, std::size_t k) const {
-    TidxEntry e;
-    std::memcpy(&e,
-                payload.data() + kTidxHeaderBytes +
-                    (level_row * nslabs + k) * sizeof(TidxEntry),
-                sizeof(e));
-    return e;
-  }
-};
-
-/// Fetches + validates the tile index header against the field's closed
-/// forms (the entry fields are cross-checked level by level once each
-/// level's decode plan exists).
-TidxView fetch_tidx(InnerSource& inner, const SegmentEntry& tseg,
-                    const dev::Dim3& dims, int nlevels) {
-  TidxView t;
-  const auto v = view_pfx(inner, tseg.offset, tseg.size);
-  if (v.size() != tseg.size)
-    throw core::CorruptArchive("cusz-i", tseg.offset, "tile index truncated");
-  t.payload.assign(v.begin(), v.end());
-  std::uint16_t ver = 0, resv = 0;
-  std::uint32_t slab32 = 0, nl32 = 0, ns32 = 0;
-  const std::byte* p = t.payload.data();
-  std::memcpy(&ver, p, sizeof(ver));
-  std::memcpy(&resv, p + 2, sizeof(resv));
-  std::memcpy(&slab32, p + 4, sizeof(slab32));
-  std::memcpy(&nl32, p + 8, sizeof(nl32));
-  std::memcpy(&ns32, p + 12, sizeof(ns32));
-  if (ver != kTidxVersion || resv != 0 || slab32 != tidx_slab_z(dims) ||
-      nl32 != static_cast<std::uint32_t>(nlevels) ||
-      ns32 != tidx_nslabs(dims))
-    throw core::CorruptArchive("cusz-i", tseg.offset,
-                               "tile index header mismatch");
-  t.slab_z = slab32;
-  t.nslabs = ns32;
-  return t;
-}
-
-/// The indexed ROI decode over an inner archive; throws
-/// core::CorruptArchive when the index disagrees with the closed forms it
-/// must satisfy.
-template <typename T>
-void roi_decode(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
-                RoiResultT<T>& r) {
-  double huff_s = 0;
-
-  // Fixed header, whose dims fix the directory's size, then the directory.
-  std::vector<std::byte> hdr;
+/// The validated fixed header and segment directory.
+struct ArchiveHeader {
+  InnerHeader h;
+  std::vector<SegmentEntry> segs;
   int nlevels = 0;
+};
+
+/// Header phase: the fixed header, whose dims fix the directory's size,
+/// then the directory — exactly the archive's first header_bytes bytes.
+template <typename T>
+ArchiveHeader read_header(InnerBytes& inner) {
+  const auto fixed = inner.fetch(0, kInnerFixedBytes);
+  std::vector<std::byte> hdr(fixed.begin(), fixed.end());
+  ArchiveHeader a;
   {
-    const auto v = view_pfx(inner, 0, kInnerFixedBytes);
-    hdr.assign(v.begin(), v.end());
-    core::ByteReader rd0({hdr.data(), hdr.size()}, "cusz-i");
-    nlevels = predictor::ginterp_level_count(parse_inner_header<T>(rd0).dims);
+    core::ByteReader rd(hdr, "cusz-i");
+    a.nlevels = predictor::ginterp_level_count(parse_inner_header<T>(rd).dims);
   }
-  {
-    const auto v = view_pfx(inner, 0, header_bytes(nlevels));
-    hdr.assign(v.begin(), v.end());
+  const auto dir =
+      inner.fetch(kInnerFixedBytes, header_bytes(a.nlevels) - kInnerFixedBytes);
+  hdr.insert(hdr.end(), dir.begin(), dir.end());
+  core::ByteReader rd(hdr, "cusz-i");
+  a.h = parse_inner_header<T>(rd);
+  a.segs = parse_directory<T>(rd, a.h);
+  return a;
+}
+
+/// Segment of level `level` in directory order (levels run descending).
+std::size_t level_segment(int nlevels, int level) {
+  return 2 + static_cast<std::size_t>(nlevels - level);
+}
+
+template <typename T>
+class Decoder {
+ public:
+  /// Runs the header phase and sizes the request.
+  Decoder(io::ArchiveSource& src, bool wrapped, const DecodeRequest& req,
+          dev::Workspace& ws)
+      : inner_(src, wrapped, ws), ws_(ws), req_(req),
+        a_(read_header<T>(inner_)) {
+    const auto& dims = a_.h.dims;
+    level_ = std::clamp(req.level, 1, a_.nlevels + 1);
+    if (req.box != nullptr) {
+      level_ = 1;
+      plan_ = predictor::ginterp_roi_plan(dims, req.box->lo, req.box->ext);
+      // A box covering the field is a whole request.
+      if (req.box->ext == dims) req_.box = nullptr;
+    }
+    out_dims_ = req_.box != nullptr
+                    ? req_.box->ext
+                    : predictor::ginterp_preview_dims(dims, level_);
   }
-  core::ByteReader rd({hdr.data(), hdr.size()}, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const auto segs = parse_directory<T>(rd, h);
 
-  const auto plan = predictor::ginterp_roi_plan(h.dims, box.lo, box.ext);
-  const TidxView tidx = fetch_tidx(inner, segs.back(), h.dims, nlevels);
+  [[nodiscard]] const dev::Dim3& out_dims() const { return out_dims_; }
+  [[nodiscard]] int level() const { return level_; }
 
-  // Box-local working set: radius-prefilled codes plus the output buffer
-  // anchors and outlier originals scatter into (halo positions are
-  // reconstruction scratch the crop discards).
-  const std::size_t bvol = plan.box_dims.volume();
-  auto codes = ws.make<quant::Code>(bvol);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-  std::vector<T> boxout(bvol, T{});
+  /// Phases 2-5 into `out`, which is sized to out_dims() once the scratch
+  /// is drawn — so a field-size output lands above the workspace blocks,
+  /// not below them, and a freed output merges back into free memory.
+  void run(std::vector<T>& out) {
+    if (req_.box != nullptr) run_box(out);
+    else run_whole(out);
+    t_.unwrap = inner_.unwrap_seconds();
+  }
 
-  const auto box_at = [&](std::size_t x, std::size_t y, std::size_t z) {
-    return dev::linearize(plan.box_dims, x - plan.box_lo.x, y - plan.box_lo.y,
-                          z - plan.box_lo.z);
+  [[nodiscard]] const DecodeTimings& timings() const { return t_; }
+
+ private:
+  void run_whole(std::vector<T>& out);
+  void run_box(std::vector<T>& out);
+
+  InnerBytes inner_;
+  dev::Workspace& ws_;
+  DecodeRequest req_;
+  ArchiveHeader a_;
+  int level_ = 1;
+  predictor::GInterpRoiPlan plan_;
+  dev::Dim3 out_dims_;
+  DecodeTimings t_;
+};
+
+template <typename T>
+void Decoder<T>::run_whole(std::vector<T>& out) {
+  const InnerHeader& h = a_.h;
+  const auto& segs = a_.segs;
+  const int nl = a_.nlevels;
+
+  // Fetch: anchors, outliers and the levels >= L — one contiguous range.
+  const auto& last = segs[level_ > nl ? 1 : level_segment(nl, level_)];
+  const std::uint64_t base = segs[0].offset;
+  const std::uint64_t need = last.offset + last.size - base;
+  const auto body = inner_.fetch(
+      base, req_.all_blocks ? inner_.size() - std::min(base, inner_.size())
+                            : need);
+  if (body.size() < need)
+    throw core::CorruptArchive("cusz-i", base + body.size(),
+                               "archive truncated");
+  const auto take = [&](const SegmentEntry& s) {
+    return body.subspan(static_cast<std::size_t>(s.offset - base),
+                        static_cast<std::size_t>(s.size));
   };
-
-  // Anchors: one contiguous file run per covered (az, ay) anchor row.
-  {
-    const auto geo = predictor::geometry_for(h.dims);
-    const dev::Dim3 ad = predictor::anchor_dims(h.dims, geo.anchor);
-    if (segs[0].count != ad.volume())
-      throw core::CorruptArchive("cusz-i", segs[0].offset,
-                                 "anchor count mismatch");
-    const auto arange = [](std::size_t lo, std::size_t extent, std::size_t s,
-                           std::size_t an) {
-      const std::size_t a0 = (lo + s - 1) / s;
-      const std::size_t a1 = std::min(an, (lo + extent - 1) / s + 1);
-      return std::pair<std::size_t, std::size_t>(a0, std::max(a0, a1));
-    };
-    const auto [ax0, ax1] =
-        arange(plan.box_lo.x, plan.box_dims.x, geo.anchor.x, ad.x);
-    const auto [ay0, ay1] =
-        arange(plan.box_lo.y, plan.box_dims.y, geo.anchor.y, ad.y);
-    const auto [az0, az1] =
-        arange(plan.box_lo.z, plan.box_dims.z, geo.anchor.z, ad.z);
-    auto row = ws.make<T>(ax1 - ax0);
-    for (std::size_t az = az0; az < az1; ++az)
-      for (std::size_t ay = ay0; ay < ay1; ++ay) {
-        const std::size_t n = ax1 - ax0;
-        if (n == 0) continue;
-        const auto bytes = view_pfx(
-            inner,
-            segs[0].offset +
-                dev::linearize(ad, ax0, ay, az) * sizeof(T),
-            n * sizeof(T));
-        if (bytes.size() != n * sizeof(T))
-          throw core::CorruptArchive("cusz-i", segs[0].offset,
-                                     "anchor segment truncated");
-        std::memcpy(row.data(), bytes.data(), bytes.size());
-        for (std::size_t ax = ax0; ax < ax1; ++ax)
-          boxout[box_at(ax * geo.anchor.x, ay * geo.anchor.y,
-                        az * geo.anchor.z)] = row[ax - ax0];
-      }
+  const auto outliers = parse_outlier_blob<T>(take(segs[1]), ws_);
+  if (outliers.indices.size() != segs[1].count)
+    throw core::CorruptArchive("cusz-i", segs[1].offset,
+                               "outlier blob count disagrees with directory");
+  if (level_ > nl) {
+    // The anchor grid is the coarsest preview, stored lossless.
+    out.resize(out_dims_.volume());
+    if (segs[0].size != out.size() * sizeof(T))
+      throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
+    std::memcpy(out.data(), take(segs[0]).data(), out.size() * sizeof(T));
+    return;
   }
+  auto anchors = ws_.make<T>(static_cast<std::size_t>(segs[0].count));
+  std::memcpy(anchors.data(), take(segs[0]).data(), anchors.size_bytes());
 
-  // Outliers: the blob is one small segment; fetch whole and keep only the
-  // originals that land inside the closed box.
-  {
-    const auto outliers = parse_outlier_blob<T>(
-        view_pfx(inner, segs[1].offset, segs[1].size), ws);
-    if (outliers.indices.size() != segs[1].count)
-      throw core::CorruptArchive("cusz-i", segs[1].offset,
-                                 "outlier blob count disagrees with directory");
-    for (std::size_t j = 0; j < outliers.indices.size(); ++j) {
-      const std::uint64_t idx = outliers.indices[j];
-      if (idx >= h.volume)
-        throw core::CorruptArchive("cusz-i", segs[1].offset,
-                                   "outlier index out of range");
-      const std::size_t x = static_cast<std::size_t>(idx) % h.dims.x;
-      const std::size_t y =
-          (static_cast<std::size_t>(idx) / h.dims.x) % h.dims.y;
-      const std::size_t z =
-          static_cast<std::size_t>(idx) / (h.dims.x * h.dims.y);
-      if (x >= plan.box_lo.x && x < plan.box_lo.x + plan.box_dims.x &&
-          y >= plan.box_lo.y && y < plan.box_lo.y + plan.box_dims.y &&
-          z >= plan.box_lo.z && z < plan.box_lo.z + plan.box_dims.z)
-        boxout[box_at(x, y, z)] = outliers.values[j];
-    }
-  }
-
-  // Per level: parse the stream header (header bytes only), cross-check
-  // every tile-index entry of the level against its closed form, then
-  // decode exactly the Huffman chunks covering the box's rank runs and
-  // scatter them into the box-local code array. Runs arrive in ascending
-  // rank order, so the chunks they touch merge into a short list of
-  // disjoint ranges — within a z-plane the box's y-band is a contiguous
-  // rank band, which is what keeps the read set proportional to the box
-  // in y and z, not just z.
-  for (std::size_t i = 2; i < 2 + static_cast<std::size_t>(nlevels); ++i) {
-    const auto& seg = segs[i];
-    const int level = seg.level;
-
-    std::uint32_t nbins = 0;
-    {
-      const auto v = view_pfx(inner, seg.offset, sizeof(nbins));
-      if (v.size() == sizeof(nbins))
-        std::memcpy(&nbins, v.data(), sizeof(nbins));
-    }
-    const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                               sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                               sizeof(std::uint64_t);
-    std::uint64_t nsym = 0;
-    std::uint32_t csz = 0;
-    {
-      const auto v = view_pfx(inner, seg.offset, hfixed);
-      if (v.size() >= hfixed) {
-        std::memcpy(&nsym, v.data() + sizeof(std::uint32_t) + nbins,
-                    sizeof(nsym));
-        std::memcpy(&csz,
-                    v.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                    sizeof(csz));
-      }
-    }
-    const std::uint64_t nchunks64 =
-        csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-    const std::uint64_t head_len =
-        hfixed + std::min<std::uint64_t>(nchunks64, seg.size) *
-                     sizeof(std::uint64_t);
-    const auto head =
-        view_pfx(inner, seg.offset, std::min<std::uint64_t>(head_len, seg.size));
-    core::Timer plant;
-    const auto hplan = huffman::decode_plan_header(head, seg.size, ws);
-    huff_s += plant.lap();
-    if (hplan.n != seg.count)
+  // Huffman: every chunk of every level >= L in one launch.
+  core::Timer hufft;
+  const auto nlv = static_cast<std::size_t>(nl);
+  std::vector<huffman::DecodePlan> plans(nlv);
+  std::vector<std::span<quant::Code>> syms(nlv);
+  std::vector<std::size_t> first_chunk(1, 0);
+  for (int level = nl; level >= level_; --level) {
+    const auto& seg = segs[level_segment(nl, level)];
+    auto& plan = plans[static_cast<std::size_t>(level - 1)];
+    plan = huffman::decode_plan(take(seg), ws_);
+    if (plan.n != seg.count)
       throw core::CorruptArchive("cusz-i", seg.offset,
                                  "level stream symbol count mismatch");
-    const std::size_t hdr_bytes =
-        static_cast<std::size_t>(seg.size - hplan.payload_bytes);
-
-    // Every (level, slab) index entry is a closed form of (dims, this
-    // plan); any disagreement means the index would steer reads wrong.
-    for (std::size_t k = 0; k < tidx.nslabs; ++k) {
-      const TidxEntry e = tidx.entry(i - 2, k);
-      const std::uint64_t want_rank =
-          predictor::ginterp_level_prefix(h.dims, level, k * tidx.slab_z);
-      const std::size_t chunk =
-          hplan.chunk_size == 0
-              ? 0
-              : static_cast<std::size_t>(want_rank) / hplan.chunk_size;
-      const std::uint64_t want_byte =
-          chunk < hplan.nchunks ? hplan.offsets[chunk] : hplan.payload_bytes;
-      const std::uint32_t want_block = static_cast<std::uint32_t>(
-          (hdr_bytes + want_byte) / lossless::kLzssBlock);
-      if (e.sym_rank != want_rank ||
-          e.huff_chunk != static_cast<std::uint32_t>(chunk) ||
-          e.code_byte != want_byte || e.wrap_block != want_block)
-        throw core::CorruptArchive("cusz-i", segs.back().offset,
-                                   "tile index entry mismatch");
-    }
-
-    const std::size_t cs = hplan.chunk_size;
-    if (hplan.n == 0 || cs == 0) continue;
-
-    struct Run {
-      std::size_t rank, count, x0, y, z, step;
-    };
-    std::vector<Run> runs;
-    std::vector<std::pair<std::size_t, std::size_t>> spans;  // [cb, ce)
-    predictor::ginterp_level_box_runs(
-        h.dims, level, plan.box_lo, plan.box_dims,
-        [&](std::size_t rank, std::size_t count, std::size_t x0, std::size_t y,
-            std::size_t z, std::size_t step) {
-          runs.push_back({rank, count, x0, y, z, step});
-          const std::size_t cb = rank / cs;
-          const std::size_t ce = (rank + count - 1) / cs + 1;
-          if (!spans.empty() && cb <= spans.back().second)
-            spans.back().second = std::max(spans.back().second, ce);
-          else
-            spans.emplace_back(cb, ce);
-        });
-    if (runs.empty()) continue;
-
-    std::size_t ri = 0;
-    for (const auto& [cb, ce] : spans) {
-      const std::uint64_t pay_lo = hplan.offsets[cb];
-      const std::uint64_t pay_hi =
-          ce < hplan.nchunks ? hplan.offsets[ce] : hplan.payload_bytes;
-      const auto payload =
-          view_pfx(inner, seg.offset + hdr_bytes + pay_lo, pay_hi - pay_lo);
-      const std::size_t base = cb * cs;
-      const std::size_t limit = std::min(ce * cs, hplan.n);
-      auto syms = ws.make<quant::Code>(limit - base);
-      core::Timer huft;
-      huffman::decode_chunks_range(hplan, payload, pay_lo, cb, ce, syms);
-      huff_s += huft.lap();
-      for (; ri < runs.size() && runs[ri].rank < limit; ++ri) {
-        const Run& u = runs[ri];
-        const std::size_t by = u.y - plan.box_lo.y;
-        const std::size_t bz = u.z - plan.box_lo.z;
-        for (std::size_t q = 0; q < u.count; ++q)
-          codes[dev::linearize(plan.box_dims,
-                               u.x0 + q * u.step - plan.box_lo.x, by, bz)] =
-              syms[u.rank + q - base];
-      }
-    }
+    syms[static_cast<std::size_t>(level - 1)] = ws_.make<quant::Code>(plan.n);
+    first_chunk.push_back(first_chunk.back() + plan.nchunks);
   }
+  dev::ThreadPool::instance().parallel_for(
+      first_chunk.back(),
+      [&](std::size_t g) {
+        const auto j = static_cast<std::size_t>(
+            std::upper_bound(first_chunk.begin(), first_chunk.end(), g) -
+            first_chunk.begin() - 1);
+        const std::size_t v = nlv - 1 - j;  // j-th level, coarsest first
+        const std::size_t c = g - first_chunk[j];
+        huffman::decode_chunks(plans[v], c, c + 1, syms[v]);
+      },
+      1);
 
-  // Box-clipped reconstruction. Slabs are mutually independent: with a
-  // slab for every worker they fan out across the pool, as in full decode
-  // (each slab's parity waves then run inline on its worker); with fewer,
-  // the slabs run in turn, each slab's waves spread across the pool.
+  // Scatter onto the level lattice.
+  auto codes = ws_.make<quant::Code>(out_dims_.volume());
+  const std::vector<std::span<const quant::Code>> streams(syms.begin(),
+                                                          syms.end());
+  const std::vector<std::size_t> first(nlv, 0);
+  predictor::ginterp_scatter_levels(h.dims, level_, {0, 0, 0}, out_dims_,
+                                    streams, first,
+                                    static_cast<quant::Code>(h.radius), codes);
+  t_.huffman = hufft.lap();
+
   core::Timer recont;
-  predictor::GInterpRoiReconstructorT<T> recon(codes, plan, h.dims, h.eb,
-                                               h.cfg, h.radius,
-                                               std::span<T>(boxout));
-  const std::size_t nslabs = recon.slab_count();
-  if (nslabs >= dev::ThreadPool::instance().worker_count())
-    dev::launch_linear(nslabs, [&](std::size_t k) { recon.run_slab(k); }, 1);
-  else
-    for (std::size_t k = 0; k < nslabs; ++k) recon.run_slab(k);
-  const double recon_s = recont.lap();
-
-  // Crop the requested box out of the box-local buffer (row memcpys; the
-  // halo is scratch and dies here).
-  r.data.resize(box.ext.volume());
-  const std::size_t ox = box.lo.x - plan.box_lo.x;
-  const std::size_t oy = box.lo.y - plan.box_lo.y;
-  const std::size_t oz = box.lo.z - plan.box_lo.z;
-  for (std::size_t z = 0; z < box.ext.z; ++z)
-    for (std::size_t y = 0; y < box.ext.y; ++y)
-      std::memcpy(
-          r.data.data() + dev::linearize(box.ext, 0, y, z),
-          boxout.data() + dev::linearize(plan.box_dims, ox, oy + y, oz + z),
-          box.ext.x * sizeof(T));
-  r.dims = box.ext;
-  r.timings.huffman = huff_s;
-  r.timings.reconstruct = recon_s;
-  ws.reset();
+  out.resize(out_dims_.volume());
+  predictor::GInterpReconstructorT<T>(codes, std::span<const T>(anchors),
+                                      outliers, h.dims, h.eb, h.cfg, h.radius,
+                                      std::span<T>(out), level_)
+      .run();
+  t_.reconstruct = recont.lap();
 }
 
-/// Dispatch on the outermost magic: raw and 'BBC2'-wrapped archives both
-/// take the indexed path; anything else is corrupt. `bytes_read` is the
-/// source's honest fetch delta.
 template <typename T>
-RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  core::Timer wall;
-  const std::uint64_t before = src.bytes_read();
-  RoiResultT<T> r;
-  std::uint32_t magic = 0;
+void Decoder<T>::run_box(std::vector<T>& out) {
+  const InnerHeader& h = a_.h;
+  const auto& segs = a_.segs;
+  const int nl = a_.nlevels;
+  const auto nlv = static_cast<std::size_t>(nl);
+  const RoiBox& box = *req_.box;
+  const auto& plan = plan_;
+  core::Timer hufft;
+  const double unwrap0 = inner_.unwrap_seconds();
+
+  // The tile index, whose header and entries are closed forms of dims and
+  // each level's chunk table: any disagreement would steer reads wrong.
+  const auto& tseg = segs.back();
+  const auto tidx = inner_.fetch(tseg.offset, tseg.size);
+  if (tidx.size() != tseg.size)
+    throw core::CorruptArchive("cusz-i", tseg.offset, "tile index truncated");
   {
-    std::vector<std::byte> scratch;
-    if (src.size() >= sizeof(magic)) {
-      const auto v = src.view(0, sizeof(magic), scratch);
-      std::memcpy(&magic, v.data(), sizeof(magic));
+    std::uint16_t ver = 0, resv = 0;
+    std::uint32_t slab32 = 0, nl32 = 0, ns32 = 0;
+    std::memcpy(&ver, tidx.data(), sizeof(ver));
+    std::memcpy(&resv, tidx.data() + 2, sizeof(resv));
+    std::memcpy(&slab32, tidx.data() + 4, sizeof(slab32));
+    std::memcpy(&nl32, tidx.data() + 8, sizeof(nl32));
+    std::memcpy(&ns32, tidx.data() + 12, sizeof(ns32));
+    if (ver != kTidxVersion || resv != 0 || slab32 != tidx_slab_z(h.dims) ||
+        nl32 != static_cast<std::uint32_t>(nl) || ns32 != tidx_nslabs(h.dims))
+      throw core::CorruptArchive("cusz-i", tseg.offset,
+                                 "tile index header mismatch");
+  }
+  const std::size_t slab_z = tidx_slab_z(h.dims);
+  const std::size_t nslabs = tidx_nslabs(h.dims);
+
+  // Fetch round 1: the covering anchor rows, the outlier blob, and each
+  // level's codebook size.
+  const auto geo = predictor::geometry_for(h.dims);
+  const dev::Dim3 ad = predictor::anchor_dims(h.dims, geo.anchor);
+  if (segs[0].count != ad.volume())
+    throw core::CorruptArchive("cusz-i", segs[0].offset,
+                               "anchor count mismatch");
+  const dev::Dim3& a0 = plan.anchor_lo;
+  const dev::Dim3 an = {plan.anchor_hi.x - a0.x, plan.anchor_hi.y - a0.y,
+                        plan.anchor_hi.z - a0.z};
+  const std::size_t nrows = an.volume() == 0 ? 0 : an.y * an.z;
+  std::vector<InnerBytes::Range> ranges;
+  for (std::size_t az = a0.z; az < plan.anchor_hi.z && nrows > 0; ++az)
+    for (std::size_t ay = a0.y; ay < plan.anchor_hi.y; ++ay)
+      ranges.push_back(
+          {segs[0].offset + dev::linearize(ad, a0.x, ay, az) * sizeof(T),
+           an.x * sizeof(T)});
+  ranges.push_back({segs[1].offset, segs[1].size});
+  for (std::size_t j = 0; j < nlv; ++j)
+    ranges.push_back({segs[2 + j].offset, sizeof(std::uint32_t)});
+  const auto round1 = inner_.fetch(ranges);
+  auto anchors = ws_.make<T>(an.volume());
+  for (std::size_t r = 0; r < nrows; ++r) {
+    if (round1[r].size() != an.x * sizeof(T))
+      throw core::CorruptArchive("cusz-i", segs[0].offset,
+                                 "anchor segment truncated");
+    std::memcpy(anchors.data() + r * an.x, round1[r].data(), round1[r].size());
+  }
+  const auto outliers = parse_outlier_blob<T>(round1[nrows], ws_);
+  if (outliers.indices.size() != segs[1].count)
+    throw core::CorruptArchive("cusz-i", segs[1].offset,
+                               "outlier blob count disagrees with directory");
+
+  // Rounds 2 and 3: each level's fixed stream header, then the header
+  // through its chunk offset table.
+  std::vector<std::size_t> hfixed(nlv);
+  ranges.clear();
+  for (std::size_t j = 0; j < nlv; ++j) {
+    std::uint32_t nbins = 0;
+    if (round1[nrows + 1 + j].size() == sizeof(nbins))
+      std::memcpy(&nbins, round1[nrows + 1 + j].data(), sizeof(nbins));
+    hfixed[j] = sizeof(std::uint32_t) + nbins + sizeof(std::uint64_t) +
+                sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    ranges.push_back({segs[2 + j].offset,
+                      std::min<std::uint64_t>(hfixed[j], segs[2 + j].size)});
+  }
+  const auto round2 = inner_.fetch(ranges);
+  ranges.clear();
+  for (std::size_t j = 0; j < nlv; ++j) {
+    std::uint64_t nsym = 0;
+    std::uint32_t csz = 0;
+    const std::size_t at = hfixed[j] - sizeof(std::uint64_t) -
+                           sizeof(std::uint32_t) - sizeof(std::uint64_t);
+    if (round2[j].size() >= hfixed[j]) {
+      std::memcpy(&nsym, round2[j].data() + at, sizeof(nsym));
+      std::memcpy(&csz, round2[j].data() + at + sizeof(nsym), sizeof(csz));
+    }
+    const std::uint64_t nchunks =
+        csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
+    const auto& seg = segs[2 + j];
+    ranges.push_back(
+        {seg.offset,
+         std::min<std::uint64_t>(
+             hfixed[j] + std::min<std::uint64_t>(nchunks, seg.size) *
+                             sizeof(std::uint64_t),
+             seg.size)});
+  }
+  const auto round3 = inner_.fetch(ranges);
+
+  // Per level: the decode plan, the tile-index cross-check, and the chunk
+  // spans covering the halo'd box's rank runs. Runs arrive in ascending
+  // rank order, so the chunks they touch merge into a short list of
+  // disjoint ranges; within a z-plane the box's y-band is a contiguous
+  // rank band, which keeps the read set proportional to the box in y and
+  // z, not just z. Each level's decoded symbols land in a window indexed by
+  // rank - first.
+  struct Level {
+    huffman::DecodePlan plan;
+    std::uint64_t payload_at = 0;  ///< inner offset of the payload
+    std::vector<std::pair<std::size_t, std::size_t>> spans;  ///< chunks
+    std::size_t first = 0;
+    std::span<quant::Code> window;
+  };
+  std::vector<Level> lv(nlv);
+  ranges.clear();
+  for (std::size_t j = 0; j < nlv; ++j) {
+    const auto& seg = segs[2 + j];
+    const int level = seg.level;
+    auto& L = lv[j];
+    L.plan = huffman::decode_plan_header(round3[j], seg.size, ws_);
+    if (L.plan.n != seg.count)
+      throw core::CorruptArchive("cusz-i", seg.offset,
+                                 "level stream symbol count mismatch");
+    const std::uint64_t hdr_bytes = seg.size - L.plan.payload_bytes;
+    L.payload_at = seg.offset + hdr_bytes;
+    const std::size_t cs = L.plan.chunk_size;
+    for (std::size_t k = 0; k < nslabs; ++k) {
+      TidxEntry e;
+      std::memcpy(&e,
+                  tidx.data() + kTidxHeaderBytes +
+                      (j * nslabs + k) * sizeof(TidxEntry),
+                  sizeof(e));
+      const std::uint64_t rank =
+          predictor::ginterp_level_prefix(h.dims, level, k * slab_z);
+      const std::size_t chunk = static_cast<std::size_t>(rank) / cs;
+      const std::uint64_t byte = chunk < L.plan.nchunks
+                                     ? L.plan.offsets[chunk]
+                                     : L.plan.payload_bytes;
+      if (e.sym_rank != rank ||
+          e.huff_chunk != static_cast<std::uint32_t>(chunk) ||
+          e.code_byte != byte ||
+          e.wrap_block != static_cast<std::uint32_t>(
+                              (hdr_bytes + byte) / lossless::kLzssBlock))
+        throw core::CorruptArchive("cusz-i", tseg.offset,
+                                   "tile index entry mismatch");
+    }
+    if (L.plan.n == 0) continue;
+    predictor::ginterp_level_box_runs(
+        h.dims, level, plan.box_lo, plan.box_dims,
+        [&](std::size_t rank, std::size_t count, std::size_t, std::size_t,
+            std::size_t, std::size_t) {
+          const std::size_t cb = rank / cs;
+          const std::size_t ce = (rank + count - 1) / cs + 1;
+          if (!L.spans.empty() && cb <= L.spans.back().second)
+            L.spans.back().second = std::max(L.spans.back().second, ce);
+          else
+            L.spans.emplace_back(cb, ce);
+        });
+    if (L.spans.empty()) continue;
+    L.first = L.spans.front().first * cs;
+    L.window = ws_.make<quant::Code>(
+        std::min(L.spans.back().second * cs, L.plan.n) - L.first);
+    for (const auto& [cb, ce] : L.spans) {
+      const std::uint64_t lo = L.plan.offsets[cb];
+      const std::uint64_t hi =
+          ce < L.plan.nchunks ? L.plan.offsets[ce] : L.plan.payload_bytes;
+      ranges.push_back({L.payload_at + lo, hi - lo});
     }
   }
-  if (magic == kBitcompWrapMagicV2) {
-    WrappedInnerSource inner(src, ws);
-    roi_decode<T>(inner, box, ws, r);
-  } else {
-    RawInnerSource inner(src);
-    roi_decode<T>(inner, box, ws, r);
+
+  // Fetch round 4, then every covering (level, chunk) in one launch.
+  const auto payloads = inner_.fetch(ranges);
+  struct Chunk {
+    std::size_t level, span, chunk;
+  };
+  std::vector<Chunk> chunks;
+  for (std::size_t j = 0, r = 0; j < nlv; ++j)
+    for (const auto& [cb, ce] : lv[j].spans) {
+      for (std::size_t c = cb; c < ce; ++c) chunks.push_back({j, r, c});
+      ++r;
+    }
+  dev::ThreadPool::instance().parallel_for(
+      chunks.size(),
+      [&](std::size_t k) {
+        const auto [j, r, c] = chunks[k];
+        const Level& L = lv[j];
+        const std::size_t cs = L.plan.chunk_size;
+        const std::size_t end = std::min((c + 1) * cs, L.plan.n);
+        huffman::decode_chunks_range(
+            L.plan, payloads[r], ranges[r].off - L.payload_at, c, c + 1,
+            L.window.subspan(c * cs - L.first, end - c * cs));
+      },
+      1);
+
+  // Scatter onto the halo'd box (streams are indexed by level - 1).
+  auto codes = ws_.make<quant::Code>(plan.box_dims.volume());
+  std::vector<std::span<const quant::Code>> streams(nlv);
+  std::vector<std::size_t> first(nlv, 0);
+  for (std::size_t j = 0; j < nlv; ++j) {
+    const auto v = static_cast<std::size_t>(segs[2 + j].level - 1);
+    streams[v] = lv[j].window;
+    first[v] = lv[j].first;
   }
-  r.bytes_read = static_cast<std::size_t>(src.bytes_read() - before);
+  predictor::ginterp_scatter_levels(h.dims, 1, plan.box_lo, plan.box_dims,
+                                    streams, first,
+                                    static_cast<quant::Code>(h.radius), codes);
+  t_.huffman = hufft.lap() - (inner_.unwrap_seconds() - unwrap0);
+
+  // Reconstruct the covered slabs in the halo'd box, then crop the box.
+  core::Timer recont;
+  const dev::Dim3& bd = plan.box_dims;
+  auto boxout = ws_.make<T>(bd.volume());
+  dev::launch_linear(
+      bd.z,
+      [&](std::size_t z) {
+        std::fill_n(boxout.data() + z * bd.x * bd.y, bd.x * bd.y, T{});
+      },
+      1);
+  predictor::GInterpReconstructorT<T>(codes, std::span<const T>(anchors),
+                                      outliers, plan, h.dims, h.eb, h.cfg,
+                                      h.radius, boxout)
+      .run();
+  const dev::Dim3 o = {box.lo.x - plan.box_lo.x, box.lo.y - plan.box_lo.y,
+                       box.lo.z - plan.box_lo.z};
+  out.resize(box.ext.volume());
+  dev::launch_linear(
+      box.ext.z,
+      [&](std::size_t z) {
+        for (std::size_t y = 0; y < box.ext.y; ++y)
+          std::memcpy(out.data() + dev::linearize(box.ext, 0, y, z),
+                      boxout.data() + dev::linearize(bd, o.x, o.y + y, o.z + z),
+                      box.ext.x * sizeof(T));
+      },
+      1);
+  t_.reconstruct = recont.lap();
+}
+
+/// One request, returned in a fresh vector with its grid and timings.
+template <typename T>
+struct Decoded {
+  std::vector<T> data;
+  dev::Dim3 dims;
+  int level = 1;
+  DecodeTimings timings;
+};
+
+template <typename T>
+Decoded<T> decode(io::ArchiveSource& src, bool wrapped,
+                  const DecodeRequest& req, dev::Workspace& ws) {
+  core::Timer wall;
+  Decoded<T> r;
+  Decoder<T> d(src, wrapped, req, ws);
+  r.dims = d.out_dims();
+  r.level = d.level();
+  d.run(r.data);
+  ws.reset();
+  r.timings = d.timings();
   r.timings.total = wall.lap();
   return r;
 }
 
-/// Prefix decode of a raw archive: read the directory, then only the
-/// segments of levels >= max_level, and replay the partial reconstruction.
-/// Bytes past the consumed prefix are never touched, so truncating the
-/// archive to `bytes_read` bytes decodes identically (the byte-accounting
-/// test does exactly that).
+/// Full decode of a raw (`wrapped` false) or 'BBC2' archive.
 template <typename T>
-ProgressiveResultT<T> progressive_raw(std::span<const std::byte> bytes,
-                                      int max_level, dev::Workspace& ws) {
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const auto segs = parse_directory<T>(rd, h);
-  const int nlevels = predictor::ginterp_level_count(h.dims);
-  const int level = std::clamp(max_level, 1, nlevels + 1);
-
-  const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-  const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-  if (outliers.indices.size() != segs[1].count)
-    rd.fail("outlier blob count disagrees with directory");
-
-  (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-  auto codes = ws.make<quant::Code>(h.volume);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-
-  for (std::size_t i = 2; i < segs.size() && segs[i].level >= level; ++i) {
-    const auto syms = huffman::decode(
-        rd.read_bytes(static_cast<std::size_t>(segs[i].size)), ws);
-    if (syms.size() != segs[i].count)
-      rd.fail("level stream symbol count mismatch");
-    predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-    cur.advance(syms, syms.size(), codes);
-  }
-  const std::size_t consumed = rd.offset();
-
-  ProgressiveResultT<T> r;
-  r.data = predictor::ginterp_decompress_to_level(
-      codes, std::span<const T>(anchors), outliers, h.dims, h.eb, h.cfg,
-      h.radius, level, ws);
-  r.dims = predictor::ginterp_preview_dims(h.dims, level);
-  r.level = level;
-  r.bytes_read = consumed;
-  ws.reset();
-  return r;
+std::vector<T> decompress_typed(std::span<const std::byte> bytes, bool wrapped,
+                                dev::Workspace& ws, DecodeTimings* dt) {
+  io::MemorySource src(bytes);
+  DecodeRequest req;
+  req.all_blocks = true;
+  auto r = decode<T>(src, wrapped, req, ws);
+  if (dt) *dt = r.timings;
+  return std::move(r.data);
 }
 
-/// Progressive decode through the 'BBC2' wrapper: LZSS blocks decode
-/// serially and only as far as the inner prefix the preview needs;
-/// `bytes_read` counts the wrapper framing plus the compressed extent of
-/// the payloads actually decoded. A method-0 wrapper segment consumes
-/// block by block; a transformed (zero-RLE / bitshuffle) segment is
-/// all-or-nothing — its whole payload decodes the moment any of its raw
-/// bytes are needed.
-///
-/// The container parses in prefix mode and each payload's LZSS frame is
-/// parsed (and cross-checked against its table entry) only when the
-/// preview first needs that segment: an archive truncated at a previous
-/// preview's `bytes_read` — a wrapper-payload boundary, since the 'BBC2'
-/// segmentation mirrors the inner directory — decodes the same preview,
-/// while a truncation that cuts a *needed* payload still throws.
-template <typename T>
-ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
-                                          int max_level, dev::Workspace& ws) {
-  const auto container = bitcomp_parse_container(bytes, /*prefix_ok=*/true);
-  const std::size_t nwseg = container.segments.size();
-  std::vector<lossless::LzssFrame> frames(nwseg);
-  std::vector<char> parsed(nwseg, 0);
-  const auto frame_at = [&](std::size_t i) -> const lossless::LzssFrame& {
-    if (!parsed[i]) {
-      const auto& s = container.segments[i];
-      if (container.payloads[i].size() < s.size)
-        throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                   "container truncated inside a segment "
-                                   "the preview needs");
-      frames[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
-      bitcomp_check_frame(s.method, s.raw_size, frames[i], 0);
-      parsed[i] = 1;
-    }
-    return frames[i];
-  };
-  std::vector<std::size_t> seg_off(nwseg);
-  std::size_t raw_size = 0;
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    seg_off[i] = raw_size;
-    raw_size += static_cast<std::size_t>(container.segments[i].raw_size);
-  }
-  auto raw = ws.make<std::byte>(raw_size);
-
-  std::size_t cur = 0;  // wrapper segment cursor
-  std::size_t nb = 0;   // blocks decoded within the current method-0 segment
-  std::size_t decoded = 0;
-  const auto ensure = [&](std::size_t off) {
-    if (off > raw_size) off = raw_size;
-    while (decoded < off) {
-      if (cur >= nwseg) {
-        decoded = raw_size;
-        break;
-      }
-      const auto& fr = frame_at(cur);
-      const auto m = container.segments[cur].method;
-      const std::size_t soff = seg_off[cur];
-      const std::size_t slen =
-          static_cast<std::size_t>(container.segments[cur].raw_size);
-      if (m == lossless::Method::Lzss && nb < fr.nblocks) {
-        const std::size_t begin = nb * fr.block_size;
-        const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
-        lossless::lzss_decompress_block(fr, nb,
-                                        {raw.data() + soff + begin, len});
-        ++nb;
-        decoded = std::max(decoded, soff + begin + len);
-        continue;
-      }
-      if (m != lossless::Method::Lzss) {
-        auto tmp = ws.make<std::byte>(fr.raw_size);
-        for (std::size_t k = 0; k < fr.nblocks; ++k) {
-          const std::size_t begin = k * fr.block_size;
-          const std::size_t len = std::min(fr.block_size, fr.raw_size - begin);
-          lossless::lzss_decompress_block(fr, k, {tmp.data() + begin, len});
-        }
-        lossless::method_untransform(tmp, m, {raw.data() + soff, slen});
-      }
-      // Segment complete (transformed, exhausted method-0, or empty).
-      decoded = std::max(decoded, soff + slen);
-      ++cur;
-      nb = 0;
-    }
-  };
-  const auto sat = [&](std::size_t base, std::uint64_t extra) {
-    if (base >= raw_size) return raw_size;
-    const std::size_t room = raw_size - base;
-    return extra >= room ? raw_size : base + static_cast<std::size_t>(extra);
-  };
-  // Wrapper framing + compressed extent consumed so far. Fully-consumed
-  // payloads count whole; a partially-decoded method-0 payload counts its
-  // frame header plus the block extent.
-  const auto consumed_bytes = [&] {
-    std::size_t consumed = container.table_bytes;
-    for (std::size_t i = 0; i < cur; ++i)
-      consumed += container.payloads[i].size();
-    if (cur < nwseg && nb > 0) {
-      const auto& fr = frames[cur];
-      consumed += container.payloads[cur].size() - fr.stream.size();
-      consumed += nb < fr.nblocks ? static_cast<std::size_t>(fr.offsets[nb])
-                                  : fr.stream.size();
-    }
-    return consumed;
-  };
-
-  core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-  ensure(kInnerFixedBytes);
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const int nlevels = predictor::ginterp_level_count(h.dims);
-  // The directory's size is a closed form of dims, so a preview never pays
-  // for bytes past it.
-  ensure(header_bytes(nlevels));
-  const auto segs = parse_directory<T>(rd, h);
-  const int level = std::clamp(max_level, 1, nlevels + 1);
-
-  const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-  const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-  ensure(sat(rd.offset(), abytes));
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  ensure(sat(rd.offset(), segs[1].size));
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-  if (outliers.indices.size() != segs[1].count)
-    rd.fail("outlier blob count disagrees with directory");
-
-  (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-  auto codes = ws.make<quant::Code>(h.volume);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-
-  for (std::size_t i = 2; i < segs.size() && segs[i].level >= level; ++i) {
-    ensure(sat(rd.offset(), segs[i].size));
-    const auto syms = huffman::decode(
-        rd.read_bytes(static_cast<std::size_t>(segs[i].size)), ws);
-    if (syms.size() != segs[i].count)
-      rd.fail("level stream symbol count mismatch");
-    predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-    cur.advance(syms, syms.size(), codes);
-  }
-
-  ProgressiveResultT<T> r;
-  r.data = predictor::ginterp_decompress_to_level(
-      codes, std::span<const T>(anchors), outliers, h.dims, h.eb, h.cfg,
-      h.radius, level, ws);
-  r.dims = predictor::ginterp_preview_dims(h.dims, level);
-  r.level = level;
-  r.bytes_read = consumed_bytes();
-  ws.reset();
-  return r;
-}
-
-/// Magic dispatch for the progressive entry points: 'BBC2' → payload-lazy
-/// wrapped path, anything else → raw prefix decode (which rejects a magic
-/// other than 'SZI2').
+/// Preview of a raw or 'BBC2' archive (told apart by the magic);
+/// `bytes_read` is everything the decode fetched — exactly the directory
+/// plus the needed prefix of segments (of wrapper payloads, for 'BBC2').
 template <typename T>
 ProgressiveResultT<T> decompress_progressive_typed(
     std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
-  if (peek_magic(bytes) == kBitcompWrapMagicV2)
-    return progressive_wrapped<T>(bytes, max_level, ws);
-  return progressive_raw<T>(bytes, max_level, ws);
+  io::MemorySource src(bytes);
+  DecodeRequest req;
+  req.level = max_level;
+  auto r = decode<T>(src, peek_magic(bytes) == kBitcompWrapMagicV2, req, ws);
+  ProgressiveResultT<T> p;
+  p.data = std::move(r.data);
+  p.dims = r.dims;
+  p.level = r.level;
+  p.bytes_read = static_cast<std::size_t>(src.bytes_read());
+  return p;
 }
 
-/// Directory parse for the public cuszi_archive_segments().
+/// ROI decode; `bytes_read` is the source's fetch delta.
 template <typename T>
-std::vector<SegmentInfo> archive_segments_typed(
-    std::span<const std::byte> bytes) {
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const auto segs = parse_directory<T>(rd, h);
-  std::vector<SegmentInfo> out(segs.size());
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    out[i].kind = segs[i].kind;
-    out[i].level = segs[i].level;
-    out[i].count = segs[i].count;
-    out[i].offset = segs[i].offset;
-    out[i].size = segs[i].size;
+RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
+  dev::Workspace ws(dev::Arena::instance());
+  const std::uint64_t before = src.bytes_read();
+  std::uint32_t magic = 0;
+  if (src.size() >= sizeof(magic)) {
+    std::vector<std::byte> scratch;
+    std::memcpy(&magic, src.view(0, sizeof(magic), scratch).data(),
+                sizeof(magic));
   }
+  DecodeRequest req;
+  req.box = &box;
+  auto r = decode<T>(src, magic == kBitcompWrapMagicV2, req, ws);
+  RoiResultT<T> out;
+  out.data = std::move(r.data);
+  out.dims = box.ext;
+  out.bytes_read = static_cast<std::size_t>(src.bytes_read() - before);
+  out.timings = r.timings;
   return out;
 }
 
@@ -1428,7 +1064,7 @@ class Cuszi final : public Compressor {
                                               double* decode_seconds) override {
     core::Timer total;
     dev::Workspace ws(dev::Arena::instance());
-    auto out = decompress_typed<float>(bytes, ws);
+    auto out = decompress_typed<float>(bytes, false, ws, nullptr);
     if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
@@ -1436,7 +1072,7 @@ class Cuszi final : public Compressor {
   [[nodiscard]] std::vector<float> decompress_stages(
       std::span<const std::byte> bytes, DecodeTimings& t) override {
     dev::Workspace ws(dev::Arena::instance());
-    return decompress_typed<float>(bytes, ws, &t);
+    return decompress_typed<float>(bytes, false, ws, &t);
   }
 
   [[nodiscard]] ProgressiveResult decompress_progressive(
@@ -1532,11 +1168,25 @@ Precision cuszi_archive_precision(std::span<const std::byte> bytes) {
 
 std::vector<SegmentInfo> cuszi_archive_segments(
     std::span<const std::byte> bytes) {
-  if (peek_magic(bytes) == kBitcompWrapMagicV2)
-    return cuszi_archive_segments(bitcomp_unwrap_archive(bytes));
-  return cuszi_archive_precision(bytes) == Precision::F32
-             ? archive_segments_typed<float>(bytes)
-             : archive_segments_typed<double>(bytes);
+  // The decoder's header phase: through a 'BBC2' container only the blocks
+  // covering the header and directory decode.
+  io::MemorySource src(bytes);
+  dev::Workspace ws(dev::Arena::instance());
+  InnerBytes inner(src, peek_magic(bytes) == kBitcompWrapMagicV2, ws);
+  const auto segs =
+      cuszi_archive_precision(inner.fetch(0, sizeof(kMagic) + 1)) ==
+              Precision::F32
+          ? read_header<float>(inner).segs
+          : read_header<double>(inner).segs;
+  std::vector<SegmentInfo> out(segs.size());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    out[i].kind = segs[i].kind;
+    out[i].level = segs[i].level;
+    out[i].count = segs[i].count;
+    out[i].offset = segs[i].offset;
+    out[i].size = segs[i].size;
+  }
+  return out;
 }
 
 std::vector<std::byte> cuszi_compress_unified_book(
@@ -1555,21 +1205,24 @@ std::vector<std::byte> cuszi_compress_unified_book(
 
 ProgressiveResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level) {
-  dev::Arena local;
-  dev::Workspace ws(local);
+  dev::Workspace ws(dev::Arena::instance());
   return decompress_progressive_typed<float>(bytes, max_level, ws);
 }
 
 ProgressiveResultT<double> cuszi_decompress_progressive_f64(
     std::span<const std::byte> bytes, int max_level) {
-  dev::Arena local;
-  dev::Workspace ws(local);
+  dev::Workspace ws(dev::Arena::instance());
   return decompress_progressive_typed<double>(bytes, max_level, ws);
 }
 
 ProgressiveResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
   return decompress_progressive_typed<float>(bytes, max_level, ws);
+}
+
+ProgressiveResultT<double> cuszi_decompress_progressive_f64(
+    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
+  return decompress_progressive_typed<double>(bytes, max_level, ws);
 }
 
 RoiResultT<float> cuszi_decompress_roi_f32(io::ArchiveSource& src,
@@ -1594,41 +1247,38 @@ RoiResultT<double> cuszi_decompress_roi_f64(std::span<const std::byte> bytes,
   return decompress_roi_typed<double>(ms, box);
 }
 
-ProgressiveResultT<double> cuszi_decompress_progressive_f64(
-    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
-  return decompress_progressive_typed<double>(bytes, max_level, ws);
-}
-
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,
                                         DecodeTimings* timings) {
-  return decompress_typed<float>(bytes, timings);
+  dev::Workspace ws(dev::Arena::instance());
+  return decompress_typed<float>(bytes, false, ws, timings);
 }
 
 std::vector<double> cuszi_decompress_f64(std::span<const std::byte> bytes,
                                          DecodeTimings* timings) {
-  return decompress_typed<double>(bytes, timings);
+  dev::Workspace ws(dev::Arena::instance());
+  return decompress_typed<double>(bytes, false, ws, timings);
 }
 
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,
                                         dev::Workspace& ws) {
-  return decompress_typed<float>(bytes, ws);
+  return decompress_typed<float>(bytes, false, ws, nullptr);
 }
 
 std::vector<double> cuszi_decompress_f64(std::span<const std::byte> bytes,
                                          dev::Workspace& ws) {
-  return decompress_typed<double>(bytes, ws);
+  return decompress_typed<double>(bytes, false, ws, nullptr);
 }
 
 std::vector<float> cuszi_decompress_bitcomp_f32(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings) {
-  return decompress_bitcomp_typed<float>(bytes, ws, timings);
+  return decompress_typed<float>(bytes, true, ws, timings);
 }
 
 std::vector<double> cuszi_decompress_bitcomp_f64(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings) {
-  return decompress_bitcomp_typed<double>(bytes, ws, timings);
+  return decompress_typed<double>(bytes, true, ws, timings);
 }
 
 }  // namespace szi

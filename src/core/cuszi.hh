@@ -117,21 +117,24 @@ struct SegmentInfo {
   std::uint64_t size = 0;
 };
 
-/// Parses + validates the segment directory of an archive ('BBC2' wrappers
-/// are unwrapped first); corrupt input throws core::CorruptArchive. Drives
-/// the CLI's per-segment --stages lines and bench/progressive's size
-/// accounting.
+/// Parses + validates the segment directory of an archive — the decoder's
+/// header phase, which through a 'BBC2' wrapper decodes only the blocks
+/// covering the inner header and directory; corrupt input throws
+/// core::CorruptArchive. Drives the CLI's per-segment --stages lines and
+/// bench/progressive's size accounting.
 [[nodiscard]] std::vector<SegmentInfo> cuszi_archive_segments(
     std::span<const std::byte> bytes);
 
 /// Progressive (preview) decode: reconstructs anchors + interpolation
-/// levels >= max_level onto the stride-2^(max_level-1) preview grid. For a
-/// raw SZI2 archive only the directory plus the needed prefix of segments
-/// is read (`bytes_read` reports exactly how much, and a truncation to that
-/// many bytes still decodes); for a 'BBC2' wrapper only the LZSS blocks
-/// covering that prefix are decoded. max_level <= 1 is the full-fidelity
+/// levels >= max_level on the stride-2^(max_level-1) preview grid itself,
+/// so time and memory scale with the preview. For a raw SZI2 archive only
+/// the directory plus the needed prefix of segments is read (`bytes_read`
+/// reports exactly how much, and a truncation to that many bytes still
+/// decodes); for a 'BBC2' wrapper only the LZSS blocks covering that
+/// prefix are decoded. max_level <= 1 is the full-fidelity
 /// reconstruction, bit-identical to cuszi_decompress_*; level_count+1 is
-/// the lossless anchor grid.
+/// the lossless anchor grid. The plain overloads draw scratch from
+/// dev::Arena::instance().
 [[nodiscard]] ProgressiveResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level);
 [[nodiscard]] ProgressiveResultT<double> cuszi_decompress_progressive_f64(
@@ -145,10 +148,11 @@ struct SegmentInfo {
 /// bit-identical to cropping a full decompress. Steered by the trailing
 /// tile index (TIDX), the decoder pulls only the directory, index, anchor
 /// rows, outlier set, and the Huffman chunks / LZSS blocks covering the
-/// box's tile slabs through `src` — the per-level working set is bounded by
+/// box's tile slabs through `src`, and decodes them with the full
+/// decoder's pool-wide phases — the per-level working set is bounded by
 /// the halo'd box, never the field, and `bytes_read` reports the honest
-/// fetch total. The span overloads serve in-memory archives through a
-/// MemorySource.
+/// fetch total. A box covering the whole field decodes as a full decode.
+/// The span overloads serve in-memory archives through a MemorySource.
 [[nodiscard]] RoiResultT<float> cuszi_decompress_roi_f32(io::ArchiveSource& src,
                                                          const RoiBox& box);
 [[nodiscard]] RoiResultT<double> cuszi_decompress_roi_f64(
@@ -159,7 +163,8 @@ struct SegmentInfo {
     std::span<const std::byte> bytes, const RoiBox& box);
 
 /// Decompression, typed; throws std::runtime_error if the archive's
-/// precision does not match the requested function.
+/// precision does not match the requested function. Scratch comes from
+/// dev::Arena::instance().
 [[nodiscard]] std::vector<float> cuszi_decompress_f32(
     std::span<const std::byte> bytes, DecodeTimings* timings = nullptr);
 [[nodiscard]] std::vector<double> cuszi_decompress_f64(
@@ -174,9 +179,10 @@ struct SegmentInfo {
     std::span<const std::byte> bytes, dev::Workspace& ws);
 
 /// Decompress of a bitcomp-wrapped ('BBC2') cuSZ-i archive, in phases that
-/// each span the pool: every LZSS block unwraps in one launch into `ws`
-/// memory (bitcomp_unwrap_archive's workspace form), then the inner
-/// archive decodes as cuszi_decompress_* would. Output is bit-identical to
+/// each span the pool: every LZSS block of the container decodes into `ws`
+/// memory (the header segment's first, then all others in one launch; a
+/// corrupt block anywhere throws, as from bitcomp_unwrap_archive), and the
+/// inner archive decodes as cuszi_decompress_* would. Output is bit-identical to
 /// cuszi_decompress_*(bitcomp_unwrap_archive(bytes)); malformed input
 /// throws core::CorruptArchive.
 [[nodiscard]] std::vector<float> cuszi_decompress_bitcomp_f32(

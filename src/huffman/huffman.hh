@@ -131,7 +131,7 @@ void encode_chunks(std::span<const quant::Code> codes, const Codebook& book,
 /// A validated decode-side plan: header parsed, chunk offset table copied
 /// into `ws` memory and bounds-checked, codebook/table rebuilt. `payload`
 /// views the input bytes; chunks can then decode independently — and, key
-/// for the ROI reader, chunk c only needs payload bytes
+/// for an ROI decode, chunk c only needs payload bytes
 /// [offsets[c], offsets[c+1]) to be present.
 struct DecodePlan {
   std::size_t n = 0;

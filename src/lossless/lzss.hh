@@ -69,9 +69,9 @@ enum class LzssMode { Greedy, Lazy };
 
 // ---- Block-granular API -------------------------------------------------
 //
-// The wrapped writer and reader run every block of every wrapper segment in
-// one pool-wide launch, and the ROI reader decodes only the blocks it
-// needs. These pieces expose exactly the units lzss_compress/
+// The wrapped writer runs every block of every wrapper segment in one
+// pool-wide launch, and the decoder's fetch decodes, in one launch, only
+// the blocks a request needs. These pieces expose exactly the units lzss_compress/
 // lzss_decompress are built from, so those forms are byte-identical by
 // construction.
 

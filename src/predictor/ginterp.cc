@@ -58,6 +58,33 @@ struct PlaneOverride {
   std::size_t z = 0;
 };
 
+/// The lattice a tile walk runs on and the buffer window it addresses. A
+/// level-L reconstruction runs on the positions whose interpolated
+/// coordinates are multiples of scale = 2^(L-1), in lattice coordinates:
+/// extents ceil(dims / scale), tiles tile / scale (degenerate dims have
+/// extent and tile 1 and stay whole). The tile's in/out buffers and code
+/// arrays span the lattice window [lo, lo + buf): the whole lattice, or the
+/// closed box of an ROI. Compression and full decode use the whole field at
+/// scale 1.
+struct Frame {
+  dev::Dim3 grid;
+  dev::Dim3 tile;
+  std::size_t scale = 1;
+  dev::Dim3 lo{0, 0, 0};
+  dev::Dim3 buf;
+};
+
+Frame lattice_frame(const dev::Dim3& dims, const Geometry& geo,
+                    std::size_t scale) {
+  const auto sc = [scale](std::size_t n) { return dev::ceil_div(n, scale); };
+  Frame f;
+  f.grid = {sc(dims.x), sc(dims.y), sc(dims.z)};
+  f.tile = {sc(geo.tile.x), sc(geo.tile.y), sc(geo.tile.z)};
+  f.scale = scale;
+  f.buf = f.grid;
+  return f;
+}
+
 #if defined(__x86_64__)
 
 // ---- AVX2 interior-cubic decompress walk (f32) -------------------------
@@ -454,62 +481,70 @@ std::size_t level_rank(const dev::Dim3& dims, const InterpDims& id, int v,
 }
 
 /// The complete per-tile interpolation body (load closed region, run every
-/// (stride, dim) pass, write back the owned region on decompression) for
-/// tile `blk`. Shared between the block-parallel launch in run_tiles and the
-/// fused compress path, which iterates tiles inside its own worker loop so
-/// it can prefill and histogram the owned codes while they are cache-hot.
+/// (stride, dimension) pass, write back the owned region on decompression)
+/// for tile `blk` of frame `f`'s lattice. Shared between the block-parallel
+/// launch in run_tiles, the fused compress path, which iterates tiles
+/// inside its own worker loop so it can prefill and histogram the owned
+/// codes while they are cache-hot, and the reconstructor. Tile clamps use
+/// the lattice extents; loads, write-backs and code lookups address the
+/// frame's buffer window, which must contain the tile's closed region.
+/// tile_pass consumes dims only through its linear strides, so handing it
+/// the window with a window-local `gorigin` walks the same arithmetic over
+/// re-based indices (the AVX2 vector/scalar split may land elsewhere, which
+/// is immaterial: the scalar tail computes the exact same expressions). A
+/// lattice of scale S runs the global strides top_stride .. S as local
+/// strides s / S, each with its global level's quantizer.
 template <bool kCompress, typename T>
 void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
                   std::span<T> out, std::span<quant::Code> codes,
                   std::span<const quant::Code> codes_in, const dev::Dim3& dims,
                   const InterpConfig& cfg, const Geometry& geo,
-                  std::span<const quant::Quantizer> level_qz,
-                  PlaneOverride<T> po = {}, std::size_t min_stride = 1) {
+                  std::span<const quant::Quantizer> level_qz, const Frame& f,
+                  PlaneOverride<T> po = {}) {
   TileView<T> t;
-  t.origin = {blk.x * geo.tile.x, blk.y * geo.tile.y, blk.z * geo.tile.z};
+  t.origin = {blk.x * f.tile.x, blk.y * f.tile.y, blk.z * f.tile.z};
   for (int i = 0; i < 3; ++i) {
-    const std::size_t nd = dim_of(dims, i);
-    const std::size_t td = dim_of(geo.tile, i);
+    const std::size_t nd = dim_of(f.grid, i);
+    const std::size_t td = dim_of(f.tile, i);
     t.owned[i] = std::min(td, nd - t.origin[i]);
     t.extent[i] = std::min(td + 1, nd - t.origin[i]);
   }
   t.lstride = {1, t.extent[0], t.extent[0] * t.extent[1]};
+  const std::array<std::size_t, 3> bo = {
+      t.origin[0] - f.lo.x, t.origin[1] - f.lo.y, t.origin[2] - f.lo.z};
 
   // Load the closed region, one contiguous x-row memcpy at a time (local
-  // and global x strides are both 1). For the slab-parallel reconstructor a
+  // and buffer x strides are both 1). For the slab-parallel reconstructor a
   // z-plane crossing into the next slab loads from the immutable snapshot
   // in `po` instead of `in`, so the load never races a neighbor slab's
   // writes; in all other paths `in` is a read-only source.
-  const std::span<const T> src = in;
   for (std::size_t z = 0; z < t.extent[2]; ++z) {
     const std::size_t gz = t.origin[2] + z;
     const T* splane = (po.plane != nullptr && gz == po.z) ? po.plane : nullptr;
     for (std::size_t y = 0; y < t.extent[1]; ++y) {
       const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-      const T* grow = splane != nullptr
-                          ? splane + (t.origin[1] + y) * dims.x + t.origin[0]
-                          : src.data() + dev::linearize(dims, t.origin[0],
-                                                        t.origin[1] + y, gz);
+      const T* grow =
+          splane != nullptr
+              ? splane + (bo[1] + y) * f.buf.x + bo[0]
+              : in.data() + dev::linearize(f.buf, bo[0], bo[1] + y, bo[2] + z);
       std::memcpy(t.buf.data() + lrow, grow, t.extent[0] * sizeof(T));
     }
   }
 
-  // Level-by-level, dimension-by-dimension interpolation. A preview decode
-  // (min_stride > 1) stops before the finer levels: a pass at stride s
-  // reads and writes only stride-s grid positions, so the skipped levels
-  // never feed the ones that ran.
-  const std::size_t gorigin =
-      dev::linearize(dims, t.origin[0], t.origin[1], t.origin[2]);
-  for (std::size_t s = geo.top_stride; s >= min_stride; s >>= 1) {
+  // Level-by-level, dimension-by-dimension interpolation, down to the
+  // lattice's own level: a pass at stride s reads and writes only stride-s
+  // grid positions, so the finer levels never feed the ones that ran.
+  const std::size_t gorigin = dev::linearize(f.buf, bo[0], bo[1], bo[2]);
+  for (std::size_t s = geo.top_stride; s >= f.scale; s >>= 1) {
     std::array<bool, 3> done{false, false, false};
     const quant::Quantizer& qz =
         level_qz[static_cast<std::size_t>(level_of_stride(s) - 1)];
     for (int k = 0; k < 3; ++k) {
       const int d = cfg.dim_order[k];
       if (dim_of(dims, d) == 1) continue;
-      tile_pass<kCompress>(t, d, s, done, qz,
-                           cfg.cubic[static_cast<std::size_t>(d)], dims, codes,
-                           codes_in, gorigin);
+      tile_pass<kCompress>(t, d, s / f.scale, done, qz,
+                           cfg.cubic[static_cast<std::size_t>(d)], f.buf,
+                           codes, codes_in, gorigin);
       done[static_cast<std::size_t>(d)] = true;
     }
   }
@@ -519,105 +554,26 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
     for (std::size_t z = 0; z < t.owned[2]; ++z)
       for (std::size_t y = 0; y < t.owned[1]; ++y) {
         const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-        const std::size_t grow = dev::linearize(dims, t.origin[0],
-                                                t.origin[1] + y,
-                                                t.origin[2] + z);
+        const std::size_t grow =
+            dev::linearize(f.buf, bo[0], bo[1] + y, bo[2] + z);
         std::memcpy(out.data() + grow, t.buf.data() + lrow,
                     t.owned[0] * sizeof(T));
       }
   }
 }
 
-/// run_one_tile<false> against a box-local buffer: tile `blk` is addressed
-/// in global tile-grid coordinates and its clamps (origin/owned/extent) use
-/// the GLOBAL dims — identical to the full decompressor's — but the loads,
-/// write-backs and code lookups are box-local: `box` and `codes_in` span
-/// the closed box [box_lo, box_lo + box_dims), which must contain the
-/// tile's whole closed region. tile_pass consumes dims only through its
-/// linear strides, so handing it the box dims with a box-local `gorigin`
-/// walks byte-identical arithmetic over re-based indices; the AVX2
-/// vector/scalar split may land elsewhere (codes_in ends sooner), which is
-/// immaterial because the scalar tail computes the exact same expressions.
-template <typename T>
-void run_one_tile_box(const dev::BlockIdx& blk, std::span<T> box,
-                      std::span<const quant::Code> codes_in,
-                      const dev::Dim3& dims, const dev::Dim3& box_lo,
-                      const dev::Dim3& box_dims, const InterpConfig& cfg,
-                      const Geometry& geo,
-                      std::span<const quant::Quantizer> level_qz,
-                      PlaneOverride<T> po = {}) {
-  TileView<T> t;
-  t.origin = {blk.x * geo.tile.x, blk.y * geo.tile.y, blk.z * geo.tile.z};
-  for (int i = 0; i < 3; ++i) {
-    const std::size_t nd = dim_of(dims, i);
-    const std::size_t td = dim_of(geo.tile, i);
-    t.owned[i] = std::min(td, nd - t.origin[i]);
-    t.extent[i] = std::min(td + 1, nd - t.origin[i]);
-  }
-  t.lstride = {1, t.extent[0], t.extent[0] * t.extent[1]};
-
-  // Box-local tile origin; the plan guarantees origin >= box_lo and
-  // origin + extent <= box_lo + box_dims per axis.
-  const std::array<std::size_t, 3> bo = {t.origin[0] - box_lo.x,
-                                         t.origin[1] - box_lo.y,
-                                         t.origin[2] - box_lo.z};
-
-  // Load the closed region box-locally; a +z plane crossing an interior
-  // slab boundary loads from the box-sized snapshot in `po`, exactly like
-  // the full reconstructor's cross-slab load.
-  for (std::size_t z = 0; z < t.extent[2]; ++z) {
-    const std::size_t gz = t.origin[2] + z;
-    const T* splane = (po.plane != nullptr && gz == po.z) ? po.plane : nullptr;
-    for (std::size_t y = 0; y < t.extent[1]; ++y) {
-      const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-      const T* grow =
-          splane != nullptr
-              ? splane + (bo[1] + y) * box_dims.x + bo[0]
-              : box.data() +
-                    dev::linearize(box_dims, bo[0], bo[1] + y, bo[2] + z);
-      std::memcpy(t.buf.data() + lrow, grow, t.extent[0] * sizeof(T));
-    }
-  }
-
-  const std::size_t gorigin = dev::linearize(box_dims, bo[0], bo[1], bo[2]);
-  for (std::size_t s = geo.top_stride; s >= 1; s >>= 1) {
-    std::array<bool, 3> done{false, false, false};
-    const quant::Quantizer& qz =
-        level_qz[static_cast<std::size_t>(level_of_stride(s) - 1)];
-    for (int k = 0; k < 3; ++k) {
-      const int d = cfg.dim_order[k];
-      // Degenerate dims skip on the GLOBAL dims, as in run_one_tile.
-      if (dim_of(dims, d) == 1) continue;
-      tile_pass<false>(t, d, s, done, qz,
-                       cfg.cubic[static_cast<std::size_t>(d)], box_dims, {},
-                       codes_in, gorigin);
-      done[static_cast<std::size_t>(d)] = true;
-    }
-  }
-
-  // Write back the owned region box-locally.
-  for (std::size_t z = 0; z < t.owned[2]; ++z)
-    for (std::size_t y = 0; y < t.owned[1]; ++y) {
-      const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-      const std::size_t grow =
-          dev::linearize(box_dims, bo[0], bo[1] + y, bo[2] + z);
-      std::memcpy(box.data() + grow, t.buf.data() + lrow,
-                  t.owned[0] * sizeof(T));
-    }
-}
-
 template <bool kCompress, typename T>
 void run_tiles(std::span<const T> in, std::span<T> out,
                std::span<quant::Code> codes,
                std::span<const quant::Code> codes_in, const dev::Dim3& dims,
-               double eb, const InterpConfig& cfg, int radius,
-               std::size_t min_stride = 1) {
+               double eb, const InterpConfig& cfg, int radius) {
   const Geometry geo = geometry_for(dims);
   const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
+  const Frame f = lattice_frame(dims, geo, 1);
   const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
   dev::launch_blocks(grid, [&](const dev::BlockIdx& blk) {
     run_one_tile<kCompress, T>(blk, in, out, codes, codes_in, dims, cfg, geo,
-                               level_qz, {}, min_stride);
+                               level_qz, f);
   });
 }
 
@@ -726,6 +682,7 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
         ws.make<quant::Code>(ginterp_level_volume(dims, static_cast<int>(v) + 1));
 
   const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
+  const Frame frame = lattice_frame(dims, geo, 1);
   const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
   const std::size_t ntiles = grid.volume();
   const std::size_t nworkers =
@@ -764,7 +721,7 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
               std::fill_n(codes.data() + row, owned[0], perfect);
             }
           run_one_tile<true, T>(blk, data, {}, codes, {}, dims, cfg, geo,
-                                level_qz);
+                                level_qz, frame);
           for (std::size_t z = 0; z < owned[2]; ++z)
             for (std::size_t y = 0; y < owned[1]; ++y) {
               const std::size_t gy = origin[1] + y, gz = origin[2] + z;
@@ -860,56 +817,133 @@ std::vector<T> decompress_impl(std::span<const quant::Code> codes,
 
 }  // namespace
 
-// In-place incremental reconstruction. The constructor performs all archive
-// validation and the scatter; run_slab then reconstructs one tile-grid
-// z-slab directly in `out` (closed-region loads and owned write-backs hit
-// the same buffer). The safety/bit-identity argument lives with the class
-// declaration and in docs/PERF.md.
+// In-place incremental reconstruction over a window of the level lattice.
+// The constructors set up the lattice and window; seed() performs all
+// archive validation and the scatter; run_slab then reconstructs one
+// tile-grid z-slab directly in `out` (closed-region loads and owned
+// write-backs hit the same buffer). The safety/bit-identity argument lives
+// with the class declaration and in docs/PERF.md.
 template <typename T>
 GInterpReconstructorT<T>::GInterpReconstructorT(
     std::span<const quant::Code> codes, std::span<const T> anchors,
     const quant::OutlierViewT<T>& outliers, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius, std::span<T> out, int max_level)
+    const InterpConfig& cfg, int radius, std::span<T> out, int level)
     : codes_(codes),
       out_(out),
       dims_(dims),
-      grid_(dev::grid_for(dims, geometry_for(dims).tile)),
+      geo_(geometry_for(dims)),
+      cfg_(cfg),
+      level_qz_(make_level_quantizers(eb, cfg, geo_, radius)) {
+  if (level < 1 || level > interp_levels(geo_))
+    throw std::invalid_argument("ginterp_decompress: level out of range");
+  scale_ = stride_of_level(level);
+  const Frame f = lattice_frame(dims, geo_, scale_);
+  grid_ = f.grid;
+  tile_ = f.tile;
+  buf_ = f.grid;
+  tile_hi_ = dev::grid_for(grid_, tile_);
+  if (codes.size() != grid_.volume() || out.size() != grid_.volume())
+    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
+  seed(anchors, {0, 0, 0}, anchor_dims(dims, geo_.anchor), outliers);
+}
+
+template <typename T>
+GInterpReconstructorT<T>::GInterpReconstructorT(
+    std::span<const quant::Code> codes, std::span<const T> anchors,
+    const quant::OutlierViewT<T>& outliers, const GInterpRoiPlan& plan,
+    const dev::Dim3& dims, double eb, const InterpConfig& cfg, int radius,
+    std::span<T> out)
+    : codes_(codes),
+      out_(out),
+      dims_(dims),
       geo_(geometry_for(dims)),
       cfg_(cfg),
       level_qz_(make_level_quantizers(eb, cfg, geo_, radius)),
-      min_stride_(stride_of_level(
-          std::clamp(max_level, 1, interp_levels(geo_) + 1))) {
-  if (codes.size() != dims.volume() || out.size() != dims.volume())
-    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
+      grid_(dims),
+      tile_(geo_.tile),
+      lo_(plan.box_lo),
+      buf_(plan.box_dims),
+      tile_lo_(plan.tile_lo),
+      tile_hi_(plan.tile_hi) {
+  if (codes.size() != buf_.volume() || out.size() != buf_.volume())
+    throw std::invalid_argument("ginterp_roi: size/box mismatch");
+  if (tile_lo_.x >= tile_hi_.x || tile_lo_.y >= tile_hi_.y ||
+      tile_lo_.z >= tile_hi_.z)
+    throw std::invalid_argument("ginterp_roi: empty tile cover");
+  const dev::Dim3& a0 = plan.anchor_lo;
+  seed(anchors, a0,
+       {plan.anchor_hi.x - a0.x, plan.anchor_hi.y - a0.y,
+        plan.anchor_hi.z - a0.z},
+       outliers);
+}
 
+template <typename T>
+void GInterpReconstructorT<T>::seed(std::span<const T> anchors,
+                                    const dev::Dim3& anchor_lo,
+                                    const dev::Dim3& anchor_n,
+                                    const quant::OutlierViewT<T>& outliers) {
   // Anchor count and outlier indices come from the archive; both index into
   // the output buffer, so they must be validated before any scatter.
-  if (anchors.size() != anchor_dims(dims, geo_.anchor).volume())
+  if (anchors.size() != anchor_n.volume())
     throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
   if (outliers.values.size() != outliers.indices.size())
     throw core::CorruptArchive("ginterp", 0, "outlier index/value mismatch");
+  const std::size_t volume = dims_.volume();
   for (const auto idx : outliers.indices)
-    if (idx >= dims.volume())
+    if (idx >= volume)
       throw core::CorruptArchive("ginterp", 0, "outlier index out of range");
 
-  scatter_anchors<T>(anchors, out_, dims, geo_.anchor);
-  for (std::size_t k = 0; k < outliers.indices.size(); ++k)
-    out_[outliers.indices[k]] = outliers.values[k];
+  // Anchors sit at lattice stride ceil(anchor / S).
+  const dev::Dim3 as = {dev::ceil_div(geo_.anchor.x, scale_),
+                        dev::ceil_div(geo_.anchor.y, scale_),
+                        dev::ceil_div(geo_.anchor.z, scale_)};
+  dev::launch_linear(
+      anchor_n.z,
+      [&](std::size_t az) {
+        for (std::size_t ay = 0; ay < anchor_n.y; ++ay)
+          for (std::size_t ax = 0; ax < anchor_n.x; ++ax)
+            out_[dev::linearize(buf_, (anchor_lo.x + ax) * as.x - lo_.x,
+                                (anchor_lo.y + ay) * as.y - lo_.y,
+                                (anchor_lo.z + az) * as.z - lo_.z)] =
+                anchors[dev::linearize(anchor_n, ax, ay, az)];
+      },
+      1);
 
-  // Snapshot every slab-boundary z-plane now, while the buffer holds exactly
-  // the post-scatter state. A slab's +z border load consumes only anchors
-  // and outlier originals — values reconstruction writes back unchanged —
-  // so substituting this snapshot for the live buffer is bit-transparent,
-  // and it severs the only cross-slab read: slabs become schedulable in any
-  // order, including concurrently.
-  if (grid_.z > 1) {
-    const std::size_t plane = dims_.x * dims_.y;
-    border_.resize((grid_.z - 1) * plane);
+  // Outlier originals: only those on the lattice (every coordinate a
+  // multiple of S) inside the window — no pass that runs reads another.
+  const bool whole = scale_ == 1 && buf_ == dims_;
+  for (std::size_t k = 0; k < outliers.indices.size(); ++k) {
+    const auto idx = static_cast<std::size_t>(outliers.indices[k]);
+    if (whole) {
+      out_[idx] = outliers.values[k];
+      continue;
+    }
+    const dev::Coord3 c = dev::delinearize(dims_, idx);
+    if (c.x % scale_ != 0 || c.y % scale_ != 0 || c.z % scale_ != 0) continue;
+    const std::size_t x = c.x / scale_, y = c.y / scale_, z = c.z / scale_;
+    if (x < lo_.x || x - lo_.x >= buf_.x || y < lo_.y || y - lo_.y >= buf_.y ||
+        z < lo_.z || z - lo_.z >= buf_.z)
+      continue;
+    out_[dev::linearize(buf_, x - lo_.x, y - lo_.y, z - lo_.z)] =
+        outliers.values[k];
+  }
+
+  // Snapshot every interior slab-boundary z-plane now, while the buffer
+  // holds exactly the post-scatter state. A slab's +z border load consumes
+  // only anchors and outlier originals — values reconstruction writes back
+  // unchanged — so substituting this snapshot for the live buffer is
+  // bit-transparent, and it severs the only cross-slab read: slabs become
+  // schedulable in any order, including concurrently. The last covered
+  // slab's +z closed plane needs no snapshot: no covered tile writes it.
+  const std::size_t nslabs = slab_count();
+  if (nslabs > 1) {
+    const std::size_t plane = buf_.x * buf_.y;
+    border_.resize((nslabs - 1) * plane);
     dev::launch_linear(
-        grid_.z - 1,
-        [&](std::size_t bz) {
-          const std::size_t z = (bz + 1) * geo_.tile.z;
-          std::memcpy(border_.data() + bz * plane, out_.data() + z * plane,
+        nslabs - 1,
+        [&](std::size_t k) {
+          const std::size_t z = (tile_lo_.z + k + 1) * tile_.z - lo_.z;
+          std::memcpy(border_.data() + k * plane, out_.data() + z * plane,
                       plane * sizeof(T));
         },
         1);
@@ -917,42 +951,52 @@ GInterpReconstructorT<T>::GInterpReconstructorT(
 }
 
 template <typename T>
-void GInterpReconstructorT<T>::run_slab(std::size_t bz) {
-  // Four (bx, by)-parity waves: same-parity tiles are >= 2 blocks apart in
-  // every in-slab direction, so their closed regions (owned + 1 border
-  // plane in each positive direction) never overlap and the in-place loads
-  // and write-backs of concurrently running tiles touch disjoint bytes.
-  // The +z border plane (shared with slab bz+1) loads from the constructor's
-  // snapshot, so concurrently running slabs never touch the same bytes.
+void GInterpReconstructorT<T>::run_slab(std::size_t k) {
+  const std::size_t bz = tile_lo_.z + k;
   PlaneOverride<T> po;
-  if (bz + 1 < grid_.z) {
-    po.plane = border_.data() + bz * dims_.x * dims_.y;
-    po.z = (bz + 1) * geo_.tile.z;
+  if (k + 1 < slab_count()) {
+    po.plane = border_.data() + k * buf_.x * buf_.y;
+    po.z = (bz + 1) * tile_.z;
   }
+  const Frame f{grid_, tile_, scale_, lo_, buf_};
+  // Four (bx, by)-parity waves over the covered blocks: same-parity tiles
+  // are >= 2 blocks apart in every in-slab direction (parity is on the
+  // lattice block index), so their closed regions (owned + 1 border plane
+  // in each positive direction) never overlap and the in-place loads and
+  // write-backs of concurrently running tiles touch disjoint bytes.
   for (unsigned color = 0; color < 4; ++color) {
     const std::size_t px = color & 1u;
     const std::size_t py = color >> 1u;
-    if (grid_.x <= px || grid_.y <= py) continue;
-    const std::size_t nx = (grid_.x - px + 1) / 2;
-    const std::size_t ny = (grid_.y - py + 1) / 2;
+    const std::size_t bx0 = tile_lo_.x + ((px ^ (tile_lo_.x & 1)) & 1);
+    const std::size_t by0 = tile_lo_.y + ((py ^ (tile_lo_.y & 1)) & 1);
+    if (bx0 >= tile_hi_.x || by0 >= tile_hi_.y) continue;
+    const std::size_t nx = (tile_hi_.x - bx0 + 1) / 2;
+    const std::size_t ny = (tile_hi_.y - by0 + 1) / 2;
     dev::launch_linear(
         nx * ny,
-        [&](std::size_t k) {
-          const std::size_t bx = px + 2 * (k % nx);
-          const std::size_t by = py + 2 * (k / nx);
-          const dev::BlockIdx blk{bx, by, bz,
-                                  (bz * grid_.y + by) * grid_.x + bx};
+        [&](std::size_t t) {
+          const dev::BlockIdx blk{bx0 + 2 * (t % nx), by0 + 2 * (t / nx), bz,
+                                  t};
           run_one_tile<false, T>(blk, out_, out_, {}, codes_, dims_, cfg_,
-                                 geo_, level_qz_, po, min_stride_);
+                                 geo_, level_qz_, f, po);
         },
         1);
   }
 }
 
+template <typename T>
+void GInterpReconstructorT<T>::run() {
+  const std::size_t n = slab_count();
+  if (n >= dev::ThreadPool::instance().worker_count())
+    dev::launch_linear(n, [&](std::size_t k) { run_slab(k); }, 1);
+  else
+    for (std::size_t k = 0; k < n; ++k) run_slab(k);
+}
+
 template class GInterpReconstructorT<float>;
 template class GInterpReconstructorT<double>;
 
-// ---- Random-access (ROI) reconstruction ----------------------------------
+// ---- Random-access (ROI) planning ----------------------------------------
 
 GInterpRoiPlan ginterp_roi_plan(const dev::Dim3& dims, const dev::Dim3& lo,
                                 const dev::Dim3& ext) {
@@ -978,6 +1022,18 @@ GInterpRoiPlan ginterp_roi_plan(const dev::Dim3& dims, const dev::Dim3& lo,
       std::min<std::size_t>(p.tile_hi.x * geo.tile.x + 1, dims.x) - p.box_lo.x,
       std::min<std::size_t>(p.tile_hi.y * geo.tile.y + 1, dims.y) - p.box_lo.y,
       std::min<std::size_t>(p.tile_hi.z * geo.tile.z + 1, dims.z) - p.box_lo.z};
+  const dev::Dim3 ad = anchor_dims(dims, geo.anchor);
+  const auto arange = [](std::size_t blo, std::size_t n, std::size_t s,
+                         std::size_t an, std::size_t& a0, std::size_t& a1) {
+    a0 = (blo + s - 1) / s;
+    a1 = std::max(a0, std::min(an, (blo + n - 1) / s + 1));
+  };
+  arange(p.box_lo.x, p.box_dims.x, geo.anchor.x, ad.x, p.anchor_lo.x,
+         p.anchor_hi.x);
+  arange(p.box_lo.y, p.box_dims.y, geo.anchor.y, ad.y, p.anchor_lo.y,
+         p.anchor_hi.y);
+  arange(p.box_lo.z, p.box_dims.z, geo.anchor.z, ad.z, p.anchor_lo.z,
+         p.anchor_hi.z);
   return p;
 }
 
@@ -1013,104 +1069,22 @@ void ginterp_level_box_runs(const dev::Dim3& dims, int level,
     }
 }
 
-template <typename T>
-GInterpRoiReconstructorT<T>::GInterpRoiReconstructorT(
-    std::span<const quant::Code> codes, const GInterpRoiPlan& plan,
-    const dev::Dim3& dims, double eb, const InterpConfig& cfg, int radius,
-    std::span<T> out)
-    : codes_(codes),
-      out_(out),
-      dims_(dims),
-      plan_(plan),
-      geo_(geometry_for(dims)),
-      cfg_(cfg),
-      level_qz_(make_level_quantizers(eb, cfg, geo_, radius)) {
-  if (codes.size() != plan.box_dims.volume() ||
-      out.size() != plan.box_dims.volume())
-    throw std::invalid_argument("ginterp_roi: size/box mismatch");
-  if (plan.tile_lo.x >= plan.tile_hi.x || plan.tile_lo.y >= plan.tile_hi.y ||
-      plan.tile_lo.z >= plan.tile_hi.z)
-    throw std::invalid_argument("ginterp_roi: empty tile cover");
-
-  // Snapshot the box-interior slab-boundary planes, exactly as the full
-  // reconstructor snapshots the field's: the caller just finished the
-  // scatter, so these planes hold anchors + outlier originals — the only
-  // loaded values a tile's +z border consumes — and reading them from the
-  // snapshot makes covered slabs schedulable in any order. The last covered
-  // slab's +z closed plane needs no snapshot: no covered tile owns (writes)
-  // it, so the live buffer stays at the post-scatter values anyway.
-  const std::size_t nslabs = plan_.tile_hi.z - plan_.tile_lo.z;
-  if (nslabs > 1) {
-    const std::size_t plane = plan_.box_dims.x * plan_.box_dims.y;
-    border_.resize((nslabs - 1) * plane);
-    dev::launch_linear(
-        nslabs - 1,
-        [&](std::size_t k) {
-          const std::size_t z =
-              (plan_.tile_lo.z + k + 1) * geo_.tile.z - plan_.box_lo.z;
-          std::memcpy(border_.data() + k * plane, out_.data() + z * plane,
-                      plane * sizeof(T));
-        },
-        1);
-  }
-}
-
-template <typename T>
-void GInterpRoiReconstructorT<T>::run_slab(std::size_t k) {
-  const std::size_t bz = plan_.tile_lo.z + k;
-  PlaneOverride<T> po;
-  if (k + 1 < slab_count()) {
-    po.plane = border_.data() + k * plan_.box_dims.x * plan_.box_dims.y;
-    po.z = (bz + 1) * geo_.tile.z;
-  }
-  // The same four (bx, by)-parity waves as the full reconstructor, over the
-  // covering block range only; parity is on the global block index, so
-  // same-wave tiles stay >= 2 blocks apart.
-  for (unsigned color = 0; color < 4; ++color) {
-    const std::size_t px = color & 1u;
-    const std::size_t py = color >> 1u;
-    const std::size_t bx0 = plan_.tile_lo.x + ((px ^ (plan_.tile_lo.x & 1)) & 1);
-    const std::size_t by0 = plan_.tile_lo.y + ((py ^ (plan_.tile_lo.y & 1)) & 1);
-    if (bx0 >= plan_.tile_hi.x || by0 >= plan_.tile_hi.y) continue;
-    const std::size_t nx = (plan_.tile_hi.x - bx0 + 1) / 2;
-    const std::size_t ny = (plan_.tile_hi.y - by0 + 1) / 2;
-    dev::launch_linear(
-        nx * ny,
-        [&](std::size_t t) {
-          const std::size_t bx = bx0 + 2 * (t % nx);
-          const std::size_t by = by0 + 2 * (t / nx);
-          const dev::BlockIdx blk{bx, by, bz, t};
-          run_one_tile_box<T>(blk, out_, codes_, dims_, plan_.box_lo,
-                              plan_.box_dims, cfg_, geo_, level_qz_, po);
-        },
-        1);
-  }
-}
-
-template class GInterpRoiReconstructorT<float>;
-template class GInterpRoiReconstructorT<double>;
-
 namespace {
 
 /// In-place decompression over the whole volume: scatter into `out`, then
-/// every slab. Slabs are independent (the reconstructor's border snapshot
-/// severs the +z cross-slab read), so they fan out across the pool; the
-/// per-slab parity-wave launches inside run_slab degrade to inline
-/// execution when nested, keeping the two-level decomposition adaptive.
-/// Same validation and same arithmetic as decompress_impl — outputs are
-/// bit-identical (tests/test_decode_equiv.cc) at any worker count.
+/// every slab. Same validation and same arithmetic as decompress_impl —
+/// outputs are bit-identical (tests/test_decode_equiv.cc) at any worker
+/// count.
 template <typename T>
 void decompress_into_impl(std::span<const quant::Code> codes,
                           std::span<const T> anchors,
                           const quant::OutlierViewT<T>& outliers,
                           const dev::Dim3& dims, double eb,
                           const InterpConfig& cfg, int radius,
-                          std::span<T> out, dev::Workspace& ws) {
-  (void)ws;  // no staging buffer anymore; kept for call-site stability
-  GInterpReconstructorT<T> recon(codes, anchors, outliers, dims, eb, cfg,
-                                 radius, out);
-  dev::launch_linear(
-      recon.slab_count(), [&](std::size_t bz) { recon.run_slab(bz); }, 1);
+                          std::span<T> out) {
+  GInterpReconstructorT<T>(codes, anchors, outliers, dims, eb, cfg, radius,
+                           out)
+      .run();
 }
 
 template <typename T>
@@ -1132,6 +1106,8 @@ std::vector<T> subsample_impl(std::span<const T> full, const dev::Dim3& dims,
   return out;
 }
 
+/// Preview from a full-volume code array: gather the lattice's codes into
+/// `ws` memory and reconstruct on the lattice.
 template <typename T>
 std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
                                         std::span<const T> anchors,
@@ -1139,7 +1115,8 @@ std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
                                         const dev::Dim3& dims, double eb,
                                         const InterpConfig& cfg, int radius,
                                         int max_level, dev::Workspace& ws) {
-  (void)ws;
+  if (codes.size() != dims.volume())
+    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
   const InterpDims id = interp_dims_of(dims);
   const int L = std::clamp(max_level, 1, id.nlevels + 1);
   if (L == id.nlevels + 1) {
@@ -1150,12 +1127,23 @@ std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
       throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
     return std::vector<T>(anchors.begin(), anchors.end());
   }
-  std::vector<T> full(dims.volume(), T{0});
-  GInterpReconstructorT<T> recon(codes, anchors, outliers, dims, eb, cfg,
-                                 radius, full, L);
+  const dev::Dim3 g = ginterp_preview_dims(dims, L);
+  const std::size_t S = stride_of_level(L);
+  auto lattice = ws.make<quant::Code>(g.volume());
   dev::launch_linear(
-      recon.slab_count(), [&](std::size_t bz) { recon.run_slab(bz); }, 1);
-  return subsample_impl<T>(full, dims, L);
+      g.z,
+      [&](std::size_t z) {
+        for (std::size_t y = 0; y < g.y; ++y)
+          for (std::size_t x = 0; x < g.x; ++x)
+            lattice[dev::linearize(g, x, y, z)] =
+                codes[dev::linearize(dims, x * S, y * S, z * S)];
+      },
+      1);
+  std::vector<T> out(g.volume());
+  GInterpReconstructorT<T>(lattice, anchors, outliers, dims, eb, cfg, radius,
+                           out, L)
+      .run();
+  return out;
 }
 
 }  // namespace
@@ -1192,8 +1180,9 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const dev::Dim3& dims, double eb,
                              const InterpConfig& cfg, int radius,
                              std::span<float> out, dev::Workspace& ws) {
+  (void)ws;
   decompress_into_impl<float>(codes, anchors, outliers, dims, eb, cfg, radius,
-                              out, ws);
+                              out);
 }
 
 void ginterp_decompress_into(std::span<const quant::Code> codes,
@@ -1202,8 +1191,9 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const dev::Dim3& dims, double eb,
                              const InterpConfig& cfg, int radius,
                              std::span<double> out, dev::Workspace& ws) {
+  (void)ws;
   decompress_into_impl<double>(codes, anchors, outliers, dims, eb, cfg, radius,
-                               out, ws);
+                               out);
 }
 
 std::vector<float> ginterp_decompress(std::span<const quant::Code> codes,
@@ -1325,6 +1315,78 @@ std::size_t LevelScatterCursor::advance(std::span<const quant::Code> stream,
 }
 
 void ginterp_scatter_levels(
+    const dev::Dim3& dims, int level, const dev::Dim3& lo, const dev::Dim3& ext,
+    std::span<const std::span<const quant::Code>> streams,
+    std::span<const std::size_t> first, quant::Code fill,
+    std::span<quant::Code> codes) {
+  const InterpDims id = interp_dims_of(dims);
+  const auto nlv = static_cast<std::size_t>(id.nlevels);
+  if (level < 1 || level > id.nlevels || streams.size() != nlv ||
+      first.size() != nlv || codes.size() != ext.volume())
+    throw std::invalid_argument("ginterp_scatter_levels: size/dims mismatch");
+  const std::size_t S = stride_of_level(level);
+  const dev::Dim3 g = ginterp_preview_dims(dims, level);
+  if (lo.x > g.x || ext.x > g.x - lo.x || lo.y > g.y || ext.y > g.y - lo.y ||
+      lo.z > g.z || ext.z > g.z - lo.z)
+    throw std::invalid_argument("ginterp_scatter_levels: window exceeds grid");
+  if (ext.volume() == 0) return;
+  // Global x extent of the window: every level >= `level` position is a
+  // multiple of S, so the pattern x in [gx0, gx1) are exactly its columns.
+  const std::size_t gx0 = lo.x * S;
+  const std::size_t gx1 = (lo.x + ext.x - 1) * S + 1;
+  const std::size_t plane = ext.x * ext.y;
+  // Thin planes (1D and narrow fields) batch so a claimed chunk of planes
+  // still carries tens of thousands of codes.
+  const std::size_t grain = 1 + (std::size_t{1} << 16) / (plane + 1);
+  dev::launch_linear(
+      ext.z,
+      [&](std::size_t zi) {
+        quant::Code* pz = codes.data() + zi * plane;
+        std::fill_n(pz, plane, fill);
+        const std::size_t gz = (lo.z + zi) * S;
+        for (std::size_t v = static_cast<std::size_t>(level - 1); v < nlv;
+             ++v) {
+          const std::size_t s = std::size_t{1} << v;
+          const quant::Code* src = streams[v].data();
+          const std::size_t f0 = first[v], fn = streams[v].size();
+          // Rank of the window's first row; rows between lattice rows hold
+          // no position of these levels, so each lattice row advances it by
+          // its full count.
+          std::size_t rank = level_rank(dims, id, static_cast<int>(v), 0,
+                                        lo.y * S, gz);
+          for (std::size_t yi = 0; yi < ext.y; ++yi) {
+            const RowPattern p = row_pattern((lo.y + yi) * S, gz, id,
+                                             static_cast<int>(v), s);
+            if (p.step == 0 || p.start >= dims.x) continue;
+            const int sh = std::countr_zero(p.step);
+            const std::size_t row_n = ((dims.x - 1 - p.start) >> sh) + 1;
+            const std::size_t skip =
+                gx0 <= p.start ? 0 : ((gx0 - p.start + p.step - 1) >> sh);
+            const std::size_t x = p.start + (skip << sh);
+            if (x < gx1) {
+              const std::size_t n =
+                  std::min(row_n - skip, ((gx1 - 1 - x) >> sh) + 1);
+              const std::size_t r0 = rank + skip;
+              if (r0 < f0 || r0 - f0 > fn || n > fn - (r0 - f0))
+                throw std::invalid_argument(
+                    "ginterp_scatter_levels: stream window misses a rank");
+              const quant::Code* in = src + (r0 - f0);
+              quant::Code* out = pz + yi * ext.x + (x / S - lo.x);
+              const std::size_t lstep = p.step / S;
+              if (lstep == 1) {  // every lattice x of the row: one run
+                std::memcpy(out, in, n * sizeof(quant::Code));
+              } else {
+                for (std::size_t k = 0; k < n; ++k) out[k * lstep] = in[k];
+              }
+            }
+            rank += row_n;
+          }
+        }
+      },
+      grain);
+}
+
+void ginterp_scatter_levels(
     const dev::Dim3& dims,
     std::span<const std::span<const quant::Code>> streams, quant::Code fill,
     std::span<quant::Code> codes) {
@@ -1337,33 +1399,9 @@ void ginterp_scatter_levels(
         ginterp_level_volume(dims, static_cast<int>(v) + 1))
       throw std::invalid_argument(
           "ginterp_scatter_levels: level stream size mismatch");
-  const std::size_t plane = dims.x * dims.y;
-  // Thin planes (1D and narrow fields) batch so a claimed chunk of planes
-  // still carries tens of thousands of codes.
-  const std::size_t grain = 1 + (std::size_t{1} << 16) / (plane + 1);
-  dev::launch_linear(
-      dims.z,
-      [&](std::size_t z) {
-        quant::Code* pz = codes.data() + z * plane;
-        std::fill_n(pz, plane, fill);
-        for (std::size_t v = 0; v < nlv; ++v) {
-          const std::size_t s = std::size_t{1} << v;
-          const quant::Code* src =
-              streams[v].data() + level_box(dims.x, dims.y, z, id, s);
-          for (std::size_t y = 0; y < dims.y; ++y) {
-            const RowPattern p = row_pattern(y, z, id, static_cast<int>(v), s);
-            quant::Code* row = pz + y * dims.x;
-            if (p.step == 1) {  // every x of the row: one contiguous run
-              std::memcpy(row, src, dims.x * sizeof(quant::Code));
-              src += dims.x;
-            } else if (p.step != 0) {
-              for (std::size_t x = p.start; x < dims.x; x += p.step)
-                row[x] = *src++;
-            }
-          }
-        }
-      },
-      grain);
+  const std::vector<std::size_t> first(nlv, 0);
+  ginterp_scatter_levels(dims, 1, {0, 0, 0}, dims, streams, first, fill,
+                         codes);
 }
 
 GInterpLevelsT<float> ginterp_compress_fused_levels(

@@ -114,9 +114,9 @@ struct GInterpLevelSplit {
 /// full code array in ascending linear order. advance() consumes stream
 /// symbols [consumed(), upto) and returns the new watermark — the linear
 /// index below which every position of this level has been scattered (the
-/// field volume once the stream is exhausted). The progressive readers
-/// scatter the levels a preview needs with it; full decode uses
-/// ginterp_scatter_levels.
+/// field volume once the stream is exhausted). No decoder uses it (they
+/// scatter with ginterp_scatter_levels); the benchmark's traced replay
+/// still does.
 class LevelScatterCursor {
  public:
   LevelScatterCursor(const dev::Dim3& dims, int level);
@@ -145,13 +145,29 @@ class LevelScatterCursor {
 /// Whole-field inverse of the split in one parallel pass: `codes` comes out
 /// equal to a `fill` prefill followed by a LevelScatterCursor walk over
 /// every level. streams[ℓ-1] holds level ℓ and must be exactly
-/// ginterp_level_volume(dims, ℓ) long. Each z-plane is one pool task: it
-/// fills itself, then copies every level's symbols starting at the plane's
-/// closed-form rank (ginterp_level_prefix), so tasks write disjoint planes
-/// and carry no cursor state between them.
+/// ginterp_level_volume(dims, ℓ) long. The level-1 whole-field case of the
+/// general form below.
 void ginterp_scatter_levels(
     const dev::Dim3& dims,
     std::span<const std::span<const quant::Code>> streams, quant::Code fill,
+    std::span<quant::Code> codes);
+
+/// Scatters every level >= `level` onto the level-`level` lattice (the
+/// positions whose interpolated coordinates are multiples of
+/// 2^(level-1), in lattice coordinates: extents ginterp_preview_dims) —
+/// only its window [lo, lo + ext), which `codes` spans row-major. Levels
+/// below `level` never land on the lattice and are not read. streams[ℓ-1]
+/// (ℓ >= level) holds level ℓ's symbols of ranks [first[ℓ-1],
+/// first[ℓ-1] + streams[ℓ-1].size()) and must cover every rank the window
+/// holds (std::invalid_argument otherwise); positions no level names get
+/// `fill`. Each lattice z-plane is one pool task that fills itself and
+/// copies each level's rows from their closed-form ranks
+/// (ginterp_level_prefix, level_rank), so tasks write disjoint planes and
+/// carry no cursor state.
+void ginterp_scatter_levels(
+    const dev::Dim3& dims, int level, const dev::Dim3& lo, const dev::Dim3& ext,
+    std::span<const std::span<const quant::Code>> streams,
+    std::span<const std::size_t> first, quant::Code fill,
     std::span<quant::Code> codes);
 
 /// Fused predict+quantize with per-level emission (the compress front end):
@@ -186,11 +202,11 @@ struct GInterpLevelsT {
 /// Partial reconstruction for progressive decode: replays anchors + every
 /// level >= max_level and returns the stride-2^(max_level-1) preview grid.
 /// Passes at stride s touch only stride-s grid positions, so the preview is
-/// bit-identical to ginterp_subsample over the full reconstruction — finer
-/// levels' codes are never read and may be absent (prefilled). `codes` must
-/// still span the full volume, with the levels >= max_level scattered and
-/// everything else at the prefill value. max_level is clamped to
-/// [1, level_count+1]; level_count+1 returns the lossless anchor grid.
+/// bit-identical to ginterp_subsample over the full reconstruction. `codes`
+/// spans the full volume (only positions on the preview lattice are read);
+/// they are gathered onto the lattice in `ws` memory and the
+/// reconstruction runs there, in preview-sized memory. max_level is clamped
+/// to [1, level_count+1]; level_count+1 returns the lossless anchor grid.
 [[nodiscard]] std::vector<float> ginterp_decompress_to_level(
     std::span<const quant::Code> codes, std::span<const float> anchors,
     const quant::OutlierViewT<float>& outliers, const dev::Dim3& dims,
@@ -234,9 +250,16 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const InterpConfig& cfg, int radius,
                              std::span<double> out, dev::Workspace& ws);
 
-/// In-place reconstruction, one tile-grid z-slab at a time — the unit
-/// ginterp_decompress_into and the progressive preview fan out across the
-/// pool.
+/// In-place reconstruction, one tile-grid z-slab at a time, over the
+/// level-L lattice (positions whose interpolated coordinates are multiples
+/// of S = 2^(L-1), in lattice coordinates) — the whole lattice, written
+/// straight into the caller's buffer, or the closed box of an ROI plan. On
+/// the lattice, tile origins, owned/closed extents and pass strides are the
+/// field's divided by S (tile sizes and every stride >= S are multiples of
+/// S, so each neighbour test gives the same answer); the pass sequence, the
+/// per-level quantizers and the per-point arithmetic are unchanged, so
+/// every lattice point comes out bit-identical to the same point of a full
+/// decode. At L = 1 on the whole field this is the full decode.
 ///
 /// Why in place is safe (the full argument is in docs/PERF.md):
 ///   - the only *loaded* values a tile ever consumes are anchors (never a
@@ -247,62 +270,87 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
 ///   - every other position's reconstruction depends only on codes and on
 ///     inputs recomputed earlier within the same tile, never on what the
 ///     buffer held at load time.
+/// The same argument makes a box self-seeding: a buffer holding the
+/// post-scatter state of the covering tiles' closed regions reconstructs
+/// those tiles exactly, and no tile outside the cover has to run.
 /// Scheduling keeps the formal data race out: the constructor snapshots
 /// every slab-boundary z-plane right after the scatter, and a slab's tiles
 /// load their +z border row-by-row from that immutable snapshot instead of
-/// from `out` — the snapshot holds exactly the values the safety argument
-/// says are consumed (anchors and outlier originals, which reconstruction
-/// writes back unchanged), so the substitution is bit-transparent. With the
-/// cross-slab read gone, slabs are fully independent (disjoint writes,
-/// snapshot or own-slab reads) and may run in ANY order, including
-/// concurrently on different streams; within a slab tiles launch in four
-/// (bx, by)-parity waves, so no two concurrent tiles' closed regions
-/// overlap. Output is bit-identical to the staged ginterp_decompress at any
-/// worker count and any slab schedule.
+/// from `out`, so slabs are fully independent (disjoint writes, snapshot or
+/// own-slab reads) and may run in ANY order, including concurrently; within
+/// a slab tiles launch in four (bx, by)-parity waves, so no two concurrent
+/// tiles' closed regions overlap. Output is bit-identical at any worker
+/// count and any slab schedule.
 ///
 /// Caveat: positions whose code is the outlier marker but which the archive
 /// failed to list as outliers (impossible for well-formed archives; not
 /// always detectable for corrupt ones) reconstruct from `out`'s prior
-/// contents instead of the staging buffer's zeros — still silently-wrong
-/// values either way, and never UB, which is all the corruption contract
-/// promises.
+/// contents — silently-wrong values, never UB, which is all the corruption
+/// contract promises.
+struct GInterpRoiPlan;
+
 template <typename T>
 class GInterpReconstructorT {
  public:
-  /// Validates archive metadata (same core::CorruptArchive throws as
-  /// ginterp_decompress) and scatters anchors + outlier originals into
-  /// `out`. `codes` and `out` are borrowed and must outlive the slab runs.
-  /// `max_level` > 1 stops the per-tile level walk above that level's
-  /// stride: only stride-2^(max_level-1) grid positions are reconstructed
-  /// (the progressive preview path); everything finer keeps whatever `out`
-  /// held after the scatter.
+  /// The whole level-`level` lattice: `codes` and `out` span
+  /// ginterp_preview_dims(dims, level) (codes from ginterp_scatter_levels at
+  /// that level). Validates archive metadata (core::CorruptArchive on a bad
+  /// anchor count or outlier index) and scatters the anchors and the
+  /// outlier originals that sit on the lattice into `out`. `level` must be
+  /// in [1, level_count]. `codes` and `out` are borrowed and must outlive
+  /// the slab runs.
   GInterpReconstructorT(std::span<const quant::Code> codes,
                         std::span<const T> anchors,
                         const quant::OutlierViewT<T>& outliers,
                         const dev::Dim3& dims, double eb,
                         const InterpConfig& cfg, int radius, std::span<T> out,
-                        int max_level = 1);
+                        int level = 1);
 
-  [[nodiscard]] std::size_t slab_count() const { return grid_.z; }
+  /// The closed box of `plan` at level 1: `codes` and `out` span
+  /// plan.box_dims, and `anchors` holds the plan's anchor window
+  /// [anchor_lo, anchor_hi) row-major. Outliers outside the box are
+  /// validated and skipped. Positions of `out` outside the covering tiles'
+  /// owned regions (the halo) hold reconstruction scratch.
+  GInterpReconstructorT(std::span<const quant::Code> codes,
+                        std::span<const T> anchors,
+                        const quant::OutlierViewT<T>& outliers,
+                        const GInterpRoiPlan& plan,
+                        const dev::Dim3& dims, double eb,
+                        const InterpConfig& cfg, int radius, std::span<T> out);
 
-  /// Reconstructs every tile with block index z == bz. Slabs are mutually
-  /// independent (cross-slab borders come from the constructor's snapshot),
-  /// so calls may come in any order and from concurrent streams — each bz
-  /// exactly once.
-  void run_slab(std::size_t bz);
+  /// Covered tile slabs along z; slab k holds tile block z = first + k.
+  [[nodiscard]] std::size_t slab_count() const {
+    return tile_hi_.z - tile_lo_.z;
+  }
+
+  /// Reconstructs every covered tile of slab k. Slabs are mutually
+  /// independent, so calls may come in any order and from concurrent
+  /// callers — each k exactly once.
+  void run_slab(std::size_t k);
+
+  /// Every slab: one pool launch over the slabs when there is a slab per
+  /// worker (each slab's parity waves then run inline on its worker),
+  /// otherwise the slabs in turn, each slab's waves spread across the pool.
+  void run();
 
  private:
+  void seed(std::span<const T> anchors, const dev::Dim3& anchor_lo,
+            const dev::Dim3& anchor_n, const quant::OutlierViewT<T>& outliers);
+
   std::span<const quant::Code> codes_;
   std::span<T> out_;
   dev::Dim3 dims_;
-  dev::Dim3 grid_;
   Geometry geo_;
   InterpConfig cfg_;
   std::vector<quant::Quantizer> level_qz_;
-  std::size_t min_stride_ = 1;  ///< finest stride the level walk reaches
-  /// Post-scatter snapshot of the slab-boundary z-planes (z = (bz+1)*tile.z
-  /// for bz < grid_.z - 1), dims.x*dims.y elements each, making every slab's
-  /// +z border load independent of neighbor-slab progress.
+  std::size_t scale_ = 1;  ///< lattice scale S = 2^(level-1)
+  dev::Dim3 grid_;         ///< lattice extents
+  dev::Dim3 tile_;         ///< lattice tile
+  dev::Dim3 lo_{0, 0, 0};  ///< lattice origin of the buffer
+  dev::Dim3 buf_;          ///< buffer extents
+  dev::Dim3 tile_lo_{0, 0, 0}, tile_hi_;  ///< covered tile blocks
+  /// Post-scatter snapshot of the interior slab-boundary z-planes,
+  /// buf_.x * buf_.y elements each.
   std::vector<T> border_;
 };
 
@@ -311,27 +359,25 @@ using GInterpReconstructor = GInterpReconstructorT<float>;
 extern template class GInterpReconstructorT<float>;
 extern template class GInterpReconstructorT<double>;
 
-// ---- Random-access (ROI) reconstruction ----------------------------------
+// ---- Random-access (ROI) planning ----------------------------------------
 //
-// Tiles are self-seeding: the first interpolation pass's inputs are all
-// anchor positions, and the only *loaded* values a tile ever consumes are
-// anchors and outlier originals. A box-local buffer that holds exactly the
-// post-scatter state of the covering tiles' closed regions therefore
-// reconstructs those tiles bit-identically to a full decompress — no tile
-// outside the cover has to run. The closed forms above (ginterp_level_*)
-// locate each level's covered symbols inside its per-level stream, so a
-// random-access reader decodes only the Huffman chunks those rank runs
-// touch.
+// Tiles are self-seeding (see GInterpReconstructorT), so a box needs only
+// its covering tiles' closed regions. The closed forms above
+// (ginterp_level_*) locate each level's covered symbols inside its
+// per-level stream, so a random-access reader decodes only the Huffman
+// chunks those rank runs touch.
 
-/// Covering-tile plan of the ROI box [lo, lo + ext): the tile block range
-/// and the tile-aligned closed box that contains every covering tile's
-/// closed region. Throws std::invalid_argument when the ROI is empty or
-/// exceeds the field.
+/// Covering-tile plan of the ROI box [lo, lo + ext): the tile block range,
+/// the tile-aligned closed box that contains every covering tile's closed
+/// region, and the anchors inside that box. Throws std::invalid_argument
+/// when the ROI is empty or exceeds the field.
 struct GInterpRoiPlan {
-  dev::Dim3 tile_lo;   ///< first covering tile block per axis
-  dev::Dim3 tile_hi;   ///< one past the last covering tile block
-  dev::Dim3 box_lo;    ///< closed box origin (tile_lo * tile)
-  dev::Dim3 box_dims;  ///< closed box extents, clipped to the field
+  dev::Dim3 tile_lo;    ///< first covering tile block per axis
+  dev::Dim3 tile_hi;    ///< one past the last covering tile block
+  dev::Dim3 box_lo;     ///< closed box origin (tile_lo * tile)
+  dev::Dim3 box_dims;   ///< closed box extents, clipped to the field
+  dev::Dim3 anchor_lo;  ///< first anchor-grid index inside the closed box
+  dev::Dim3 anchor_hi;  ///< one past the last
 };
 
 [[nodiscard]] GInterpRoiPlan ginterp_roi_plan(const dev::Dim3& dims,
@@ -354,50 +400,5 @@ using GInterpRunFn =
 void ginterp_level_box_runs(const dev::Dim3& dims, int level,
                             const dev::Dim3& lo, const dev::Dim3& ext,
                             const GInterpRunFn& fn);
-
-/// Box-clipped counterpart of GInterpReconstructorT: reconstructs only the
-/// plan's covering tiles inside a box-local buffer. `codes` and `out` are
-/// box-local arrays of plan.box_dims.volume() elements; the caller has
-/// already radius-prefilled `codes`, scattered every covered level's
-/// symbols into it, and scattered anchors + outlier originals into `out`
-/// (all at box-local indices). Tile clamps, pass walks and per-point
-/// arithmetic are shared with the full reconstructor, so the owned region
-/// of every covering tile comes out bit-identical to the same tile of a
-/// full decompress; positions of `out` outside those owned regions (the
-/// halo) hold reconstruction scratch and must be discarded by the crop.
-template <typename T>
-class GInterpRoiReconstructorT {
- public:
-  GInterpRoiReconstructorT(std::span<const quant::Code> codes,
-                           const GInterpRoiPlan& plan, const dev::Dim3& dims,
-                           double eb, const InterpConfig& cfg, int radius,
-                           std::span<T> out);
-
-  /// Covered tile slabs along z; slab k holds tile block z = tile_lo.z + k.
-  [[nodiscard]] std::size_t slab_count() const {
-    return plan_.tile_hi.z - plan_.tile_lo.z;
-  }
-
-  /// Reconstructs every covering tile of slab k. As with the full
-  /// reconstructor, slabs are mutually independent (interior slab
-  /// boundaries load from a post-scatter snapshot) and may run concurrently
-  /// — each k exactly once.
-  void run_slab(std::size_t k);
-
- private:
-  std::span<const quant::Code> codes_;
-  std::span<T> out_;
-  dev::Dim3 dims_;
-  GInterpRoiPlan plan_;
-  Geometry geo_;
-  InterpConfig cfg_;
-  std::vector<quant::Quantizer> level_qz_;
-  /// Post-scatter snapshot of the box-interior slab-boundary z-planes
-  /// (box_dims.x * box_dims.y elements each), one per interior boundary.
-  std::vector<T> border_;
-};
-
-extern template class GInterpRoiReconstructorT<float>;
-extern template class GInterpRoiReconstructorT<double>;
 
 }  // namespace szi::predictor

@@ -203,7 +203,7 @@ TEST(CorruptionFuzz, V2HeaderInvariantsRejected) {
 
 // Structured BBC2 wrapper coverage: each container invariant, violated one
 // at a time, must be rejected with CorruptArchive by the unwrap path, the
-// pipelined decode, and the prefix-reading progressive decode. Table
+// phased wrapped full decode, and the prefix-reading preview. Table
 // layout: u32 magic | u32 nseg | 24-byte entries (u8 method | u8 rsv0 |
 // u16 rsv1 | u32 rsv2 | u64 raw_size | u64 size), payloads back to back.
 TEST(CorruptionFuzz, WrapperTableInvariantsRejected) {

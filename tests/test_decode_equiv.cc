@@ -147,8 +147,9 @@ TEST(DecodeEquiv, HuffmanPackEdgeCases) {
     (void)decode_both_ways(std::span<const Code>(spread).first(n), 4096, 64);
 }
 
-// Both LZSS parameterizations through the full pipelined decode (widened
-// match copies + literal batching are exercised by both token mixes).
+// Both LZSS parameterizations through the phased wrapped full decode
+// (widened match copies + literal batching are exercised by both token
+// mixes).
 TEST(DecodeEquiv, BothLzssModes) {
   const auto f =
       szi::datagen::make_dataset("nyx", szi::datagen::Size::Small).front();

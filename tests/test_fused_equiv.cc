@@ -114,8 +114,8 @@ TEST(FusedEquiv, ShapesAndPrecisions) {
   }
 }
 
-// Both LZSS parameterizations of the de-redundancy pass: the pipelined
-// per-block path must reproduce the monolithic lzss_compress stream bit for
+// Both LZSS parameterizations of the de-redundancy pass: the one-launch
+// per-block wrap must reproduce the monolithic lzss_compress stream bit for
 // bit under Greedy as well as Lazy matching.
 TEST(FusedEquiv, BothLzssModes) {
   const auto f =

@@ -32,6 +32,7 @@
 #include "io/bundle.hh"
 #include "lossless/lzss.hh"
 #include "lossless/orchestrate.hh"
+#include "predictor/ginterp.hh"
 #include "quant/outlier.hh"
 
 namespace {
@@ -125,6 +126,39 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, FuzzDecode,
                              if (ch == '-' || ch == '+') ch = '_';
                            return n;
                          });
+
+// Seeded mutants of the raw and the BBC2 archive through the preview and
+// ROI entry points, which run the one phased decoder over other fetch sets
+// than a full decode (a prefix of segments, or a box's covering anchor
+// rows, stream headers and chunks). Every mutant must decode or throw
+// CorruptArchive at every preview level and through a fixed box; each entry
+// point is tried even when another rejected the mutant.
+TEST(FuzzDecode, PreviewAndRoiMutants) {
+  const auto& f = tiny_field();
+  const auto raw = szi::cuszi_compress(std::span<const float>(f.data), f.dims,
+                                       {szi::ErrorMode::Rel, 1e-3});
+  const auto wrapped = szi::bitcomp_wrap_archive(raw);
+  const int nlevels = szi::predictor::ginterp_level_count(f.dims);
+  const szi::RoiBox box{{3, 2, 1}, {12, 9, 6}};
+  const auto rejects_or_decodes = [](auto&& decode) {
+    try {
+      decode();
+    } catch (const szi::core::CorruptArchive&) {
+    }
+  };
+  for (const auto& [label, archive] :
+       {std::pair{"preview-roi-raw", raw},
+        std::pair{"preview-roi-bbc2", wrapped}}) {
+    run_trials(label, archive, [&](std::span<const std::byte> mutant) {
+      for (int level = 1; level <= nlevels + 1; ++level)
+        rejects_or_decodes([&] {
+          (void)szi::cuszi_decompress_progressive_f32(mutant, level);
+        });
+      rejects_or_decodes(
+          [&] { (void)szi::cuszi_decompress_roi_f32(mutant, box); });
+    });
+  }
+}
 
 // The lazy-match LZSS encoder path: mutants of its output (a token format
 // identical to the greedy encoder's, so the untouched decoder is the unit
@@ -421,8 +455,8 @@ TEST(FuzzDecode, RetiredLayoutMutants) {
 // u64 size): every corruption must be rejected by bitcomp_parse_container's
 // structural checks (unknown method, reserved bytes, payload fill, size
 // overflow) or surface as CorruptArchive from the per-segment frame
-// validators — through the unwrap path, the pipelined decode, AND the
-// prefix-reading progressive decode.
+// validators — through the unwrap path, the phased wrapped full decode,
+// AND the prefix-reading preview.
 TEST(FuzzDecode, WrapperTableMutants) {
   const auto& f = tiny_field();
   const auto inner = szi::cuszi_compress(std::span<const float>(f.data),
@@ -549,8 +583,8 @@ TEST(FuzzDecode, WrapperMethodByteMutants) {
 // Every-prefix truncation of forced-ZeroRle and forced-Bitshuffle wrapped
 // archives: cuts land inside the RLE run stream and inside bit-plane rows
 // of the shuffle frame, where a lazily validated decoder would read past
-// the end — both the unwrap path and the pipelined decode (whose serial
-// drain must still run every unit on corrupt tails) are under contract.
+// the end — both the unwrap path and the phased wrapped full decode (which
+// must still decode every block of a corrupt tail) are under contract.
 TEST(FuzzDecode, TruncationSweepTransformedFrames) {
   const auto& f = tiny_field();
   const auto inner = szi::cuszi_compress(std::span<const float>(f.data),

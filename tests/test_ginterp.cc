@@ -385,33 +385,48 @@ TEST(GInterpLevels, FusedLevelsMatchesSplit) {
 
 // Partial reconstruction must agree with the subsample of the full decode at
 // every level — passes at stride s only ever touch stride-s positions, so
-// stopping early changes nothing on the coarse grid.
-TEST(GInterpLevels, DecompressToLevelMatchesSubsample) {
-  const Dim3 dims{65, 33, 17};
-  const auto data = smooth_field(dims, 5);
+// stopping early changes nothing on the coarse grid. The preview runs on its
+// own lattice, so the shapes cover every geometry a lattice-scale slip could
+// hide in: 3-D (odd, tiny, 1x1xN, degenerate x), 2-D (top stride 8, z = 1)
+// and 1-D (top stride 256), in f32 and one in f64.
+template <typename T>
+void expect_preview_matches_subsample(const Dim3& dims) {
+  SCOPED_TRACE(::testing::Message() << dims.x << "x" << dims.y << "x"
+                                    << dims.z << " f" << 8 * sizeof(T));
+  const auto f32 = smooth_field(dims, 5);
+  const std::vector<T> data(f32.begin(), f32.end());
   const double eb = 1e-3;
-  const auto prof = autotune(data, dims, eb);
+  const auto prof = autotune(f32, dims, eb);
   const int radius = szi::quant::kDefaultRadius;
-  const auto enc = ginterp_compress(std::span<const float>(data), dims, eb,
+  const auto enc = ginterp_compress(std::span<const T>(data), dims, eb,
                                     prof.config, radius);
   const auto full = ginterp_decompress(enc.codes, enc.anchors, enc.outliers,
                                        dims, eb, prof.config, radius);
 
-  const szi::quant::OutlierViewT<float> oview{enc.outliers.indices,
-                                              enc.outliers.values};
+  const szi::quant::OutlierViewT<T> oview{enc.outliers.indices,
+                                          enc.outliers.values};
   const int nlevels = szi::predictor::ginterp_level_count(dims);
   for (int l = 1; l <= nlevels + 1; ++l) {
     szi::dev::Arena arena;
     szi::dev::Workspace ws(arena);
     const auto part = szi::predictor::ginterp_decompress_to_level(
-        enc.codes, enc.anchors, oview, dims, eb, prof.config, radius, l, ws);
-    const auto sub = szi::predictor::ginterp_subsample(
-        std::span<const float>(full), dims, l);
+        enc.codes, std::span<const T>(enc.anchors), oview, dims, eb,
+        prof.config, radius, l, ws);
+    const auto sub =
+        szi::predictor::ginterp_subsample(std::span<const T>(full), dims, l);
     ASSERT_EQ(part.size(), sub.size()) << "level " << l;
-    EXPECT_EQ(0, std::memcmp(part.data(), sub.data(),
-                             sub.size() * sizeof(float)))
+    EXPECT_EQ(0, std::memcmp(part.data(), sub.data(), sub.size() * sizeof(T)))
         << "level " << l;
   }
+}
+
+TEST(GInterpLevels, DecompressToLevelMatchesSubsample) {
+  for (const auto& dims :
+       {Dim3{65, 33, 17}, Dim3{300, 211, 1}, Dim3{70000, 1, 1},
+        Dim3{1, 1, 300}, Dim3{1, 300, 211}, Dim3{2, 2, 2}, Dim3{5, 3, 2},
+        Dim3{257, 9, 1}})
+    expect_preview_matches_subsample<float>(dims);
+  expect_preview_matches_subsample<double>(Dim3{100, 90, 20});
 }
 
 // The lround-based Quantizer::quantize body the call-free rounding

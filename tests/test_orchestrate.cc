@@ -48,8 +48,8 @@ const char* policy_name(MethodPolicy p) {
 
 // Every forced method x every dataset x both precisions: wrap the real
 // inner archive, unwrap it byte-exactly, and decode the wrapped archive
-// through the pipelined path (which exercises the transformed decode
-// units) to the same values as the plain inner decode.
+// through the phased decoder (whose fetch decodes and untransforms the
+// transformed segments) to the same values as the plain inner decode.
 TEST(Orchestrate, ForcedMethodsRoundTripEveryDatasetBothPrecisions) {
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);

@@ -61,8 +61,9 @@ TEST(ParallelDeterminism, RepeatableArchivesAndBoundedRoundTrips) {
 /// scratch files by the 1-thread ctest instance; every other instance
 /// (2/3/4/8 workers and the SZI_NO_AVX2 run, which takes the scalar kernel
 /// paths) verifies against them. The bitcomp-wrapped decode exercises the
-/// pipelined path: parallel LZSS block decode + Huffman chunk groups feeding
-/// the slab-parallel reconstruction through the codes_needed watermark.
+/// phased decoder end to end: the pool-wide LZSS block decode, the
+/// one-launch Huffman decode of every level's chunks, the plane-parallel
+/// scatter and the slab-parallel reconstruction.
 TEST(ParallelDeterminism, ArchivesAndReconsMatchAcrossWorkerCounts) {
   const char* threads_env = std::getenv("SZI_THREADS");
   if (!threads_env) GTEST_SKIP() << "run via ctest (sets SZI_THREADS)";
@@ -79,7 +80,7 @@ TEST(ParallelDeterminism, ArchivesAndReconsMatchAcrossWorkerCounts) {
   const auto enc = c->compress(fields.front(), {ErrorMode::Rel, 1e-3});
 
   // Plain decode (slab-parallel reconstruction) and the bitcomp-wrapped
-  // pipelined decode must agree with each other at every worker count.
+  // phased decode must agree with each other at every worker count.
   const auto recon = szi::cuszi_decompress_f32(enc.bytes);
   const auto recon_bytes = std::as_bytes(std::span<const float>(recon));
   szi::dev::Arena arena;

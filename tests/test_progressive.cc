@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/bytes.hh"
@@ -57,13 +58,36 @@ std::vector<double> smooth_f64(const Dim3& dims) {
   return v;
 }
 
+/// A smooth synthetic field of any rank.
+szi::Field smooth_field(const Dim3& dims) {
+  szi::Field f("synthetic", "smooth", dims);
+  for (std::size_t z = 0; z < dims.z; ++z)
+    for (std::size_t y = 0; y < dims.y; ++y)
+      for (std::size_t x = 0; x < dims.x; ++x)
+        f.at(x, y, z) = static_cast<float>(
+            std::sin(0.013 * static_cast<double>(x)) *
+                std::cos(0.021 * static_cast<double>(y)) +
+            0.2 * std::sin(0.05 * static_cast<double>(z)) +
+            0.01 * static_cast<double>((x + y) % 5));
+  return f;
+}
+
 /// Every level's preview must be bitwise the subsample of the full decode:
 /// coarse passes touch only coarse grid positions, so decoding fewer
-/// segments cannot perturb the points it does reconstruct.
+/// segments cannot perturb the points it does reconstruct. Besides three
+/// 3-D datasets, a 2-D field (top stride 8, z = 1) and a 1-D field (top
+/// stride 256) cover the other preview lattices.
 TEST(Progressive, PreviewMatchesSubsampleOfFullDecode) {
-  for (const char* ds : {"miranda", "nyx", "s3d"}) {
-    const auto fields = szi::datagen::make_dataset(ds, szi::datagen::Size::Small);
-    const auto& f = fields.front();
+  std::vector<szi::Field> inputs;
+  for (const char* ds : {"miranda", "nyx", "s3d"})
+    inputs.push_back(
+        szi::datagen::make_dataset(ds, szi::datagen::Size::Small).front());
+  inputs.push_back(smooth_field({300, 211, 1}));
+  inputs.push_back(smooth_field({70000, 1, 1}));
+  for (const auto& f : inputs) {
+    const std::string ds = f.label() + " " + std::to_string(f.dims.x) + "x" +
+                           std::to_string(f.dims.y) + "x" +
+                           std::to_string(f.dims.z);
     const auto bytes = szi::cuszi_compress(std::span<const float>(f.data),
                                            f.dims, {ErrorMode::Rel, 1e-3});
     const auto full = szi::cuszi_decompress_f32(bytes);

@@ -326,6 +326,37 @@ TEST(Roi, AllArchiveSourcesAgree) {
   fs::remove_all(dir);
 }
 
+/// A 'BBC2' archive through file-backed sources: the covering LZSS blocks
+/// decode in one pool launch, each task viewing its block through the
+/// source with its own scratch (pread copies for a StreamSource), so every
+/// source returns the same box and reports the same bytes read.
+TEST(Roi, WrappedArchiveSourcesAgree) {
+  const auto fields =
+      szi::datagen::make_dataset("nyx", szi::datagen::Size::Small);
+  const auto& f = fields.front();
+  const auto wrapped = szi::bitcomp_wrap_archive(szi::cuszi_compress(
+      std::span<const float>(f.data), f.dims, {ErrorMode::Rel, 1e-3}));
+  const fs::path dir = fs::temp_directory_path() /
+                       ("szi_roi_wrapped_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto path = (dir / "a.szi").string();
+  szi::io::write_bytes(path, wrapped);
+
+  for (const RoiBox& box : {RoiBox{{30, 40, 50}, {20, 24, 28}},
+                            RoiBox{{0, 0, 0}, {96, 96, 40}}}) {
+    const auto rm = szi::cuszi_decompress_roi_f32(wrapped, box);
+    szi::io::MmapSource mm(path);
+    const auto r1 = szi::cuszi_decompress_roi_f32(mm, box);
+    EXPECT_EQ(r1.data, rm.data);
+    EXPECT_EQ(r1.bytes_read, rm.bytes_read);
+    szi::io::StreamSource st(path);
+    const auto r2 = szi::cuszi_decompress_roi_f32(st, box);
+    EXPECT_EQ(r2.data, rm.data);
+    EXPECT_EQ(r2.bytes_read, rm.bytes_read);
+  }
+  fs::remove_all(dir);
+}
+
 /// Degenerate and out-of-range boxes are rejected up front, and baseline
 /// compressors report no ROI support.
 TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
