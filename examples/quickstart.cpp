@@ -10,6 +10,7 @@
 #include <string>
 
 #include "baselines/registry.hh"
+#include "core/timer.hh"
 #include "datagen/datasets.hh"
 #include "metrics/stats.hh"
 
@@ -38,8 +39,9 @@ int main(int argc, char** argv) {
               static_cast<double>(field.bytes()) / 1e6 / enc.timings.total);
 
   // 3. Decompress and verify.
-  double dec_s = 0;
-  const auto recon = compressor->decompress(enc.bytes, &dec_s);
+  szi::core::Timer t;
+  const auto recon = compressor->decompress(enc.bytes);
+  const double dec_s = t.lap();
   const auto d = szi::metrics::distortion(field.data, recon);
   const double abs_eb = rel_eb * d.range;
   std::printf("dec time : %.3f s\n", dec_s);

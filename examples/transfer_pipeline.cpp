@@ -12,6 +12,7 @@
 #include <string>
 
 #include "baselines/registry.hh"
+#include "core/timer.hh"
 #include "datagen/datasets.hh"
 #include "metrics/stats.hh"
 #include "transfer/globus_model.hh"
@@ -40,8 +41,9 @@ int main(int argc, char** argv) {
   for (const auto& name : {"cusz", "cuszp", "cuszx", "fz-gpu", "cusz-i"}) {
     auto c = szi::with_bitcomp(szi::baselines::make_compressor(name));
     const auto enc = c->compress(f, {szi::ErrorMode::Rel, rel_eb});
-    double dec_s = 0;
-    const auto recon = c->decompress(enc.bytes, &dec_s);
+    szi::core::Timer t;
+    const auto recon = c->decompress(enc.bytes);
+    const double dec_s = t.lap();
     const auto d = szi::metrics::distortion(f.data, recon);
     const auto cost = szi::transfer::transfer_cost(enc.timings.total,
                                                    enc.bytes.size(), dec_s, bw);

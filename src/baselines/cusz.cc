@@ -65,9 +65,8 @@ class Cusz final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     core::ByteReader rd(bytes, "cusz");
     rd.expect_magic(kMagic);
     dev::Dim3 dims;
@@ -85,9 +84,7 @@ class Cusz final : public Compressor {
     const auto codes = huffman::decode(rd.read_length_prefixed());
     if (codes.size() != n) rd.fail("code count mismatch");
     // lorenzo_decompress bounds-checks the outlier indices against dims.
-    auto out = predictor::lorenzo_decompress(codes, outliers, dims, eb, radius);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
+    return predictor::lorenzo_decompress(codes, outliers, dims, eb, radius);
   }
 };
 

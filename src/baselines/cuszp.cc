@@ -125,9 +125,8 @@ class CuSzp final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     core::ByteReader rd(bytes, "cuszp");
     rd.expect_magic(kMagic);
     dev::Dim3 dims;
@@ -201,7 +200,6 @@ class CuSzp final : public Compressor {
           out[i] = static_cast<float>(twice_eb * static_cast<double>(q[i]));
         },
         1 << 14);
-    if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
 };

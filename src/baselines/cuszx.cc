@@ -110,9 +110,8 @@ class CuSzx final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     core::ByteReader rd(bytes, "cuszx");
     rd.expect_magic(kMagic);
     dev::Dim3 dims;
@@ -176,7 +175,6 @@ class CuSzx final : public Compressor {
           }
         },
         1 << 6);
-    if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
 };

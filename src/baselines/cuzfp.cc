@@ -28,12 +28,9 @@ class CuZfp final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
-    auto out = zfp::decompress(bytes);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
+    return zfp::decompress(bytes);
   }
 };
 

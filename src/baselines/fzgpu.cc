@@ -68,9 +68,8 @@ class FzGpu final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     core::ByteReader rd(bytes, "fz-gpu");
     rd.expect_magic(kMagic);
     dev::Dim3 dims;
@@ -114,9 +113,7 @@ class FzGpu final : public Compressor {
           codes[outliers.indices[k]] = quant::kOutlierMarker;
         },
         1 << 12);
-    auto out = predictor::lorenzo_decompress(codes, outliers, dims, eb, radius);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
+    return predictor::lorenzo_decompress(codes, outliers, dims, eb, radius);
   }
 };
 

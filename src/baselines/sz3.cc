@@ -83,9 +83,8 @@ class CpuSz final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     core::ByteReader outer(bytes, "sz3");
     outer.expect_magic(kMagic);
     const auto inner_bytes = lossless::lzss_decompress(outer.read_length_prefixed());
@@ -122,10 +121,7 @@ class CpuSz final : public Compressor {
     if (codes.size() != n) rd.fail("code count mismatch");
     // cpu_interp_decompress validates the anchor stride, anchor count, and
     // outlier indices against dims.
-    auto out =
-        cpu_interp_decompress(codes, anchors, outliers, dims, eb, ip);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
+    return cpu_interp_decompress(codes, anchors, outliers, dims, eb, ip);
   }
 
  private:

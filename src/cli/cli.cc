@@ -8,6 +8,7 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "baselines/registry.hh"
 #include "core/cuszi.hh"
@@ -277,6 +278,81 @@ int run_serve_bench(std::size_t n) {
   return identical && failed == 0 ? 0 : 1;
 }
 
+/// -x of a cuSZ-i archive in precision T: a box, a preview or the full
+/// field. The decoder reads raw and 'BBC2' archives alike, so --bitcomp
+/// changes only the name printed.
+template <typename T>
+int decompress_cuszi(const Options& opt, io::ArchiveSource& asrc) {
+  constexpr bool f64 = std::is_same_v<T, double>;
+  const auto write = [&](std::span<const T> v) {
+    if constexpr (f64) io::write_f64(opt.output, v);
+    else io::write_f32(opt.output, v);
+  };
+  const std::string type = f64 ? " (f64)" : "";
+  if (opt.roi) {
+    const RoiBox& box = *opt.roi;
+    core::Timer t;
+    RoiResultT<T> r;
+    if constexpr (f64) r = cuszi_decompress_roi_f64(asrc, box);
+    else r = cuszi_decompress_roi_f32(asrc, box);
+    const double secs = t.lap();
+    write(r.data);
+    std::printf(
+        "cuSZ-i%s: ROI [%zu,%zu)x[%zu,%zu)x[%zu,%zu) (%zu values) -> %s in "
+        "%.3f s\n",
+        type.c_str(), box.lo.x, box.lo.x + box.ext.x, box.lo.y,
+        box.lo.y + box.ext.y, box.lo.z, box.lo.z + box.ext.z, r.data.size(),
+        opt.output.c_str(), secs);
+    if (opt.stages) {
+      const std::size_t archive = asrc.size();
+      print_stages(r.timings);
+      std::printf("roi: touched %zu of %zu archive bytes (%.1f%%)\n",
+                  r.bytes_read, archive,
+                  archive > 0 ? 100.0 * static_cast<double>(r.bytes_read) /
+                                    static_cast<double>(archive)
+                              : 0.0);
+    }
+    return 0;
+  }
+  std::vector<std::byte> scratch;
+  const auto bytes = asrc.view(0, asrc.size(), scratch);
+  const std::string name =
+      "cuSZ-i" + type + (opt.bitcomp ? " w/ Bitcomp" : "");
+  if (opt.level > 0) {
+    core::Timer t;
+    ProgressiveResultT<T> r;
+    if constexpr (f64) r = cuszi_decompress_progressive_f64(bytes, opt.level);
+    else r = cuszi_decompress_progressive_f32(bytes, opt.level);
+    const double secs = t.lap();
+    write(r.data);
+    std::printf(
+        "%s: preview level %d (%zu x %zu x %zu) from %zu of %zu bytes -> %s "
+        "in %.3f s\n",
+        name.c_str(), r.level, r.dims.x, r.dims.y, r.dims.z, r.bytes_read,
+        bytes.size(), opt.output.c_str(), secs);
+    if (opt.stages) {
+      print_segments(bytes);
+      print_wrap_segments(bytes);
+    }
+    return 0;
+  }
+  core::Timer t;
+  DecodeTimings dt;
+  std::vector<T> data;
+  if constexpr (f64) data = cuszi_decompress_f64(bytes, &dt);
+  else data = cuszi_decompress_f32(bytes, &dt);
+  const double secs = t.lap();
+  write(data);
+  std::printf("%s: %zu values -> %s in %.3f s\n", name.c_str(), data.size(),
+              opt.output.c_str(), secs);
+  if (opt.stages) {
+    print_stages(dt);
+    print_segments(bytes);
+    print_wrap_segments(bytes);
+  }
+  return 0;
+}
+
 }  // namespace
 
 std::string usage() {
@@ -301,7 +377,9 @@ options:
   -c NAME           cusz-i (default), cusz, cuszp, cuszx, fz-gpu, cuzfp,
                     sz3, qoz
   -t f32|f64        value type (default f32; f64 supports cusz-i only)
-  --bitcomp         wrap with the de-redundancy pass (must match on -x)
+  --bitcomp         with -z: wrap with the de-redundancy pass. With -x it
+                    matters only for baseline archives (cusz-i reads raw and
+                    wrapped archives alike)
   --verify          after -z, decompress and report PSNR / max error; exit 1
                     when an abs/rel bound is broken
   --level N         with -x: progressive preview decode from a level-segmented
@@ -536,102 +614,26 @@ int run(const Options& opt) {
       return 0;
     }
     case Command::Decompress: {
-      DecodeTimings dt;
       // Decode reads go through an ArchiveSource: mmap when possible, pread
       // otherwise — the archive is never copied into RAM up front, and ROI
       // requests touch only the covering ranges.
       auto asrc = io::open_archive(opt.input);
-      if (opt.roi) {
-        const RoiBox& box = *opt.roi;
-        const std::size_t archive = asrc->size();
-        const auto report = [&](std::size_t nvals, std::size_t bytes_read,
-                                const DecodeTimings& rt, double secs) {
-          std::printf(
-              "cuSZ-i%s: ROI [%zu,%zu)x[%zu,%zu)x[%zu,%zu) (%zu values) -> "
-              "%s in %.3f s\n",
-              opt.f64 ? " (f64)" : "", box.lo.x, box.lo.x + box.ext.x,
-              box.lo.y, box.lo.y + box.ext.y, box.lo.z, box.lo.z + box.ext.z,
-              nvals, opt.output.c_str(), secs);
-          if (opt.stages) {
-            print_stages(rt);
-            std::printf("roi: touched %zu of %zu archive bytes (%.1f%%)\n",
-                        bytes_read, archive,
-                        archive > 0 ? 100.0 * static_cast<double>(bytes_read) /
-                                          static_cast<double>(archive)
-                                    : 0.0);
-          }
-        };
-        core::Timer t;
-        if (opt.f64) {
-          const auto r = cuszi_decompress_roi_f64(*asrc, box);
-          const double secs = t.lap();
-          io::write_f64(opt.output, r.data);
-          report(r.data.size(), r.bytes_read, r.timings, secs);
-        } else {
-          const auto r = cuszi_decompress_roi_f32(*asrc, box);
-          const double secs = t.lap();
-          io::write_f32(opt.output, r.data);
-          report(r.data.size(), r.bytes_read, r.timings, secs);
-        }
-        return 0;
-      }
-      std::vector<std::byte> scratch;
-      const auto bytes = asrc->view(0, asrc->size(), scratch);
-      if (opt.f64) {
-        if (opt.level > 0) {
-          core::Timer t;
-          const auto r = cuszi_decompress_progressive_f64(bytes, opt.level);
-          const double secs = t.lap();
-          io::write_f64(opt.output, r.data);
-          std::printf(
-              "cuSZ-i (f64): preview level %d (%zu x %zu x %zu) from "
-              "%zu of %zu bytes -> %s in %.3f s\n",
-              r.level, r.dims.x, r.dims.y, r.dims.z, r.bytes_read,
-              bytes.size(), opt.output.c_str(), secs);
-          if (opt.stages) print_segments(bytes);
-          return 0;
-        }
-        core::Timer t;
-        const auto data =
-            cuszi_decompress_f64(bytes, opt.stages ? &dt : nullptr);
-        const double secs = t.lap();
-        io::write_f64(opt.output, data);
-        std::printf("cuSZ-i (f64): %zu values -> %s in %.3f s\n", data.size(),
-                    opt.output.c_str(), secs);
-        if (opt.stages) {
-          print_stages(dt);
-          print_segments(bytes);
-        }
-        return 0;
-      }
+      if (opt.compressor == "cusz-i")
+        return opt.f64 ? decompress_cuszi<double>(opt, *asrc)
+                       : decompress_cuszi<float>(opt, *asrc);
       auto c = baselines::make_compressor(opt.compressor);
       if (opt.bitcomp) c = with_bitcomp(std::move(c));
-      if (opt.level > 0) {
-        core::Timer t;
-        const auto r = c->decompress_progressive(bytes, opt.level);
-        const double secs = t.lap();
-        io::write_f32(opt.output, r.data);
-        std::printf(
-            "%s: preview level %d (%zu x %zu x %zu) from %zu of %zu bytes "
-            "-> %s in %.3f s\n",
-            c->name().c_str(), r.level, r.dims.x, r.dims.y, r.dims.z,
-            r.bytes_read, bytes.size(), opt.output.c_str(), secs);
-        if (opt.stages) {
-          print_segments(bytes);
-          print_wrap_segments(bytes);
-        }
-        return 0;
-      }
+      std::vector<std::byte> scratch;
+      const auto bytes = asrc->view(0, asrc->size(), scratch);
       core::Timer t;
-      const auto data =
-          opt.stages ? c->decompress_stages(bytes, dt) : c->decompress(bytes);
-      const double secs = t.lap();
+      const auto data = c->decompress(bytes);
+      DecodeTimings dt;
+      dt.total = t.lap();
       io::write_f32(opt.output, data);
       std::printf("%s: %zu values -> %s in %.3f s\n", c->name().c_str(),
-                  data.size(), opt.output.c_str(), secs);
+                  data.size(), opt.output.c_str(), dt.total);
       if (opt.stages) {
         print_stages(dt);
-        print_segments(bytes);
         print_wrap_segments(bytes);
       }
       return 0;

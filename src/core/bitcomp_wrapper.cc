@@ -4,7 +4,6 @@
 // leaves the most pattern redundancy in its Huffman stream.
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include "core/bytes.hh"
@@ -44,6 +43,59 @@ std::vector<std::pair<std::size_t, std::size_t>> wrap_partition(
   }
   if (parts.empty()) parts.emplace_back(0, bytes.size());
   return parts;
+}
+
+/// 'BBC2' head: u32 magic | u32 nseg. The segment table follows it.
+constexpr std::size_t kWrapHead = 2 * sizeof(std::uint32_t);
+
+/// A validated 'BBC2' segment table.
+struct WrapTable {
+  std::vector<WrapSegmentEntry> entries;
+  std::size_t table_bytes = 0;    ///< head + table: first payload offset
+  std::uint64_t payload_end = 0;  ///< where the entries' payloads end
+};
+
+/// The format rules of a 'BBC2' head and table, which the container parse
+/// and the decoder's fetch share: the magic, a non-empty table that fits in
+/// the `size`-byte container, known method ids, zero reserved fields, sizes
+/// whose sums do not overflow, and an inner archive the decode may
+/// allocate. `head` holds the container's first bytes; `view_table(len)`
+/// returns the table's `len` bytes, which start at kWrapHead. How the
+/// payloads fill the container is each caller's rule.
+template <typename ViewTable>
+WrapTable check_wrap_table(std::span<const std::byte> head, std::size_t size,
+                           ViewTable&& view_table) {
+  const auto fail = [](std::size_t off, const char* what) {
+    throw core::CorruptArchive("bitcomp-wrapper", off, what);
+  };
+  if (head.size() < kWrapHead) fail(0, "container truncated");
+  std::uint32_t magic = 0, nseg = 0;
+  std::memcpy(&magic, head.data(), sizeof(magic));
+  std::memcpy(&nseg, head.data() + sizeof(magic), sizeof(nseg));
+  if (magic != kBitcompWrapMagicV2) fail(0, "bad magic");
+  if (nseg == 0) fail(kWrapHead, "empty segment table");
+  if (nseg > (size - kWrapHead) / sizeof(WrapSegmentEntry))
+    fail(kWrapHead, "segment table exceeds container");
+  WrapTable t;
+  t.entries.resize(nseg);
+  t.table_bytes = kWrapHead + nseg * sizeof(WrapSegmentEntry);
+  std::memcpy(t.entries.data(),
+              view_table(nseg * sizeof(WrapSegmentEntry)).data(),
+              nseg * sizeof(WrapSegmentEntry));
+  t.payload_end = t.table_bytes;
+  std::uint64_t raw_size = 0;
+  for (const auto& e : t.entries) {
+    if (e.method >= lossless::kMethodCount)
+      fail(kWrapHead, "unknown lossless method id");
+    if (e.reserved0 != 0 || e.reserved1 != 0 || e.reserved2 != 0)
+      fail(kWrapHead, "reserved wrapper field set");
+    if (__builtin_add_overflow(t.payload_end, e.size, &t.payload_end) ||
+        __builtin_add_overflow(raw_size, e.raw_size, &raw_size))
+      fail(kWrapHead, "segment sizes overflow");
+  }
+  core::guard_decode_alloc("bitcomp-wrapper", kWrapHead,
+                           static_cast<std::size_t>(raw_size));
+  return t;
 }
 
 }  // namespace
@@ -109,8 +161,7 @@ std::vector<std::byte> bitcomp_wrap_archive(
       1);
 
   // 'BBC2' magic | u32 nseg | segment table | per-segment LZSS streams.
-  std::size_t total =
-      2 * sizeof(std::uint32_t) + nseg * sizeof(WrapSegmentEntry);
+  std::size_t total = kWrapHead + nseg * sizeof(WrapSegmentEntry);
   for (std::size_t i = 0; i < nseg; ++i) {
     entries[i].size = lossless::lzss_stream_size(
         src[i].size(), bs,
@@ -122,7 +173,7 @@ std::vector<std::byte> bitcomp_wrap_archive(
   const auto nseg32 = static_cast<std::uint32_t>(nseg);
   std::memcpy(op, &kBitcompWrapMagicV2, sizeof(kBitcompWrapMagicV2));
   std::memcpy(op + sizeof(kBitcompWrapMagicV2), &nseg32, sizeof(nseg32));
-  op += 2 * sizeof(std::uint32_t);
+  op += kWrapHead;
   std::memcpy(op, entries.data(), nseg * sizeof(WrapSegmentEntry));
   op += nseg * sizeof(WrapSegmentEntry);
   for (std::size_t i = 0; i < nseg; ++i) {
@@ -136,10 +187,17 @@ std::vector<std::byte> bitcomp_wrap_archive(
   return out;
 }
 
-InnerBytes::InnerBytes(io::ArchiveSource& src, bool wrapped,
-                       dev::Workspace& ws)
-    : src_(src), ws_(ws), wrapped_(wrapped) {
-  if (wrapped) parse_table();
+InnerBytes::InnerBytes(io::ArchiveSource& src, dev::Workspace& ws)
+    : src_(src), ws_(ws), head_len_(std::min(src.size(), head_.size())) {
+  std::vector<std::byte> scratch;
+  if (head_len_ > 0)
+    std::memcpy(head_.data(), src.view(0, head_len_, scratch).data(),
+                head_len_);
+  std::uint32_t magic = 0;
+  if (head_len_ >= sizeof(magic))
+    std::memcpy(&magic, head_.data(), sizeof(magic));
+  wrapped_ = magic == kBitcompWrapMagicV2;
+  if (wrapped_) parse_table();
   else size_ = src.size();
 }
 
@@ -155,7 +213,20 @@ std::vector<std::span<const std::byte>> InnerBytes::fetch(
   if (!wrapped_) {
     for (std::size_t i = 0; i < ranges.size(); ++i) {
       const auto [off, len] = clamp(ranges[i]);
-      if (len > 0) out[i] = src_.view(off, len, scratch_.emplace_back());
+      if (len == 0) continue;
+      if (off >= head_len_) {
+        out[i] = src_.view(off, len, scratch_.emplace_back());
+        continue;
+      }
+      // Overlaps the kept head: copy it and view only the rest.
+      auto& buf = scratch_.emplace_back(
+          head_.begin() + off, head_.begin() + std::min(off + len, head_len_));
+      if (off + len > head_len_) {
+        const auto rest = src_.view(head_len_, off + len - head_len_,
+                                    scratch_.emplace_back());
+        buf.insert(buf.end(), rest.begin(), rest.end());
+      }
+      out[i] = buf;
     }
     return out;
   }
@@ -222,50 +293,31 @@ std::vector<std::span<const std::byte>> InnerBytes::fetch(
   return out;
 }
 
-/// The 'BBC2' table, validated as bitcomp_parse_container validates it
-/// except that (prefix mode) the payload region may be truncated.
+/// The 'BBC2' table in prefix mode: the payload region may be truncated,
+/// but bytes past the payloads' end are garbage.
 void InnerBytes::parse_table() {
-  const auto fail = [](std::size_t off, const char* what) {
-    throw core::CorruptArchive("bitcomp-wrapper", off, what);
-  };
   const std::size_t fsize = src_.size();
-  constexpr std::size_t kHead = 2 * sizeof(std::uint32_t);
-  if (fsize < kHead) fail(0, "container truncated");
-  std::uint32_t head[2];
-  std::memcpy(head, src_.view(0, kHead, scratch_.emplace_back()).data(),
-              kHead);
-  if (head[0] != kBitcompWrapMagicV2) fail(0, "bad magic");
-  const std::uint32_t nseg = head[1];
-  if (nseg == 0) fail(kHead, "empty segment table");
-  if (nseg > (fsize - kHead) / sizeof(WrapSegmentEntry))
-    fail(kHead, "segment table exceeds container");
-  const auto tbl = src_.view(kHead, nseg * sizeof(WrapSegmentEntry),
-                             scratch_.emplace_back());
-  std::uint64_t file_off = kHead + nseg * sizeof(WrapSegmentEntry);
+  const auto t = check_wrap_table(
+      {head_.data(), head_len_}, fsize, [&](std::size_t len) {
+        return src_.view(kWrapHead, len, scratch_.emplace_back());
+      });
+  if (t.payload_end < fsize)
+    throw core::CorruptArchive("bitcomp-wrapper", kWrapHead,
+                               "segment payloads do not fill container");
+  std::uint64_t file_off = t.table_bytes;
   std::uint64_t raw_off = 0;
-  segs_.resize(nseg);
-  for (std::uint32_t i = 0; i < nseg; ++i) {
-    WrapSegmentEntry e;
-    std::memcpy(&e, tbl.data() + i * sizeof(e), sizeof(e));
-    if (e.method >= lossless::kMethodCount)
-      fail(kHead, "unknown lossless method id");
-    if (e.reserved0 != 0 || e.reserved1 != 0 || e.reserved2 != 0)
-      fail(kHead, "reserved wrapper field set");
+  segs_.resize(t.entries.size());
+  for (std::size_t i = 0; i < segs_.size(); ++i) {
+    const auto& e = t.entries[i];
     auto& s = segs_[i];
     s.method = static_cast<lossless::Method>(e.method);
     s.file_off = static_cast<std::size_t>(file_off);
     s.file_len = static_cast<std::size_t>(e.size);
     s.raw_off = static_cast<std::size_t>(raw_off);
     s.raw_len = static_cast<std::size_t>(e.raw_size);
-    if (__builtin_add_overflow(file_off, e.size, &file_off) ||
-        __builtin_add_overflow(raw_off, e.raw_size, &raw_off))
-      fail(kHead, "segment sizes overflow");
+    file_off += e.size;
+    raw_off += e.raw_size;
   }
-  // Exact fill, or (prefix mode) a truncated payload region; bytes past the
-  // table's total are garbage either way.
-  if (file_off < fsize) fail(kHead, "segment payloads do not fill container");
-  core::guard_decode_alloc("bitcomp-wrapper", kHead,
-                           static_cast<std::size_t>(raw_off));
   size_ = raw_off;
   inner_ = ws_.make<std::byte>(static_cast<std::size_t>(size_));
 }
@@ -302,7 +354,9 @@ void InnerBytes::frame(Seg& s) {
 std::span<const std::byte> bitcomp_unwrap_archive(
     std::span<const std::byte> bytes, dev::Workspace& ws) {
   io::MemorySource src(bytes);
-  InnerBytes inner(src, /*wrapped=*/true, ws);
+  InnerBytes inner(src, ws);
+  if (!inner.wrapped())
+    throw core::CorruptArchive("bitcomp-wrapper", 0, "bad magic");
   return inner.fetch(0, inner.size());
 }
 
@@ -314,37 +368,21 @@ std::vector<std::byte> bitcomp_unwrap_archive(
 }
 
 WrapContainerView bitcomp_parse_container(std::span<const std::byte> bytes) {
-  core::ByteReader rd(bytes, "bitcomp-wrapper");
-  const auto magic = rd.read<std::uint32_t>();
-  if (magic != kBitcompWrapMagicV2) rd.fail("bad magic");
-
+  const auto t = check_wrap_table(
+      bytes.first(std::min(bytes.size(), kWrapHead)), bytes.size(),
+      [&](std::size_t len) { return bytes.subspan(kWrapHead, len); });
+  if (t.payload_end != bytes.size())
+    throw core::CorruptArchive("bitcomp-wrapper", t.table_bytes,
+                               "segment payloads do not fill container");
   WrapContainerView view;
-  const auto nseg = rd.read<std::uint32_t>();
-  if (nseg == 0) rd.fail("empty segment table");
-  const auto entries = rd.read_array<WrapSegmentEntry>(nseg);
-  view.table_bytes = rd.offset();
-
-  std::uint64_t payload_total = 0;
-  std::uint64_t raw_total = 0;
-  for (const auto& e : entries) {
-    if (e.method >= lossless::kMethodCount)
-      rd.fail("unknown lossless method id");
-    if (e.reserved0 != 0 || e.reserved1 != 0 || e.reserved2 != 0)
-      rd.fail("reserved wrapper field set");
-    if (__builtin_add_overflow(payload_total, e.size, &payload_total) ||
-        __builtin_add_overflow(raw_total, e.raw_size, &raw_total))
-      rd.fail("segment sizes overflow");
-  }
-  if (payload_total != rd.remaining())
-    rd.fail("segment payloads do not fill container");
-  rd.guard_alloc(static_cast<std::size_t>(raw_total));
-
-  view.segments.reserve(nseg);
-  view.payloads.reserve(nseg);
-  for (const auto& e : entries) {
+  view.table_bytes = t.table_bytes;
+  std::size_t off = t.table_bytes;
+  for (const auto& e : t.entries) {
+    const auto size = static_cast<std::size_t>(e.size);
     view.segments.push_back(
         {static_cast<lossless::Method>(e.method), e.raw_size, e.size});
-    view.payloads.push_back(rd.read_bytes(static_cast<std::size_t>(e.size)));
+    view.payloads.push_back(bytes.subspan(off, size));
+    off += size;
   }
   return view;
 }
@@ -360,26 +398,6 @@ void bitcomp_check_frame(lossless::Method method, std::uint64_t raw_size,
     throw core::CorruptArchive("bitcomp-wrapper", offset,
                                "bitshuffle payload size does not match "
                                "segment");
-}
-
-// Default implementations of the optional virtuals.
-
-std::vector<float> Compressor::decompress_stages(
-    std::span<const std::byte> bytes, DecodeTimings& t) {
-  core::Timer wall;
-  auto out = decompress(bytes, nullptr);
-  t.total = wall.lap();
-  return out;
-}
-
-ProgressiveResult Compressor::decompress_progressive(
-    std::span<const std::byte> /*bytes*/, int /*max_level*/) {
-  throw std::invalid_argument(name() + ": progressive decode not supported");
-}
-
-RoiResult Compressor::decompress_roi(std::span<const std::byte> /*bytes*/,
-                                     const RoiBox& /*box*/) {
-  throw std::invalid_argument(name() + ": ROI decode not supported");
 }
 
 namespace {
@@ -412,45 +430,11 @@ class BitcompWrapped final : public Compressor {
     return r;
   }
 
-  // The unwrap lands in workspace memory the inner decode reads in place;
-  // `decode_seconds` covers unwrap + inner decode.
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer t;
+  // The unwrap lands in workspace memory the inner decode reads in place.
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     dev::Workspace ws(dev::Arena::instance());
-    const auto inner_bytes = bitcomp_unwrap_archive(bytes, ws);
-    const double unwrap_s = t.lap();
-    double inner_s = 0;
-    auto out = inner_->decompress(inner_bytes, &inner_s);
-    if (decode_seconds) *decode_seconds = unwrap_s + inner_s;
-    return out;
-  }
-
-  // The inner breakdown plus the unwrap, which is added to its `total`.
-  [[nodiscard]] std::vector<float> decompress_stages(
-      std::span<const std::byte> bytes, DecodeTimings& t) override {
-    core::Timer wall;
-    dev::Workspace ws(dev::Arena::instance());
-    const auto inner_bytes = bitcomp_unwrap_archive(bytes, ws);
-    const double unwrap_s = wall.lap();
-    auto out = inner_->decompress_stages(inner_bytes, t);
-    t.unwrap = unwrap_s;
-    t.total += unwrap_s;
-    return out;
-  }
-
-  // Progressive decode dispatches on the archive magic inside the inner
-  // compressor, so the wrapped ('BBC2') bytes forward unchanged.
-  [[nodiscard]] ProgressiveResult decompress_progressive(
-      std::span<const std::byte> bytes, int max_level) override {
-    return inner_->decompress_progressive(bytes, max_level);
-  }
-
-  // ROI decode likewise dispatches on the archive magic inside the inner
-  // compressor ('BBC2' wrappers are read block-selectively there).
-  [[nodiscard]] RoiResult decompress_roi(std::span<const std::byte> bytes,
-                                         const RoiBox& box) override {
-    return inner_->decompress_roi(bytes, box);
+    return inner_->decompress(bitcomp_unwrap_archive(bytes, ws));
   }
 
  private:

@@ -101,6 +101,10 @@ struct RoiResultT {
 
 using RoiResult = RoiResultT<float>;
 
+/// What every compressor offers: compress and decompress of an f32 field.
+/// cuSZ-i's previews, boxes and decode stage split are its own typed calls
+/// (core/cuszi.hh), which take the level or box and read raw and wrapped
+/// archives alike.
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -114,33 +118,10 @@ class Compressor {
   [[nodiscard]] virtual CompressResult compress(const Field& field,
                                                 const CompressParams& p) = 0;
 
-  /// Archives are self-describing; `decode_seconds` (optional) receives the
-  /// wall time.
+  /// Archives are self-describing. A caller that wants the wall time times
+  /// the call itself.
   [[nodiscard]] virtual std::vector<float> decompress(
-      std::span<const std::byte> bytes, double* decode_seconds = nullptr) = 0;
-
-  /// Decompress with a per-stage breakdown (the -x counterpart of
-  /// StageTimings). The default times the whole decode as `total` and
-  /// leaves the stages at zero; cuSZ-i fills the real split.
-  [[nodiscard]] virtual std::vector<float> decompress_stages(
-      std::span<const std::byte> bytes, DecodeTimings& t);
-
-  /// Progressive decode: reconstruct anchors + interpolation levels >=
-  /// max_level onto the coarse preview grid, reading only the archive
-  /// prefix those segments occupy. max_level is clamped to the archive's
-  /// level range; max_level <= 1 is the full-fidelity decode, bit-identical
-  /// to decompress(). The default throws std::invalid_argument — only
-  /// level-structured compressors (cuSZ-i) support it.
-  [[nodiscard]] virtual ProgressiveResult decompress_progressive(
-      std::span<const std::byte> bytes, int max_level);
-
-  /// Random-access ROI decode: reconstruct only the box [lo, lo + ext),
-  /// bit-identical to cropping decompress(), reading only the directory,
-  /// tile index, and covering blocks. The default throws
-  /// std::invalid_argument — only tile-structured compressors (cuSZ-i)
-  /// support it.
-  [[nodiscard]] virtual RoiResult decompress_roi(
-      std::span<const std::byte> bytes, const RoiBox& box);
+      std::span<const std::byte> bytes) = 0;
 };
 
 /// Wraps any compressor with the de-redundancy pass (§VI-B); TABLE III's
@@ -216,8 +197,8 @@ struct WrapSegmentInfo {
 /// views of each payload. Throws core::CorruptArchive on bad magic,
 /// reserved bits, unknown method ids, or payload sizes that don't fill the
 /// container. The CLI's method audit and the benches read containers
-/// through it; the decoder reads the same table through InnerBytes
-/// (core/inner_bytes.hh), in prefix mode.
+/// through it; the decoder's fetch (InnerBytes, core/inner_bytes.hh) checks
+/// the table with the same rules, in prefix mode.
 struct WrapContainerView {
   std::size_t table_bytes = 0;  ///< header + table size = first payload base
   std::vector<WrapSegmentInfo> segments;

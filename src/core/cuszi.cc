@@ -163,14 +163,6 @@ PackedConfig pack_config(const predictor::InterpConfig& cfg, int radius) {
   return pc;
 }
 
-/// First four archive bytes, or 0 when the buffer is shorter — callers
-/// dispatch on the value and let the selected parser report truncation.
-std::uint32_t peek_magic(std::span<const std::byte> bytes) {
-  std::uint32_t m = 0;
-  if (bytes.size() >= sizeof(m)) std::memcpy(&m, bytes.data(), sizeof(m));
-  return m;
-}
-
 template <typename T>
 constexpr Precision precision_of() {
   return sizeof(T) == 4 ? Precision::F32 : Precision::F64;
@@ -600,10 +592,9 @@ std::size_t level_segment(int nlevels, int level) {
 template <typename T>
 class Decoder {
  public:
-  /// Runs the header phase and sizes the request.
-  Decoder(io::ArchiveSource& src, bool wrapped, const DecodeRequest& req,
-          dev::Workspace& ws)
-      : inner_(src, wrapped, ws), ws_(ws), req_(req),
+  /// Reads the layout, runs the header phase and sizes the request.
+  Decoder(io::ArchiveSource& src, const DecodeRequest& req, dev::Workspace& ws)
+      : inner_(src, ws), ws_(ws), req_(req),
         a_(read_header<T>(inner_)) {
     const auto& dims = a_.h.dims;
     level_ = std::clamp(req.level, 1, a_.nlevels + 1);
@@ -762,7 +753,7 @@ void Decoder<T>::run_box(std::vector<T>& out) {
   const std::size_t nslabs = tidx_nslabs(h.dims);
 
   // Fetch round 1: the covering anchor rows, the outlier blob, and each
-  // level's codebook size.
+  // level's codebook size, the first bytes of its stream header.
   const auto geo = predictor::geometry_for(h.dims);
   const dev::Dim3 ad = predictor::anchor_dims(h.dims, geo.anchor);
   if (segs[0].count != ad.volume())
@@ -780,7 +771,9 @@ void Decoder<T>::run_box(std::vector<T>& out) {
            an.x * sizeof(T)});
   ranges.push_back({segs[1].offset, segs[1].size});
   for (std::size_t j = 0; j < nlv; ++j)
-    ranges.push_back({segs[2 + j].offset, sizeof(std::uint32_t)});
+    ranges.push_back({segs[2 + j].offset,
+                      std::min<std::uint64_t>(sizeof(std::uint32_t),
+                                              segs[2 + j].size)});
   const auto round1 = inner_.fetch(ranges);
   auto anchors = ws_.make<T>(an.volume());
   for (std::size_t r = 0; r < nrows; ++r) {
@@ -794,41 +787,49 @@ void Decoder<T>::run_box(std::vector<T>& out) {
     throw core::CorruptArchive("cusz-i", segs[1].offset,
                                "outlier blob count disagrees with directory");
 
-  // Rounds 2 and 3: each level's fixed stream header, then the header
-  // through its chunk offset table.
-  std::vector<std::size_t> hfixed(nlv);
-  ranges.clear();
+  // Rounds 2 and 3 grow each level's stream header to its fixed part, then
+  // through its chunk offset table, each fetching only the bytes the rounds
+  // before it did not.
+  std::vector<std::vector<std::byte>> head(nlv);
+  for (std::size_t j = 0; j < nlv; ++j)
+    head[j].assign(round1[nrows + 1 + j].begin(), round1[nrows + 1 + j].end());
+  const auto grow = [&](const std::vector<std::uint64_t>& upto) {
+    ranges.clear();
+    for (std::size_t j = 0; j < nlv; ++j) {
+      const std::uint64_t have = head[j].size();
+      const std::uint64_t want = std::min(upto[j], segs[2 + j].size);
+      ranges.push_back(
+          {segs[2 + j].offset + have, want > have ? want - have : 0});
+    }
+    const auto more = inner_.fetch(ranges);
+    for (std::size_t j = 0; j < nlv; ++j)
+      head[j].insert(head[j].end(), more[j].begin(), more[j].end());
+  };
+  std::vector<std::uint64_t> upto(nlv);
   for (std::size_t j = 0; j < nlv; ++j) {
     std::uint32_t nbins = 0;
-    if (round1[nrows + 1 + j].size() == sizeof(nbins))
-      std::memcpy(&nbins, round1[nrows + 1 + j].data(), sizeof(nbins));
-    hfixed[j] = sizeof(std::uint32_t) + nbins + sizeof(std::uint64_t) +
-                sizeof(std::uint32_t) + sizeof(std::uint64_t);
-    ranges.push_back({segs[2 + j].offset,
-                      std::min<std::uint64_t>(hfixed[j], segs[2 + j].size)});
+    if (head[j].size() == sizeof(nbins))
+      std::memcpy(&nbins, head[j].data(), sizeof(nbins));
+    upto[j] = sizeof(std::uint32_t) + nbins + sizeof(std::uint64_t) +
+              sizeof(std::uint32_t) + sizeof(std::uint64_t);
   }
-  const auto round2 = inner_.fetch(ranges);
-  ranges.clear();
+  grow(upto);
   for (std::size_t j = 0; j < nlv; ++j) {
     std::uint64_t nsym = 0;
     std::uint32_t csz = 0;
-    const std::size_t at = hfixed[j] - sizeof(std::uint64_t) -
+    const std::uint64_t hfixed = upto[j];
+    const std::size_t at = hfixed - sizeof(std::uint64_t) -
                            sizeof(std::uint32_t) - sizeof(std::uint64_t);
-    if (round2[j].size() >= hfixed[j]) {
-      std::memcpy(&nsym, round2[j].data() + at, sizeof(nsym));
-      std::memcpy(&csz, round2[j].data() + at + sizeof(nsym), sizeof(csz));
+    if (head[j].size() >= hfixed) {
+      std::memcpy(&nsym, head[j].data() + at, sizeof(nsym));
+      std::memcpy(&csz, head[j].data() + at + sizeof(nsym), sizeof(csz));
     }
     const std::uint64_t nchunks =
         csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-    const auto& seg = segs[2 + j];
-    ranges.push_back(
-        {seg.offset,
-         std::min<std::uint64_t>(
-             hfixed[j] + std::min<std::uint64_t>(nchunks, seg.size) *
-                             sizeof(std::uint64_t),
-             seg.size)});
+    upto[j] = hfixed + std::min<std::uint64_t>(nchunks, segs[2 + j].size) *
+                           sizeof(std::uint64_t);
   }
-  const auto round3 = inner_.fetch(ranges);
+  grow(upto);
 
   // Per level: the decode plan, the tile-index cross-check, and the chunk
   // spans covering the halo'd box's rank runs. Runs arrive in ascending
@@ -850,7 +851,7 @@ void Decoder<T>::run_box(std::vector<T>& out) {
     const auto& seg = segs[2 + j];
     const int level = seg.level;
     auto& L = lv[j];
-    L.plan = huffman::decode_plan_header(round3[j], seg.size, ws_);
+    L.plan = huffman::decode_plan_header(head[j], seg.size, ws_);
     if (L.plan.n != seg.count)
       throw core::CorruptArchive("cusz-i", seg.offset,
                                  "level stream symbol count mismatch");
@@ -978,11 +979,11 @@ struct Decoded {
 };
 
 template <typename T>
-Decoded<T> decode(io::ArchiveSource& src, bool wrapped,
-                  const DecodeRequest& req, dev::Workspace& ws) {
+Decoded<T> decode(io::ArchiveSource& src, const DecodeRequest& req,
+                  dev::Workspace& ws) {
   core::Timer wall;
   Decoded<T> r;
-  Decoder<T> d(src, wrapped, req, ws);
+  Decoder<T> d(src, req, ws);
   r.dims = d.out_dims();
   r.level = d.level();
   d.run(r.data);
@@ -992,28 +993,29 @@ Decoded<T> decode(io::ArchiveSource& src, bool wrapped,
   return r;
 }
 
-/// Full decode of a raw (`wrapped` false) or 'BBC2' archive.
+/// Full decode of a raw or 'BBC2' archive.
 template <typename T>
-std::vector<T> decompress_typed(std::span<const std::byte> bytes, bool wrapped,
+std::vector<T> decompress_typed(std::span<const std::byte> bytes,
                                 dev::Workspace& ws, DecodeTimings* dt) {
   io::MemorySource src(bytes);
   DecodeRequest req;
   req.all_blocks = true;
-  auto r = decode<T>(src, wrapped, req, ws);
+  auto r = decode<T>(src, req, ws);
   if (dt) *dt = r.timings;
   return std::move(r.data);
 }
 
-/// Preview of a raw or 'BBC2' archive (told apart by the magic);
-/// `bytes_read` is everything the decode fetched — exactly the directory
-/// plus the needed prefix of segments (of wrapper payloads, for 'BBC2').
+/// Preview of a raw or 'BBC2' archive; `bytes_read` is everything the
+/// decode fetched — exactly the directory plus the needed prefix of
+/// segments (of wrapper payloads, for 'BBC2').
 template <typename T>
 ProgressiveResultT<T> decompress_progressive_typed(
-    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
+    std::span<const std::byte> bytes, int max_level) {
+  dev::Workspace ws(dev::Arena::instance());
   io::MemorySource src(bytes);
   DecodeRequest req;
   req.level = max_level;
-  auto r = decode<T>(src, peek_magic(bytes) == kBitcompWrapMagicV2, req, ws);
+  auto r = decode<T>(src, req, ws);
   ProgressiveResultT<T> p;
   p.data = std::move(r.data);
   p.dims = r.dims;
@@ -1027,15 +1029,9 @@ template <typename T>
 RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
   dev::Workspace ws(dev::Arena::instance());
   const std::uint64_t before = src.bytes_read();
-  std::uint32_t magic = 0;
-  if (src.size() >= sizeof(magic)) {
-    std::vector<std::byte> scratch;
-    std::memcpy(&magic, src.view(0, sizeof(magic), scratch).data(),
-                sizeof(magic));
-  }
   DecodeRequest req;
   req.box = &box;
-  auto r = decode<T>(src, magic == kBitcompWrapMagicV2, req, ws);
+  auto r = decode<T>(src, req, ws);
   RoiResultT<T> out;
   out.data = std::move(r.data);
   out.dims = box.ext;
@@ -1060,30 +1056,10 @@ class Cuszi final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     dev::Workspace ws(dev::Arena::instance());
-    auto out = decompress_typed<float>(bytes, false, ws, nullptr);
-    if (decode_seconds) *decode_seconds = total.lap();
-    return out;
-  }
-
-  [[nodiscard]] std::vector<float> decompress_stages(
-      std::span<const std::byte> bytes, DecodeTimings& t) override {
-    dev::Workspace ws(dev::Arena::instance());
-    return decompress_typed<float>(bytes, false, ws, &t);
-  }
-
-  [[nodiscard]] ProgressiveResult decompress_progressive(
-      std::span<const std::byte> bytes, int max_level) override {
-    dev::Workspace ws(dev::Arena::instance());
-    return decompress_progressive_typed<float>(bytes, max_level, ws);
-  }
-
-  [[nodiscard]] RoiResult decompress_roi(std::span<const std::byte> bytes,
-                                         const RoiBox& box) override {
-    return cuszi_decompress_roi_f32(bytes, box);
+    return decompress_typed<float>(bytes, ws, nullptr);
   }
 };
 
@@ -1172,7 +1148,7 @@ std::vector<SegmentInfo> cuszi_archive_segments(
   // covering the header and directory decode.
   io::MemorySource src(bytes);
   dev::Workspace ws(dev::Arena::instance());
-  InnerBytes inner(src, peek_magic(bytes) == kBitcompWrapMagicV2, ws);
+  InnerBytes inner(src, ws);
   const auto segs =
       cuszi_archive_precision(inner.fetch(0, sizeof(kMagic) + 1)) ==
               Precision::F32
@@ -1205,24 +1181,12 @@ std::vector<std::byte> cuszi_compress_unified_book(
 
 ProgressiveResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level) {
-  dev::Workspace ws(dev::Arena::instance());
-  return decompress_progressive_typed<float>(bytes, max_level, ws);
+  return decompress_progressive_typed<float>(bytes, max_level);
 }
 
 ProgressiveResultT<double> cuszi_decompress_progressive_f64(
     std::span<const std::byte> bytes, int max_level) {
-  dev::Workspace ws(dev::Arena::instance());
-  return decompress_progressive_typed<double>(bytes, max_level, ws);
-}
-
-ProgressiveResultT<float> cuszi_decompress_progressive_f32(
-    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
-  return decompress_progressive_typed<float>(bytes, max_level, ws);
-}
-
-ProgressiveResultT<double> cuszi_decompress_progressive_f64(
-    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
-  return decompress_progressive_typed<double>(bytes, max_level, ws);
+  return decompress_progressive_typed<double>(bytes, max_level);
 }
 
 RoiResultT<float> cuszi_decompress_roi_f32(io::ArchiveSource& src,
@@ -1250,35 +1214,35 @@ RoiResultT<double> cuszi_decompress_roi_f64(std::span<const std::byte> bytes,
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,
                                         DecodeTimings* timings) {
   dev::Workspace ws(dev::Arena::instance());
-  return decompress_typed<float>(bytes, false, ws, timings);
+  return decompress_typed<float>(bytes, ws, timings);
 }
 
 std::vector<double> cuszi_decompress_f64(std::span<const std::byte> bytes,
                                          DecodeTimings* timings) {
   dev::Workspace ws(dev::Arena::instance());
-  return decompress_typed<double>(bytes, false, ws, timings);
+  return decompress_typed<double>(bytes, ws, timings);
 }
 
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,
                                         dev::Workspace& ws) {
-  return decompress_typed<float>(bytes, false, ws, nullptr);
+  return decompress_typed<float>(bytes, ws, nullptr);
 }
 
 std::vector<double> cuszi_decompress_f64(std::span<const std::byte> bytes,
                                          dev::Workspace& ws) {
-  return decompress_typed<double>(bytes, false, ws, nullptr);
+  return decompress_typed<double>(bytes, ws, nullptr);
 }
 
 std::vector<float> cuszi_decompress_bitcomp_f32(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings) {
-  return decompress_typed<float>(bytes, true, ws, timings);
+  return decompress_typed<float>(bytes, ws, timings);
 }
 
 std::vector<double> cuszi_decompress_bitcomp_f64(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings) {
-  return decompress_typed<double>(bytes, true, ws, timings);
+  return decompress_typed<double>(bytes, ws, timings);
 }
 
 }  // namespace szi

@@ -15,10 +15,12 @@
 // segment (cuszi_decompress_progressive_*), and a trailing tile index lets a
 // random-access read fetch only the bytes covering a box
 // (cuszi_decompress_roi_*). This is the only layout the decoders accept,
-// raw or in a 'BBC2' wrapper; the retired 'SZI1', 'BBCP' and pre-index
-// layouts are rejected like any other malformed input. Decoding is
-// bounds-checked end to end; malformed archives throw
-// szi::core::CorruptArchive naming the rejecting stage and byte offset.
+// raw or in a 'BBC2' wrapper; every cuszi_decompress_* entry point reads
+// either, telling them apart by the archive's first bytes. The retired
+// 'SZI1', 'BBCP' and pre-index layouts are rejected like any other
+// malformed input. Decoding is bounds-checked end to end; malformed
+// archives throw szi::core::CorruptArchive naming the rejecting stage and
+// byte offset.
 #pragma once
 
 #include <memory>
@@ -133,16 +135,11 @@ struct SegmentInfo {
 /// decodes); for a 'BBC2' wrapper only the LZSS blocks covering that
 /// prefix are decoded. max_level <= 1 is the full-fidelity
 /// reconstruction, bit-identical to cuszi_decompress_*; level_count+1 is
-/// the lossless anchor grid. The plain overloads draw scratch from
-/// dev::Arena::instance().
+/// the lossless anchor grid. Scratch comes from dev::Arena::instance().
 [[nodiscard]] ProgressiveResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level);
 [[nodiscard]] ProgressiveResultT<double> cuszi_decompress_progressive_f64(
     std::span<const std::byte> bytes, int max_level);
-[[nodiscard]] ProgressiveResultT<float> cuszi_decompress_progressive_f32(
-    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws);
-[[nodiscard]] ProgressiveResultT<double> cuszi_decompress_progressive_f64(
-    std::span<const std::byte> bytes, int max_level, dev::Workspace& ws);
 
 /// Random-access ROI decode: reconstructs exactly the box [lo, lo + ext),
 /// bit-identical to cropping a full decompress. Steered by the trailing
@@ -162,9 +159,12 @@ struct SegmentInfo {
 [[nodiscard]] RoiResultT<double> cuszi_decompress_roi_f64(
     std::span<const std::byte> bytes, const RoiBox& box);
 
-/// Decompression, typed; throws std::runtime_error if the archive's
-/// precision does not match the requested function. Scratch comes from
-/// dev::Arena::instance().
+/// Full decompression of a raw or 'BBC2' archive, typed; throws
+/// core::CorruptArchive if the archive's precision does not match the
+/// requested function. A 'BBC2' container decodes every LZSS block into
+/// workspace memory (the header's first, then all others in one pool-wide
+/// launch) and the inner archive decodes in place; `timings->unwrap` is
+/// that decode (0 when raw). Scratch comes from dev::Arena::instance().
 [[nodiscard]] std::vector<float> cuszi_decompress_f32(
     std::span<const std::byte> bytes, DecodeTimings* timings = nullptr);
 [[nodiscard]] std::vector<double> cuszi_decompress_f64(
@@ -178,13 +178,10 @@ struct SegmentInfo {
 [[nodiscard]] std::vector<double> cuszi_decompress_f64(
     std::span<const std::byte> bytes, dev::Workspace& ws);
 
-/// Decompress of a bitcomp-wrapped ('BBC2') cuSZ-i archive, in phases that
-/// each span the pool: every LZSS block of the container decodes into `ws`
-/// memory (the header segment's first, then all others in one launch; a
-/// corrupt block anywhere throws, as from bitcomp_unwrap_archive), and the
-/// inner archive decodes as cuszi_decompress_* would. Output is bit-identical to
-/// cuszi_decompress_*(bitcomp_unwrap_archive(bytes)); malformed input
-/// throws core::CorruptArchive.
+/// The same decode as cuszi_decompress_* (either layout), under the names
+/// the wrapped-archive callers use, with scratch from `ws`. Output is
+/// bit-identical to cuszi_decompress_*(bitcomp_unwrap_archive(bytes)) for a
+/// 'BBC2' archive; malformed input throws core::CorruptArchive.
 [[nodiscard]] std::vector<float> cuszi_decompress_bitcomp_f32(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings = nullptr);

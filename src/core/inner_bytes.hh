@@ -2,6 +2,7 @@
 // phase of the cuSZ-i decoder and the one 'BBC2' unwrap.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -19,14 +20,19 @@ class ArchiveSource;
 
 namespace szi {
 
-/// Inner-archive byte ranges of an archive source. A raw source serves them
-/// as views. Through a 'BBC2' container, each fetch decodes the LZSS blocks
-/// covering its ranges that no earlier fetch decoded, in one pool launch,
-/// into an inner-sized `ws` buffer; a transformed (zero-RLE / bitshuffle)
-/// segment decodes whole. The container table parses in prefix mode, so a
-/// truncated container fails (core::CorruptArchive) only when a fetch needs
-/// a payload the cut removed. The source's bytes_read() counts every byte
-/// fetched: the table, each touched payload's frame header and the decoded
+/// Inner-archive byte ranges of an archive source, raw or in a 'BBC2'
+/// container: the one place the layout is decided. The source's first 8
+/// bytes are viewed once and kept; a 'BBC2' magic selects the container,
+/// anything else is a raw archive (one shorter than its magic fails where
+/// its header is parsed). A raw source serves ranges as views, reusing the
+/// kept bytes where a range overlaps them. Through a 'BBC2' container, each
+/// fetch decodes the LZSS blocks covering its ranges that no earlier fetch
+/// decoded, in one pool launch, into an inner-sized `ws` buffer; a
+/// transformed (zero-RLE / bitshuffle) segment decodes whole. The container
+/// table parses in prefix mode, so a truncated container fails
+/// (core::CorruptArchive) only when a fetch needs a payload the cut
+/// removed. The source's bytes_read() counts every byte fetched: the kept
+/// head, the table, each touched payload's frame header and the decoded
 /// blocks. Not thread-safe: one reader per decode.
 class InnerBytes {
  public:
@@ -35,7 +41,10 @@ class InnerBytes {
     std::uint64_t len = 0;
   };
 
-  InnerBytes(io::ArchiveSource& src, bool wrapped, dev::Workspace& ws);
+  InnerBytes(io::ArchiveSource& src, dev::Workspace& ws);
+
+  /// Whether the source is a 'BBC2' container.
+  [[nodiscard]] bool wrapped() const { return wrapped_; }
 
   /// Size of the inner archive (the source's size when raw).
   [[nodiscard]] std::uint64_t size() const { return size_; }
@@ -71,7 +80,9 @@ class InnerBytes {
 
   io::ArchiveSource& src_;
   dev::Workspace& ws_;
-  bool wrapped_;
+  std::array<std::byte, 8> head_{};  ///< the source's first bytes
+  std::size_t head_len_ = 0;
+  bool wrapped_ = false;
   std::uint64_t size_ = 0;
   double unwrap_s_ = 0;
   std::deque<std::vector<std::byte>> scratch_;  ///< for copying views

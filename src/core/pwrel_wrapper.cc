@@ -113,9 +113,8 @@ class PwRelWrapped final : public Compressor {
     return r;
   }
 
-  [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
-                                              double* decode_seconds) override {
-    core::Timer total;
+  [[nodiscard]] std::vector<float> decompress(
+      std::span<const std::byte> bytes) override {
     core::ByteReader rd(bytes, "pwrel");
     rd.expect_magic(kMagic);
     const auto n64 = rd.read<std::uint64_t>();
@@ -125,7 +124,7 @@ class PwRelWrapped final : public Compressor {
     (void)rd.read<double>();  // rel bound: informational
     const auto negative = unpack_bitmap(rd.read_length_prefixed(), n);
     const auto zero = unpack_bitmap(rd.read_length_prefixed(), n);
-    auto logged = inner_->decompress(rd.read_length_prefixed(), nullptr);
+    auto logged = inner_->decompress(rd.read_length_prefixed());
     if (logged.size() != n) rd.fail("inner payload size mismatch");
 
     std::vector<float> out(n);
@@ -140,7 +139,6 @@ class PwRelWrapped final : public Compressor {
           }
         },
         1 << 14);
-    if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
 

@@ -156,6 +156,10 @@ void encode_chunks(std::span<const quant::Code> codes, const Codebook& book,
       1);
 }
 
+namespace {
+
+/// Upper bound on the payload bytes any code sequence of length n can emit
+/// under `book`: sizes the destination before the chunks are measured.
 std::size_t payload_bound(const Codebook& book, std::size_t n,
                           std::size_t chunk_size) {
   if (chunk_size == 0) throw std::invalid_argument("huffman: chunk_size == 0");
@@ -166,6 +170,11 @@ std::size_t payload_bound(const Codebook& book, std::size_t n,
   return (n * maxlen + 7) / 8 + dev::ceil_div(n, chunk_size);
 }
 
+/// Fused plan+emit: one pass over the codes that emits each chunk at the
+/// running offset and records the offset table as a byproduct. `payload`
+/// must hold at least payload_bound() bytes. The plan equals encode_plan's
+/// and the payload encode_chunks', since chunk contents depend only on the
+/// codes and the book, and each offset is the sum of the chunks before it.
 EncodePlan encode_emit_serial(std::span<const quant::Code> codes,
                               const Codebook& book, std::size_t chunk_size,
                               std::span<std::byte> payload,
@@ -202,6 +211,8 @@ EncodePlan encode_emit_serial(std::span<const quant::Code> codes,
   plan.offsets = offsets;
   return plan;
 }
+
+}  // namespace
 
 std::span<const std::byte> encode_with_book(std::span<const quant::Code> codes,
                                             const Codebook& book,

@@ -92,30 +92,10 @@ void encode_chunks(std::span<const quant::Code> codes, const Codebook& book,
                    const EncodePlan& plan, std::size_t chunk_begin,
                    std::size_t chunk_end, std::span<std::byte> payload);
 
-/// Upper bound on the payload bytes any code sequence of length n can emit
-/// under `book` — for sizing a destination before encode_emit_serial has
-/// measured the chunks.
-[[nodiscard]] std::size_t payload_bound(const Codebook& book, std::size_t n,
-                                        std::size_t chunk_size);
-
-/// Fused plan+emit for the serial pipeline: one pass over the codes that
-/// emits each chunk's bitstream at the running offset and records the
-/// offset table as a byproduct, instead of a sizing pass followed by an
-/// emission pass. `payload` must hold at least payload_bound() bytes.
-/// Returns a plan equal to encode_plan's and leaves the payload bytes
-/// identical to encode_chunks over that plan: chunk contents depend only on
-/// the codes and the book, and each offset is the exact sum of the
-/// preceding chunk sizes either way.
-[[nodiscard]] EncodePlan encode_emit_serial(std::span<const quant::Code> codes,
-                                            const Codebook& book,
-                                            std::size_t chunk_size,
-                                            std::span<std::byte> payload,
-                                            dev::Workspace& ws);
-
-/// Serial one-pass counterpart of encode_with_book, built on
-/// encode_emit_serial: plans and emits in a single walk over the codes and
-/// assembles the self-describing stream in `ws` memory. Byte-identical to
-/// encode_with_book. No archive writer uses it (the SZI2 writer plans and
+/// Serial one-pass counterpart of encode_with_book: plans and emits in a
+/// single walk over the codes (the offset table is a byproduct of the
+/// emission) and assembles the self-describing stream in `ws` memory.
+/// Byte-identical to encode_with_book. No archive writer uses it (the SZI2 writer plans and
 /// emits across the pool); the benchmark's traced replay still does.
 [[nodiscard]] std::span<const std::byte> encode_with_book_serial(
     std::span<const quant::Code> codes, const Codebook& book,

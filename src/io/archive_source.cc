@@ -43,10 +43,6 @@ std::uint64_t archive_bytes_read() noexcept {
   return g_bytes_read.load(std::memory_order_relaxed);
 }
 
-void reset_archive_bytes_read() noexcept {
-  g_bytes_read.store(0, std::memory_order_relaxed);
-}
-
 void ArchiveSource::check_range(std::size_t off, std::size_t len) const {
   if (off > size() || len > size() - off)
     throw std::out_of_range("ArchiveSource: range past end of archive");

@@ -20,11 +20,9 @@
 namespace szi::io {
 
 /// Process-wide count of archive bytes served through ArchiveSource views
-/// since the last reset — the per-run "archive bytes read" column of
-/// bench::write_ledger. Ranges fetched twice count twice (that is the I/O
-/// that actually happened).
+/// — the per-run "archive bytes read" column of bench::write_ledger. Ranges
+/// fetched twice count twice (that is the I/O that actually happened).
 [[nodiscard]] std::uint64_t archive_bytes_read() noexcept;
-void reset_archive_bytes_read() noexcept;
 
 /// Abstract random-access view of an archive's bytes.
 ///

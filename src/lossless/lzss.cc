@@ -413,13 +413,8 @@ std::span<const std::byte> lzss_compress(std::span<const std::byte> data,
   return out;
 }
 
-namespace {
-
-// Shared header parse + offset validation for lzss_parse_frame and
-// lzss_parse_frame_header: `stream_size` is the framed stream's total byte
-// size (the span's own size when the whole stream is in memory).
-LzssFrame parse_frame_impl(std::span<const std::byte> head,
-                           std::size_t stream_size, dev::Workspace& ws) {
+LzssFrame lzss_parse_frame_header(std::span<const std::byte> head,
+                                  std::size_t stream_size, dev::Workspace& ws) {
   core::ByteReader rd(head, "lzss");
   const auto raw_size64 = rd.read<std::uint64_t>();
   const auto block_size = rd.read<std::uint32_t>();
@@ -454,42 +449,6 @@ LzssFrame parse_frame_impl(std::span<const std::byte> head,
   f.stream_size = stream_size;
   f.offsets = offsets;
   return f;
-}
-
-}  // namespace
-
-LzssFrame lzss_parse_frame(std::span<const std::byte> data,
-                           dev::Workspace& ws) {
-  LzssFrame f = parse_frame_impl(data, data.size(), ws);
-  f.stream = data;
-  return f;
-}
-
-LzssFrame lzss_parse_frame_header(std::span<const std::byte> head,
-                                  std::size_t stream_size, dev::Workspace& ws) {
-  return parse_frame_impl(head, stream_size, ws);
-}
-
-void lzss_decompress_block(const LzssFrame& frame, std::size_t b,
-                           std::span<std::byte> raw_out) {
-  const std::size_t begin = b * frame.block_size;
-  const std::size_t len =
-      std::min<std::size_t>(frame.block_size, frame.raw_size - begin);
-  if (b >= frame.nblocks || raw_out.size() != len)
-    throw std::invalid_argument("lzss_decompress_block: bad block/extent");
-  const auto* src = reinterpret_cast<const std::uint8_t*>(frame.stream.data());
-  std::size_t off = frame.offsets[b];
-  const std::uint8_t mode = src[off++];
-  const std::size_t end =
-      (b + 1 < frame.nblocks) ? frame.offsets[b + 1] : frame.stream.size();
-  auto* dst = reinterpret_cast<std::uint8_t*>(raw_out.data());
-  if (mode == 0) {
-    if (end - off < len)
-      throw core::CorruptArchive("lzss", off, "truncated raw block");
-    std::memcpy(dst, src + off, len);
-  } else {
-    decompress_block(src + off, end - off, dst, len, b);
-  }
 }
 
 std::pair<std::size_t, std::size_t> lzss_block_extent(const LzssFrame& frame,
@@ -529,7 +488,7 @@ void lzss_decompress_block_bytes(const LzssFrame& frame, std::size_t b,
 std::vector<std::byte> lzss_decompress(std::span<const std::byte> data) {
   dev::Arena local;
   dev::Workspace ws(local);
-  const LzssFrame frame = lzss_parse_frame(data, ws);
+  const LzssFrame frame = lzss_parse_frame_header(data, data.size(), ws);
   std::vector<std::byte> out(frame.raw_size);
   dev::launch_linear(
       frame.nblocks,
@@ -537,8 +496,10 @@ std::vector<std::byte> lzss_decompress(std::span<const std::byte> data) {
         const std::size_t begin = b * frame.block_size;
         const std::size_t len =
             std::min<std::size_t>(frame.block_size, frame.raw_size - begin);
-        lzss_decompress_block(frame, b,
-                              std::span<std::byte>(out.data() + begin, len));
+        const auto [lo, hi] = lzss_block_extent(frame, b);
+        lzss_decompress_block_bytes(
+            frame, b, data.subspan(lo, hi - lo),
+            std::span<std::byte>(out.data() + begin, len));
       },
       1);
   return out;

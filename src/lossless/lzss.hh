@@ -100,51 +100,36 @@ void lzss_assemble(std::span<const std::byte> raw, std::size_t block_size,
                    std::span<const std::uint64_t> enc_size,
                    std::span<std::byte> dst);
 
-/// A validated view of an LZSS stream: header parsed, the offset table
-/// copied into `ws` memory (archive offsets are unaligned), every offset
-/// bounds-checked. Blocks can then be decoded independently in any order.
+/// A validated LZSS frame header: the offset table copied into `ws` memory
+/// (archive offsets are unaligned), every offset bounds-checked against the
+/// stream's size. Blocks can then be decoded independently in any order.
 struct LzssFrame {
   std::size_t raw_size = 0;
   std::size_t block_size = 0;
   std::size_t nblocks = 0;
   std::size_t stream_size = 0;             ///< total framed stream bytes
   std::span<const std::uint64_t> offsets;  ///< ws-owned, one per block
-  /// The full input stream; empty for frames parsed from header bytes only
-  /// (lzss_parse_frame_header), whose blocks decode via
-  /// lzss_decompress_block_bytes instead.
-  std::span<const std::byte> stream;
 };
 
-/// Parses and validates the stream header. Throws core::CorruptArchive on
-/// malformed input; also guards raw_size against absurd allocations.
-[[nodiscard]] LzssFrame lzss_parse_frame(std::span<const std::byte> data,
-                                         dev::Workspace& ws);
-
-/// lzss_parse_frame over only the stream's leading header bytes (through
-/// the offset table) — for random-access readers that fetch block payloads
-/// selectively. `stream_size` is the framed stream's total byte size;
-/// offsets are validated against it exactly as lzss_parse_frame validates
-/// them against the in-memory stream. The frame's `stream` view stays
-/// empty.
+/// Parses and validates a stream's leading header bytes (through the offset
+/// table) — for readers that fetch block payloads selectively.
+/// `stream_size` is the framed stream's total byte size. Throws
+/// core::CorruptArchive on malformed input; also guards raw_size against
+/// absurd allocations.
 [[nodiscard]] LzssFrame lzss_parse_frame_header(std::span<const std::byte> head,
                                                 std::size_t stream_size,
                                                 dev::Workspace& ws);
 
-/// Decodes block `b` of a parsed frame into `raw_out`, which must be
-/// exactly the block's raw extent (min(block_size, raw_size - b*block_size)
-/// bytes). Throws core::CorruptArchive on corrupt tokens.
-void lzss_decompress_block(const LzssFrame& frame, std::size_t b,
-                           std::span<std::byte> raw_out);
-
 /// Byte extent [begin, end) block `b` occupies within the framed stream
-/// (mode byte included) — what a random-access reader must fetch to hand
+/// (mode byte included) — what a reader must fetch to hand
 /// lzss_decompress_block_bytes.
 [[nodiscard]] std::pair<std::size_t, std::size_t> lzss_block_extent(
     const LzssFrame& frame, std::size_t b);
 
-/// lzss_decompress_block for frames without an in-memory stream:
-/// `block_bytes` is exactly the stream slice lzss_block_extent(frame, b)
-/// names. Identical validation and output.
+/// Decodes block `b` of a parsed frame into `raw_out`, which must be
+/// exactly the block's raw extent (min(block_size, raw_size - b*block_size)
+/// bytes); `block_bytes` is exactly the stream slice lzss_block_extent(frame,
+/// b) names. Throws core::CorruptArchive on corrupt tokens.
 void lzss_decompress_block_bytes(const LzssFrame& frame, std::size_t b,
                                  std::span<const std::byte> block_bytes,
                                  std::span<std::byte> raw_out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <utility>
 
@@ -49,13 +48,6 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-std::uint32_t peek_magic(std::span<const std::byte> bytes) {
-  std::uint32_t magic = 0;
-  if (bytes.size() >= sizeof(magic))
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
-  return magic;
-}
-
 /// Executes one request body through the direct library call. Fills
 /// resp.{archive,data,...}; exceptions propagate to the caller, which parks
 /// them in the response.
@@ -72,22 +64,14 @@ void run_request_body(const Request& req, Response& resp,
                                     /*timings=*/nullptr, ws);
       resp.bytes_out = resp.archive.size();
       break;
-    case Kind::DecompressF32: {
-      if (peek_magic(req.archive) == kBitcompWrapMagicV2)
-        resp.data = cuszi_decompress_bitcomp_f32(req.archive, ws);
-      else
-        resp.data = cuszi_decompress_f32(req.archive, ws);
+    case Kind::DecompressF32:
+      resp.data = cuszi_decompress_f32(req.archive, ws);
       resp.bytes_out = resp.data.size() * sizeof(float);
       break;
-    }
-    case Kind::DecompressF64: {
-      if (peek_magic(req.archive) == kBitcompWrapMagicV2)
-        resp.data_f64 = cuszi_decompress_bitcomp_f64(req.archive, ws);
-      else
-        resp.data_f64 = cuszi_decompress_f64(req.archive, ws);
+    case Kind::DecompressF64:
+      resp.data_f64 = cuszi_decompress_f64(req.archive, ws);
       resp.bytes_out = resp.data_f64.size() * sizeof(double);
       break;
-    }
     case Kind::Roi: {
       auto r = cuszi_decompress_roi_f32(req.archive, req.box);
       resp.data = std::move(r.data);

@@ -150,8 +150,8 @@ class Service {
                                            const dev::Dim3& dims,
                                            const CompressParams& params);
 
-  /// Decompress a cuSZ-i archive (raw or 'BBC2'-wrapped — dispatched on the
-  /// magic, like the CLI).
+  /// Decompress a cuSZ-i archive, raw or 'BBC2'-wrapped (the decoder reads
+  /// either).
   [[nodiscard]] Ticket submit_decompress(std::string tenant,
                                          std::span<const std::byte> archive);
   [[nodiscard]] Ticket submit_decompress_f64(

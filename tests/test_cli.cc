@@ -435,6 +435,87 @@ TEST(CliRun, RetiredLayoutsAreRejected) {
   fs::remove_all(dir);
 }
 
+// -x reads a cusz-i archive's layout itself: an archive written with
+// -z --bitcomp decodes without the flag — full with --stages, --level 2
+// and --roi — to the same file as with it. --bitcomp on -x still unwraps a
+// baseline archive, which decodes only with it, and a baseline's
+// -x --stages prints the total the CLI timed.
+TEST(CliRun, WrappedArchiveDecodesWithoutBitcompFlag) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "szi_cli_layout";
+  fs::create_directories(dir);
+  const auto fields =
+      szi::datagen::make_dataset("nyx", szi::datagen::Size::Small);
+  const auto& f = fields.front();
+  const fs::path raw = dir / "f.f32";
+  szi::io::write_f32(raw.string(), f.data);
+
+  Options z;
+  z.command = Command::Compress;
+  z.input = raw.string();
+  z.output = (dir / "f.szi").string();
+  z.dims = f.dims;
+  z.bitcomp = true;
+  ASSERT_EQ(szi::cli::run(z), 0);
+
+  // Runs `x` as -x of `archive` into `out`; returns what it printed.
+  const auto run_x = [&](Options x, const std::string& archive,
+                         const std::string& out) {
+    x.command = Command::Decompress;
+    x.input = archive;
+    x.output = (dir / out).string();
+    testing::internal::CaptureStdout();
+    int rc = -1;
+    try {
+      rc = szi::cli::run(x);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+    const std::string text = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0) << text;
+    return text;
+  };
+  Options full;
+  full.stages = true;
+  Options preview;
+  preview.level = 2;
+  Options box;
+  box.roi = szi::RoiBox{{10, 20, 30}, {33, 17, 9}};
+  for (const auto& [name, x] : {std::pair{"full", full},
+                                std::pair{"preview", preview},
+                                std::pair{"roi", box}}) {
+    SCOPED_TRACE(name);
+    Options with = x;
+    with.bitcomp = true;
+    const std::string text = run_x(x, z.output, "plain.out");
+    (void)run_x(with, z.output, "flag.out");
+    EXPECT_EQ(szi::io::read_bytes((dir / "plain.out").string()),
+              szi::io::read_bytes((dir / "flag.out").string()));
+    if (x.stages) {
+      EXPECT_NE(text.find("stages: unwrap"), std::string::npos) << text;
+      EXPECT_NE(text.find("wrap segment 0:"), std::string::npos) << text;
+    }
+  }
+
+  Options zc = z;
+  zc.compressor = "cusz";
+  zc.output = (dir / "c.szi").string();
+  ASSERT_EQ(szi::cli::run(zc), 0);
+  Options xc;
+  xc.compressor = "cusz";
+  xc.bitcomp = true;
+  xc.stages = true;
+  const std::string text = run_x(xc, zc.output, "c.out");
+  EXPECT_NE(text.find("stages:"), std::string::npos) << text;
+  EXPECT_EQ(szi::io::read_f32((dir / "c.out").string()).size(), f.size());
+  xc.command = Command::Decompress;
+  xc.input = zc.output;
+  xc.output = (dir / "c.out").string();
+  xc.bitcomp = false;
+  EXPECT_THROW((void)szi::cli::run(xc), std::runtime_error);
+  fs::remove_all(dir);
+}
+
 TEST(CliRun, InfoIdentifiesPipelines) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "szi_cli_info";

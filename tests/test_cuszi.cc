@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "core/bytes.hh"
 #include "core/cuszi.hh"
 #include "datagen/datasets.hh"
 #include "device/arena.hh"
@@ -80,9 +82,6 @@ TEST(Cuszi, TimingsArePopulated) {
   EXPECT_GT(enc.timings.total, 0.0);
   EXPECT_GT(enc.timings.predict, 0.0);
   EXPECT_LE(enc.timings.kernel_time(), enc.timings.total);
-  double dec_s = -1;
-  (void)c->decompress(enc.bytes, &dec_s);
-  EXPECT_GT(dec_s, 0.0);
 }
 
 // Concurrency comes from callers sharing the pool and the global arena,
@@ -191,10 +190,8 @@ TEST(CusziBitcomp, AdapterBytesEqualWrapOfInnerArchive) {
   }
 }
 
-// Every decode the adapter offers — plain, staged, full-fidelity preview
-// and a whole-field box — unwraps to the same values as the plain decode
-// of the inner archive; the staged one reports the unwrap as its own slice
-// of the wall clock.
+// The adapter's decode unwraps to the same values as the plain decode of
+// the inner archive.
 TEST(CusziBitcomp, AdapterDecodePathsAgree) {
   auto wrapped = szi::with_bitcomp(szi::make_cuszi());
   const auto f = small_field("rtm");
@@ -203,23 +200,7 @@ TEST(CusziBitcomp, AdapterDecodePathsAgree) {
   const auto outer = szi::bitcomp_wrap_archive(inner);
   const auto ref = szi::cuszi_decompress_f32(inner);
 
-  double secs = -1;
-  EXPECT_EQ(wrapped->decompress(outer, &secs), ref);
-  EXPECT_GT(secs, 0.0);
-
-  szi::DecodeTimings t;
-  EXPECT_EQ(wrapped->decompress_stages(outer, t), ref);
-  EXPECT_GT(t.unwrap, 0.0);
-  EXPECT_GT(t.huffman, 0.0);
-  EXPECT_GT(t.reconstruct, 0.0);
-  EXPECT_LE(t.unwrap + t.huffman + t.reconstruct, t.total);
-
-  const auto prev = wrapped->decompress_progressive(outer, 1);
-  EXPECT_EQ(prev.dims, f.dims);
-  EXPECT_EQ(prev.data, ref);
-
-  const auto roi = wrapped->decompress_roi(outer, {{0, 0, 0}, f.dims});
-  EXPECT_EQ(roi.data, ref);
+  EXPECT_EQ(wrapped->decompress(outer), ref);
 }
 
 // A full decode runs its stages one after another, so each stage it
@@ -255,6 +236,98 @@ TEST(Cuszi, DecodeStagesAreWallSlicesOfTotal) {
   expect_slices(t64, false);
   expect_slices(w32, true);
   expect_slices(w64, true);
+}
+
+// One named decode entry point, over whichever archive bytes it is given.
+template <typename T>
+using DecodeEntry =
+    std::pair<const char*,
+              std::function<std::vector<T>(std::span<const std::byte>)>>;
+
+// Each entry decodes the raw archive of `data` and its 'BBC2' wrap to the
+// same bits as the first entry's raw decode, and rejects the first three
+// bytes of either as a truncated archive.
+template <typename T>
+void expect_entries_read_either_layout(
+    const std::vector<T>& data, const szi::dev::Dim3& dims,
+    const std::vector<DecodeEntry<T>>& entries) {
+  const auto raw = szi::cuszi_compress(std::span<const T>(data), dims,
+                                       {ErrorMode::Rel, 1e-3});
+  const auto wrapped = szi::bitcomp_wrap_archive(raw);
+  const auto ref = entries.front().second(raw);
+  ASSERT_EQ(ref.size(), dims.volume());
+  for (const auto& [name, decode] : entries) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(decode(raw), ref);
+    EXPECT_EQ(decode(wrapped), ref);
+    for (const auto* archive : {&raw, &wrapped})
+      EXPECT_THROW((void)decode(std::span(*archive).first(3)),
+                   szi::core::CorruptArchive);
+  }
+  EXPECT_THROW((void)szi::bitcomp_unwrap_archive(raw),
+               szi::core::CorruptArchive);
+}
+
+// The decoder reads an archive's layout itself, so every entry point —
+// the plain, timed and workspace full decodes, the _bitcomp_ names, a
+// level-1 preview and the whole-field box — reads raw and wrapped archives
+// alike, in f32 and f64; only bitcomp_unwrap_archive insists on a
+// container.
+TEST(Cuszi, EveryDecodeEntryReadsEitherLayout) {
+  using Bytes = std::span<const std::byte>;
+  const auto f = small_field("miranda");
+  const szi::RoiBox whole{{0, 0, 0}, f.dims};
+  expect_entries_read_either_layout<float>(
+      f.data, f.dims,
+      {{"plain", [](Bytes b) { return szi::cuszi_decompress_f32(b); }},
+       {"timed",
+        [](Bytes b) {
+          szi::DecodeTimings t;
+          return szi::cuszi_decompress_f32(b, &t);
+        }},
+       {"workspace",
+        [](Bytes b) {
+          szi::dev::Workspace ws(szi::dev::Arena::instance());
+          return szi::cuszi_decompress_f32(b, ws);
+        }},
+       {"bitcomp",
+        [](Bytes b) {
+          szi::dev::Workspace ws(szi::dev::Arena::instance());
+          return szi::cuszi_decompress_bitcomp_f32(b, ws);
+        }},
+       {"preview",
+        [](Bytes b) {
+          return szi::cuszi_decompress_progressive_f32(b, 1).data;
+        }},
+       {"box", [&](Bytes b) {
+          return szi::cuszi_decompress_roi_f32(b, whole).data;
+        }}});
+  const std::vector<double> v64(f.data.begin(), f.data.end());
+  expect_entries_read_either_layout<double>(
+      v64, f.dims,
+      {{"plain", [](Bytes b) { return szi::cuszi_decompress_f64(b); }},
+       {"timed",
+        [](Bytes b) {
+          szi::DecodeTimings t;
+          return szi::cuszi_decompress_f64(b, &t);
+        }},
+       {"workspace",
+        [](Bytes b) {
+          szi::dev::Workspace ws(szi::dev::Arena::instance());
+          return szi::cuszi_decompress_f64(b, ws);
+        }},
+       {"bitcomp",
+        [](Bytes b) {
+          szi::dev::Workspace ws(szi::dev::Arena::instance());
+          return szi::cuszi_decompress_bitcomp_f64(b, ws);
+        }},
+       {"preview",
+        [](Bytes b) {
+          return szi::cuszi_decompress_progressive_f64(b, 1).data;
+        }},
+       {"box", [&](Bytes b) {
+          return szi::cuszi_decompress_roi_f64(b, whole).data;
+        }}});
 }
 
 // Every dataset x error bound must round-trip within bound — the paper's

@@ -16,7 +16,6 @@
 #include "core/bytes.hh"
 #include "core/compressor_iface.hh"
 #include "core/cuszi.hh"
-#include "baselines/registry.hh"
 #include "datagen/datasets.hh"
 #include "io/archive_source.hh"
 #include "io/bin_io.hh"
@@ -357,8 +356,53 @@ TEST(Roi, WrappedArchiveSourcesAgree) {
   fs::remove_all(dir);
 }
 
-/// Degenerate and out-of-range boxes are rejected up front, and baseline
-/// compressors report no ROI support.
+/// A box request reads each archive byte at most once: the layout comes
+/// from the archive's first bytes, read once, and each level's stream
+/// header grows round by round, every round fetching only bytes the rounds
+/// before it did not. Raw and wrapped, through memory and through pread
+/// (which re-reads whatever is fetched twice), each box still equals the
+/// crop of the full decode.
+TEST(Roi, BoxReadsEachArchiveByteAtMostOnce) {
+  const Dim3 dims{64, 40, 24};
+  std::vector<float> data(dims.volume());
+  std::size_t i = 0;
+  for (std::size_t z = 0; z < dims.z; ++z)
+    for (std::size_t y = 0; y < dims.y; ++y)
+      for (std::size_t x = 0; x < dims.x; ++x, ++i)
+        data[i] = static_cast<float>(
+            std::sin(0.1 * static_cast<double>(x)) *
+                std::cos(0.07 * static_cast<double>(y)) +
+            0.5 * std::sin(0.05 * static_cast<double>(z)));
+  const auto raw = szi::cuszi_compress(std::span<const float>(data), dims,
+                                       {ErrorMode::Rel, 1e-3});
+  const auto wrapped = szi::bitcomp_wrap_archive(raw);
+  const auto full = szi::cuszi_decompress_f32(raw);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("szi_roi_once_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  for (const auto* archive : {&raw, &wrapped}) {
+    SCOPED_TRACE(archive == &raw ? "raw" : "wrapped");
+    const auto path = (dir / "a.szi").string();
+    szi::io::write_bytes(path, *archive);
+    for (const RoiBox& box : {RoiBox{{5, 3, 2}, {32, 27, 18}},
+                              RoiBox{{20, 12, 8}, {16, 10, 6}}}) {
+      SCOPED_TRACE(box.lo.x);
+      const auto want = crop(full, dims, box);
+      szi::io::MemorySource mem(*archive);
+      szi::io::StreamSource st(path);
+      for (szi::io::ArchiveSource* src :
+           {static_cast<szi::io::ArchiveSource*>(&mem),
+            static_cast<szi::io::ArchiveSource*>(&st)}) {
+        const auto r = szi::cuszi_decompress_roi_f32(*src, box);
+        EXPECT_LE(r.bytes_read, archive->size());
+        EXPECT_EQ(r.data, want);
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+/// Degenerate and out-of-range boxes are rejected up front.
 TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
   const auto fields =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
@@ -374,15 +418,6 @@ TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
     EXPECT_THROW((void)szi::cuszi_decompress_roi_f32(v2, box),
                  std::invalid_argument);
   }
-  // Through the Compressor interface: cuSZ-i serves ROI (wrapped too),
-  // baselines throw the not-supported error.
-  auto cuszi = szi::make_cuszi();
-  const auto r = cuszi->decompress_roi(v2, {{8, 8, 8}, {16, 16, 16}});
-  EXPECT_EQ(r.dims, (Dim3{16, 16, 16}));
-  auto sz3 = szi::baselines::make_compressor("sz3");
-  const auto a = sz3->compress(f, p);
-  EXPECT_THROW((void)sz3->decompress_roi(a.bytes, {{0, 0, 0}, {8, 8, 8}}),
-               std::invalid_argument);
 }
 
 /// ROI reads are byte-identical across worker counts: the slab fan-out
