@@ -10,7 +10,7 @@
 
 #include "bench_common.hh"
 #include "huffman/huffman.hh"
-#include "lossless/bitcomp.hh"
+#include "lossless/lzss.hh"
 #include "metrics/stats.hh"
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
@@ -37,7 +37,7 @@ void run_variant(const Field& f, double eb, const predictor::InterpConfig& cfg,
                  reinterpret_cast<const std::byte*>(enc.anchors.data()),
                  reinterpret_cast<const std::byte*>(enc.anchors.data()) +
                      anchors_bytes);
-  const auto packed = lossless::bitcomp_compress(archive);
+  const auto packed = lossless::lzss_compress(archive);
   *ratio = metrics::compression_ratio(f.bytes(), packed.size());
   const auto dec = predictor::ginterp_decompress(enc.codes, enc.anchors,
                                                  enc.outliers, f.dims, eb, cfg);

@@ -21,6 +21,7 @@
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
 #include "predictor/lorenzo.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 
@@ -277,8 +278,9 @@ void BM_CompressEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_CompressEndToEnd);
 
 void BM_CompressEndToEndUnfused(benchmark::State& state) {
-  // Reference stage structure: predict pass, histogram pass, Huffman encode
-  // into a ByteWriter archive, then LZSS re-reads the finished archive.
+  // Reference stage structure (szi_reference): predict pass, level-split
+  // pass with its histograms, the shipped writer, then LZSS re-reads the
+  // finished archive.
   const auto& f = e2e_field();
   for (auto _ : state)
     benchmark::DoNotOptimize(szi::bitcomp_wrap_archive(

@@ -30,6 +30,7 @@
 #include "device/arena.hh"
 #include "metrics/stats.hh"
 #include "predictor/ginterp.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 using namespace szi;

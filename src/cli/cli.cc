@@ -1,14 +1,13 @@
 #include "cli/cli.hh"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <random>
+#include <exception>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "baselines/registry.hh"
 #include "core/cuszi.hh"
@@ -16,7 +15,6 @@
 #include "io/archive_source.hh"
 #include "io/bin_io.hh"
 #include "metrics/stats.hh"
-#include "serve/serve.hh"
 
 namespace szi::cli {
 
@@ -170,114 +168,6 @@ int verify(std::span<const T> original, std::span<const T> decoded,
   return 1;
 }
 
-/// --serve-bench: an in-process probe of the szi::serve layer. Deterministic
-/// Poisson arrivals over a mixed workload (two f32 compress size classes,
-/// decompress, ROI), sent from this thread; every response checked
-/// byte-identical against the direct library call. Latency runs from each
-/// request's scheduled send, so a request sent late behind a slow one carries
-/// that wait; the generator's lateness is printed beside it. Returns nonzero
-/// on any mismatch or failure.
-int run_serve_bench(std::size_t n) {
-  using Clock = std::chrono::steady_clock;
-  const auto ms_between = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-  CompressParams params{ErrorMode::Rel, 1e-3};
-
-  auto synth = [](std::size_t nx, std::size_t ny, std::size_t nz) {
-    Field f("serve", "bench", {nx, ny, nz});
-    for (std::size_t i = 0; i < f.data.size(); ++i)
-      f.data[i] = std::sin(0.013f * float(i)) + std::cos(0.0041f * float(i));
-    return f;
-  };
-  const Field small = synth(24, 20, 16);
-  const Field medium = synth(48, 40, 32);
-  const auto small_arc = cuszi_compress(small.view(), small.dims, params);
-  const auto medium_arc = cuszi_compress(medium.view(), medium.dims, params);
-  const auto decomp_direct = cuszi_decompress_f32(small_arc);
-  const RoiBox box{{8, 6, 4}, {12, 10, 8}};
-  const auto roi_direct = cuszi_decompress_roi_f32(medium_arc, box).data;
-
-  std::mt19937_64 rng(42);
-  std::exponential_distribution<double> gap(600.0);
-  std::discrete_distribution<int> kind({35, 30, 25, 10});
-
-  serve::Service svc;
-  std::printf("serve-bench: %zu requests, Poisson 600/s\n", n);
-  std::vector<std::pair<int, serve::Ticket>> tickets;
-  tickets.reserve(n);
-  std::vector<double> lat, late;
-  lat.reserve(n);
-  late.reserve(n);
-  const auto start = Clock::now();
-  double t = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += gap(rng);
-    const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(t));
-    std::this_thread::sleep_until(due);
-    const auto sent = Clock::now();
-    const int k = kind(rng);
-    switch (k) {
-      case 0:
-        tickets.emplace_back(
-            k, svc.submit_compress("cli", small.view(), small.dims, params));
-        break;
-      case 1:
-        tickets.emplace_back(
-            k, svc.submit_compress("cli", medium.view(), medium.dims, params));
-        break;
-      case 2:
-        tickets.emplace_back(k, svc.submit_decompress("cli", small_arc));
-        break;
-      default:
-        tickets.emplace_back(k, svc.submit_roi("cli", medium_arc, box));
-    }
-    const auto done = Clock::now();
-    late.push_back(ms_between(due, sent));
-    if (tickets.back().second.wait().status == serve::Status::Ok)
-      lat.push_back(ms_between(due, done));
-  }
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  bool identical = true;
-  std::size_t failed = 0;
-  for (const auto& [k, tk] : tickets) {
-    const auto& r = tk.wait();
-    if (r.status != serve::Status::Ok) {
-      ++failed;
-      continue;
-    }
-    switch (k) {
-      case 0: identical = identical && r.archive == small_arc; break;
-      case 1: identical = identical && r.archive == medium_arc; break;
-      case 2: identical = identical && r.data == decomp_direct; break;
-      default: identical = identical && r.data == roi_direct;
-    }
-  }
-  auto pct = [](std::vector<double>& v, double q) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const auto idx =
-        static_cast<std::size_t>(std::ceil(q * double(v.size()))) - 1;
-    return v[std::min(idx, v.size() - 1)];
-  };
-  const auto s = svc.stats();
-  std::printf("  %.2f s | %.1f req/s | p50 %.3f ms | p95 %.3f ms | "
-              "p99 %.3f ms (from scheduled send)\n",
-              wall, wall > 0 ? double(n) / wall : 0.0, pct(lat, 0.50),
-              pct(lat, 0.95), pct(lat, 0.99));
-  std::printf("  generator late p50 %.3f ms | p99 %.3f ms | max %.3f ms\n",
-              pct(late, 0.50), pct(late, 0.99), pct(late, 1.0));
-  std::printf("  executed %llu | failed %zu | arena high-water %zu B\n",
-              static_cast<unsigned long long>(s.waves), failed,
-              s.arena_high_water_bytes);
-  std::printf("  byte-identical to direct calls: %s\n",
-              identical ? "yes" : "NO");
-  return identical && failed == 0 ? 0 : 1;
-}
-
 /// -x of a cuSZ-i archive in precision T: a box, a preview or the full
 /// field. The decoder reads raw and 'BBC2' archives alike, so --bitcomp
 /// changes only the name printed.
@@ -365,10 +255,6 @@ decompress:  szi -x -i <file.szi> -o <file.f32> [-c COMPRESSOR] [-t f32|f64]
                  [--bitcomp] [--level N] [--roi x0:x1,y0:y1,z0:z1]
 info:        szi --info -i <file.szi>  (identify the pipeline of an archive)
 list:        szi --list               (available compressors)
-serve-bench: szi --serve-bench [N]   (in-process service-layer load probe:
-                 N mixed compress/decompress/ROI requests through szi::serve,
-                 Poisson arrivals; prints sustained rate + p50/p95/p99 latency
-                 and checks every response byte-identical to the direct call)
 
 options:
   -m abs|rel|rate   error mode: absolute bound, value-range-relative bound
@@ -424,11 +310,6 @@ Options parse(const std::vector<std::string>& args) {
     } else if (a == "--info") {
       opt.command = Command::Info;
       have_command = true;
-    } else if (a == "--serve-bench") {
-      opt.command = Command::ServeBench;
-      have_command = true;
-      if (i + 1 < args.size() && !args[i + 1].empty() && args[i + 1][0] != '-')
-        opt.serve_requests = parse_size(args[++i], "--serve-bench");
     } else if (a == "-h" || a == "--help") {
       opt.command = Command::Help;
       have_command = true;
@@ -489,8 +370,6 @@ Options parse(const std::vector<std::string>& args) {
   }
   if (opt.command == Command::Info && opt.input.empty())
     throw std::invalid_argument("--info requires -i");
-  if (opt.command == Command::ServeBench && opt.serve_requests == 0)
-    throw std::invalid_argument("--serve-bench needs a positive count");
   if (opt.level > 0 && opt.command != Command::Decompress)
     throw std::invalid_argument("--level only applies to -x");
   if (opt.level > 0 && opt.compressor != "cusz-i")
@@ -524,8 +403,6 @@ int run(const Options& opt) {
       std::printf("sz3\nqoz\n");
       return 0;
     }
-    case Command::ServeBench:
-      return run_serve_bench(opt.serve_requests);
     case Command::Info: {
       auto asrc = io::open_archive(opt.input);
       std::vector<std::byte> scratch;
@@ -640,6 +517,22 @@ int run(const Options& opt) {
     }
   }
   return 2;
+}
+
+int main(const std::vector<std::string>& args) {
+  try {
+    Options opt;
+    try {
+      opt = parse(args);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "szi: %s\n\n%s", e.what(), usage().c_str());
+      return 2;
+    }
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "szi: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace szi::cli

@@ -6,7 +6,6 @@
 //       [--level N] [--roi x0:x1,y0:y1,z0:z1]
 //   szi --info -i data.szi
 //   szi --list
-//   szi --serve-bench [N]
 //
 // Parsing is separated from execution so it can be unit-tested.
 #pragma once
@@ -21,7 +20,7 @@
 
 namespace szi::cli {
 
-enum class Command { Compress, Decompress, Info, List, Help, ServeBench };
+enum class Command { Compress, Decompress, Info, List, Help };
 
 struct Options {
   Command command = Command::Help;
@@ -37,7 +36,6 @@ struct Options {
   bool stages = false;  ///< print the per-stage timing breakdown (-z and -x)
   int level = 0;  ///< -x --level N: progressive preview decode (0 = full)
   std::optional<RoiBox> roi;  ///< -x --roi: random-access sub-volume decode
-  std::size_t serve_requests = 64;  ///< --serve-bench [N]: request count
 };
 
 /// Parses argv (argv[0] ignored). Throws std::invalid_argument with a
@@ -50,5 +48,10 @@ int run(const Options& opt);
 
 /// The usage text printed by Command::Help.
 [[nodiscard]] std::string usage();
+
+/// The `szi` binary: parse(args), then run(). A parse error prints
+/// "szi: <message>" and the usage text to stderr and returns 2; an error
+/// while running prints the one line "szi: <message>" and returns 1.
+int main(const std::vector<std::string>& args);
 
 }  // namespace szi::cli

@@ -1,19 +1,8 @@
-#include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
 #include "cli/cli.hh"
 
 int main(int argc, char** argv) {
-  try {
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    return szi::cli::run(szi::cli::parse(args));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "szi: %s\n\n%s", e.what(), szi::cli::usage().c_str());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "szi: %s\n", e.what());
-    return 1;
-  }
+  return szi::cli::main(std::vector<std::string>(argv + 1, argv + argc));
 }

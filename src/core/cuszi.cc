@@ -7,13 +7,12 @@
 #include <utility>
 
 #include "core/bytes.hh"
+#include "core/cuszi_writer.hh"
 #include "core/inner_bytes.hh"
 #include "core/timer.hh"
 #include "device/thread_pool.hh"
-#include "huffman/histogram.hh"
 #include "huffman/huffman.hh"
 #include "io/archive_source.hh"
-#include "metrics/stats.hh"
 #include "predictor/anchor.hh"
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
@@ -168,36 +167,6 @@ constexpr Precision precision_of() {
   return sizeof(T) == 4 ? Precision::F32 : Precision::F64;
 }
 
-struct Tuned {
-  double eb;
-  predictor::InterpConfig cfg;
-};
-
-/// Shared front half of every compress path: parameter validation plus the
-/// profiling auto-tune kernel (which also resolves Rel -> Abs).
-template <typename T>
-Tuned autotune_checked(std::span<const T> data, const dev::Dim3& dims,
-                       const CompressParams& p, dev::Workspace& ws) {
-  if (p.mode == ErrorMode::FixedRate)
-    throw std::invalid_argument("cuSZ-i: fixed-rate mode not supported");
-  if (p.mode == ErrorMode::PwRel)
-    throw std::invalid_argument(
-        "cuSZ-i: pointwise-relative mode requires with_pointwise_rel()");
-  if (data.size() != dims.volume())
-    throw std::invalid_argument("cuSZ-i: size/dims mismatch");
-
-  auto prof = predictor::autotune(data, dims, p.value, ws);
-  const double eb =
-      p.mode == ErrorMode::Rel ? p.value * prof.value_range : p.value;
-  if (eb <= 0) throw std::invalid_argument("cuSZ-i: non-positive error bound");
-  if (p.mode == ErrorMode::Rel) {
-    // ε changed meaning: recompute α for the absolute bound.
-    prof.epsilon = p.value;
-    prof.config.alpha = predictor::alpha_of_epsilon(prof.epsilon);
-  }
-  return {eb, prof.config};
-}
-
 /// Builds the segment directory from the prediction output and the
 /// per-level Huffman encode plans (`plans[l - 1]` for level l), before any
 /// payload exists. Offsets are assigned contiguously from the end of the
@@ -239,8 +208,35 @@ std::vector<SegmentEntry> make_directory(
   return segs;
 }
 
-/// The SZI2 writer behind every default compress path, raw and wrapped, in
-/// phases that each span the pool. Every level's Huffman stream is planned
+}  // namespace
+
+namespace detail {
+
+template <typename T>
+Tuned autotune_checked(std::span<const T> data, const dev::Dim3& dims,
+                       const CompressParams& p, dev::Workspace& ws) {
+  if (p.mode == ErrorMode::FixedRate)
+    throw std::invalid_argument("cuSZ-i: fixed-rate mode not supported");
+  if (p.mode == ErrorMode::PwRel)
+    throw std::invalid_argument(
+        "cuSZ-i: pointwise-relative mode requires with_pointwise_rel()");
+  if (data.size() != dims.volume())
+    throw std::invalid_argument("cuSZ-i: size/dims mismatch");
+
+  auto prof = predictor::autotune(data, dims, p.value, ws);
+  const double eb =
+      p.mode == ErrorMode::Rel ? p.value * prof.value_range : p.value;
+  if (eb <= 0) throw std::invalid_argument("cuSZ-i: non-positive error bound");
+  if (p.mode == ErrorMode::Rel) {
+    // ε changed meaning: recompute α for the absolute bound.
+    prof.epsilon = p.value;
+    prof.config.alpha = predictor::alpha_of_epsilon(prof.epsilon);
+  }
+  return {eb, prof.config};
+}
+
+/// The SZI2 writer behind every compress path, raw and wrapped, in phases
+/// that each span the pool. Every level's Huffman stream is planned
 /// (per-chunk sizes, then offsets), which freezes the directory — every
 /// segment's offset and size — before the first payload byte. Then the
 /// header, directory, anchors and outliers are written, each level's chunks
@@ -300,56 +296,47 @@ std::span<const std::byte> write_v2(const predictor::GInterpViewT<T>& pred,
   return raw;
 }
 
+template Tuned autotune_checked<float>(std::span<const float>,
+                                      const dev::Dim3&, const CompressParams&,
+                                      dev::Workspace&);
+template Tuned autotune_checked<double>(std::span<const double>,
+                                       const dev::Dim3&, const CompressParams&,
+                                       dev::Workspace&);
+template std::span<const std::byte> write_v2<float>(
+    const predictor::GInterpViewT<float>&, const predictor::GInterpLevelSplit&,
+    std::span<const huffman::Codebook>, const dev::Dim3&, const Tuned&, int,
+    dev::Workspace&);
+template std::span<const std::byte> write_v2<double>(
+    const predictor::GInterpViewT<double>&,
+    const predictor::GInterpLevelSplit&, std::span<const huffman::Codebook>,
+    const dev::Dim3&, const Tuned&, int, dev::Workspace&);
+
+}  // namespace detail
+
+namespace {
+
 /// Autotune, prediction, codebooks and the writer: everything up to the
-/// inner archive, which lives in `ws` memory. The fused pipeline re-buckets
-/// each owned row's codes into per-level streams inside the predict kernel
-/// (one exact histogram per level as a byproduct); the unfused reference
-/// splits the finished code array afterwards — the streams and histograms
-/// are byte-identical, so fused and unfused archives stay in lockstep.
-/// `unified` shares one codebook across all levels for the ratio ablation
-/// (the framing is unchanged). Fills `t` except `total`.
+/// inner archive, which lives in `ws` memory. The predict kernel re-buckets
+/// each owned row's codes into per-level streams, with one exact histogram
+/// per level as a byproduct. Fills `t` except `total`.
 template <typename T>
 std::span<const std::byte> compress_v2(std::span<const T> data,
                                        const dev::Dim3& dims,
                                        const CompressParams& p, StageTimings& t,
-                                       bool fused, bool unified,
                                        dev::Workspace& ws) {
   core::Timer stage;
-  const Tuned tuned = autotune_checked(data, dims, p, ws);
-  t.predict += stage.lap();
-
+  const detail::Tuned tuned = detail::autotune_checked(data, dims, p, ws);
   constexpr int kRadius = quant::kDefaultRadius;
-  const std::size_t nbins = 2 * static_cast<std::size_t>(kRadius);
-  predictor::GInterpViewT<T> pred;
-  predictor::GInterpLevelSplit levels;
-  if (fused) {
-    auto fl = predictor::ginterp_compress_fused_levels(data, dims, tuned.eb,
-                                                       tuned.cfg, kRadius, ws);
-    pred = fl.pred;
-    levels = std::move(fl.levels);
-    t.predict += stage.lap();
-    t.histogram = 0;
-    t.histogram_fused = true;
-  } else {
-    pred = predictor::ginterp_compress(data, dims, tuned.eb, tuned.cfg,
-                                       kRadius, ws);
-    t.predict += stage.lap();
-    levels = predictor::ginterp_split_levels(pred.codes, dims, nbins, ws);
-    t.histogram = stage.lap();
-  }
+  const auto fl = predictor::ginterp_compress_fused_levels(
+      data, dims, tuned.eb, tuned.cfg, kRadius, ws);
+  t.predict = stage.lap();
+  t.histogram_fused = true;
 
-  std::vector<huffman::Codebook> books;
-  if (unified) {
-    std::vector<std::uint32_t> sum(nbins, 0);
-    for (const auto& h : levels.histograms)
-      for (std::size_t b = 0; b < nbins; ++b) sum[b] += h[b];
-    books.assign(levels.streams.size(), huffman::Codebook::build(sum));
-  } else {
-    books = huffman::build_level_books(levels.histograms);
-  }
+  const auto books = huffman::build_level_books(fl.levels.histograms);
   t.codebook = stage.lap();
 
-  const auto raw = write_v2<T>(pred, levels, books, dims, tuned, kRadius, ws);
+  const auto raw = detail::write_v2<T>(fl.pred, fl.levels, books, dims, tuned,
+                                       kRadius, ws);
   t.encode = stage.lap();
   return raw;
 }
@@ -359,12 +346,11 @@ template <typename T>
 std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& p,
-                                      StageTimings* timings, bool fused,
-                                      dev::Workspace& ws,
-                                      bool unified = false) {
+                                      StageTimings* timings,
+                                      dev::Workspace& ws) {
   core::Timer total;
   StageTimings t;
-  const auto raw = compress_v2<T>(data, dims, p, t, fused, unified, ws);
+  const auto raw = compress_v2<T>(data, dims, p, t, ws);
   std::vector<std::byte> out(raw.begin(), raw.end());
   ws.reset();
   t.total = total.lap();
@@ -376,13 +362,12 @@ template <typename T>
 std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& p,
-                                      StageTimings* timings, bool fused,
-                                      bool unified = false) {
+                                      StageTimings* timings) {
   // Throwaway arena: malloc-equivalent lifetime, no global memory retained.
   // Pooling across calls is opt-in via the Workspace overload.
   dev::Arena local;
   dev::Workspace ws(local);
-  return compress_typed<T>(data, dims, p, timings, fused, ws, unified);
+  return compress_typed<T>(data, dims, p, timings, ws);
 }
 
 /// A wrapped ('BBC2') archive: the same inner archive as compress_typed,
@@ -398,8 +383,7 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
                                               lossless::LzssMode mode) {
   core::Timer total;
   StageTimings t;
-  const auto raw = compress_v2<T>(data, dims, p, t, /*fused=*/true,
-                                  /*unified=*/false, ws);
+  const auto raw = compress_v2<T>(data, dims, p, t, ws);
   core::Timer wrap;
   auto out = bitcomp_wrap_archive(raw, mode, lossless::MethodPolicy::Auto,
                                   nullptr, ws);
@@ -1051,8 +1035,7 @@ class Cuszi final : public Compressor {
                                         const CompressParams& p) override {
     CompressResult r;
     dev::Workspace ws(dev::Arena::instance());
-    r.bytes = compress_typed<float>(field.data, field.dims, p, &r.timings,
-                                    /*fused=*/true, ws);
+    r.bytes = compress_typed<float>(field.data, field.dims, p, &r.timings, ws);
     return r;
   }
 
@@ -1071,14 +1054,14 @@ std::vector<std::byte> cuszi_compress(std::span<const float> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& params,
                                       StageTimings* timings) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/true);
+  return compress_typed<float>(data, dims, params, timings);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const double> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& params,
                                       StageTimings* timings) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/true);
+  return compress_typed<double>(data, dims, params, timings);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const float> data,
@@ -1086,8 +1069,7 @@ std::vector<std::byte> cuszi_compress(std::span<const float> data,
                                       const CompressParams& params,
                                       StageTimings* timings,
                                       dev::Workspace& ws) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               ws);
+  return compress_typed<float>(data, dims, params, timings, ws);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const double> data,
@@ -1095,22 +1077,7 @@ std::vector<std::byte> cuszi_compress(std::span<const double> data,
                                       const CompressParams& params,
                                       StageTimings* timings,
                                       dev::Workspace& ws) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                ws);
-}
-
-std::vector<std::byte> cuszi_compress_unfused(std::span<const float> data,
-                                              const dev::Dim3& dims,
-                                              const CompressParams& params,
-                                              StageTimings* timings) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/false);
-}
-
-std::vector<std::byte> cuszi_compress_unfused(std::span<const double> data,
-                                              const dev::Dim3& dims,
-                                              const CompressParams& params,
-                                              StageTimings* timings) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/false);
+  return compress_typed<double>(data, dims, params, timings, ws);
 }
 
 std::vector<std::byte> cuszi_compress_bitcomp(std::span<const float> data,
@@ -1163,20 +1130,6 @@ std::vector<SegmentInfo> cuszi_archive_segments(
     out[i].size = segs[i].size;
   }
   return out;
-}
-
-std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const float> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*unified=*/true);
-}
-
-std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const double> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*unified=*/true);
 }
 
 ProgressiveResultT<float> cuszi_decompress_progressive_f32(

@@ -63,28 +63,6 @@ namespace szi {
     std::span<const double> data, const dev::Dim3& dims,
     const CompressParams& params, StageTimings* timings, dev::Workspace& ws);
 
-/// Reference (unfused) pipeline: separate predict, level-split (with its
-/// histograms), and encode passes, mirroring the pre-fusion stage
-/// structure. Archive bytes are identical to cuszi_compress()
-/// (tests/test_fused_equiv.cc asserts this).
-[[nodiscard]] std::vector<std::byte> cuszi_compress_unfused(
-    std::span<const float> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr);
-[[nodiscard]] std::vector<std::byte> cuszi_compress_unfused(
-    std::span<const double> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr);
-
-/// SZI2 with one unified codebook shared by every level segment instead of
-/// a per-level book (the bench's per-level-vs-unified ratio ablation). The
-/// framing is unchanged — each segment still carries the book it decodes
-/// with — so the archive decodes through the normal entry points.
-[[nodiscard]] std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const float> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr);
-[[nodiscard]] std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const double> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr);
-
 /// Compress straight to the §VI-B bitcomp-wrapped archive, in phases that
 /// each span the pool: the inner archive is assembled once in `ws` memory
 /// with every level's Huffman payload emitted directly into its final slot,

@@ -56,11 +56,11 @@ std::byte* write_pod(std::byte* p, const T& v) {
 }  // namespace
 
 std::vector<std::byte> encode(std::span<const quant::Code> codes,
-                              std::size_t nbins, std::size_t chunk_size,
-                              bool use_topk_histogram) {
+                              std::size_t nbins, std::size_t chunk_size) {
   dev::Arena local;
   dev::Workspace ws(local);
-  const auto s = encode(codes, nbins, chunk_size, use_topk_histogram, ws);
+  const auto hist = histogram_topk(codes, nbins, nbins / 2, 16, ws);
+  const auto s = encode_with_book(codes, Codebook::build(hist), chunk_size, ws);
   return {s.begin(), s.end()};
 }
 
@@ -71,16 +71,6 @@ std::vector<std::byte> encode_with_book(std::span<const quant::Code> codes,
   dev::Workspace ws(local);
   const auto s = encode_with_book(codes, book, chunk_size, ws);
   return {s.begin(), s.end()};
-}
-
-std::span<const std::byte> encode(std::span<const quant::Code> codes,
-                                  std::size_t nbins, std::size_t chunk_size,
-                                  bool use_topk_histogram,
-                                  dev::Workspace& ws) {
-  const auto hist = use_topk_histogram
-                        ? histogram_topk(codes, nbins, nbins / 2, 16, ws)
-                        : histogram(codes, nbins, ws);
-  return encode_with_book(codes, Codebook::build(hist), chunk_size, ws);
 }
 
 EncodePlan encode_plan(std::span<const quant::Code> codes,
@@ -313,10 +303,9 @@ DecodePlan decode_plan_header(std::span<const std::byte> head,
 
 namespace {
 
-// Post-decode overrun check shared by both chunk decoders. The encoder
-// byte-aligns every chunk, so a valid chunk decodes its element count
-// within its byte span. Consuming more bits means the chunk table lied
-// about this chunk's extent.
+// Post-decode overrun check. The encoder byte-aligns every chunk, so a
+// valid chunk decodes its element count within its byte span. Consuming
+// more bits means the chunk table lied about this chunk's extent.
 void check_chunk_extent(const lossless::BitReader& br, std::size_t chunk_bytes,
                         std::uint64_t chunk_offset, std::size_t c) {
   if (br.position() > chunk_bytes * 8)
@@ -327,7 +316,7 @@ void check_chunk_extent(const lossless::BitReader& br, std::size_t chunk_bytes,
 
 // Chunk iteration against an arbitrary payload window: `payload` points at
 // the stream payload byte `payload_off`, and must cover every chunk of the
-// range. The classic full-payload iteration is the payload_off == 0 case.
+// range. A full-payload iteration is the payload_off == 0 case.
 template <typename ChunkBody>
 void for_each_chunk_at(const DecodePlan& plan, const std::uint8_t* payload,
                        std::uint64_t payload_off, std::size_t chunk_begin,
@@ -350,14 +339,6 @@ void for_each_chunk_at(const DecodePlan& plan, const std::uint8_t* payload,
       1);
 }
 
-template <typename ChunkBody>
-void for_each_chunk(const DecodePlan& plan, std::size_t chunk_begin,
-                    std::size_t chunk_end, const ChunkBody& body) {
-  for_each_chunk_at(plan,
-                    reinterpret_cast<const std::uint8_t*>(plan.payload.data()),
-                    0, chunk_begin, chunk_end, body);
-}
-
 // The pack-table decode loop shared by decode_chunks and
 // decode_chunks_range — one body, so ranged decode is bit-identical by
 // construction. `dst` points at the output slot for symbol `i`.
@@ -366,7 +347,8 @@ void for_each_chunk(const DecodePlan& plan, std::size_t chunk_begin,
 // codewords. The loop bound leaves room for a full pack; the remainder (and
 // any window whose first code exceeds kLutBits) goes through the
 // single-symbol decoder, which consumes the same bits per symbol, so
-// position() agrees with the reference decoder at every symbol boundary.
+// position() agrees with a one-symbol-per-probe decode at every symbol
+// boundary.
 inline void decode_pack_body(const DecodePlan& plan, lossless::BitReader& br,
                              std::size_t i, std::size_t end,
                              quant::Code* dst) {
@@ -393,10 +375,12 @@ inline void decode_pack_body(const DecodePlan& plan, lossless::BitReader& br,
 
 void decode_chunks(const DecodePlan& plan, std::size_t chunk_begin,
                    std::size_t chunk_end, std::span<quant::Code> out) {
-  for_each_chunk(plan, chunk_begin, chunk_end,
-                 [&](lossless::BitReader& br, std::size_t i, std::size_t end) {
-                   decode_pack_body(plan, br, i, end, out.data() + i);
-                 });
+  for_each_chunk_at(
+      plan, reinterpret_cast<const std::uint8_t*>(plan.payload.data()), 0,
+      chunk_begin, chunk_end,
+      [&](lossless::BitReader& br, std::size_t i, std::size_t end) {
+        decode_pack_body(plan, br, i, end, out.data() + i);
+      });
 }
 
 void decode_chunks_range(const DecodePlan& plan,
@@ -423,15 +407,6 @@ void decode_chunks_range(const DecodePlan& plan,
       [&](lossless::BitReader& br, std::size_t i, std::size_t end) {
         decode_pack_body(plan, br, i, end, out.data() + (i - sym_base));
       });
-}
-
-void decode_chunks_reference(const DecodePlan& plan, std::size_t chunk_begin,
-                             std::size_t chunk_end,
-                             std::span<quant::Code> out) {
-  for_each_chunk(plan, chunk_begin, chunk_end,
-                 [&](lossless::BitReader& br, std::size_t i, std::size_t end) {
-                   for (; i < end; ++i) out[i] = plan.table.decode(br);
-                 });
 }
 
 std::vector<quant::Code> decode(std::span<const std::byte> bytes) {

@@ -21,12 +21,11 @@ namespace szi::huffman {
 
 inline constexpr std::size_t kDefaultChunk = 4096;
 
-/// Encodes `codes` (values < nbins) into a self-describing byte stream.
-/// `use_topk_histogram` selects the §VI-A hot-band histogram path.
+/// Encodes `codes` (values < nbins) into a self-describing byte stream,
+/// with the codebook built from the §VI-A hot-band histogram.
 [[nodiscard]] std::vector<std::byte> encode(std::span<const quant::Code> codes,
                                             std::size_t nbins,
-                                            std::size_t chunk_size = kDefaultChunk,
-                                            bool use_topk_histogram = true);
+                                            std::size_t chunk_size = kDefaultChunk);
 
 /// Same, with a caller-built codebook (lets pipelines time the host-side
 /// codebook build separately, as the paper does).
@@ -34,13 +33,10 @@ inline constexpr std::size_t kDefaultChunk = 4096;
     std::span<const quant::Code> codes, const Codebook& book,
     std::size_t chunk_size = kDefaultChunk);
 
-/// Workspace variants: the stream is assembled in `ws`-owned memory (valid
+/// Workspace variant: the stream is assembled in `ws`-owned memory (valid
 /// until its next reset) and every chunk's bitstream is written directly
 /// into its final payload slot — no per-chunk temporaries, no allocations
 /// on the encode hot path. The byte layout is identical to encode().
-[[nodiscard]] std::span<const std::byte> encode(
-    std::span<const quant::Code> codes, std::size_t nbins,
-    std::size_t chunk_size, bool use_topk_histogram, dev::Workspace& ws);
 [[nodiscard]] std::span<const std::byte> encode_with_book(
     std::span<const quant::Code> codes, const Codebook& book,
     std::size_t chunk_size, dev::Workspace& ws);
@@ -143,8 +139,8 @@ struct DecodePlan {
 /// Decodes chunks [chunk_begin, chunk_end) into `out` (the full n-element
 /// span; chunk c writes symbols [c*chunk_size, min((c+1)*chunk_size, n))).
 /// Uses the multi-symbol pack table: several short codewords resolve per
-/// probe. Output and error behavior are bit-identical to
-/// decode_chunks_reference (tests/test_decode_equiv.cc holds them equal).
+/// probe. Output and error behavior are bit-identical to a one-symbol-per-
+/// probe decode (tests/test_decode_equiv.cc holds them equal).
 void decode_chunks(const DecodePlan& plan, std::size_t chunk_begin,
                    std::size_t chunk_end, std::span<quant::Code> out);
 
@@ -158,12 +154,6 @@ void decode_chunks_range(const DecodePlan& plan,
                          std::span<const std::byte> payload,
                          std::uint64_t payload_off, std::size_t chunk_begin,
                          std::size_t chunk_end, std::span<quant::Code> out);
-
-/// The pre-overhaul single-symbol-per-probe chunk decoder, retained as the
-/// equivalence reference for decode_chunks and for the decode ablation
-/// bench. Same validation, same CorruptArchive throws.
-void decode_chunks_reference(const DecodePlan& plan, std::size_t chunk_begin,
-                             std::size_t chunk_end, std::span<quant::Code> out);
 
 /// Size (bytes) the stream header+offsets add on top of the entropy payload,
 /// for the bit-rate accounting in the benches.

@@ -2,8 +2,9 @@
 //
 // This is the repository's de-redundancy pass (§VI-B). The paper uses
 // NVIDIA's proprietary Bitcomp-lossless purely as a *repeated-pattern-
-// canceling* encoder applied after Huffman ("continuous 0x00 bytes");
-// bitcomp.hh wraps this codec under that role. Blocks are compressed
+// canceling* encoder applied after Huffman ("continuous 0x00 bytes"), and
+// this codec fills that role (DESIGN.md §1): the 'BBC2' wrapper
+// (szi::bitcomp_wrap_archive) runs it per segment. Blocks are compressed
 // independently (the window never crosses a block), so compression and
 // decompression parallelize exactly like a GPU implementation would.
 //

@@ -603,32 +603,6 @@ GInterpOutputT<T> compress_impl(std::span<const T> data, const dev::Dim3& dims,
   return out;
 }
 
-template <typename T>
-GInterpViewT<T> compress_ws_impl(std::span<const T> data,
-                                 const dev::Dim3& dims, double eb,
-                                 const InterpConfig& cfg, int radius,
-                                 dev::Workspace& ws) {
-  check_compress_args(data, dims, eb);
-
-  const Geometry geo = geometry_for(dims);
-  auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
-  gather_anchors_into<T>(data, dims, geo.anchor, anchors);
-
-  // Arena blocks carry stale contents, so the default code must be written
-  // explicitly everywhere (anchors and never-targeted points included).
-  auto codes = ws.make<quant::Code>(data.size());
-  const auto perfect = static_cast<quant::Code>(radius);
-  dev::launch_linear(
-      codes.size(), [&](std::size_t i) { codes[i] = perfect; }, 1 << 14);
-
-  run_tiles<true, T>(data, {}, codes, {}, dims, eb, cfg, radius);
-  GInterpViewT<T> out;
-  out.codes = codes;
-  out.anchors = anchors;
-  out.outliers = quant::gather_outliers<T>(codes, data, ws);
-  return out;
-}
-
 /// The fused predict pass with per-level emission (the compress front end).
 ///
 /// Tiles are statically partitioned into contiguous ranges over a fixed
@@ -1160,20 +1134,6 @@ GInterpOutputT<double> ginterp_compress(std::span<const double> data,
   return compress_impl<double>(data, dims, eb, cfg, radius);
 }
 
-GInterpViewT<float> ginterp_compress(std::span<const float> data,
-                                     const dev::Dim3& dims, double eb,
-                                     const InterpConfig& cfg, int radius,
-                                     dev::Workspace& ws) {
-  return compress_ws_impl<float>(data, dims, eb, cfg, radius, ws);
-}
-
-GInterpViewT<double> ginterp_compress(std::span<const double> data,
-                                      const dev::Dim3& dims, double eb,
-                                      const InterpConfig& cfg, int radius,
-                                      dev::Workspace& ws) {
-  return compress_ws_impl<double>(data, dims, eb, cfg, radius, ws);
-}
-
 void ginterp_decompress_into(std::span<const quant::Code> codes,
                              std::span<const float> anchors,
                              const quant::OutlierViewT<float>& outliers,
@@ -1229,40 +1189,6 @@ dev::Dim3 ginterp_preview_dims(const dev::Dim3& dims, int max_level) {
   const std::size_t s = stride_of_level(L);
   return {axis_count(dims.x, id.ix, s), axis_count(dims.y, id.iy, s),
           axis_count(dims.z, id.iz, s)};
-}
-
-GInterpLevelSplit ginterp_split_levels(std::span<const quant::Code> codes,
-                                       const dev::Dim3& dims,
-                                       std::size_t nbins, dev::Workspace& ws) {
-  if (codes.size() != dims.volume())
-    throw std::invalid_argument("ginterp_split_levels: size/dims mismatch");
-  const InterpDims id = interp_dims_of(dims);
-  const auto nlv = static_cast<std::size_t>(id.nlevels);
-  GInterpLevelSplit out;
-  out.streams.resize(nlv);
-  out.histograms.assign(nlv, std::vector<std::uint32_t>(nbins, 0u));
-  std::vector<std::span<quant::Code>> bufs(nlv);
-  std::vector<std::size_t> fill(nlv, 0);
-  for (std::size_t v = 0; v < nlv; ++v)
-    bufs[v] = ws.make<quant::Code>(
-        ginterp_level_volume(dims, static_cast<int>(v) + 1));
-  for (std::size_t z = 0; z < dims.z; ++z)
-    for (std::size_t y = 0; y < dims.y; ++y) {
-      const std::size_t row = dev::linearize(dims, 0, y, z);
-      for (std::size_t v = 0; v < nlv; ++v) {
-        const RowPattern p =
-            row_pattern(y, z, id, static_cast<int>(v), std::size_t{1} << v);
-        if (p.step == 0) continue;
-        auto& h = out.histograms[v];
-        for (std::size_t x = p.start; x < dims.x; x += p.step) {
-          const quant::Code code = codes[row + x];
-          bufs[v][fill[v]++] = code;
-          ++h[code];
-        }
-      }
-    }
-  for (std::size_t v = 0; v < nlv; ++v) out.streams[v] = bufs[v];
-  return out;
 }
 
 LevelScatterCursor::LevelScatterCursor(const dev::Dim3& dims, int level)
@@ -1384,24 +1310,6 @@ void ginterp_scatter_levels(
         }
       },
       grain);
-}
-
-void ginterp_scatter_levels(
-    const dev::Dim3& dims,
-    std::span<const std::span<const quant::Code>> streams, quant::Code fill,
-    std::span<quant::Code> codes) {
-  const InterpDims id = interp_dims_of(dims);
-  const auto nlv = static_cast<std::size_t>(id.nlevels);
-  if (codes.size() != dims.volume() || streams.size() != nlv)
-    throw std::invalid_argument("ginterp_scatter_levels: size/dims mismatch");
-  for (std::size_t v = 0; v < nlv; ++v)
-    if (streams[v].size() !=
-        ginterp_level_volume(dims, static_cast<int>(v) + 1))
-      throw std::invalid_argument(
-          "ginterp_scatter_levels: level stream size mismatch");
-  const std::vector<std::size_t> first(nlv, 0);
-  ginterp_scatter_levels(dims, 1, {0, 0, 0}, dims, streams, first, fill,
-                         codes);
 }
 
 GInterpLevelsT<float> ginterp_compress_fused_levels(

@@ -62,15 +62,6 @@ struct GInterpViewT {
     std::span<const double> data, const dev::Dim3& dims, double eb,
     const InterpConfig& cfg, int radius = quant::kDefaultRadius);
 
-/// Workspace forms: identical math and byte-for-byte identical outputs,
-/// with codes/anchors/outliers pooled in `ws`.
-[[nodiscard]] GInterpViewT<float> ginterp_compress(
-    std::span<const float> data, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius, dev::Workspace& ws);
-[[nodiscard]] GInterpViewT<double> ginterp_compress(
-    std::span<const double> data, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius, dev::Workspace& ws);
-
 // ---- Level classification (the SZI2 segmented archive) -------------------
 //
 // Every non-anchor position is targeted by exactly one (stride, dim) pass,
@@ -99,16 +90,12 @@ struct GInterpViewT {
 
 /// Per-level re-bucketing of a full code array: streams[ℓ-1] holds the
 /// level-ℓ codes in ascending linear order (ws-owned), histograms[ℓ-1]
-/// counts them over `nbins` bins. Anchor positions are not emitted — their
-/// codes are always the "perfectly predicted" prefill.
+/// counts them over the quantizer's bins. Anchor positions are not emitted
+/// — their codes are always the "perfectly predicted" prefill.
 struct GInterpLevelSplit {
   std::vector<std::span<const quant::Code>> streams;
   std::vector<std::vector<std::uint32_t>> histograms;
 };
-
-[[nodiscard]] GInterpLevelSplit ginterp_split_levels(
-    std::span<const quant::Code> codes, const dev::Dim3& dims,
-    std::size_t nbins, dev::Workspace& ws);
 
 /// Resumable inverse of the split: scatters one level's stream back into a
 /// full code array in ascending linear order. advance() consumes stream
@@ -142,16 +129,6 @@ class LevelScatterCursor {
   std::size_t watermark_ = 0;
 };
 
-/// Whole-field inverse of the split in one parallel pass: `codes` comes out
-/// equal to a `fill` prefill followed by a LevelScatterCursor walk over
-/// every level. streams[ℓ-1] holds level ℓ and must be exactly
-/// ginterp_level_volume(dims, ℓ) long. The level-1 whole-field case of the
-/// general form below.
-void ginterp_scatter_levels(
-    const dev::Dim3& dims,
-    std::span<const std::span<const quant::Code>> streams, quant::Code fill,
-    std::span<quant::Code> codes);
-
 /// Scatters every level >= `level` onto the level-`level` lattice (the
 /// positions whose interpolated coordinates are multiples of
 /// 2^(level-1), in lattice coordinates: extents ginterp_preview_dims) —
@@ -176,8 +153,9 @@ void ginterp_scatter_levels(
 /// partitioning is unobservable) with one exact per-level histogram each,
 /// while the codes are cache-hot. `pred` is byte-identical to
 /// ginterp_compress(), and `pred.codes` holds the full prefilled code
-/// array; streams/histograms are byte-identical to ginterp_split_levels
-/// over it.
+/// array; streams/histograms are byte-identical to splitting it level by
+/// level in ascending linear order (the test oracle ginterp_split_levels in
+/// tests/reference_pipeline.hh).
 template <typename T>
 struct GInterpLevelsT {
   GInterpViewT<T> pred;

@@ -79,20 +79,30 @@ TEST(CliParse, HelpAndList) {
   EXPECT_FALSE(szi::cli::usage().empty());
 }
 
-TEST(CliParse, ServeBench) {
-  const Options def = parse({"--serve-bench"});
-  EXPECT_EQ(def.command, Command::ServeBench);
-  EXPECT_EQ(def.serve_requests, 64u);
-  EXPECT_EQ(parse({"--serve-bench", "200"}).serve_requests, 200u);
-  EXPECT_THROW((void)parse({"--serve-bench", "0"}), std::invalid_argument);
-  EXPECT_THROW((void)parse({"--serve-bench", "abc"}), std::invalid_argument);
-}
+// szi's exit codes: an error while running a parsed command prints one
+// stderr line and exits 1 (an all-zero field has no positive Rel bound),
+// while a parse error prints the usage text and exits 2.
+TEST(CliRun, RuntimeErrorPrintsOneLineAndExitsOne) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "szi_cli_exit";
+  fs::create_directories(dir);
+  const std::string in = (dir / "zero.f32").string();
+  szi::io::write_f32(in, std::vector<float>(16 * 16 * 16, 0.0f));
 
-TEST(CliRun, ServeBenchCompletesByteIdentical) {
-  Options o;
-  o.command = Command::ServeBench;
-  o.serve_requests = 16;
-  EXPECT_EQ(szi::cli::run(o), 0);  // nonzero on any mismatch or failure
+  testing::internal::CaptureStderr();
+  const int rc = szi::cli::main({"-z", "-i", in, "-d", "16", "16", "16",
+                                 "-o", (dir / "zero.szi").string()});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1);
+  EXPECT_EQ(err, "szi: cuSZ-i: non-positive error bound\n");
+
+  testing::internal::CaptureStderr();
+  const int rc2 = szi::cli::main({"--bogus"});
+  const std::string err2 = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc2, 2);
+  EXPECT_EQ(err2.rfind("szi: unknown option: --bogus\n", 0), 0u) << err2;
+  EXPECT_NE(err2.find(szi::cli::usage()), std::string::npos) << err2;
+  fs::remove_all(dir);
 }
 
 TEST(CliRun, CompressDecompressRoundTrip) {

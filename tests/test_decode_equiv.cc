@@ -19,6 +19,7 @@
 #include "huffman/huffman.hh"
 #include "lossless/lzss.hh"
 #include "predictor/ginterp.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 

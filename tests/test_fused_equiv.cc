@@ -15,6 +15,7 @@
 #include "datagen/datasets.hh"
 #include "device/arena.hh"
 #include "lossless/lzss.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 

@@ -253,8 +253,9 @@ TEST(FuzzDecode, HuffmanDeepCodebookMutants) {
 }
 
 // Mutants confined to the LZSS frame's block-offset table: the parallel
-// block decode trusts lzss_parse_frame's validation (monotone offsets inside
-// the stream), so every table corruption must be rejected there or surface
+// block decode trusts the validation of lzss_parse_frame_header, which
+// lzss_decompress runs over the whole stream (monotone offsets inside the
+// stream), so every table corruption must be rejected there or surface
 // as a per-block CorruptArchive — never as an out-of-range read in a pool
 // worker (ASan-checked in CI).
 TEST(FuzzDecode, LzssBlockOffsetTableMutants) {

@@ -19,6 +19,7 @@
 #include "predictor/ginterp.hh"
 #include "predictor/interp_config.hh"
 #include "quant/quantizer.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "datagen/rng.hh"
-#include "lossless/bitcomp.hh"
 #include "lossless/bitshuffle.hh"
 #include "lossless/lzss.hh"
 #include "lossless/rle.hh"
@@ -193,12 +192,6 @@ TEST(Lzss, ThrowsOnTruncatedPayload) {
   auto enc = lzss_compress(data);
   enc.resize(enc.size() - enc.size() / 4);
   EXPECT_THROW((void)lzss_decompress(enc), std::runtime_error);
-}
-
-TEST(Bitcomp, FacadeRoundTrip) {
-  const auto data = bytes_of(random_bytes(100000, 3));
-  EXPECT_EQ(szi::lossless::bitcomp_decompress(szi::lossless::bitcomp_compress(data)),
-            data);
 }
 
 TEST(Bitshuffle, RoundTripExactBlocks) {

@@ -19,6 +19,7 @@
 #include "metrics/ssim.hh"
 #include "metrics/stats.hh"
 #include "predictor/ginterp.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 

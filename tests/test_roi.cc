@@ -403,7 +403,7 @@ TEST(Roi, BoxReadsEachArchiveByteAtMostOnce) {
 }
 
 /// Degenerate and out-of-range boxes are rejected up front.
-TEST(Roi, RejectsBadBoxesAndUnsupportedCompressors) {
+TEST(Roi, RejectsBadBoxes) {
   const auto fields =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
   const auto& f = fields.front();
