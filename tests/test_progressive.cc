@@ -307,6 +307,36 @@ TEST(Progressive, UnifiedBookArchiveRoundTrips) {
             std::memcmp(r.data.data(), sub.data(), sub.size() * sizeof(float)));
 }
 
+/// The f64 instantiation of the same writer: the unified-book archive
+/// decodes bit-for-bit like the per-level one, and its directory lists the
+/// same segments with the same element counts.
+TEST(Progressive, UnifiedBookArchiveRoundTripsF64) {
+  const Dim3 dims{48, 40, 24};
+  const auto data = smooth_f64(dims);
+  const std::span<const double> d(data);
+  const CompressParams p{ErrorMode::Rel, 1e-4};
+  const auto per_level = szi::cuszi_compress(d, dims, p);
+  const auto unified = szi::cuszi_compress_unified_book(d, dims, p);
+  const auto a = szi::cuszi_decompress_f64(per_level);
+  const auto b = szi::cuszi_decompress_f64(unified);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
+  const auto sa = szi::cuszi_archive_segments(per_level);
+  const auto sb = szi::cuszi_archive_segments(unified);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].kind, sb[i].kind) << "segment " << i;
+    EXPECT_EQ(sa[i].level, sb[i].level) << "segment " << i;
+    EXPECT_EQ(sa[i].count, sb[i].count) << "segment " << i;
+  }
+  const auto r = szi::cuszi_decompress_progressive_f64(unified, 2);
+  const auto sub =
+      szi::predictor::ginterp_subsample(std::span<const double>(a), dims, 2);
+  ASSERT_EQ(r.data.size(), sub.size());
+  EXPECT_EQ(0,
+            std::memcmp(r.data.data(), sub.data(), sub.size() * sizeof(double)));
+}
+
 /// f64 archives go through the same segmented layout and progressive path.
 TEST(Progressive, F64PreviewAndBackCompat) {
   const Dim3 dims{48, 40, 24};
