@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     // level has a ground truth at its own resolution.
     const int nlevels = predictor::ginterp_level_count(f.dims);
     for (int level = nlevels + 1; level >= 1; --level) {
-      ProgressiveResult r, rw;
+      DecodeResultT<float> r, rw;
       const double s = best_of(reps, [&] {
         r = cuszi_decompress_progressive_f32(v2, level);
       });

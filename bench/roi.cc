@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   regions.push_back({{0, 0, 0}, f.dims});
   for (std::size_t si = 0; si < regions.size(); ++si) {
     const RoiBox& box = regions[si];
-    RoiResult r, rw;
+    DecodeResultT<float> r, rw;
     const double roi_s =
         best_of(reps, [&] { r = cuszi_decompress_roi_f32(bytes, box); });
     const double roi_w_s =

@@ -1,8 +1,10 @@
 #include "cli/cli.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -182,7 +184,7 @@ int decompress_cuszi(const Options& opt, io::ArchiveSource& asrc) {
   if (opt.roi) {
     const RoiBox& box = *opt.roi;
     core::Timer t;
-    RoiResultT<T> r;
+    DecodeResultT<T> r;
     if constexpr (f64) r = cuszi_decompress_roi_f64(asrc, box);
     else r = cuszi_decompress_roi_f32(asrc, box);
     const double secs = t.lap();
@@ -210,7 +212,7 @@ int decompress_cuszi(const Options& opt, io::ArchiveSource& asrc) {
       "cuSZ-i" + type + (opt.bitcomp ? " w/ Bitcomp" : "");
   if (opt.level > 0) {
     core::Timer t;
-    ProgressiveResultT<T> r;
+    DecodeResultT<T> r;
     if constexpr (f64) r = cuszi_decompress_progressive_f64(bytes, opt.level);
     else r = cuszi_decompress_progressive_f32(bytes, opt.level);
     const double secs = t.lap();
@@ -275,10 +277,11 @@ options:
                     N = 1 is the full-fidelity decode
   --roi RANGES      with -x: random-access sub-volume decode from a cusz-i
                     archive — x0:x1,y0:y1,z0:z1 half-open element ranges.
-                    The archive is memory-mapped and its tile index steers
-                    the read, so only the byte ranges covering the box are
-                    read. The box is bit-identical to the same crop of a full
-                    decompress. Output holds (x1-x0)*(y1-y0)*(z1-z0) values
+                    The archive is memory-mapped and only the byte ranges
+                    covering the box are read; the tile index is checked
+                    against them. The box is bit-identical to the same crop
+                    of a full decompress. Output holds
+                    (x1-x0)*(y1-y0)*(z1-z0) values
   --stages          print the per-stage timing breakdown. After -z: predict /
                     histogram / codebook / encode (fused stages report as one
                     entry). After -x: unwrap / huffman / reconstruct, plus
@@ -343,7 +346,11 @@ Options parse(const std::vector<std::string>& args) {
         }
       }
     } else if (a == "--level") {
-      opt.level = static_cast<int>(parse_size(next("--level"), "--level"));
+      // Clamped before the cast: every N past the archive's level range
+      // previews the anchor grid, however large.
+      opt.level = static_cast<int>(
+          std::min<std::size_t>(parse_size(next("--level"), "--level"),
+                                std::numeric_limits<int>::max()));
     } else if (a == "--roi") {
       opt.roi = parse_roi(next("--roi"));
     } else if (a == "--bitcomp") {

@@ -330,20 +330,13 @@ void InnerBytes::frame(Seg& s) {
     throw core::CorruptArchive("bitcomp-wrapper", s.file_off,
                                "container truncated inside a segment the "
                                "decode needs");
-  constexpr std::size_t kFixed = 16;  // u64 raw | u32 block | u32 nblocks
-  const auto fixed = src_.view(s.file_off, std::min(kFixed, s.file_len),
-                               scratch_.emplace_back());
-  std::vector<std::byte> head(fixed.begin(), fixed.end());
-  std::uint32_t nblocks = 0;
-  if (head.size() == kFixed)
-    std::memcpy(&nblocks, head.data() + 12, sizeof(nblocks));
-  const std::size_t table =
-      std::min<std::size_t>(std::size_t{nblocks} * sizeof(std::uint64_t),
-                            s.file_len - head.size());
-  if (table > 0) {
-    const auto offs =
-        src_.view(s.file_off + kFixed, table, scratch_.emplace_back());
-    head.insert(head.end(), offs.begin(), offs.end());
+  std::vector<std::byte> head;
+  for (std::size_t need;
+       (need = lossless::lzss_frame_header_bytes(head, s.file_len)) >
+       head.size();) {
+    const auto more = src_.view(s.file_off + head.size(), need - head.size(),
+                                scratch_.emplace_back());
+    head.insert(head.end(), more.begin(), more.end());
   }
   s.frame = lossless::lzss_parse_frame_header(head, s.file_len, ws_);
   bitcomp_check_frame(s.method, s.raw_len, s.frame, s.file_off);

@@ -58,26 +58,10 @@ struct CompressResult {
 /// its stages one after another, so each is a wall-clock slice of `total`.
 struct DecodeTimings {
   double unwrap = 0;       ///< de-redundancy (LZSS block) decode
-  double huffman = 0;      ///< entropy decode (full decode: + level scatter)
+  double huffman = 0;      ///< fetch, entropy decode and level scatter
   double reconstruct = 0;  ///< anchor/outlier scatter + interpolation tiles
   double total = 0;        ///< wall clock for the whole decode
 };
-
-/// Result of a progressive (preview) decode: the field reconstructed from
-/// anchors + interpolation levels >= `level` on its coarse grid. At
-/// `level` == 1 the preview IS the full-fidelity reconstruction.
-/// `bytes_read` is the number of archive bytes the decode consumed — for a
-/// level-segmented (SZI2) archive only the directory plus the needed prefix
-/// of segments, which a truncated-archive decode at the same level proves.
-template <typename T>
-struct ProgressiveResultT {
-  std::vector<T> data;         ///< preview field, dims.volume() elements
-  dev::Dim3 dims;              ///< preview grid dimensions
-  int level = 1;               ///< effective (clamped) max_level
-  std::size_t bytes_read = 0;  ///< archive bytes consumed
-};
-
-using ProgressiveResult = ProgressiveResultT<float>;
 
 /// A sub-volume request for random-access (ROI) decode: the half-open box
 /// [lo, lo + ext) in field coordinates. Empty or out-of-range boxes throw
@@ -87,19 +71,23 @@ struct RoiBox {
   dev::Dim3 ext;  ///< box extents (all axes >= 1)
 };
 
-/// Result of a random-access ROI decode: exactly the requested box,
+/// Result of a preview or ROI decode: the request's grid, reconstructed.
+/// A preview is the field on the level-`level` lattice (anchors +
+/// interpolation levels >= `level`; at level 1 the full-fidelity
+/// reconstruction), a box exactly the requested sub-volume at level 1,
 /// bit-identical to cropping a full decompress. `bytes_read` counts the
-/// archive bytes actually fetched: the directory, the tile index, and the
-/// blocks covering the box.
+/// archive bytes the decode fetched: for a preview the directory plus the
+/// needed prefix of segments (a truncation to that many bytes still
+/// decodes), for a box the directory, the tile index and the blocks
+/// covering it.
 template <typename T>
-struct RoiResultT {
-  std::vector<T> data;         ///< box field, ext.volume() elements
-  dev::Dim3 dims;              ///< == the request's ext
+struct DecodeResultT {
+  std::vector<T> data;         ///< dims.volume() elements
+  dev::Dim3 dims;              ///< preview grid, or the box's extents
+  int level = 1;               ///< effective (clamped) level
   std::size_t bytes_read = 0;  ///< archive bytes fetched
   DecodeTimings timings;
 };
-
-using RoiResult = RoiResultT<float>;
 
 /// What every compressor offers: compress and decompress of an f32 field.
 /// cuSZ-i's previews, boxes and decode stage split are its own typed calls

@@ -65,8 +65,9 @@ constexpr std::uint8_t kSegTileIndex = 3;
 /// z-slab) pair maps the slab's first level symbol to its exact coordinates
 /// in the archive: stream rank, Huffman chunk, payload byte, and the 64 KiB
 /// LZSS block a 'BBC2' wrapper would place that byte in. Every field is a
-/// closed form of (dims, per-level chunk tables), so decoders re-derive and
-/// cross-check all of it.
+/// closed form of (dims, per-level chunk tables), so a box decode rebuilds
+/// the index with build_tidx and compares bytes; reads follow the closed
+/// forms and the chunk offset tables, never the index.
 constexpr std::uint16_t kTidxVersion = 1;
 
 /// Payload header: u16 version | u16 reserved | u32 slab_z | u32 nlevels |
@@ -119,19 +120,16 @@ std::vector<std::byte> build_tidx(const dev::Dim3& dims,
   for (int level = nlevels; level >= 1; --level) {
     const auto& m = plans[static_cast<std::size_t>(level - 1)];
     for (std::size_t k = 0; k < nslabs; ++k) {
-      TidxEntry e{};
-      e.sym_rank = predictor::ginterp_level_prefix(dims, level, k * slab_z);
+      const std::size_t rank =
+          predictor::ginterp_level_prefix(dims, level, k * slab_z);
       // A slab starting past the level's last symbol (all of its positions
       // sit below the plane) points one past the payload.
-      const std::size_t chunk =
-          m.chunk_size == 0
-              ? 0
-              : static_cast<std::size_t>(e.sym_rank) / m.chunk_size;
-      e.huff_chunk = static_cast<std::uint32_t>(chunk);
-      e.code_byte = chunk < m.nchunks ? m.offsets[chunk] : m.payload_bytes;
-      e.wrap_block = static_cast<std::uint32_t>(
-          (m.header_bytes + e.code_byte) / lossless::kLzssBlock);
-      w.put(e);
+      const std::size_t chunk = m.chunk_size == 0 ? 0 : rank / m.chunk_size;
+      const std::uint64_t byte =
+          chunk < m.nchunks ? m.offsets[chunk] : m.payload_bytes;
+      w.put(TidxEntry{rank, byte, static_cast<std::uint32_t>(chunk),
+                      static_cast<std::uint32_t>((m.header_bytes + byte) /
+                                                 lossless::kLzssBlock)});
     }
   }
   return w.take();
@@ -433,11 +431,13 @@ InnerHeader parse_inner_header(core::ByteReader& rd) {
   return h;
 }
 
-/// Parses an outlier blob (u64 n | idx | vals) into workspace-resident
-/// arrays — archive bytes are unaligned, so both arrays are memcpy'd, with
-/// the same validation OutlierSetT::deserialize performs.
+/// Parses the outlier segment `seg`'s blob (u64 n | idx | vals) into
+/// workspace-resident arrays — archive bytes are unaligned, so both arrays
+/// are memcpy'd, with the same validation OutlierSetT::deserialize performs
+/// — and checks its count against the directory's.
 template <typename T>
 quant::OutlierViewT<T> parse_outlier_blob(std::span<const std::byte> blob,
+                                          const SegmentEntry& seg,
                                           dev::Workspace& ws) {
   core::ByteReader rd(blob, "outlier-set");
   const auto n64 = rd.read<std::uint64_t>();
@@ -449,6 +449,9 @@ quant::OutlierViewT<T> parse_outlier_blob(std::span<const std::byte> blob,
   const std::size_t vbytes = rd.checked_array_bytes(n, sizeof(T));
   auto vals = ws.make<T>(n);
   if (n > 0) std::memcpy(vals.data(), rd.read_bytes(vbytes).data(), vbytes);
+  if (n != seg.count)
+    throw core::CorruptArchive("cusz-i", seg.offset,
+                               "outlier blob count disagrees with directory");
   quant::OutlierViewT<T> v;
   v.indices = idx;
   v.values = vals;
@@ -515,21 +518,25 @@ std::vector<SegmentEntry> parse_directory(core::ByteReader& rd,
 //
 // One decoder serves every request. A full decode is the level-1 lattice of
 // the whole field, a preview the level-L lattice (the positions whose
-// interpolated coordinates are multiples of 2^(L-1)), an ROI the level-1
-// box. It runs in phases, each one pool-wide launch or none:
+// interpolated coordinates are multiples of 2^(L-1); L = level_count + 1 is
+// the anchor grid), an ROI the level-1 box. It runs in phases, each one
+// pool-wide launch or none:
 //   1. header      — the fixed header and the directory (whose size is a
-//                    closed form of dims), validated; a box request also
-//                    fetches and cross-checks the tile index;
+//                    closed form of dims), validated;
 //   2. fetch       — the inner byte ranges the request covers: views of a
 //                    raw source, or the covering LZSS blocks of a 'BBC2'
-//                    container decoded into workspace memory;
-//   3. huffman     — every covering (level, chunk) pair;
-//   4. scatter     — plane-parallel onto the level lattice (an ROI: over
-//                    its halo'd box);
+//                    container decoded into workspace memory. A whole
+//                    request fetches one contiguous range; a box request
+//                    fetches the tile index first, then exactly the bytes
+//                    covering its halo'd box;
+//   3. huffman     — every covered (level, chunk) pair;
+//   4. scatter     — plane-parallel onto the request's lattice window;
 //   5. reconstruct — the covered slabs, straight into caller memory; a box
 //                    reconstructs its halo'd box in scratch and crops it.
-// Work and memory scale with the request: a preview never touches a
-// full-volume buffer, and a whole request never reads the tile index.
+// The two request kinds differ only in the fetch, which fills the same
+// per-level input for the phases after it. Work and memory scale with the
+// request: a preview never touches a full-volume buffer, and a whole
+// request never reads the tile index.
 
 /// One decode: the level-`level` lattice of the whole field, or the box at
 /// level 1. `all_blocks` makes a wrapped decode unwrap every block of the
@@ -569,9 +576,31 @@ ArchiveHeader read_header(InnerBytes& inner) {
 }
 
 /// Segment of level `level` in directory order (levels run descending).
+/// Level level_count + 1, the anchor grid, maps to the outlier segment:
+/// the last one a preview at that level needs.
 std::size_t level_segment(int nlevels, int level) {
-  return 2 + static_cast<std::size_t>(nlevels - level);
+  return static_cast<std::size_t>(2 + nlevels - level);
 }
+
+/// Consecutive chunks [begin, end) of one level stream and the payload
+/// bytes that hold them, which start at payload byte `at`.
+struct ChunkRun {
+  std::size_t begin = 0, end = 0;
+  std::uint64_t at = 0;
+  std::span<const std::byte> bytes;
+};
+
+/// What a fetch hands the phases after it for one level: the decode plan,
+/// the inner offset of the payload, the covered chunk runs with their
+/// bytes, and the rank window [first, first + window.size()) they decode
+/// into.
+struct LevelInput {
+  huffman::DecodePlan plan;
+  std::uint64_t payload_at = 0;
+  std::vector<ChunkRun> runs;
+  std::size_t first = 0;
+  std::span<quant::Code> window;
+};
 
 template <typename T>
 class Decoder {
@@ -579,7 +608,8 @@ class Decoder {
   /// Reads the layout, runs the header phase and sizes the request.
   Decoder(io::ArchiveSource& src, const DecodeRequest& req, dev::Workspace& ws)
       : inner_(src, ws), ws_(ws), req_(req),
-        a_(read_header<T>(inner_)) {
+        a_(read_header<T>(inner_)),
+        levels_(static_cast<std::size_t>(a_.nlevels)) {
     const auto& dims = a_.h.dims;
     level_ = std::clamp(req.level, 1, a_.nlevels + 1);
     if (req.box != nullptr) {
@@ -599,17 +629,14 @@ class Decoder {
   /// Phases 2-5 into `out`, which is sized to out_dims() once the scratch
   /// is drawn — so a field-size output lands above the workspace blocks,
   /// not below them, and a freed output merges back into free memory.
-  void run(std::vector<T>& out) {
-    if (req_.box != nullptr) run_box(out);
-    else run_whole(out);
-    t_.unwrap = inner_.unwrap_seconds();
-  }
+  void run(std::vector<T>& out);
 
   [[nodiscard]] const DecodeTimings& timings() const { return t_; }
 
  private:
-  void run_whole(std::vector<T>& out);
-  void run_box(std::vector<T>& out);
+  void fetch_whole();
+  void fetch_box();
+  LevelInput& plan_level(int level, std::span<const std::byte> head);
 
   InnerBytes inner_;
   dev::Workspace& ws_;
@@ -618,17 +645,33 @@ class Decoder {
   int level_ = 1;
   predictor::GInterpRoiPlan plan_;
   dev::Dim3 out_dims_;
+  std::span<const T> anchors_;  ///< the fetched anchors (a box: its window)
+  quant::OutlierViewT<T> outliers_;
+  std::vector<LevelInput> levels_;  ///< indexed by level - 1
   DecodeTimings t_;
 };
 
+/// Level `level`'s decode plan from `head`, its stream's leading bytes
+/// (the header at least), checked against the directory's symbol count.
 template <typename T>
-void Decoder<T>::run_whole(std::vector<T>& out) {
-  const InnerHeader& h = a_.h;
-  const auto& segs = a_.segs;
-  const int nl = a_.nlevels;
+LevelInput& Decoder<T>::plan_level(int level, std::span<const std::byte> head) {
+  const auto& seg = a_.segs[level_segment(a_.nlevels, level)];
+  auto& in = levels_[static_cast<std::size_t>(level - 1)];
+  in.plan = huffman::decode_plan_header(head, seg.size, ws_);
+  if (in.plan.n != seg.count)
+    throw core::CorruptArchive("cusz-i", seg.offset,
+                               "level stream symbol count mismatch");
+  in.payload_at = seg.offset + huffman::stream_header_bytes(head, seg.size);
+  return in;
+}
 
-  // Fetch: anchors, outliers and the levels >= L — one contiguous range.
-  const auto& last = segs[level_ > nl ? 1 : level_segment(nl, level_)];
+/// A whole request's fetch: anchors, outliers and the levels >= L, one
+/// contiguous range (every block of a container with `all_blocks`). Each
+/// of those levels decodes whole, as one chunk run.
+template <typename T>
+void Decoder<T>::fetch_whole() {
+  const auto& segs = a_.segs;
+  const auto& last = segs[level_segment(a_.nlevels, level_)];
   const std::uint64_t base = segs[0].offset;
   const std::uint64_t need = last.offset + last.size - base;
   const auto body = inner_.fetch(
@@ -637,127 +680,73 @@ void Decoder<T>::run_whole(std::vector<T>& out) {
   if (body.size() < need)
     throw core::CorruptArchive("cusz-i", base + body.size(),
                                "archive truncated");
-  const auto take = [&](const SegmentEntry& s) {
-    return body.subspan(static_cast<std::size_t>(s.offset - base),
-                        static_cast<std::size_t>(s.size));
+  const auto take = [&](std::uint64_t off, std::uint64_t len) {
+    return body.subspan(static_cast<std::size_t>(off - base),
+                        static_cast<std::size_t>(len));
   };
-  const auto outliers = parse_outlier_blob<T>(take(segs[1]), ws_);
-  if (outliers.indices.size() != segs[1].count)
-    throw core::CorruptArchive("cusz-i", segs[1].offset,
-                               "outlier blob count disagrees with directory");
-  if (level_ > nl) {
-    // The anchor grid is the coarsest preview, stored lossless.
-    out.resize(out_dims_.volume());
-    if (segs[0].size != out.size() * sizeof(T))
-      throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
-    std::memcpy(out.data(), take(segs[0]).data(), out.size() * sizeof(T));
-    return;
-  }
   auto anchors = ws_.make<T>(static_cast<std::size_t>(segs[0].count));
-  std::memcpy(anchors.data(), take(segs[0]).data(), anchors.size_bytes());
-
-  // Huffman: every chunk of every level >= L in one launch.
-  core::Timer hufft;
-  const auto nlv = static_cast<std::size_t>(nl);
-  std::vector<huffman::DecodePlan> plans(nlv);
-  std::vector<std::span<quant::Code>> syms(nlv);
-  std::vector<std::size_t> first_chunk(1, 0);
-  for (int level = nl; level >= level_; --level) {
-    const auto& seg = segs[level_segment(nl, level)];
-    auto& plan = plans[static_cast<std::size_t>(level - 1)];
-    plan = huffman::decode_plan(take(seg), ws_);
-    if (plan.n != seg.count)
-      throw core::CorruptArchive("cusz-i", seg.offset,
-                                 "level stream symbol count mismatch");
-    syms[static_cast<std::size_t>(level - 1)] = ws_.make<quant::Code>(plan.n);
-    first_chunk.push_back(first_chunk.back() + plan.nchunks);
+  std::memcpy(anchors.data(), take(segs[0].offset, segs[0].size).data(),
+              anchors.size_bytes());
+  anchors_ = anchors;
+  outliers_ =
+      parse_outlier_blob<T>(take(segs[1].offset, segs[1].size), segs[1], ws_);
+  for (int level = level_; level <= a_.nlevels; ++level) {
+    const auto& seg = segs[level_segment(a_.nlevels, level)];
+    auto& in = plan_level(level, take(seg.offset, seg.size));
+    in.runs.push_back({0, in.plan.nchunks, 0,
+                       take(in.payload_at, in.plan.payload_bytes)});
+    in.window = ws_.make<quant::Code>(in.plan.n);
   }
-  dev::ThreadPool::instance().parallel_for(
-      first_chunk.back(),
-      [&](std::size_t g) {
-        const auto j = static_cast<std::size_t>(
-            std::upper_bound(first_chunk.begin(), first_chunk.end(), g) -
-            first_chunk.begin() - 1);
-        const std::size_t v = nlv - 1 - j;  // j-th level, coarsest first
-        const std::size_t c = g - first_chunk[j];
-        huffman::decode_chunks(plans[v], c, c + 1, syms[v]);
-      },
-      1);
-
-  // Scatter onto the level lattice.
-  auto codes = ws_.make<quant::Code>(out_dims_.volume());
-  const std::vector<std::span<const quant::Code>> streams(syms.begin(),
-                                                          syms.end());
-  const std::vector<std::size_t> first(nlv, 0);
-  predictor::ginterp_scatter_levels(h.dims, level_, {0, 0, 0}, out_dims_,
-                                    streams, first,
-                                    static_cast<quant::Code>(h.radius), codes);
-  t_.huffman = hufft.lap();
-
-  core::Timer recont;
-  out.resize(out_dims_.volume());
-  predictor::GInterpReconstructorT<T>(codes, std::span<const T>(anchors),
-                                      outliers, h.dims, h.eb, h.cfg, h.radius,
-                                      std::span<T>(out), level_)
-      .run();
-  t_.reconstruct = recont.lap();
 }
 
+/// A box request's fetch, in exact reads: the tile index; then the
+/// covering anchor rows, the outlier blob and each level's stream header,
+/// grown in rounds that each fetch only the bytes earlier rounds did not;
+/// then the chunk runs covering the halo'd box.
 template <typename T>
-void Decoder<T>::run_box(std::vector<T>& out) {
+void Decoder<T>::fetch_box() {
   const InnerHeader& h = a_.h;
   const auto& segs = a_.segs;
   const int nl = a_.nlevels;
-  const auto nlv = static_cast<std::size_t>(nl);
-  const RoiBox& box = *req_.box;
-  const auto& plan = plan_;
-  core::Timer hufft;
-  const double unwrap0 = inner_.unwrap_seconds();
+  const auto nlv = levels_.size();
 
-  // The tile index, whose header and entries are closed forms of dims and
-  // each level's chunk table: any disagreement would steer reads wrong.
   const auto& tseg = segs.back();
   const auto tidx = inner_.fetch(tseg.offset, tseg.size);
   if (tidx.size() != tseg.size)
     throw core::CorruptArchive("cusz-i", tseg.offset, "tile index truncated");
-  {
-    std::uint16_t ver = 0, resv = 0;
-    std::uint32_t slab32 = 0, nl32 = 0, ns32 = 0;
-    std::memcpy(&ver, tidx.data(), sizeof(ver));
-    std::memcpy(&resv, tidx.data() + 2, sizeof(resv));
-    std::memcpy(&slab32, tidx.data() + 4, sizeof(slab32));
-    std::memcpy(&nl32, tidx.data() + 8, sizeof(nl32));
-    std::memcpy(&ns32, tidx.data() + 12, sizeof(ns32));
-    if (ver != kTidxVersion || resv != 0 || slab32 != tidx_slab_z(h.dims) ||
-        nl32 != static_cast<std::uint32_t>(nl) || ns32 != tidx_nslabs(h.dims))
-      throw core::CorruptArchive("cusz-i", tseg.offset,
-                                 "tile index header mismatch");
-  }
-  const std::size_t slab_z = tidx_slab_z(h.dims);
-  const std::size_t nslabs = tidx_nslabs(h.dims);
 
-  // Fetch round 1: the covering anchor rows, the outlier blob, and each
-  // level's codebook size, the first bytes of its stream header.
+  // Round 1: the covering anchor rows, the outlier blob, and the first
+  // bytes of each level's stream header (levels in directory order).
   const auto geo = predictor::geometry_for(h.dims);
   const dev::Dim3 ad = predictor::anchor_dims(h.dims, geo.anchor);
   if (segs[0].count != ad.volume())
     throw core::CorruptArchive("cusz-i", segs[0].offset,
                                "anchor count mismatch");
-  const dev::Dim3& a0 = plan.anchor_lo;
-  const dev::Dim3 an = {plan.anchor_hi.x - a0.x, plan.anchor_hi.y - a0.y,
-                        plan.anchor_hi.z - a0.z};
+  const dev::Dim3& a0 = plan_.anchor_lo;
+  const dev::Dim3 an = {plan_.anchor_hi.x - a0.x, plan_.anchor_hi.y - a0.y,
+                        plan_.anchor_hi.z - a0.z};
   const std::size_t nrows = an.volume() == 0 ? 0 : an.y * an.z;
   std::vector<InnerBytes::Range> ranges;
-  for (std::size_t az = a0.z; az < plan.anchor_hi.z && nrows > 0; ++az)
-    for (std::size_t ay = a0.y; ay < plan.anchor_hi.y; ++ay)
+  for (std::size_t az = a0.z; az < plan_.anchor_hi.z && nrows > 0; ++az)
+    for (std::size_t ay = a0.y; ay < plan_.anchor_hi.y; ++ay)
       ranges.push_back(
           {segs[0].offset + dev::linearize(ad, a0.x, ay, az) * sizeof(T),
            an.x * sizeof(T)});
   ranges.push_back({segs[1].offset, segs[1].size});
-  for (std::size_t j = 0; j < nlv; ++j)
-    ranges.push_back({segs[2 + j].offset,
-                      std::min<std::uint64_t>(sizeof(std::uint32_t),
-                                              segs[2 + j].size)});
+  std::vector<std::vector<std::byte>> head(nlv);
+  const auto header_ranges = [&] {
+    for (std::size_t j = 0; j < nlv; ++j) {
+      const auto& seg = segs[2 + j];
+      const std::uint64_t have = head[j].size();
+      const auto want = huffman::stream_header_bytes(head[j], seg.size);
+      ranges.push_back({seg.offset + have, want > have ? want - have : 0});
+    }
+  };
+  const auto grow_headers = [&](std::span<const std::span<const std::byte>> b) {
+    for (std::size_t j = 0; j < nlv; ++j)
+      head[j].insert(head[j].end(), b[j].begin(), b[j].end());
+  };
+  header_ranges();
   const auto round1 = inner_.fetch(ranges);
   auto anchors = ws_.make<T>(an.volume());
   for (std::size_t r = 0; r < nrows; ++r) {
@@ -766,212 +755,178 @@ void Decoder<T>::run_box(std::vector<T>& out) {
                                  "anchor segment truncated");
     std::memcpy(anchors.data() + r * an.x, round1[r].data(), round1[r].size());
   }
-  const auto outliers = parse_outlier_blob<T>(round1[nrows], ws_);
-  if (outliers.indices.size() != segs[1].count)
-    throw core::CorruptArchive("cusz-i", segs[1].offset,
-                               "outlier blob count disagrees with directory");
-
-  // Rounds 2 and 3 grow each level's stream header to its fixed part, then
-  // through its chunk offset table, each fetching only the bytes the rounds
-  // before it did not.
-  std::vector<std::vector<std::byte>> head(nlv);
-  for (std::size_t j = 0; j < nlv; ++j)
-    head[j].assign(round1[nrows + 1 + j].begin(), round1[nrows + 1 + j].end());
-  const auto grow = [&](const std::vector<std::uint64_t>& upto) {
+  anchors_ = anchors;
+  outliers_ = parse_outlier_blob<T>(round1[nrows], segs[1], ws_);
+  grow_headers(std::span(round1).subspan(nrows + 1));
+  // Rounds 2 and 3: each header's fixed part, then its chunk offset table.
+  for (int round = 2; round <= 3; ++round) {
     ranges.clear();
-    for (std::size_t j = 0; j < nlv; ++j) {
-      const std::uint64_t have = head[j].size();
-      const std::uint64_t want = std::min(upto[j], segs[2 + j].size);
-      ranges.push_back(
-          {segs[2 + j].offset + have, want > have ? want - have : 0});
-    }
-    const auto more = inner_.fetch(ranges);
-    for (std::size_t j = 0; j < nlv; ++j)
-      head[j].insert(head[j].end(), more[j].begin(), more[j].end());
-  };
-  std::vector<std::uint64_t> upto(nlv);
-  for (std::size_t j = 0; j < nlv; ++j) {
-    std::uint32_t nbins = 0;
-    if (head[j].size() == sizeof(nbins))
-      std::memcpy(&nbins, head[j].data(), sizeof(nbins));
-    upto[j] = sizeof(std::uint32_t) + nbins + sizeof(std::uint64_t) +
-              sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    header_ranges();
+    grow_headers(inner_.fetch(ranges));
   }
-  grow(upto);
-  for (std::size_t j = 0; j < nlv; ++j) {
-    std::uint64_t nsym = 0;
-    std::uint32_t csz = 0;
-    const std::uint64_t hfixed = upto[j];
-    const std::size_t at = hfixed - sizeof(std::uint64_t) -
-                           sizeof(std::uint32_t) - sizeof(std::uint64_t);
-    if (head[j].size() >= hfixed) {
-      std::memcpy(&nsym, head[j].data() + at, sizeof(nsym));
-      std::memcpy(&csz, head[j].data() + at + sizeof(nsym), sizeof(csz));
-    }
-    const std::uint64_t nchunks =
-        csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-    upto[j] = hfixed + std::min<std::uint64_t>(nchunks, segs[2 + j].size) *
-                           sizeof(std::uint64_t);
-  }
-  grow(upto);
 
-  // Per level: the decode plan, the tile-index cross-check, and the chunk
-  // spans covering the halo'd box's rank runs. Runs arrive in ascending
-  // rank order, so the chunks they touch merge into a short list of
-  // disjoint ranges; within a z-plane the box's y-band is a contiguous
-  // rank band, which keeps the read set proportional to the box in y and
-  // z, not just z. Each level's decoded symbols land in a window indexed by
-  // rank - first.
-  struct Level {
-    huffman::DecodePlan plan;
-    std::uint64_t payload_at = 0;  ///< inner offset of the payload
-    std::vector<std::pair<std::size_t, std::size_t>> spans;  ///< chunks
-    std::size_t first = 0;
-    std::span<quant::Code> window;
-  };
-  std::vector<Level> lv(nlv);
-  ranges.clear();
+  // The tile index must be the closed form the writer builds from dims
+  // and the level streams' plans.
+  std::vector<huffman::EncodePlan> written(nlv);
   for (std::size_t j = 0; j < nlv; ++j) {
-    const auto& seg = segs[2 + j];
-    const int level = seg.level;
-    auto& L = lv[j];
-    L.plan = huffman::decode_plan_header(head[j], seg.size, ws_);
-    if (L.plan.n != seg.count)
-      throw core::CorruptArchive("cusz-i", seg.offset,
-                                 "level stream symbol count mismatch");
-    const std::uint64_t hdr_bytes = seg.size - L.plan.payload_bytes;
-    L.payload_at = seg.offset + hdr_bytes;
-    const std::size_t cs = L.plan.chunk_size;
-    for (std::size_t k = 0; k < nslabs; ++k) {
-      TidxEntry e;
-      std::memcpy(&e,
-                  tidx.data() + kTidxHeaderBytes +
-                      (j * nslabs + k) * sizeof(TidxEntry),
-                  sizeof(e));
-      const std::uint64_t rank =
-          predictor::ginterp_level_prefix(h.dims, level, k * slab_z);
-      const std::size_t chunk = static_cast<std::size_t>(rank) / cs;
-      const std::uint64_t byte = chunk < L.plan.nchunks
-                                     ? L.plan.offsets[chunk]
-                                     : L.plan.payload_bytes;
-      if (e.sym_rank != rank ||
-          e.huff_chunk != static_cast<std::uint32_t>(chunk) ||
-          e.code_byte != byte ||
-          e.wrap_block != static_cast<std::uint32_t>(
-                              (hdr_bytes + byte) / lossless::kLzssBlock))
-        throw core::CorruptArchive("cusz-i", tseg.offset,
-                                   "tile index entry mismatch");
-    }
-    if (L.plan.n == 0) continue;
+    const int level = nl - static_cast<int>(j);
+    const auto& in = plan_level(level, head[j]);
+    written[static_cast<std::size_t>(level - 1)] = {
+        .n = in.plan.n,
+        .chunk_size = in.plan.chunk_size,
+        .nchunks = in.plan.nchunks,
+        .payload_bytes = in.plan.payload_bytes,
+        .header_bytes =
+            static_cast<std::size_t>(in.payload_at - segs[2 + j].offset),
+        .offsets = in.plan.offsets};
+  }
+  const auto expect = build_tidx(h.dims, written);
+  if (!std::equal(tidx.begin(), tidx.begin() + kTidxHeaderBytes,
+                  expect.begin()))
+    throw core::CorruptArchive("cusz-i", tseg.offset,
+                               "tile index header mismatch");
+  if (!std::equal(tidx.begin(), tidx.end(), expect.begin(), expect.end()))
+    throw core::CorruptArchive("cusz-i", tseg.offset,
+                               "tile index entry mismatch");
+
+  // Per level, the chunk runs covering the halo'd box's rank runs. Runs
+  // arrive in ascending rank order, so the chunks they touch merge into a
+  // short list of disjoint runs; within a z-plane the box's y-band is a
+  // contiguous rank band, which keeps the read set proportional to the box
+  // in y and z, not just z.
+  ranges.clear();
+  for (int level = nl; level >= 1; --level) {
+    auto& in = levels_[static_cast<std::size_t>(level - 1)];
+    if (in.plan.n == 0) continue;
+    const std::size_t cs = in.plan.chunk_size;
     predictor::ginterp_level_box_runs(
-        h.dims, level, plan.box_lo, plan.box_dims,
+        h.dims, level, plan_.box_lo, plan_.box_dims,
         [&](std::size_t rank, std::size_t count, std::size_t, std::size_t,
             std::size_t, std::size_t) {
           const std::size_t cb = rank / cs;
           const std::size_t ce = (rank + count - 1) / cs + 1;
-          if (!L.spans.empty() && cb <= L.spans.back().second)
-            L.spans.back().second = std::max(L.spans.back().second, ce);
+          if (!in.runs.empty() && cb <= in.runs.back().end)
+            in.runs.back().end = std::max(in.runs.back().end, ce);
           else
-            L.spans.emplace_back(cb, ce);
+            in.runs.push_back({cb, ce, 0, {}});
         });
-    if (L.spans.empty()) continue;
-    L.first = L.spans.front().first * cs;
-    L.window = ws_.make<quant::Code>(
-        std::min(L.spans.back().second * cs, L.plan.n) - L.first);
-    for (const auto& [cb, ce] : L.spans) {
-      const std::uint64_t lo = L.plan.offsets[cb];
-      const std::uint64_t hi =
-          ce < L.plan.nchunks ? L.plan.offsets[ce] : L.plan.payload_bytes;
-      ranges.push_back({L.payload_at + lo, hi - lo});
+    if (in.runs.empty()) continue;
+    in.first = in.runs.front().begin * cs;
+    in.window = ws_.make<quant::Code>(
+        std::min(in.runs.back().end * cs, in.plan.n) - in.first);
+    for (auto& r : in.runs) {
+      r.at = in.plan.offsets[r.begin];
+      const std::uint64_t hi = r.end < in.plan.nchunks
+                                   ? in.plan.offsets[r.end]
+                                   : in.plan.payload_bytes;
+      ranges.push_back({in.payload_at + r.at, hi - r.at});
     }
   }
-
-  // Fetch round 4, then every covering (level, chunk) in one launch.
   const auto payloads = inner_.fetch(ranges);
-  struct Chunk {
-    std::size_t level, span, chunk;
+  for (std::size_t level = nlv, k = 0; level >= 1; --level)
+    for (auto& r : levels_[level - 1].runs) r.bytes = payloads[k++];
+}
+
+template <typename T>
+void Decoder<T>::run(std::vector<T>& out) {
+  const InnerHeader& h = a_.h;
+  core::Timer hufft;
+  const double unwrap0 = inner_.unwrap_seconds();
+  if (req_.box != nullptr) fetch_box();
+  else fetch_whole();
+
+  // Huffman: every covered (level, chunk), coarsest level first, in one
+  // launch.
+  struct Task {
+    const LevelInput* in;
+    const ChunkRun* run;
+    std::size_t chunk;
   };
-  std::vector<Chunk> chunks;
-  for (std::size_t j = 0, r = 0; j < nlv; ++j)
-    for (const auto& [cb, ce] : lv[j].spans) {
-      for (std::size_t c = cb; c < ce; ++c) chunks.push_back({j, r, c});
-      ++r;
-    }
+  std::vector<Task> tasks;
+  for (auto in = levels_.rbegin(); in != levels_.rend(); ++in)
+    for (const auto& r : in->runs)
+      for (std::size_t c = r.begin; c < r.end; ++c)
+        tasks.push_back({&*in, &r, c});
   dev::ThreadPool::instance().parallel_for(
-      chunks.size(),
+      tasks.size(),
       [&](std::size_t k) {
-        const auto [j, r, c] = chunks[k];
-        const Level& L = lv[j];
-        const std::size_t cs = L.plan.chunk_size;
-        const std::size_t end = std::min((c + 1) * cs, L.plan.n);
+        const auto [in, r, c] = tasks[k];
+        const std::size_t cs = in->plan.chunk_size;
+        const std::size_t end = std::min((c + 1) * cs, in->plan.n);
         huffman::decode_chunks_range(
-            L.plan, payloads[r], ranges[r].off - L.payload_at, c, c + 1,
-            L.window.subspan(c * cs - L.first, end - c * cs));
+            in->plan, r->bytes, r->at, c, c + 1,
+            in->window.subspan(c * cs - in->first, end - c * cs));
       },
       1);
 
-  // Scatter onto the halo'd box (streams are indexed by level - 1).
-  auto codes = ws_.make<quant::Code>(plan.box_dims.volume());
-  std::vector<std::span<const quant::Code>> streams(nlv);
-  std::vector<std::size_t> first(nlv, 0);
-  for (std::size_t j = 0; j < nlv; ++j) {
-    const auto v = static_cast<std::size_t>(segs[2 + j].level - 1);
-    streams[v] = lv[j].window;
-    first[v] = lv[j].first;
+  // Scatter onto the request's lattice window: the whole level-L lattice,
+  // or a box's halo'd box at level 1.
+  const bool box = req_.box != nullptr;
+  const dev::Dim3 lo = box ? plan_.box_lo : dev::Dim3{0, 0, 0};
+  const dev::Dim3& win = box ? plan_.box_dims : out_dims_;
+  std::vector<std::span<const quant::Code>> streams;
+  std::vector<std::size_t> first;
+  for (const auto& in : levels_) {
+    streams.push_back(in.window);
+    first.push_back(in.first);
   }
-  predictor::ginterp_scatter_levels(h.dims, 1, plan.box_lo, plan.box_dims,
-                                    streams, first,
+  auto codes = ws_.make<quant::Code>(win.volume());
+  predictor::ginterp_scatter_levels(h.dims, level_, lo, win, streams, first,
                                     static_cast<quant::Code>(h.radius), codes);
   t_.huffman = hufft.lap() - (inner_.unwrap_seconds() - unwrap0);
 
-  // Reconstruct the covered slabs in the halo'd box, then crop the box.
+  // Reconstruct: straight into `out` for a whole request; a box's halo'd
+  // box in scratch, then the box cropped from it.
   core::Timer recont;
-  const dev::Dim3& bd = plan.box_dims;
-  auto boxout = ws_.make<T>(bd.volume());
-  dev::launch_linear(
-      bd.z,
-      [&](std::size_t z) {
-        std::fill_n(boxout.data() + z * bd.x * bd.y, bd.x * bd.y, T{});
-      },
-      1);
-  predictor::GInterpReconstructorT<T>(codes, std::span<const T>(anchors),
-                                      outliers, plan, h.dims, h.eb, h.cfg,
-                                      h.radius, boxout)
-      .run();
-  const dev::Dim3 o = {box.lo.x - plan.box_lo.x, box.lo.y - plan.box_lo.y,
-                       box.lo.z - plan.box_lo.z};
-  out.resize(box.ext.volume());
-  dev::launch_linear(
-      box.ext.z,
-      [&](std::size_t z) {
-        for (std::size_t y = 0; y < box.ext.y; ++y)
-          std::memcpy(out.data() + dev::linearize(box.ext, 0, y, z),
-                      boxout.data() + dev::linearize(bd, o.x, o.y + y, o.z + z),
-                      box.ext.x * sizeof(T));
-      },
-      1);
+  if (!box) {
+    out.resize(out_dims_.volume());
+    predictor::GInterpReconstructorT<T>(codes, anchors_, outliers_, h.dims,
+                                        h.eb, h.cfg, h.radius,
+                                        std::span<T>(out), level_)
+        .run();
+  } else {
+    auto boxout = ws_.make<T>(win.volume());
+    dev::launch_linear(
+        win.z,
+        [&](std::size_t z) {
+          std::fill_n(boxout.data() + z * win.x * win.y, win.x * win.y, T{});
+        },
+        1);
+    predictor::GInterpReconstructorT<T>(codes, anchors_, outliers_, plan_,
+                                        h.dims, h.eb, h.cfg, h.radius, boxout)
+        .run();
+    const RoiBox& b = *req_.box;
+    const dev::Dim3 o = {b.lo.x - lo.x, b.lo.y - lo.y, b.lo.z - lo.z};
+    out.resize(b.ext.volume());
+    dev::launch_linear(
+        b.ext.z,
+        [&](std::size_t z) {
+          for (std::size_t y = 0; y < b.ext.y; ++y)
+            std::memcpy(
+                out.data() + dev::linearize(b.ext, 0, y, z),
+                boxout.data() + dev::linearize(win, o.x, o.y + y, o.z + z),
+                b.ext.x * sizeof(T));
+        },
+        1);
+  }
   t_.reconstruct = recont.lap();
+  t_.unwrap = inner_.unwrap_seconds();
 }
 
-/// One request, returned in a fresh vector with its grid and timings.
+/// One request over `src`, returned in a fresh vector with its grid, the
+/// bytes it fetched and its timings.
 template <typename T>
-struct Decoded {
-  std::vector<T> data;
-  dev::Dim3 dims;
-  int level = 1;
-  DecodeTimings timings;
-};
-
-template <typename T>
-Decoded<T> decode(io::ArchiveSource& src, const DecodeRequest& req,
-                  dev::Workspace& ws) {
+DecodeResultT<T> decode(io::ArchiveSource& src, const DecodeRequest& req,
+                        dev::Workspace& ws) {
   core::Timer wall;
-  Decoded<T> r;
+  const std::uint64_t before = src.bytes_read();
+  DecodeResultT<T> r;
   Decoder<T> d(src, req, ws);
   r.dims = d.out_dims();
   r.level = d.level();
   d.run(r.data);
   ws.reset();
+  r.bytes_read = static_cast<std::size_t>(src.bytes_read() - before);
   r.timings = d.timings();
   r.timings.total = wall.lap();
   return r;
@@ -982,46 +937,23 @@ template <typename T>
 std::vector<T> decompress_typed(std::span<const std::byte> bytes,
                                 dev::Workspace& ws, DecodeTimings* dt) {
   io::MemorySource src(bytes);
-  DecodeRequest req;
-  req.all_blocks = true;
-  auto r = decode<T>(src, req, ws);
+  auto r = decode<T>(src, {.all_blocks = true}, ws);
   if (dt) *dt = r.timings;
   return std::move(r.data);
 }
 
-/// Preview of a raw or 'BBC2' archive; `bytes_read` is everything the
-/// decode fetched — exactly the directory plus the needed prefix of
-/// segments (of wrapper payloads, for 'BBC2').
+/// A preview or box request, with scratch from the shared arena.
 template <typename T>
-ProgressiveResultT<T> decompress_progressive_typed(
-    std::span<const std::byte> bytes, int max_level) {
+DecodeResultT<T> request(io::ArchiveSource& src, const DecodeRequest& req) {
   dev::Workspace ws(dev::Arena::instance());
-  io::MemorySource src(bytes);
-  DecodeRequest req;
-  req.level = max_level;
-  auto r = decode<T>(src, req, ws);
-  ProgressiveResultT<T> p;
-  p.data = std::move(r.data);
-  p.dims = r.dims;
-  p.level = r.level;
-  p.bytes_read = static_cast<std::size_t>(src.bytes_read());
-  return p;
+  return decode<T>(src, req, ws);
 }
 
-/// ROI decode; `bytes_read` is the source's fetch delta.
 template <typename T>
-RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
-  dev::Workspace ws(dev::Arena::instance());
-  const std::uint64_t before = src.bytes_read();
-  DecodeRequest req;
-  req.box = &box;
-  auto r = decode<T>(src, req, ws);
-  RoiResultT<T> out;
-  out.data = std::move(r.data);
-  out.dims = box.ext;
-  out.bytes_read = static_cast<std::size_t>(src.bytes_read() - before);
-  out.timings = r.timings;
-  return out;
+DecodeResultT<T> request(std::span<const std::byte> bytes,
+                         const DecodeRequest& req) {
+  io::MemorySource src(bytes);
+  return request<T>(src, req);
 }
 
 /// The Compressor-interface adapter over the f32 typed API: the fused
@@ -1132,36 +1064,34 @@ std::vector<SegmentInfo> cuszi_archive_segments(
   return out;
 }
 
-ProgressiveResultT<float> cuszi_decompress_progressive_f32(
+DecodeResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level) {
-  return decompress_progressive_typed<float>(bytes, max_level);
+  return request<float>(bytes, {.level = max_level});
 }
 
-ProgressiveResultT<double> cuszi_decompress_progressive_f64(
+DecodeResultT<double> cuszi_decompress_progressive_f64(
     std::span<const std::byte> bytes, int max_level) {
-  return decompress_progressive_typed<double>(bytes, max_level);
+  return request<double>(bytes, {.level = max_level});
 }
 
-RoiResultT<float> cuszi_decompress_roi_f32(io::ArchiveSource& src,
-                                           const RoiBox& box) {
-  return decompress_roi_typed<float>(src, box);
+DecodeResultT<float> cuszi_decompress_roi_f32(io::ArchiveSource& src,
+                                              const RoiBox& box) {
+  return request<float>(src, {.box = &box});
 }
 
-RoiResultT<double> cuszi_decompress_roi_f64(io::ArchiveSource& src,
-                                            const RoiBox& box) {
-  return decompress_roi_typed<double>(src, box);
+DecodeResultT<double> cuszi_decompress_roi_f64(io::ArchiveSource& src,
+                                               const RoiBox& box) {
+  return request<double>(src, {.box = &box});
 }
 
-RoiResultT<float> cuszi_decompress_roi_f32(std::span<const std::byte> bytes,
-                                           const RoiBox& box) {
-  io::MemorySource ms(bytes);
-  return decompress_roi_typed<float>(ms, box);
+DecodeResultT<float> cuszi_decompress_roi_f32(std::span<const std::byte> bytes,
+                                              const RoiBox& box) {
+  return request<float>(bytes, {.box = &box});
 }
 
-RoiResultT<double> cuszi_decompress_roi_f64(std::span<const std::byte> bytes,
-                                            const RoiBox& box) {
-  io::MemorySource ms(bytes);
-  return decompress_roi_typed<double>(ms, box);
+DecodeResultT<double> cuszi_decompress_roi_f64(
+    std::span<const std::byte> bytes, const RoiBox& box) {
+  return request<double>(bytes, {.box = &box});
 }
 
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,

@@ -114,9 +114,9 @@ struct SegmentInfo {
 /// prefix are decoded. max_level <= 1 is the full-fidelity
 /// reconstruction, bit-identical to cuszi_decompress_*; level_count+1 is
 /// the lossless anchor grid. Scratch comes from dev::Arena::instance().
-[[nodiscard]] ProgressiveResultT<float> cuszi_decompress_progressive_f32(
+[[nodiscard]] DecodeResultT<float> cuszi_decompress_progressive_f32(
     std::span<const std::byte> bytes, int max_level);
-[[nodiscard]] ProgressiveResultT<double> cuszi_decompress_progressive_f64(
+[[nodiscard]] DecodeResultT<double> cuszi_decompress_progressive_f64(
     std::span<const std::byte> bytes, int max_level);
 
 /// Random-access ROI decode: reconstructs exactly the box [lo, lo + ext),
@@ -128,13 +128,13 @@ struct SegmentInfo {
 /// the halo'd box, never the field, and `bytes_read` reports the honest
 /// fetch total. A box covering the whole field decodes as a full decode.
 /// The span overloads serve in-memory archives through a MemorySource.
-[[nodiscard]] RoiResultT<float> cuszi_decompress_roi_f32(io::ArchiveSource& src,
-                                                         const RoiBox& box);
-[[nodiscard]] RoiResultT<double> cuszi_decompress_roi_f64(
+[[nodiscard]] DecodeResultT<float> cuszi_decompress_roi_f32(
     io::ArchiveSource& src, const RoiBox& box);
-[[nodiscard]] RoiResultT<float> cuszi_decompress_roi_f32(
+[[nodiscard]] DecodeResultT<double> cuszi_decompress_roi_f64(
+    io::ArchiveSource& src, const RoiBox& box);
+[[nodiscard]] DecodeResultT<float> cuszi_decompress_roi_f32(
     std::span<const std::byte> bytes, const RoiBox& box);
-[[nodiscard]] RoiResultT<double> cuszi_decompress_roi_f64(
+[[nodiscard]] DecodeResultT<double> cuszi_decompress_roi_f64(
     std::span<const std::byte> bytes, const RoiBox& box);
 
 /// Full decompression of a raw or 'BBC2' archive, typed; throws

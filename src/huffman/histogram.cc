@@ -64,37 +64,6 @@ std::vector<std::uint32_t> merge_histograms(
   return total;
 }
 
-std::vector<std::uint32_t> histogram(std::span<const quant::Code> codes,
-                                     std::size_t nbins, dev::Workspace& ws) {
-  std::size_t per = 0;
-  const std::size_t nworkers = partition(codes.size(), per);
-  auto parts = ws.make<std::uint32_t>(nworkers * kInterleave * nbins);
-  // Private-slot audit: `w` is the launch's loop index, NOT a thread id.
-  // parts holds exactly `nworkers` slots and every w in [0, nworkers) runs
-  // exactly once, so the indexing stays valid even when the launch degrades
-  // to inline execution on a nested parallel_for (g_in_launch) — the caller
-  // then walks all w values sequentially, each with its own slot, and the
-  // serial worker-order merge gives the same totals.
-  dev::launch_linear(
-      nworkers,
-      [&](std::size_t w) {
-        std::uint32_t* h = parts.data() + w * kInterleave * nbins;
-        std::fill_n(h, kInterleave * nbins, 0u);
-        const std::size_t begin = w * per;
-        const std::size_t end = std::min(begin + per, codes.size());
-        accumulate_banked(codes.data() + begin, end - begin, h, nbins);
-      },
-      1);
-  return merge_histograms(parts, nworkers * kInterleave, nbins);
-}
-
-std::vector<std::uint32_t> histogram(std::span<const quant::Code> codes,
-                                     std::size_t nbins) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  return histogram(codes, nbins, ws);
-}
-
 std::vector<std::uint32_t> histogram_topk(std::span<const quant::Code> codes,
                                           std::size_t nbins, std::size_t center,
                                           std::size_t k, dev::Workspace& ws) {
@@ -139,14 +108,6 @@ std::vector<std::uint32_t> histogram_topk(std::span<const quant::Code> codes,
       },
       1);
   return merge_histograms(parts, nworkers, nbins);
-}
-
-std::vector<std::uint32_t> histogram_topk(std::span<const quant::Code> codes,
-                                          std::size_t nbins, std::size_t center,
-                                          std::size_t k) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  return histogram_topk(codes, nbins, center, k, ws);
 }
 
 double byte_entropy(std::span<const std::byte> data) {

@@ -1,25 +1,20 @@
 // Quant-code histogram kernels feeding the Huffman codebook (§VI-A).
 //
-// Two implementations:
-//  - histogram(): the generic privatized scheme — cuSZ's baseline. One
-//    private histogram per *worker* (fixed worker -> contiguous element
-//    ranges, not per 64Ki-chunk partials), with 4 interleaved counter banks
-//    per worker so concentrated streams don't serialize on one counter's
-//    store-to-load dependency.
-//  - histogram_topk(): cuSZ-i's optimization. G-Interp's codes concentrate
-//    in a small band r_k around the zero code, so each "thread" caches the
-//    top-k hottest bins in registers (here: a small local array, also
-//    interleaved) and only touches the full private histogram for the cold
-//    tail. On a GPU this slashes shared-memory traffic; the CPU realization
-//    keeps the identical structure so the ablation bench can compare the two
-//    paths, and gracefully degrades to k=1 when asked (§VI-A).
+// histogram_topk() is cuSZ-i's optimization of cuSZ's generic privatized
+// histogram (one private histogram per *worker*, 4 interleaved counter
+// banks each; the generic scheme survives as the test and ablation
+// reference in tests/reference_pipeline.hh). G-Interp's codes concentrate
+// in a small band r_k around the zero code, so each "thread" caches the
+// top-k hottest bins in registers (here: a small local array, also
+// interleaved) and only touches the full private histogram for the cold
+// tail. On a GPU this slashes shared-memory traffic; the CPU realization
+// keeps the identical structure so the ablation bench can compare the two
+// paths, and gracefully degrades to k=1 when asked (§VI-A).
 //
-// Each kernel has a Workspace overload that draws the per-worker private
-// histograms from the pooled arena (one flat block) instead of allocating a
-// vector per worker; the plain overloads are thin wrappers over it with a
-// throwaway arena. The merged result is deterministic regardless of worker
-// count: uint32 counter addition commutes, and partials are combined
-// serially in worker order.
+// The per-worker private histograms come from the pooled arena (one flat
+// block). The merged result is deterministic regardless of worker count:
+// uint32 counter addition commutes, and partials are combined serially in
+// worker order.
 //
 // The building blocks (histogram_workers / accumulate_banked /
 // merge_histograms) are exposed inline so the fused predictors can count
@@ -91,19 +86,9 @@ inline void accumulate_banked(const quant::Code* codes, std::size_t n,
     std::span<const std::uint32_t> parts, std::size_t nparts,
     std::size_t nbins);
 
-/// Generic two-phase privatized histogram over codes < nbins.
-[[nodiscard]] std::vector<std::uint32_t> histogram(
-    std::span<const quant::Code> codes, std::size_t nbins);
-[[nodiscard]] std::vector<std::uint32_t> histogram(
-    std::span<const quant::Code> codes, std::size_t nbins,
-    dev::Workspace& ws);
-
 /// Hot-band cached histogram: bins in [center-k, center+k] go through a
 /// per-chunk register cache; everything else through the private histogram.
 /// `center` is normally the quantizer radius (the zero-error code).
-[[nodiscard]] std::vector<std::uint32_t> histogram_topk(
-    std::span<const quant::Code> codes, std::size_t nbins, std::size_t center,
-    std::size_t k);
 [[nodiscard]] std::vector<std::uint32_t> histogram_topk(
     std::span<const quant::Code> codes, std::size_t nbins, std::size_t center,
     std::size_t k, dev::Workspace& ws);

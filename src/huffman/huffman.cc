@@ -433,4 +433,29 @@ std::size_t overhead_bytes(std::size_t nbins, std::size_t n_symbols,
          dev::ceil_div(n_symbols, chunk_size) * sizeof(std::uint64_t);
 }
 
+std::uint64_t stream_header_bytes(std::span<const std::byte> prefix,
+                                  std::uint64_t stream_size) {
+  std::uint32_t nbins = 0;
+  std::uint64_t need = sizeof(nbins);
+  if (prefix.size() >= need) {
+    std::memcpy(&nbins, prefix.data(), sizeof(nbins));
+    need = overhead_bytes(nbins, 0);  // the fixed fields, no offset table
+  }
+  if (prefix.size() >= need) {
+    std::uint64_t n = 0;
+    std::uint32_t chunk_size = 0;
+    const std::byte* p = prefix.data() + sizeof(nbins) + nbins;
+    std::memcpy(&n, p, sizeof(n));
+    std::memcpy(&chunk_size, p + sizeof(n), sizeof(chunk_size));
+    // Division-form ceil: n is untrusted and may be near 2^64.
+    const std::uint64_t nchunks =
+        chunk_size == 0 ? 0 : n / chunk_size + (n % chunk_size != 0 ? 1 : 0);
+    if (nchunks > (stream_size - std::min(need, stream_size)) /
+                      sizeof(std::uint64_t))
+      return stream_size;
+    need += nchunks * sizeof(std::uint64_t);
+  }
+  return std::min(need, stream_size);
+}
+
 }  // namespace szi::huffman

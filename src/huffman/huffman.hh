@@ -161,4 +161,14 @@ void decode_chunks_range(const DecodePlan& plan,
                                          std::size_t n_symbols,
                                          std::size_t chunk_size = kDefaultChunk);
 
+/// How many leading bytes of a `stream_size`-byte stream its header needs,
+/// as far as `prefix` (the stream's first bytes) tells: the codebook size
+/// until nbins is known, the fixed fields until n and chunk_size are, then
+/// the whole header through the chunk offset table. Clamped to
+/// stream_size, and overflow-free for any prefix. Growing a prefix to what
+/// this returns reaches the full header in at most three steps and never
+/// asks for a payload byte; the header then parses with decode_plan_header.
+[[nodiscard]] std::uint64_t stream_header_bytes(
+    std::span<const std::byte> prefix, std::uint64_t stream_size);
+
 }  // namespace szi::huffman

@@ -451,6 +451,19 @@ LzssFrame lzss_parse_frame_header(std::span<const std::byte> head,
   return f;
 }
 
+std::size_t lzss_frame_header_bytes(std::span<const std::byte> prefix,
+                                    std::size_t stream_size) {
+  // u64 raw_size | u32 block_size | u32 n_blocks, then the offset table.
+  std::size_t need = sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
+  if (prefix.size() >= need) {
+    std::uint32_t nblocks = 0;
+    std::memcpy(&nblocks, prefix.data() + need - sizeof(nblocks),
+                sizeof(nblocks));
+    need += std::size_t{nblocks} * sizeof(std::uint64_t);
+  }
+  return std::min(need, stream_size);
+}
+
 std::pair<std::size_t, std::size_t> lzss_block_extent(const LzssFrame& frame,
                                                       std::size_t b) {
   if (b >= frame.nblocks)

@@ -121,6 +121,16 @@ struct LzssFrame {
                                                 std::size_t stream_size,
                                                 dev::Workspace& ws);
 
+/// How many leading bytes of a `stream_size`-byte stream its frame header
+/// needs, as far as `prefix` (the stream's first bytes) tells: the fixed
+/// fields until n_blocks is known, then through the block offset table.
+/// Clamped to stream_size, and overflow-free for any prefix. Growing a
+/// prefix to what this returns reaches the full header in at most two steps
+/// and never asks for a block byte; the header then parses with
+/// lzss_parse_frame_header.
+[[nodiscard]] std::size_t lzss_frame_header_bytes(
+    std::span<const std::byte> prefix, std::size_t stream_size);
+
 /// Byte extent [begin, end) block `b` occupies within the framed stream
 /// (mode byte included) — what a reader must fetch to hand
 /// lzss_decompress_block_bytes.

@@ -808,14 +808,16 @@ GInterpReconstructorT<T>::GInterpReconstructorT(
       geo_(geometry_for(dims)),
       cfg_(cfg),
       level_qz_(make_level_quantizers(eb, cfg, geo_, radius)) {
-  if (level < 1 || level > interp_levels(geo_))
+  if (level < 1 || level > interp_levels(geo_) + 1)
     throw std::invalid_argument("ginterp_decompress: level out of range");
   scale_ = stride_of_level(level);
   const Frame f = lattice_frame(dims, geo_, scale_);
   grid_ = f.grid;
   tile_ = f.tile;
   buf_ = f.grid;
-  tile_hi_ = dev::grid_for(grid_, tile_);
+  // On the anchor grid no pass runs: the seed is the reconstruction, and
+  // no tile is covered.
+  tile_hi_ = scale_ > geo_.top_stride ? tile_lo_ : dev::grid_for(grid_, tile_);
   if (codes.size() != grid_.volume() || out.size() != grid_.volume())
     throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
   seed(anchors, {0, 0, 0}, anchor_dims(dims, geo_.anchor), outliers);
@@ -1091,16 +1093,7 @@ std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
                                         int max_level, dev::Workspace& ws) {
   if (codes.size() != dims.volume())
     throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
-  const InterpDims id = interp_dims_of(dims);
-  const int L = std::clamp(max_level, 1, id.nlevels + 1);
-  if (L == id.nlevels + 1) {
-    // Anchors-only preview: the anchor grid IS the coarsest preview grid,
-    // and anchors are stored lossless, so the preview is the anchor array.
-    const Geometry geo = geometry_for(dims);
-    if (anchors.size() != anchor_dims(dims, geo.anchor).volume())
-      throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
-    return std::vector<T>(anchors.begin(), anchors.end());
-  }
+  const int L = std::clamp(max_level, 1, ginterp_level_count(dims) + 1);
   const dev::Dim3 g = ginterp_preview_dims(dims, L);
   const std::size_t S = stride_of_level(L);
   auto lattice = ws.make<quant::Code>(g.volume());
@@ -1247,7 +1240,7 @@ void ginterp_scatter_levels(
     std::span<quant::Code> codes) {
   const InterpDims id = interp_dims_of(dims);
   const auto nlv = static_cast<std::size_t>(id.nlevels);
-  if (level < 1 || level > id.nlevels || streams.size() != nlv ||
+  if (level < 1 || level > id.nlevels + 1 || streams.size() != nlv ||
       first.size() != nlv || codes.size() != ext.volume())
     throw std::invalid_argument("ginterp_scatter_levels: size/dims mismatch");
   const std::size_t S = stride_of_level(level);

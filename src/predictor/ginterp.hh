@@ -132,8 +132,10 @@ class LevelScatterCursor {
 /// Scatters every level >= `level` onto the level-`level` lattice (the
 /// positions whose interpolated coordinates are multiples of
 /// 2^(level-1), in lattice coordinates: extents ginterp_preview_dims) —
-/// only its window [lo, lo + ext), which `codes` spans row-major. Levels
-/// below `level` never land on the lattice and are not read. streams[ℓ-1]
+/// only its window [lo, lo + ext), which `codes` spans row-major. `level`
+/// runs from 1 to level_count + 1, the anchor grid, onto which no level
+/// lands. Levels below `level` never land on the lattice and are not
+/// read. streams[ℓ-1]
 /// (ℓ >= level) holds level ℓ's symbols of ranks [first[ℓ-1],
 /// first[ℓ-1] + streams[ℓ-1].size()) and must cover every rank the window
 /// holds (std::invalid_argument otherwise); positions no level names get
@@ -184,7 +186,8 @@ struct GInterpLevelsT {
 /// spans the full volume (only positions on the preview lattice are read);
 /// they are gathered onto the lattice in `ws` memory and the
 /// reconstruction runs there, in preview-sized memory. max_level is clamped
-/// to [1, level_count+1]; level_count+1 returns the lossless anchor grid.
+/// to [1, level_count+1]; at level_count+1 the reconstruction is the
+/// lossless anchor grid.
 [[nodiscard]] std::vector<float> ginterp_decompress_to_level(
     std::span<const quant::Code> codes, std::span<const float> anchors,
     const quant::OutlierViewT<float>& outliers, const dev::Dim3& dims,
@@ -275,8 +278,9 @@ class GInterpReconstructorT {
   /// that level). Validates archive metadata (core::CorruptArchive on a bad
   /// anchor count or outlier index) and scatters the anchors and the
   /// outlier originals that sit on the lattice into `out`. `level` must be
-  /// in [1, level_count]. `codes` and `out` are borrowed and must outlive
-  /// the slab runs.
+  /// in [1, level_count + 1]; at level_count + 1, the anchor grid, no pass
+  /// runs and the seed is the reconstruction. `codes` and `out` are
+  /// borrowed and must outlive the slab runs.
   GInterpReconstructorT(std::span<const quant::Code> codes,
                         std::span<const T> anchors,
                         const quant::OutlierViewT<T>& outliers,

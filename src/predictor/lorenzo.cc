@@ -106,7 +106,7 @@ void lorenzo_kernel(std::span<const std::int64_t> d, const dev::Dim3& dims,
 /// per-worker ranges (same worker sizing as the standalone histogram
 /// kernel); each worker counts every row it emits into its private banked
 /// histogram. Codes/escaped are identical to lorenzo_kernel and the folded
-/// totals equal huffman::histogram(codes, nbins) exactly.
+/// totals count `codes` exactly.
 std::vector<std::uint32_t> lorenzo_kernel_fused(
     std::span<const std::int64_t> d, const dev::Dim3& dims, int radius,
     std::span<quant::Code> codes, std::span<float> escaped,
@@ -159,21 +159,6 @@ LorenzoOutput lorenzo_compress(std::span<const float> data,
   std::vector<float> escaped(data.size(), 0.0f);
   lorenzo_kernel(d, dims, radius, out.codes, escaped);
   out.outliers = quant::OutlierSet::gather(out.codes, escaped);
-  return out;
-}
-
-LorenzoView lorenzo_compress(std::span<const float> data, const dev::Dim3& dims,
-                             double eb, int radius, dev::Workspace& ws) {
-  check_compress_args(data, dims, eb);
-
-  auto d = ws.make<std::int64_t>(data.size());
-  prequantize_into(data, eb, d);
-  auto codes = ws.make<quant::Code>(data.size());
-  auto escaped = ws.make<float>(data.size());
-  lorenzo_kernel(d, dims, radius, codes, escaped);
-  LorenzoView out;
-  out.codes = codes;
-  out.outliers = quant::gather_outliers<float>(codes, escaped, ws);
   return out;
 }
 

@@ -24,8 +24,7 @@ struct LorenzoOutput {
   quant::OutlierSet outliers;      ///< values hold the escaped q (exact)
 };
 
-/// Workspace form: codes/outliers live in pooled memory and stay valid
-/// until the Workspace resets.
+/// Prediction output in pooled memory, valid until the Workspace resets.
 struct LorenzoView {
   std::span<const quant::Code> codes;
   quant::OutlierViewT<float> outliers;
@@ -35,14 +34,11 @@ struct LorenzoView {
 [[nodiscard]] LorenzoOutput lorenzo_compress(std::span<const float> data,
                                              const dev::Dim3& dims, double eb,
                                              int radius = quant::kDefaultRadius);
-[[nodiscard]] LorenzoView lorenzo_compress(std::span<const float> data,
-                                           const dev::Dim3& dims, double eb,
-                                           int radius, dev::Workspace& ws);
 
 /// Prediction output plus the quant-code histogram (2*radius bins) counted
 /// inside the predict kernel itself — no separate read pass over `codes`.
-/// Codes/outliers and the histogram are bit-identical to the unfused
-/// lorenzo_compress + huffman::histogram pair.
+/// Codes/outliers are bit-identical to lorenzo_compress's, and the
+/// histogram counts those codes exactly.
 struct LorenzoFused {
   LorenzoView pred;
   std::vector<std::uint32_t> histogram;

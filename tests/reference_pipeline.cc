@@ -9,6 +9,7 @@
 #include "core/bytes.hh"
 #include "core/cuszi_writer.hh"
 #include "core/timer.hh"
+#include "device/launch.hh"
 #include "huffman/codebook.hh"
 #include "lossless/bitio.hh"
 
@@ -170,6 +171,37 @@ void decode_chunks_reference(const DecodePlan& plan, std::size_t chunk_begin,
           "huffman", plan.offsets[c],
           "chunk decoded past its extent (chunk " + std::to_string(c) + ")");
   }
+}
+
+std::vector<std::uint32_t> histogram(std::span<const quant::Code> codes,
+                                     std::size_t nbins) {
+  const std::size_t nworkers = histogram_workers(codes.size());
+  const std::size_t per = dev::ceil_div(codes.size(), nworkers);
+  std::vector<std::uint32_t> parts(nworkers * kHistogramBanks * nbins, 0u);
+  // Private-slot audit: `w` is the launch's loop index, NOT a thread id.
+  // parts holds exactly `nworkers` slots and every w in [0, nworkers) runs
+  // exactly once, so the indexing stays valid even when the launch degrades
+  // to inline execution on a nested parallel_for — the caller then walks
+  // all w values sequentially, each with its own slot, and the serial
+  // worker-order merge gives the same totals.
+  dev::launch_linear(
+      nworkers,
+      [&](std::size_t w) {
+        const std::size_t begin = w * per;
+        const std::size_t end = std::min(begin + per, codes.size());
+        accumulate_banked(codes.data() + begin, end - begin,
+                          parts.data() + w * kHistogramBanks * nbins, nbins);
+      },
+      1);
+  return merge_histograms(parts, nworkers * kHistogramBanks, nbins);
+}
+
+std::vector<std::uint32_t> histogram_topk(std::span<const quant::Code> codes,
+                                          std::size_t nbins, std::size_t center,
+                                          std::size_t k) {
+  dev::Arena local;
+  dev::Workspace ws(local);
+  return histogram_topk(codes, nbins, center, k, ws);
 }
 
 }  // namespace szi::huffman

@@ -8,7 +8,8 @@
 //   - the level split and its whole-field inverse scatter, which the fused
 //     predict kernel and the decoder's scatter are checked against;
 //   - the one-symbol-per-probe Huffman chunk decoder, which the pack-table
-//     decoder is checked against.
+//     decoder is checked against, and cuSZ's generic histogram, which the
+//     top-k histogram is checked and ablated against.
 // tests/reference.hh holds the naive predictor kernels.
 #pragma once
 
@@ -19,6 +20,7 @@
 #include "core/compressor_iface.hh"
 #include "device/arena.hh"
 #include "device/dims.hh"
+#include "huffman/histogram.hh"
 #include "huffman/huffman.hh"
 #include "predictor/ginterp.hh"
 
@@ -80,5 +82,17 @@ namespace szi::huffman {
 /// chunk decodes past its extent, as decode_chunks does.
 void decode_chunks_reference(const DecodePlan& plan, std::size_t chunk_begin,
                              std::size_t chunk_end, std::span<quant::Code> out);
+
+/// cuSZ's generic privatized histogram over codes < nbins: one private
+/// banked histogram per worker over a contiguous element range, merged in
+/// worker order — the baseline histogram_topk is checked and ablated
+/// against.
+[[nodiscard]] std::vector<std::uint32_t> histogram(
+    std::span<const quant::Code> codes, std::size_t nbins);
+
+/// histogram_topk with a throwaway arena.
+[[nodiscard]] std::vector<std::uint32_t> histogram_topk(
+    std::span<const quant::Code> codes, std::size_t nbins, std::size_t center,
+    std::size_t k);
 
 }  // namespace szi::huffman

@@ -73,6 +73,18 @@ TEST(CliParse, Rejections) {
                std::invalid_argument);
 }
 
+// --level N past the archive's level range previews the anchor grid, so
+// an N beyond INT_MAX must clamp, not wrap to a low or negative level.
+TEST(CliParse, LevelPastIntRangeClamps) {
+  const auto level = [](const char* n) {
+    return parse({"-x", "-i", "a", "-o", "b", "--level", n}).level;
+  };
+  EXPECT_EQ(level("99"), 99);
+  EXPECT_EQ(level("2147483647"), std::numeric_limits<int>::max());
+  EXPECT_EQ(level("2147483648"), std::numeric_limits<int>::max());
+  EXPECT_EQ(level("4294967297"), std::numeric_limits<int>::max());
+}
+
 TEST(CliParse, HelpAndList) {
   EXPECT_EQ(parse({"--help"}).command, Command::Help);
   EXPECT_EQ(parse({"--list"}).command, Command::List);

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "core/bytes.hh"
 #include "datagen/rng.hh"
 #include "device/arena.hh"
 #include "device/thread_pool.hh"
 #include "huffman/codebook.hh"
 #include "huffman/histogram.hh"
 #include "huffman/huffman.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 
@@ -305,6 +308,80 @@ TEST(Huffman, LevelBooksMatchPerHistogramBuilds) {
       {}, books.back(), szi::huffman::kDefaultChunk, ws);
   const std::vector<std::byte> stream(empty.begin(), empty.end());
   EXPECT_TRUE(szi::huffman::decode(stream).empty());
+}
+
+// Growing a prefix of a real stream to what stream_header_bytes asks for
+// reaches exactly the header decode_plan_header parses, in at most three
+// steps (nbins, the fixed fields, the offset table), and no prefix ever
+// asks for a payload byte.
+TEST(Huffman, StreamHeaderBytesReachesTheHeader) {
+  szi::dev::Arena arena;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{4096}, std::size_t{50000}}) {
+    const auto codes = geometric_codes(n, 0.4, 1024, 31 + n);
+    const auto book = Codebook::build(szi::huffman::histogram(codes, 1024));
+    const auto stream = szi::huffman::encode_with_book(codes, book);
+    const std::span<const std::byte> s(stream);
+    const std::size_t header = szi::huffman::overhead_bytes(book.nbins(), n);
+    ASSERT_LE(header, s.size()) << "n=" << n;
+    for (std::size_t len = 0; len <= header; ++len)
+      EXPECT_LE(szi::huffman::stream_header_bytes(s.first(len), s.size()),
+                header)
+          << "n=" << n << " prefix " << len;
+
+    std::uint64_t have = 0;
+    int steps = 0;
+    for (std::uint64_t need;
+         (need = szi::huffman::stream_header_bytes(s.first(have), s.size())) >
+         have;
+         have = need)
+      ++steps;
+    EXPECT_EQ(have, header) << "n=" << n;
+    EXPECT_LE(steps, 3) << "n=" << n;
+    szi::dev::Workspace ws(arena);
+    EXPECT_EQ(szi::huffman::decode_plan_header(s.first(have), s.size(), ws).n,
+              n);
+    EXPECT_THROW((void)szi::huffman::decode_plan_header(s.first(have - 1),
+                                                        s.size(), ws),
+                 szi::core::CorruptArchive)
+        << "n=" << n;
+  }
+}
+
+// A prefix declaring a huge codebook, symbol count or chunk count asks for
+// at most the whole stream, without overflowing on the way.
+TEST(Huffman, StreamHeaderBytesClampsHugeCounts) {
+  using szi::huffman::stream_header_bytes;
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto header = [](std::uint32_t nbins, std::uint64_t n,
+                         std::uint32_t chunk) {
+    std::vector<std::byte> h(sizeof(nbins) + nbins + sizeof(n) +
+                             sizeof(chunk) + sizeof(std::uint64_t));
+    std::memcpy(h.data(), &nbins, sizeof(nbins));
+    std::memcpy(h.data() + sizeof(nbins) + nbins, &n, sizeof(n));
+    std::memcpy(h.data() + sizeof(nbins) + nbins + sizeof(n), &chunk,
+                sizeof(chunk));
+    return h;
+  };
+  const std::uint32_t huge_nbins = 0xFFFFFFFFu;
+  std::vector<std::byte> nbins_only(sizeof(huge_nbins));
+  std::memcpy(nbins_only.data(), &huge_nbins, sizeof(huge_nbins));
+  EXPECT_EQ(stream_header_bytes(nbins_only, 1000), 1000u);
+  EXPECT_EQ(stream_header_bytes(nbins_only, kMax),
+            std::uint64_t{huge_nbins} + 24);
+
+  // 2 + 24 fixed bytes; chunk counts whose offset table overflows u64.
+  const auto h = header(2, kMax, 1);
+  EXPECT_EQ(stream_header_bytes(h, 5000), 5000u);
+  EXPECT_EQ(stream_header_bytes(h, kMax), kMax);
+  EXPECT_EQ(stream_header_bytes(header(2, std::uint64_t{1} << 61, 1), kMax),
+            kMax);
+  // A zero chunk size declares no offset table (the parse rejects it).
+  EXPECT_EQ(stream_header_bytes(header(2, kMax, 0), kMax), 26u);
+  // The largest table that fits is asked for in full.
+  EXPECT_EQ(stream_header_bytes(header(2, 10, 4), 26 + 3 * 8), 26u + 3 * 8);
+  EXPECT_EQ(stream_header_bytes(header(2, 10, 4), 26 + 3 * 8 - 1),
+            26u + 3 * 8 - 1);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "core/bytes.hh"
 #include "datagen/rng.hh"
+#include "device/arena.hh"
 #include "lossless/bitshuffle.hh"
 #include "lossless/lzss.hh"
 #include "lossless/rle.hh"
@@ -267,6 +270,60 @@ TEST(ZeroRle, ThrowsOnTruncation) {
   enc.resize(enc.size() / 2);
   EXPECT_THROW((void)szi::lossless::zero_rle_decompress(enc),
                std::runtime_error);
+}
+
+// Growing a prefix of a real stream to what lzss_frame_header_bytes asks
+// for reaches exactly the header lzss_parse_frame_header parses, in at most
+// two steps (the fixed fields, the offset table), and no prefix ever asks
+// for a block byte.
+TEST(Lzss, FrameHeaderBytesReachesTheHeader) {
+  using szi::lossless::kLzssBlock;
+  using szi::lossless::lzss_frame_header_bytes;
+  szi::dev::Arena arena;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kLzssBlock,
+                              3 * kLzssBlock + 17}) {
+    const auto stream = lzss_compress(
+        n == 0 ? std::vector<std::byte>{} : bytes_of(random_bytes(n, 40 + n)));
+    const std::span<const std::byte> s(stream);
+    const std::size_t header =
+        16 + (n + kLzssBlock - 1) / kLzssBlock * sizeof(std::uint64_t);
+    for (std::size_t len = 0; len <= header; ++len)
+      EXPECT_LE(lzss_frame_header_bytes(s.first(len), s.size()), header)
+          << "n=" << n << " prefix " << len;
+
+    std::size_t have = 0;
+    int steps = 0;
+    for (std::size_t need;
+         (need = lzss_frame_header_bytes(s.first(have), s.size())) > have;
+         have = need)
+      ++steps;
+    EXPECT_EQ(have, header) << "n=" << n;
+    EXPECT_LE(steps, 2) << "n=" << n;
+    szi::dev::Workspace ws(arena);
+    EXPECT_EQ(
+        szi::lossless::lzss_parse_frame_header(s.first(have), s.size(), ws)
+            .raw_size,
+        n);
+    EXPECT_THROW((void)szi::lossless::lzss_parse_frame_header(
+                     s.first(have - 1), s.size(), ws),
+                 szi::core::CorruptArchive)
+        << "n=" << n;
+  }
+}
+
+// A prefix declaring 2^32 - 1 blocks asks for at most the whole stream,
+// and for the full table when the stream is that large.
+TEST(Lzss, FrameHeaderBytesClampsHugeCounts) {
+  std::vector<std::byte> fixed(16);
+  const std::uint32_t nblocks = 0xFFFFFFFFu;
+  std::memcpy(fixed.data() + 12, &nblocks, sizeof(nblocks));
+  EXPECT_EQ(szi::lossless::lzss_frame_header_bytes(fixed, 1000), 1000u);
+  EXPECT_EQ(szi::lossless::lzss_frame_header_bytes(
+                fixed, std::numeric_limits<std::size_t>::max()),
+            16 + std::size_t{nblocks} * sizeof(std::uint64_t));
+  EXPECT_EQ(szi::lossless::lzss_frame_header_bytes(
+                std::span(fixed).first(15), 1000),
+            16u);
 }
 
 }  // namespace
