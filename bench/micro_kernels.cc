@@ -175,12 +175,19 @@ void BM_Bitshuffle(benchmark::State& state) {
 BENCHMARK(BM_Bitshuffle);
 
 void BM_GInterpPredict(benchmark::State& state) {
+  // The fused predict kernel as the compressor runs it (codes, level
+  // streams, histograms and outliers in one pass), drawing its buffers
+  // from one workspace reused across iterations.
   const auto& f = miranda_field();
   const double eb = 1e-3 * 2.0;  // ~rel 1e-3 on the [1,3] density field
   const auto prof = szi::predictor::autotune(f.data, f.dims, eb);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        szi::predictor::ginterp_compress(f.data, f.dims, eb, prof.config));
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  for (auto _ : state) {
+    ws.reset();
+    benchmark::DoNotOptimize(szi::predictor::ginterp_compress_fused_levels(
+        f.view(), f.dims, eb, prof.config, szi::quant::kDefaultRadius, ws));
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.bytes()));
 }
@@ -197,24 +204,10 @@ void BM_LorenzoPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_LorenzoPredict);
 
-void BM_GInterpDecompress(benchmark::State& state) {
-  const auto& f = miranda_field();
-  const double eb = 1e-3 * 2.0;
-  const auto prof = szi::predictor::autotune(f.data, f.dims, eb);
-  const auto enc =
-      szi::predictor::ginterp_compress(f.data, f.dims, eb, prof.config);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(szi::predictor::ginterp_decompress(
-        enc.codes, enc.anchors, enc.outliers, f.dims, eb, prof.config));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.bytes()));
-}
-BENCHMARK(BM_GInterpDecompress);
-
 void BM_GInterpReconstruct(benchmark::State& state) {
-  // In-place partner of BM_GInterpDecompress: anchors/outliers scatter into
-  // the caller's buffer and the tile passes reconstruct in place — no
-  // zero-filled staging volume, no final copy (GInterpReconstructorT).
+  // Anchors/outliers scatter into the caller's buffer and the tile passes
+  // reconstruct in place (GInterpReconstructorT), into one output buffer
+  // reused across iterations.
   const auto& f = miranda_field();
   const double eb = 1e-3 * 2.0;
   const auto prof = szi::predictor::autotune(f.data, f.dims, eb);

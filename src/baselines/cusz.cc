@@ -43,22 +43,18 @@ class Cusz final : public Compressor {
                                                 huffman::kDefaultChunk, ws);
     r.timings.encode = stage.lap();
 
-    const auto& ol = fused.pred.outliers;
-    const std::uint64_t ocount = ol.count();
+    const auto oblob = ws.make<std::byte>(
+        quant::outlier_blob_bytes<float>(fused.pred.outliers.count()));
+    quant::write_outlier_blob(fused.pred.outliers, oblob);
     core::ByteWriter w;
-    w.reserve(38 + sizeof(ocount) + ol.byte_size() + 8 + huff.size() + 8);
+    w.reserve(38 + 8 + oblob.size() + 8 + huff.size());
     w.put(kMagic);
     w.put(static_cast<std::uint64_t>(field.dims.x));
     w.put(static_cast<std::uint64_t>(field.dims.y));
     w.put(static_cast<std::uint64_t>(field.dims.z));
     w.put(eb);
     w.put(static_cast<std::uint16_t>(kRadius));
-    // Same framing OutlierSet::serialize produced: u64 blob size, then
-    // count | indices | values — emitted straight from the workspace views.
-    w.put(static_cast<std::uint64_t>(sizeof(ocount) + ol.byte_size()));
-    w.put(ocount);
-    w.put_raw(std::as_bytes(ol.indices));
-    w.put_raw(std::as_bytes(ol.values));
+    w.put_blob(oblob);
     w.put_blob(huff);
     r.bytes = w.take();
     r.timings.total = total.lap();
@@ -78,9 +74,8 @@ class Cusz final : public Compressor {
     (void)rd.checked_array_bytes(n, sizeof(float));
     const auto eb = rd.read<double>();
     const auto radius = rd.read<std::uint16_t>();
-    std::size_t consumed = 0;
     const auto outliers =
-        quant::OutlierSet::deserialize(rd.read_length_prefixed(), &consumed);
+        quant::OutlierSet::deserialize(rd.read_length_prefixed(), nullptr);
     const auto codes = huffman::decode(rd.read_length_prefixed());
     if (codes.size() != n) rd.fail("code count mismatch");
     // lorenzo_decompress bounds-checks the outlier indices against dims.

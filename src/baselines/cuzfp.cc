@@ -12,8 +12,6 @@ namespace {
 class CuZfp final : public Compressor {
  public:
   [[nodiscard]] std::string name() const override { return "cuZFP"; }
-  [[nodiscard]] bool supports_error_bound() const override { return false; }
-  [[nodiscard]] bool supports_fixed_rate() const override { return true; }
 
   [[nodiscard]] CompressResult compress(const Field& field,
                                         const CompressParams& p) override {

@@ -81,9 +81,8 @@ class FzGpu final : public Compressor {
     (void)rd.checked_array_bytes(n, sizeof(std::uint16_t));
     const auto eb = rd.read<double>();
     const auto radius = rd.read<std::uint16_t>();
-    std::size_t consumed = 0;
     const auto outliers =
-        quant::OutlierSet::deserialize(rd.read_length_prefixed(), &consumed);
+        quant::OutlierSet::deserialize(rd.read_length_prefixed(), nullptr);
     // The indices are scattered into `codes` below, so check them first.
     outliers.check_bounds(n, "fz-gpu");
     const auto packed = rd.read_length_prefixed();

@@ -114,9 +114,8 @@ class CpuSz final : public Compressor {
       ip.config.dim_order[static_cast<std::size_t>(i)] = order;
     }
     const auto anchors = rd.read_length_prefixed_array<float>();
-    std::size_t consumed = 0;
     const auto outliers =
-        quant::OutlierSet::deserialize(rd.read_length_prefixed(), &consumed);
+        quant::OutlierSet::deserialize(rd.read_length_prefixed(), nullptr);
     const auto codes = huffman::decode(rd.read_length_prefixed());
     if (codes.size() != n) rd.fail("code count mismatch");
     // cpu_interp_decompress validates the anchor stride, anchor count, and

@@ -403,12 +403,6 @@ class BitcompWrapped final : public Compressor {
   [[nodiscard]] std::string name() const override {
     return inner_->name() + " w/ Bitcomp";
   }
-  [[nodiscard]] bool supports_error_bound() const override {
-    return inner_->supports_error_bound();
-  }
-  [[nodiscard]] bool supports_fixed_rate() const override {
-    return inner_->supports_fixed_rate();
-  }
 
   // The wrap runs after the inner compress; wrap time folds into
   // encode/total.

@@ -98,10 +98,6 @@ class Compressor {
   virtual ~Compressor() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Whether absolute/relative error bounds are supported (cuZFP: no — the
-  /// paper's TABLE III lists it as N/A for this reason).
-  [[nodiscard]] virtual bool supports_error_bound() const { return true; }
-  [[nodiscard]] virtual bool supports_fixed_rate() const { return false; }
 
   [[nodiscard]] virtual CompressResult compress(const Field& field,
                                                 const CompressParams& p) = 0;

@@ -185,7 +185,7 @@ std::vector<SegmentEntry> make_directory(
   segs[1].kind = kSegOutliers;
   segs[1].count = pred.outliers.count();
   segs[1].offset = off;
-  segs[1].size = sizeof(std::uint64_t) + pred.outliers.byte_size();
+  segs[1].size = quant::outlier_blob_bytes<T>(pred.outliers.count());
   off += segs[1].size;
   for (int j = 0; j < nlevels; ++j) {
     const int level = nlevels - j;
@@ -275,9 +275,9 @@ std::span<const std::byte> write_v2(const predictor::GInterpViewT<T>& pred,
   put(static_cast<std::uint32_t>(segs.size()));
   put_raw(std::as_bytes(std::span(segs)));
   put_raw(std::as_bytes(pred.anchors));
-  put(static_cast<std::uint64_t>(pred.outliers.count()));
-  put_raw(std::as_bytes(pred.outliers.indices));
-  put_raw(std::as_bytes(pred.outliers.values));
+  quant::write_outlier_blob(
+      pred.outliers, raw.subspan(static_cast<std::size_t>(segs[1].offset),
+                                 static_cast<std::size_t>(segs[1].size)));
 
   for (std::size_t i = 0; i < nlevels; ++i) {
     const auto& seg = segs[2 + nlevels - 1 - i];  // levels run descending
@@ -431,30 +431,16 @@ InnerHeader parse_inner_header(core::ByteReader& rd) {
   return h;
 }
 
-/// Parses the outlier segment `seg`'s blob (u64 n | idx | vals) into
-/// workspace-resident arrays — archive bytes are unaligned, so both arrays
-/// are memcpy'd, with the same validation OutlierSetT::deserialize performs
-/// — and checks its count against the directory's.
+/// Parses the outlier segment `seg`'s blob into workspace arrays and checks
+/// its count against the directory's.
 template <typename T>
-quant::OutlierViewT<T> parse_outlier_blob(std::span<const std::byte> blob,
-                                          const SegmentEntry& seg,
-                                          dev::Workspace& ws) {
-  core::ByteReader rd(blob, "outlier-set");
-  const auto n64 = rd.read<std::uint64_t>();
-  if (n64 > rd.remaining()) rd.fail("count exceeds remaining bytes");
-  const std::size_t n = static_cast<std::size_t>(n64);
-  const std::size_t ibytes = rd.checked_array_bytes(n, sizeof(std::uint64_t));
-  auto idx = ws.make<std::uint64_t>(n);
-  if (n > 0) std::memcpy(idx.data(), rd.read_bytes(ibytes).data(), ibytes);
-  const std::size_t vbytes = rd.checked_array_bytes(n, sizeof(T));
-  auto vals = ws.make<T>(n);
-  if (n > 0) std::memcpy(vals.data(), rd.read_bytes(vbytes).data(), vbytes);
-  if (n != seg.count)
+quant::OutlierViewT<T> parse_outliers(std::span<const std::byte> blob,
+                                      const SegmentEntry& seg,
+                                      dev::Workspace& ws) {
+  const auto v = quant::parse_outlier_blob<T>(blob, ws);
+  if (v.count() != seg.count)
     throw core::CorruptArchive("cusz-i", seg.offset,
                                "outlier blob count disagrees with directory");
-  quant::OutlierViewT<T> v;
-  v.indices = idx;
-  v.values = vals;
   return v;
 }
 
@@ -493,8 +479,8 @@ std::vector<SegmentEntry> parse_directory(core::ByteReader& rd,
       if (s.kind != kSegOutliers || s.level != 0)
         rd.fail("second segment is not the outlier set");
       if (s.count > h.volume) rd.fail("outlier count exceeds volume");
-      if (s.size != sizeof(std::uint64_t) +
-                        s.count * (sizeof(std::uint64_t) + sizeof(T)))
+      if (s.size != quant::outlier_blob_bytes<T>(
+                        static_cast<std::size_t>(s.count)))
         rd.fail("outlier segment size mismatch");
     } else if (i < 2 + static_cast<std::size_t>(nlevels)) {
       const int level = nlevels - static_cast<int>(i) + 2;
@@ -689,7 +675,7 @@ void Decoder<T>::fetch_whole() {
               anchors.size_bytes());
   anchors_ = anchors;
   outliers_ =
-      parse_outlier_blob<T>(take(segs[1].offset, segs[1].size), segs[1], ws_);
+      parse_outliers<T>(take(segs[1].offset, segs[1].size), segs[1], ws_);
   for (int level = level_; level <= a_.nlevels; ++level) {
     const auto& seg = segs[level_segment(a_.nlevels, level)];
     auto& in = plan_level(level, take(seg.offset, seg.size));
@@ -756,7 +742,7 @@ void Decoder<T>::fetch_box() {
     std::memcpy(anchors.data() + r * an.x, round1[r].data(), round1[r].size());
   }
   anchors_ = anchors;
-  outliers_ = parse_outlier_blob<T>(round1[nrows], segs[1], ws_);
+  outliers_ = parse_outliers<T>(round1[nrows], segs[1], ws_);
   grow_headers(std::span(round1).subspan(nrows + 1));
   // Rounds 2 and 3: each header's fixed part, then its chunk offset table.
   for (int round = 2; round <= 3; ++round) {

@@ -120,13 +120,14 @@ struct SegmentInfo {
     std::span<const std::byte> bytes, int max_level);
 
 /// Random-access ROI decode: reconstructs exactly the box [lo, lo + ext),
-/// bit-identical to cropping a full decompress. Steered by the trailing
-/// tile index (TIDX), the decoder pulls only the directory, index, anchor
-/// rows, outlier set, and the Huffman chunks / LZSS blocks covering the
-/// box's tile slabs through `src`, and decodes them with the full
-/// decoder's pool-wide phases — the per-level working set is bounded by
-/// the halo'd box, never the field, and `bytes_read` reports the honest
-/// fetch total. A box covering the whole field decodes as a full decode.
+/// bit-identical to cropping a full decompress. Through `src` the decoder
+/// pulls only the directory, the tile index (TIDX), anchor rows, outlier
+/// set, and the Huffman chunks / LZSS blocks covering the box's tile slabs,
+/// located by closed forms and the chunk offset tables; the index is only
+/// rebuilt (build_tidx) and compared. The full decoder's pool-wide phases
+/// decode them — the per-level working set is bounded by the halo'd box,
+/// never the field, and `bytes_read` reports the honest fetch total. A box
+/// covering the whole field decodes as a full decode.
 /// The span overloads serve in-memory archives through a MemorySource.
 [[nodiscard]] DecodeResultT<float> cuszi_decompress_roi_f32(
     io::ArchiveSource& src, const RoiBox& box);

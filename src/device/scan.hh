@@ -1,5 +1,5 @@
 // Device-style exclusive prefix sum (scan-then-propagate), used to turn
-// per-chunk Huffman bit counts into chunk offsets, and by stream compaction.
+// per-chunk Huffman bit counts into chunk offsets.
 #pragma once
 
 #include <cstddef>

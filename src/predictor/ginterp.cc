@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -62,8 +60,8 @@ struct PlaneOverride {
 /// level-L reconstruction runs on the positions whose interpolated
 /// coordinates are multiples of scale = 2^(L-1), in lattice coordinates:
 /// extents ceil(dims / scale), tiles tile / scale (degenerate dims have
-/// extent and tile 1 and stay whole). The tile's in/out buffers and code
-/// arrays span the lattice window [lo, lo + buf): the whole lattice, or the
+/// extent and tile 1 and stay whole). The tile's field buffer and code
+/// array span the lattice window [lo, lo + buf): the whole lattice, or the
 /// closed box of an ROI. Compression and full decode use the whole field at
 /// scale 1.
 struct Frame {
@@ -73,6 +71,16 @@ struct Frame {
   dev::Dim3 lo{0, 0, 0};
   dev::Dim3 buf;
 };
+
+/// What a tile walk touches in each direction: compress reads the field and
+/// writes quant-codes; decode reads quant-codes and reconstructs the field
+/// in place (closed-region loads and owned write-backs hit one buffer).
+template <bool kCompress, typename T>
+using TileField =
+    std::conditional_t<kCompress, std::span<const T>, std::span<T>>;
+template <bool kCompress>
+using TileCodes = std::conditional_t<kCompress, std::span<quant::Code>,
+                                     std::span<const quant::Code>>;
 
 Frame lattice_frame(const dev::Dim3& dims, const Geometry& geo,
                     std::size_t scale) {
@@ -250,8 +258,7 @@ template <bool kCompress, typename T>
 void tile_pass(TileView<T>& t, int d, std::size_t s,
                const std::array<bool, 3>& done, const quant::Quantizer& qz,
                CubicKind kind, const dev::Dim3& dims,
-               std::span<quant::Code> codes,
-               std::span<const quant::Code> codes_in, std::size_t gorigin) {
+               TileCodes<kCompress> codes, std::size_t gorigin) {
   // Plane dims: u is the faster-varying one (x unless d == 0), v the other.
   const auto u = static_cast<std::size_t>(d == 0 ? 1 : 0);
   const auto v = static_cast<std::size_t>(d == 2 ? 1 : 2);
@@ -309,7 +316,7 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
           // buf[idx] holds the scattered original when the code is the
           // outlier marker; dequantize() returns it unchanged then.
           for (std::size_t k = 0; k < n_u; ++k, p += dp, gidx += dg)
-            *p = qz.dequantize(codes_in[gidx], pred(p), *p);
+            *p = qz.dequantize(codes[gidx], pred(p), *p);
         }
       }
     };
@@ -332,8 +339,8 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
             for (std::size_t pv = 0; pv < t.extent[v]; pv += step_v) {
               float* p = t.buf.data() + cd * ls_d + pv * ls_v;
               std::size_t gidx = gorigin + cd * gs_d + pv * gs_v;
-              const quant::Code* cp = codes_in.data() + gidx;
-              const std::size_t avail = codes_in.size() - gidx;
+              const quant::Code* cp = codes.data() + gidx;
+              const std::size_t avail = codes.size() - gidx;
               std::size_t k;
               if (dp == 1)
                 k = nak ? cubic_row_avx2<true, 1>(p, o1, o3, cp, avail, n_u,
@@ -352,7 +359,7 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
                                      ? cubic_nak(p[-o3], p[-o1], p[o1], p[o3])
                                      : cubic_natural(p[-o3], p[-o1], p[o1],
                                                      p[o3]);
-                *p = qz.dequantize(codes_in[gidx], pr, *p);
+                *p = qz.dequantize(codes[gidx], pr, *p);
               }
             }
             continue;
@@ -482,22 +489,21 @@ std::size_t level_rank(const dev::Dim3& dims, const InterpDims& id, int v,
 
 /// The complete per-tile interpolation body (load closed region, run every
 /// (stride, dimension) pass, write back the owned region on decompression)
-/// for tile `blk` of frame `f`'s lattice. Shared between the block-parallel
-/// launch in run_tiles, the fused compress path, which iterates tiles
-/// inside its own worker loop so it can prefill and histogram the owned
-/// codes while they are cache-hot, and the reconstructor. Tile clamps use
-/// the lattice extents; loads, write-backs and code lookups address the
-/// frame's buffer window, which must contain the tile's closed region.
-/// tile_pass consumes dims only through its linear strides, so handing it
-/// the window with a window-local `gorigin` walks the same arithmetic over
-/// re-based indices (the AVX2 vector/scalar split may land elsewhere, which
-/// is immaterial: the scalar tail computes the exact same expressions). A
+/// for tile `blk` of frame `f`'s lattice. Its two callers are the fused
+/// compress path, which iterates tiles inside its own worker loop so it can
+/// prefill and histogram the owned codes while they are cache-hot, and the
+/// reconstructor, which decodes `field` in place. Tile clamps use the
+/// lattice extents; loads, write-backs and code lookups address the frame's
+/// buffer window, which must contain the tile's closed region. tile_pass
+/// consumes dims only through its linear strides, so handing it the window
+/// with a window-local `gorigin` walks the same arithmetic over re-based
+/// indices (the AVX2 vector/scalar split may land elsewhere, which is
+/// immaterial: the scalar tail computes the exact same expressions). A
 /// lattice of scale S runs the global strides top_stride .. S as local
 /// strides s / S, each with its global level's quantizer.
 template <bool kCompress, typename T>
-void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
-                  std::span<T> out, std::span<quant::Code> codes,
-                  std::span<const quant::Code> codes_in, const dev::Dim3& dims,
+void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
+                  TileCodes<kCompress> codes, const dev::Dim3& dims,
                   const InterpConfig& cfg, const Geometry& geo,
                   std::span<const quant::Quantizer> level_qz, const Frame& f,
                   PlaneOverride<T> po = {}) {
@@ -516,8 +522,8 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
   // Load the closed region, one contiguous x-row memcpy at a time (local
   // and buffer x strides are both 1). For the slab-parallel reconstructor a
   // z-plane crossing into the next slab loads from the immutable snapshot
-  // in `po` instead of `in`, so the load never races a neighbor slab's
-  // writes; in all other paths `in` is a read-only source.
+  // in `po` instead of `field`, so the load never races a neighbor slab's
+  // writes; compression reads `field` only.
   for (std::size_t z = 0; z < t.extent[2]; ++z) {
     const std::size_t gz = t.origin[2] + z;
     const T* splane = (po.plane != nullptr && gz == po.z) ? po.plane : nullptr;
@@ -526,7 +532,8 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
       const T* grow =
           splane != nullptr
               ? splane + (bo[1] + y) * f.buf.x + bo[0]
-              : in.data() + dev::linearize(f.buf, bo[0], bo[1] + y, bo[2] + z);
+              : field.data() +
+                    dev::linearize(f.buf, bo[0], bo[1] + y, bo[2] + z);
       std::memcpy(t.buf.data() + lrow, grow, t.extent[0] * sizeof(T));
     }
   }
@@ -544,7 +551,7 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
       if (dim_of(dims, d) == 1) continue;
       tile_pass<kCompress>(t, d, s / f.scale, done, qz,
                            cfg.cubic[static_cast<std::size_t>(d)], f.buf,
-                           codes, codes_in, gorigin);
+                           codes, gorigin);
       done[static_cast<std::size_t>(d)] = true;
     }
   }
@@ -556,51 +563,10 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
         const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
         const std::size_t grow =
             dev::linearize(f.buf, bo[0], bo[1] + y, bo[2] + z);
-        std::memcpy(out.data() + grow, t.buf.data() + lrow,
+        std::memcpy(field.data() + grow, t.buf.data() + lrow,
                     t.owned[0] * sizeof(T));
       }
   }
-}
-
-template <bool kCompress, typename T>
-void run_tiles(std::span<const T> in, std::span<T> out,
-               std::span<quant::Code> codes,
-               std::span<const quant::Code> codes_in, const dev::Dim3& dims,
-               double eb, const InterpConfig& cfg, int radius) {
-  const Geometry geo = geometry_for(dims);
-  const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
-  const Frame f = lattice_frame(dims, geo, 1);
-  const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
-  dev::launch_blocks(grid, [&](const dev::BlockIdx& blk) {
-    run_one_tile<kCompress, T>(blk, in, out, codes, codes_in, dims, cfg, geo,
-                               level_qz, f);
-  });
-}
-
-template <typename T>
-void check_compress_args(std::span<const T> data, const dev::Dim3& dims,
-                         double eb) {
-  if (data.size() != dims.volume())
-    throw std::invalid_argument("ginterp_compress: size/dims mismatch");
-  if (eb <= 0) throw std::invalid_argument("ginterp_compress: eb must be > 0");
-}
-
-template <typename T>
-GInterpOutputT<T> compress_impl(std::span<const T> data, const dev::Dim3& dims,
-                                double eb, const InterpConfig& cfg,
-                                int radius) {
-  check_compress_args(data, dims, eb);
-
-  const Geometry geo = geometry_for(dims);
-  GInterpOutputT<T> out;
-  out.anchors = gather_anchors(data, dims, geo.anchor);
-  // Anchors and any never-targeted point read as "perfectly predicted".
-  out.codes.assign(data.size(),
-                   static_cast<quant::Code>(radius));
-
-  run_tiles<true, T>(data, {}, out.codes, {}, dims, eb, cfg, radius);
-  out.outliers = quant::OutlierSetT<T>::gather(out.codes, data);
-  return out;
 }
 
 /// The fused predict pass with per-level emission (the compress front end).
@@ -626,8 +592,9 @@ GInterpOutputT<T> compress_impl(std::span<const T> data, const dev::Dim3& dims,
 ///   4. collects the owned region's outliers — (global index, original
 ///      value) pairs wherever the final code is the outlier marker — into a
 ///      private list, replacing quant::gather_outliers' two standalone
-///      full-array scans over the codes.
-/// Codes are bit-identical to the unfused path (same writes, same values).
+///      full-array passes over the codes.
+/// Codes are bit-identical to the naive whole-field tile walk that
+/// tests/reference.cc keeps as the oracle (same writes, same values).
 /// The merged outlier lists are sorted by global index before being exposed;
 /// indices are unique (one per position), so the sorted sequence is exactly
 /// the ascending-index order a single left-to-right scan produces, and the
@@ -638,7 +605,9 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                                              const dev::Dim3& dims, double eb,
                                              const InterpConfig& cfg,
                                              int radius, dev::Workspace& ws) {
-  check_compress_args(data, dims, eb);
+  if (data.size() != dims.volume())
+    throw std::invalid_argument("ginterp_compress: size/dims mismatch");
+  if (eb <= 0) throw std::invalid_argument("ginterp_compress: eb must be > 0");
 
   const Geometry geo = geometry_for(dims);
   auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
@@ -694,8 +663,8 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                   dims, origin[0], origin[1] + y, origin[2] + z);
               std::fill_n(codes.data() + row, owned[0], perfect);
             }
-          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, cfg, geo,
-                                level_qz, frame);
+          run_one_tile<true, T>(blk, data, codes, dims, cfg, geo, level_qz,
+                                frame);
           for (std::size_t z = 0; z < owned[2]; ++z)
             for (std::size_t y = 0; y < owned[1]; ++y) {
               const std::size_t gy = origin[1] + y, gz = origin[2] + z;
@@ -762,30 +731,6 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
       for (std::size_t b = 0; b < nbins; ++b) h[b] += part[b];
     }
   }
-  return out;
-}
-
-template <typename T>
-std::vector<T> decompress_impl(std::span<const quant::Code> codes,
-                               std::span<const T> anchors,
-                               const quant::OutlierSetT<T>& outliers,
-                               const dev::Dim3& dims, double eb,
-                               const InterpConfig& cfg, int radius) {
-  if (codes.size() != dims.volume())
-    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
-
-  const Geometry geo = geometry_for(dims);
-  // Anchor count and outlier indices come from the archive; both index into
-  // the work buffer, so they must be validated before any scatter.
-  if (anchors.size() != anchor_dims(dims, geo.anchor).volume())
-    throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
-  outliers.check_bounds(dims.volume(), "ginterp");
-  std::vector<T> work(dims.volume(), T{0});
-  scatter_anchors<T>(anchors, work, dims, geo.anchor);
-  outliers.scatter(work);
-
-  std::vector<T> out(dims.volume(), T{0});
-  run_tiles<false, T>(work, out, {}, codes, dims, eb, cfg, radius);
   return out;
 }
 
@@ -953,8 +898,8 @@ void GInterpReconstructorT<T>::run_slab(std::size_t k) {
         [&](std::size_t t) {
           const dev::BlockIdx blk{bx0 + 2 * (t % nx), by0 + 2 * (t / nx), bz,
                                   t};
-          run_one_tile<false, T>(blk, out_, out_, {}, codes_, dims_, cfg_,
-                                 geo_, level_qz_, f, po);
+          run_one_tile<false, T>(blk, out_, codes_, dims_, cfg_, geo_,
+                                 level_qz_, f, po);
         },
         1);
   }
@@ -1047,22 +992,6 @@ void ginterp_level_box_runs(const dev::Dim3& dims, int level,
 
 namespace {
 
-/// In-place decompression over the whole volume: scatter into `out`, then
-/// every slab. Same validation and same arithmetic as decompress_impl —
-/// outputs are bit-identical (tests/test_decode_equiv.cc) at any worker
-/// count.
-template <typename T>
-void decompress_into_impl(std::span<const quant::Code> codes,
-                          std::span<const T> anchors,
-                          const quant::OutlierViewT<T>& outliers,
-                          const dev::Dim3& dims, double eb,
-                          const InterpConfig& cfg, int radius,
-                          std::span<T> out) {
-  GInterpReconstructorT<T>(codes, anchors, outliers, dims, eb, cfg, radius,
-                           out)
-      .run();
-}
-
 template <typename T>
 std::vector<T> subsample_impl(std::span<const T> full, const dev::Dim3& dims,
                               int max_level) {
@@ -1113,18 +1042,34 @@ std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
   return out;
 }
 
+/// The vector form of compression: the fused kernel over a throwaway arena,
+/// with its codes, anchors and outliers copied out.
+template <typename T>
+GInterpOutputT<T> compress_copied(std::span<const T> data,
+                                  const dev::Dim3& dims, double eb,
+                                  const InterpConfig& cfg, int radius) {
+  dev::Arena local;
+  dev::Workspace ws(local);
+  const GInterpViewT<T> p =
+      compress_fused_levels_impl<T>(data, dims, eb, cfg, radius, ws).pred;
+  return {{p.codes.begin(), p.codes.end()},
+          {p.anchors.begin(), p.anchors.end()},
+          {{p.outliers.indices.begin(), p.outliers.indices.end()},
+           {p.outliers.values.begin(), p.outliers.values.end()}}};
+}
+
 }  // namespace
 
 GInterpOutputT<float> ginterp_compress(std::span<const float> data,
                                        const dev::Dim3& dims, double eb,
                                        const InterpConfig& cfg, int radius) {
-  return compress_impl<float>(data, dims, eb, cfg, radius);
+  return compress_copied<float>(data, dims, eb, cfg, radius);
 }
 
 GInterpOutputT<double> ginterp_compress(std::span<const double> data,
                                         const dev::Dim3& dims, double eb,
                                         const InterpConfig& cfg, int radius) {
-  return compress_impl<double>(data, dims, eb, cfg, radius);
+  return compress_copied<double>(data, dims, eb, cfg, radius);
 }
 
 void ginterp_decompress_into(std::span<const quant::Code> codes,
@@ -1134,8 +1079,9 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const InterpConfig& cfg, int radius,
                              std::span<float> out, dev::Workspace& ws) {
   (void)ws;
-  decompress_into_impl<float>(codes, anchors, outliers, dims, eb, cfg, radius,
-                              out);
+  GInterpReconstructorT<float>(codes, anchors, outliers, dims, eb, cfg, radius,
+                               out)
+      .run();
 }
 
 void ginterp_decompress_into(std::span<const quant::Code> codes,
@@ -1145,25 +1091,36 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const InterpConfig& cfg, int radius,
                              std::span<double> out, dev::Workspace& ws) {
   (void)ws;
-  decompress_into_impl<double>(codes, anchors, outliers, dims, eb, cfg, radius,
-                               out);
+  GInterpReconstructorT<double>(codes, anchors, outliers, dims, eb, cfg,
+                                radius, out)
+      .run();
 }
 
+// The output is sized by `codes`; the reconstructor checks both against
+// `dims` before it writes.
 std::vector<float> ginterp_decompress(std::span<const quant::Code> codes,
                                       std::span<const float> anchors,
                                       const quant::OutlierSetT<float>& outliers,
                                       const dev::Dim3& dims, double eb,
                                       const InterpConfig& cfg, int radius) {
-  return decompress_impl<float>(codes, anchors, outliers, dims, eb, cfg,
-                                radius);
+  std::vector<float> out(codes.size());
+  GInterpReconstructorT<float>(codes, anchors,
+                               {outliers.indices, outliers.values}, dims, eb,
+                               cfg, radius, out)
+      .run();
+  return out;
 }
 
 std::vector<double> ginterp_decompress(
     std::span<const quant::Code> codes, std::span<const double> anchors,
     const quant::OutlierSetT<double>& outliers, const dev::Dim3& dims,
     double eb, const InterpConfig& cfg, int radius) {
-  return decompress_impl<double>(codes, anchors, outliers, dims, eb, cfg,
-                                 radius);
+  std::vector<double> out(codes.size());
+  GInterpReconstructorT<double>(codes, anchors,
+                                {outliers.indices, outliers.values}, dims, eb,
+                                cfg, radius, out)
+      .run();
+  return out;
 }
 
 int ginterp_level_count(const dev::Dim3& dims) {

@@ -53,8 +53,9 @@ struct GInterpViewT {
   quant::OutlierViewT<T> outliers;
 };
 
-/// Predicts+quantizes `data`. `cfg` normally comes from autotune();
-/// it must be persisted for decompression.
+/// Predicts+quantizes `data`: ginterp_compress_fused_levels' `pred`, copied
+/// out of a throwaway arena. `cfg` normally comes from autotune(); it must
+/// be persisted for decompression.
 [[nodiscard]] GInterpOutputT<float> ginterp_compress(
     std::span<const float> data, const dev::Dim3& dims, double eb,
     const InterpConfig& cfg, int radius = quant::kDefaultRadius);
@@ -153,8 +154,7 @@ void ginterp_scatter_levels(
 /// each worker walks a contiguous range of tiles and re-buckets every owned
 /// row's codes into per-level streams (rank-addressed, so worker
 /// partitioning is unobservable) with one exact per-level histogram each,
-/// while the codes are cache-hot. `pred` is byte-identical to
-/// ginterp_compress(), and `pred.codes` holds the full prefilled code
+/// while the codes are cache-hot. `pred.codes` holds the full prefilled code
 /// array; streams/histograms are byte-identical to splitting it level by
 /// level in ascending linear order (the test oracle ginterp_split_levels in
 /// tests/reference_pipeline.hh).
@@ -199,7 +199,8 @@ struct GInterpLevelsT {
     double eb, const InterpConfig& cfg, int radius, int max_level,
     dev::Workspace& ws);
 
-/// Reconstructs the field from codes + anchors + outliers.
+/// Reconstructs the field from codes + anchors + outliers: the vector form
+/// of ginterp_decompress_into (same validation, same bytes).
 [[nodiscard]] std::vector<float> ginterp_decompress(
     std::span<const quant::Code> codes, std::span<const float> anchors,
     const quant::OutlierSetT<float>& outliers, const dev::Dim3& dims,
@@ -209,12 +210,11 @@ struct GInterpLevelsT {
     const quant::OutlierSetT<double>& outliers, const dev::Dim3& dims,
     double eb, const InterpConfig& cfg, int radius = quant::kDefaultRadius);
 
-/// In-place reconstruction: outliers arrive as borrowed views, anchors and
-/// outlier originals are scattered straight into the caller-provided `out`
-/// span (size dims.volume()), and the interpolation tiles read and write
-/// that same buffer — no staging copy of the field exists. Performs the
-/// same archive validation as ginterp_decompress and produces bit-identical
-/// output for every archive that validation admits; see GInterpReconstructorT
+/// In-place reconstruction, one GInterpReconstructorT run over the whole
+/// field: outliers arrive as borrowed views, anchors and outlier originals
+/// are scattered straight into the caller-provided `out` span (size
+/// dims.volume()), and the interpolation tiles read and write that same
+/// buffer — no staging copy of the field exists. See GInterpReconstructorT
 /// for the in-place safety argument and the one caveat about `out`'s prior
 /// contents on undetectably-corrupt archives. `ws` is unused (kept for
 /// call-site stability: every decode path threads one workspace through).

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/bytes.hh"
-#include "device/compaction.hh"
 #include "device/launch.hh"
 
 namespace szi::quant {
@@ -16,53 +15,39 @@ void OutlierSetT<T>::scatter(std::span<T> out) const {
       [&](std::size_t i) { out[indices[i]] = values[i]; }, 1 << 12);
 }
 
+namespace {
+
+template <typename T>
+OutlierSetT<T> copied(const OutlierViewT<T>& v) {
+  return {{v.indices.begin(), v.indices.end()},
+          {v.values.begin(), v.values.end()}};
+}
+
+}  // namespace
+
 template <typename T>
 OutlierSetT<T> OutlierSetT<T>::gather(std::span<const Code> codes,
                                       std::span<const T> originals) {
-  OutlierSetT set;
-  // Two-phase: count to size the arrays, then order-preserving scatter.
-  const std::size_t total = dev::compact_indices(
-      codes.size(), [&](std::size_t i) { return codes[i] == kOutlierMarker; },
-      [](std::size_t, std::size_t) {});
-  set.indices.resize(total);
-  set.values.resize(total);
-  dev::compact_indices(
-      codes.size(), [&](std::size_t i) { return codes[i] == kOutlierMarker; },
-      [&](std::size_t i, std::size_t slot) {
-        set.indices[slot] = i;
-        set.values[slot] = originals[i];
-      });
-  return set;
+  dev::Arena local;
+  dev::Workspace ws(local);
+  return copied(gather_outliers(codes, originals, ws));
 }
 
 template <typename T>
 std::vector<std::byte> OutlierSetT<T>::serialize() const {
-  const std::uint64_t n = indices.size();
-  std::vector<std::byte> out(sizeof(n) + n * (sizeof(std::uint64_t) + sizeof(T)));
-  std::byte* p = out.data();
-  std::memcpy(p, &n, sizeof(n));
-  p += sizeof(n);
-  if (n > 0) {
-    std::memcpy(p, indices.data(), n * sizeof(std::uint64_t));
-    p += n * sizeof(std::uint64_t);
-    std::memcpy(p, values.data(), n * sizeof(T));
-  }
+  std::vector<std::byte> out(outlier_blob_bytes<T>(count()));
+  write_outlier_blob<T>({indices, values}, out);
   return out;
 }
 
 template <typename T>
 OutlierSetT<T> OutlierSetT<T>::deserialize(std::span<const std::byte> bytes,
                                            std::size_t* consumed) {
-  // The count is attacker-controlled: read_array computes n * elem_size with
-  // overflow checks, so a huge n is rejected before any resize/memcpy.
-  core::ByteReader rd(bytes, "outlier-set");
-  const auto n = rd.read<std::uint64_t>();
-  if (n > rd.remaining()) rd.fail("count exceeds remaining bytes");
-  OutlierSetT set;
-  set.indices = rd.read_array<std::uint64_t>(static_cast<std::size_t>(n));
-  set.values = rd.read_array<T>(static_cast<std::size_t>(n));
-  if (consumed) *consumed = rd.offset();
-  return set;
+  dev::Arena local;
+  dev::Workspace ws(local);
+  const auto v = parse_outlier_blob<T>(bytes, ws);
+  if (consumed) *consumed = outlier_blob_bytes<T>(v.count());
+  return copied(v);
 }
 
 template <typename T>
@@ -132,5 +117,47 @@ template OutlierViewT<float> gather_outliers<float>(std::span<const Code>,
 template OutlierViewT<double> gather_outliers<double>(std::span<const Code>,
                                                       std::span<const double>,
                                                       dev::Workspace&);
+
+template <typename T>
+void write_outlier_blob(const OutlierViewT<T>& ol, std::span<std::byte> dst) {
+  const std::uint64_t n = ol.count();
+  if (ol.values.size() != n || dst.size() != outlier_blob_bytes<T>(n))
+    throw std::invalid_argument("write_outlier_blob: size mismatch");
+  std::byte* p = dst.data();
+  std::memcpy(p, &n, sizeof(n));
+  p += sizeof(n);
+  if (n > 0) {
+    std::memcpy(p, ol.indices.data(), n * sizeof(std::uint64_t));
+    p += n * sizeof(std::uint64_t);
+    std::memcpy(p, ol.values.data(), n * sizeof(T));
+  }
+}
+
+template <typename T>
+OutlierViewT<T> parse_outlier_blob(std::span<const std::byte> bytes,
+                                   dev::Workspace& ws) {
+  // The count is attacker-controlled: it must fit the bytes left, and each
+  // array size is overflow-checked and capped before anything is allocated.
+  core::ByteReader rd(bytes, "outlier-set");
+  const auto n64 = rd.read<std::uint64_t>();
+  if (n64 > rd.remaining()) rd.fail("count exceeds remaining bytes");
+  const auto n = static_cast<std::size_t>(n64);
+  const std::size_t ibytes = rd.checked_array_bytes(n, sizeof(std::uint64_t));
+  auto idx = ws.make<std::uint64_t>(n);
+  if (n > 0) std::memcpy(idx.data(), rd.read_bytes(ibytes).data(), ibytes);
+  const std::size_t vbytes = rd.checked_array_bytes(n, sizeof(T));
+  auto vals = ws.make<T>(n);
+  if (n > 0) std::memcpy(vals.data(), rd.read_bytes(vbytes).data(), vbytes);
+  return {idx, vals};
+}
+
+template void write_outlier_blob<float>(const OutlierViewT<float>&,
+                                        std::span<std::byte>);
+template void write_outlier_blob<double>(const OutlierViewT<double>&,
+                                         std::span<std::byte>);
+template OutlierViewT<float> parse_outlier_blob<float>(
+    std::span<const std::byte>, dev::Workspace&);
+template OutlierViewT<double> parse_outlier_blob<double>(
+    std::span<const std::byte>, dev::Workspace&);
 
 }  // namespace szi::quant

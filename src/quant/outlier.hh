@@ -33,15 +33,16 @@ struct OutlierSetT {
   /// Writes each stored original into out[index].
   void scatter(std::span<T> out) const;
 
-  /// Order-preserving parallel gather of every marker-coded position.
-  /// `originals[i]` supplies the value for position i.
+  /// gather_outliers, copied into vectors: the order-preserving parallel
+  /// gather of every marker-coded position. `originals[i]` supplies the
+  /// value for position i.
   static OutlierSetT gather(std::span<const Code> codes,
                             std::span<const T> originals);
 
-  /// Flat serialization: count | indices | values.
+  /// The outlier blob (write_outlier_blob) in a fresh vector.
   [[nodiscard]] std::vector<std::byte> serialize() const;
-  /// Bounds-checked parse; throws core::CorruptArchive on truncation or an
-  /// overflowing count.
+  /// parse_outlier_blob, copied into vectors; `consumed`, when non-null,
+  /// receives the blob's length.
   static OutlierSetT deserialize(std::span<const std::byte> bytes,
                                  std::size_t* consumed);
 
@@ -67,19 +68,35 @@ struct OutlierViewT {
   }
 };
 
-/// Workspace form of OutlierSetT::gather — one counting pass and one emit
-/// pass (the vector form pays the counting pass twice), with the per-chunk
-/// counts and both output arrays drawn from the pool. Order-preserving and
+/// Stream compaction of every marker-coded position: one counting pass
+/// and one emit pass over 32,768-code chunks, with the per-chunk counts and
+/// both output arrays drawn from the pool. Order-preserving and
 /// deterministic: chunk bases come from a serial scan in chunk order.
 template <typename T>
 [[nodiscard]] OutlierViewT<T> gather_outliers(std::span<const Code> codes,
                                               std::span<const T> originals,
                                               dev::Workspace& ws);
 
-extern template OutlierViewT<float> gather_outliers<float>(
-    std::span<const Code>, std::span<const float>, dev::Workspace&);
-extern template OutlierViewT<double> gather_outliers<double>(
-    std::span<const Code>, std::span<const double>, dev::Workspace&);
+// ---- The outlier blob: u64 n | n u64 indices | n values -------------------
+// The one encoding of an outlier set, in every archive that stores one.
+
+/// Blob length for `n` outliers of type T.
+template <typename T>
+[[nodiscard]] constexpr std::size_t outlier_blob_bytes(std::size_t n) {
+  return sizeof(std::uint64_t) + n * (sizeof(std::uint64_t) + sizeof(T));
+}
+
+/// Writes `ol`'s blob into `dst`, which must span exactly
+/// outlier_blob_bytes<T>(ol.count()) bytes (std::invalid_argument otherwise).
+template <typename T>
+void write_outlier_blob(const OutlierViewT<T>& ol, std::span<std::byte> dst);
+
+/// Parses the blob at the start of `bytes` into `ws` arrays. Throws
+/// core::CorruptArchive (stage "outlier-set") on truncation or on a count
+/// that exceeds the bytes left or overflows the array sizes.
+template <typename T>
+[[nodiscard]] OutlierViewT<T> parse_outlier_blob(
+    std::span<const std::byte> bytes, dev::Workspace& ws);
 
 /// The f32 store used by the float pipelines.
 using OutlierSet = OutlierSetT<float>;

@@ -12,6 +12,7 @@
 #include "device/launch.hh"
 #include "huffman/codebook.hh"
 #include "lossless/bitio.hh"
+#include "reference.hh"
 
 namespace szi {
 
@@ -33,8 +34,8 @@ std::vector<std::byte> compress_reference(std::span<const T> data,
   const detail::Tuned tuned = detail::autotune_checked(data, dims, p, ws);
   constexpr int kRadius = quant::kDefaultRadius;
   const std::size_t nbins = 2 * static_cast<std::size_t>(kRadius);
-  const auto enc =
-      predictor::ginterp_compress(data, dims, tuned.eb, tuned.cfg, kRadius);
+  const auto enc = predictor::reference::ginterp_compress(data, dims, tuned.eb,
+                                                         tuned.cfg, kRadius);
   t.predict = stage.lap();
 
   const auto levels =

@@ -1,7 +1,8 @@
 // Test-only reference pipelines and oracles for the compress and decode
 // paths. No shipped path runs any of them:
-//   - the unfused cuSZ-i compress, in the cuSZ stage structure (predict,
-//     then split the finished code array into level streams, then encode),
+//   - the unfused cuSZ-i compress, in the cuSZ stage structure (predict
+//     with the naive kernel of reference.hh, then split the finished code
+//     array into level streams, then encode),
 //     and the unified-codebook ablation. Both write through the shipped
 //     SZI2 writer (core/cuszi_writer.hh), so their archives decode through
 //     the normal entry points;

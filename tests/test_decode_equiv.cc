@@ -2,9 +2,10 @@
 // buffered BitReader + multi-symbol Huffman pack LUT (huffman::decode_chunks)
 // and the in-place slab reconstruction (ginterp_decompress_into /
 // GInterpReconstructorT) — must be bit-identical to the retained references:
-// the single-symbol-per-probe chunk decoder (decode_chunks_reference) and the
-// staged ginterp_decompress that reconstructs through a separate scatter
-// buffer. Mirrors tests/test_fused_equiv.cc for the compress side.
+// the single-symbol-per-probe chunk decoder (decode_chunks_reference) and
+// reference::ginterp_decompress (tests/reference.hh), the naive staged tile
+// walk that reconstructs through a separate scatter buffer. Mirrors
+// tests/test_fused_equiv.cc for the compress side.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "huffman/huffman.hh"
 #include "lossless/lzss.hh"
 #include "predictor/ginterp.hh"
+#include "reference.hh"
 #include "reference_pipeline.hh"
 
 namespace {
@@ -53,7 +55,7 @@ void expect_inplace_matches_staged(std::span<const T> data, const Dim3& dims,
                                    double eb) {
   const InterpConfig cfg;
   const auto enc = szi::predictor::ginterp_compress(data, dims, eb, cfg);
-  const auto staged = szi::predictor::ginterp_decompress(
+  const auto staged = szi::predictor::reference::ginterp_decompress(
       enc.codes, std::span<const T>(enc.anchors), enc.outliers, dims, eb, cfg);
 
   std::vector<T> inplace(dims.volume(), static_cast<T>(-7.25e11));

@@ -1,5 +1,5 @@
 // Device substrate tests: pool scheduling, exception propagation, scan /
-// reduce / compaction correctness, index arithmetic.
+// reduce correctness, index arithmetic.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "device/compaction.hh"
 #include "device/dims.hh"
 #include "device/launch.hh"
 #include "device/reduce.hh"
@@ -177,28 +176,6 @@ TEST(Reduce, SumAndMinMax) {
   std::vector<double> dv(v.begin(), v.end());
   const auto s = reduce<double>(dv, 0.0, [](double a, double b) { return a + b; });
   EXPECT_DOUBLE_EQ(s, std::accumulate(v.begin(), v.end(), 0.0));
-}
-
-TEST(Compaction, OrderPreserving) {
-  const std::size_t n = 100000;
-  std::vector<std::size_t> picked;
-  std::vector<std::size_t> out(n);
-  const auto total = compact_indices(
-      n, [](std::size_t i) { return i % 7 == 0; },
-      [&](std::size_t i, std::size_t slot) { out[slot] = i; }, 1024);
-  EXPECT_EQ(total, (n + 6) / 7);
-  for (std::size_t k = 0; k + 1 < total; ++k) EXPECT_LT(out[k], out[k + 1]);
-  for (std::size_t k = 0; k < total; ++k) EXPECT_EQ(out[k] % 7, 0u);
-}
-
-TEST(Compaction, UnorderedCountsMatch) {
-  const std::size_t n = 50000;
-  std::vector<char> seen(n, 0);
-  const auto total = compact_indices_unordered(
-      n, [](std::size_t i) { return i % 3 == 1; },
-      [&](std::size_t i, std::size_t) { seen[i] = 1; });
-  EXPECT_EQ(total, n / 3 + (n % 3 >= 2 ? 1 : 0));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i] == 1, i % 3 == 1);
 }
 
 TEST(Launch, BlocksCoverGrid) {

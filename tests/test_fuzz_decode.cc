@@ -618,9 +618,9 @@ TEST(FuzzDecode, TruncationSweepTransformedFrames) {
 }
 
 // Mutants confined to the trailing TIDX segment (tile-index header + entry
-// table): the ROI decoder re-derives every index field from closed forms of
-// (dims, per-level chunk tables) and cross-checks all of them before
-// steering any read, so every corruption must surface as CorruptArchive
+// table): the ROI decoder rebuilds the whole index from closed forms of
+// (dims, per-level chunk tables) and compares it byte for byte before it
+// fetches any chunk, so every corruption must surface as CorruptArchive
 // from the index validators — never any other exception. The full decoder
 // never reads the index payload, so the same mutants must keep decoding
 // bit-identically there.

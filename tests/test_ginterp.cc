@@ -1,15 +1,18 @@
 // G-Interp predictor round-trip and invariant tests (§V).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "core/bytes.hh"
 #include "datagen/rng.hh"
 #include "device/arena.hh"
 #include "device/thread_pool.hh"
@@ -18,7 +21,9 @@
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
 #include "predictor/interp_config.hh"
+#include "quant/outlier.hh"
 #include "quant/quantizer.hh"
+#include "reference.hh"
 #include "reference_pipeline.hh"
 
 namespace {
@@ -360,8 +365,8 @@ TEST(GInterpLevels, FusedLevelsMatchesSplit) {
   const auto fused = szi::predictor::ginterp_compress_fused_levels(
       std::span<const float>(data), dims, eb, prof.config, radius, ws);
 
-  const auto ref = ginterp_compress(std::span<const float>(data), dims, eb,
-                                    prof.config, radius);
+  const auto ref = szi::predictor::reference::ginterp_compress(
+      std::span<const float>(data), dims, eb, prof.config, radius);
   ASSERT_EQ(fused.pred.codes.size(), ref.codes.size());
   EXPECT_EQ(0, std::memcmp(fused.pred.codes.data(), ref.codes.data(),
                            ref.codes.size() * sizeof(szi::quant::Code)));
@@ -535,6 +540,128 @@ void quantizer_matches_lround() {
 TEST(Quantizer, MatchesLroundReference) {
   quantizer_matches_lround<float>();
   quantizer_matches_lround<double>();
+}
+
+/// Marker codes in four of gather_outliers' 32,768-code chunks — on both
+/// sides of each chunk boundary, at the first and last position, and
+/// scattered at random — must come back in ascending index order with
+/// their originals, exactly as a serial scan finds them, from the
+/// workspace gather and from its vector form alike.
+template <typename T>
+void expect_gather_matches_serial_scan() {
+  SCOPED_TRACE(::testing::Message() << "f" << 8 * sizeof(T));
+  constexpr std::size_t kChunk = std::size_t{1} << 15;
+  const std::size_t n = 3 * kChunk + 1234;
+  std::vector<szi::quant::Code> codes(
+      n, static_cast<szi::quant::Code>(szi::quant::kDefaultRadius));
+  std::vector<T> originals(n);
+  for (std::size_t i = 0; i < n; ++i)
+    originals[i] = static_cast<T>(0.5 * static_cast<double>(i) - 7.0);
+  for (const std::size_t i :
+       {std::size_t{0}, kChunk - 1, kChunk, 2 * kChunk - 1, 2 * kChunk,
+        3 * kChunk - 1, 3 * kChunk, n - 1})
+    codes[i] = szi::quant::kOutlierMarker;
+  std::mt19937_64 rng(23);
+  std::uniform_int_distribution<std::size_t> pos(0, n - 1);
+  for (int k = 0; k < 300; ++k) codes[pos(rng)] = szi::quant::kOutlierMarker;
+
+  std::vector<std::uint64_t> want_idx;
+  std::vector<T> want_val;
+  for (std::size_t i = 0; i < n; ++i)
+    if (codes[i] == szi::quant::kOutlierMarker) {
+      want_idx.push_back(i);
+      want_val.push_back(originals[i]);
+    }
+
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const auto got = szi::quant::gather_outliers<T>(codes, originals, ws);
+  ASSERT_EQ(got.count(), want_idx.size());
+  for (std::size_t k = 1; k < got.count(); ++k)
+    EXPECT_LT(got.indices[k - 1], got.indices[k]) << "slot " << k;
+  EXPECT_TRUE(std::equal(got.indices.begin(), got.indices.end(),
+                         want_idx.begin()));
+  EXPECT_TRUE(std::equal(got.values.begin(), got.values.end(),
+                         want_val.begin()));
+
+  const auto set = szi::quant::OutlierSetT<T>::gather(codes, originals);
+  EXPECT_EQ(set.indices, want_idx);
+  EXPECT_EQ(set.values, want_val);
+}
+
+TEST(Outliers, GatherMatchesSerialScanAcrossChunks) {
+  expect_gather_matches_serial_scan<float>();
+  expect_gather_matches_serial_scan<double>();
+}
+
+// The outlier blob codec: u64 n | n u64 indices | n values, written into an
+// exactly sized span and parsed back from the start of a longer one.
+template <typename T>
+void expect_outlier_blob_codec() {
+  using szi::core::CorruptArchive;
+  namespace q = szi::quant;
+  const std::vector<std::uint64_t> idx = {3, 70'000, std::uint64_t{1} << 40};
+  const std::vector<T> val = {T(-1.5), std::numeric_limits<T>::max(),
+                              std::numeric_limits<T>::denorm_min()};
+  const q::OutlierViewT<T> ol{idx, val};
+  const std::size_t n = idx.size();
+  ASSERT_EQ(q::outlier_blob_bytes<T>(n),
+            sizeof(std::uint64_t) + n * (sizeof(std::uint64_t) + sizeof(T)));
+
+  std::vector<std::byte> blob(q::outlier_blob_bytes<T>(n) + 5, std::byte{0x7f});
+  const std::span<std::byte> exact(blob.data(), q::outlier_blob_bytes<T>(n));
+  q::write_outlier_blob(ol, exact);
+  std::uint64_t stored_n = 0;
+  std::memcpy(&stored_n, blob.data(), sizeof(stored_n));
+  EXPECT_EQ(stored_n, n);
+  EXPECT_EQ(std::memcmp(blob.data() + 8, idx.data(), n * 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data() + 8 + n * 8, val.data(), n * sizeof(T)), 0);
+  EXPECT_EQ(blob.back(), std::byte{0x7f}) << "wrote past the blob";
+
+  const auto serialized = q::OutlierSetT<T>{idx, val}.serialize();
+  EXPECT_TRUE(std::equal(exact.begin(), exact.end(), serialized.begin(),
+                         serialized.end()));
+
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const auto back = q::parse_outlier_blob<T>(blob, ws);
+  EXPECT_TRUE(std::equal(back.indices.begin(), back.indices.end(),
+                         idx.begin(), idx.end()));
+  EXPECT_TRUE(std::equal(back.values.begin(), back.values.end(), val.begin(),
+                         val.end()));
+  std::size_t consumed = 0;
+  EXPECT_EQ(q::OutlierSetT<T>::deserialize(blob, &consumed).indices, idx);
+  EXPECT_EQ(consumed, exact.size());
+
+  // The writer takes only an exactly sized span and matched arrays.
+  EXPECT_THROW(q::write_outlier_blob(ol, exact.first(exact.size() - 1)),
+               std::invalid_argument);
+  EXPECT_THROW(q::write_outlier_blob(ol, std::span<std::byte>(blob)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      q::write_outlier_blob(q::OutlierViewT<T>{idx, std::span(val).first(2)},
+                            exact),
+      std::invalid_argument);
+
+  // Every truncation is a CorruptArchive at stage "outlier-set".
+  for (std::size_t len = 0; len < exact.size(); ++len) {
+    try {
+      (void)q::parse_outlier_blob<T>(std::span(blob).first(len), ws);
+      ADD_FAILURE() << "prefix of " << len << " bytes parsed";
+    } catch (const CorruptArchive& e) {
+      EXPECT_EQ(e.stage(), "outlier-set") << "prefix of " << len << " bytes";
+    }
+  }
+
+  std::vector<std::byte> empty(q::outlier_blob_bytes<T>(0));
+  q::write_outlier_blob(q::OutlierViewT<T>{}, empty);
+  EXPECT_EQ(empty.size(), sizeof(std::uint64_t));
+  EXPECT_EQ(q::parse_outlier_blob<T>(empty, ws).count(), 0u);
+}
+
+TEST(Outliers, BlobCodecRoundTripsAndRejectsBadSizes) {
+  expect_outlier_blob_codec<float>();
+  expect_outlier_blob_codec<double>();
 }
 
 }  // namespace

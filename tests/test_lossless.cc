@@ -20,7 +20,7 @@ using szi::lossless::lzss_decompress;
 
 std::vector<std::byte> bytes_of(const std::vector<std::uint8_t>& v) {
   std::vector<std::byte> out(v.size());
-  std::memcpy(out.data(), v.data(), v.size());
+  if (!v.empty()) std::memcpy(out.data(), v.data(), v.size());
   return out;
 }
 

@@ -127,7 +127,7 @@ TEST(ParallelDeterminism, ArchivesAndReconsMatchAcrossWorkerCounts) {
   EXPECT_EQ(fused_wrapped, wrapped)
       << "fused wrapped archive diverges at SZI_THREADS=" << threads_env;
 
-  // The index-steered ROI decode reconstructs its slabs across the pool
+  // The ROI decode reconstructs its slabs across the pool
   // like the full decode, but over a clipped working set with ranged
   // segment reads — a scheduling leak there would produce a box that
   // differs from the cropped full reconstruction only at some worker

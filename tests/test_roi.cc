@@ -1,9 +1,9 @@
 // Random-access (ROI) decode: every box must be bit-identical to the same
 // crop of the full decompress — raw and 'BBC2'-wrapped, f32 and f64 — while
-// the tile-index-steered read fetches only a fraction of the archive. The
-// retired layouts (SZI1, 'BBCP', pre-index SZI2) are rejected by every
-// decode entry point, and every ArchiveSource backend (memory, mmap, pread)
-// returns the same bytes.
+// the box read, planned from closed forms and the chunk offset tables,
+// fetches only a fraction of the archive. The retired layouts (SZI1,
+// 'BBCP', pre-index SZI2) are rejected by every decode entry point, and
+// every ArchiveSource backend (memory, mmap, pread) returns the same bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -80,7 +80,7 @@ std::vector<std::byte> strip_tidx(std::span<const std::byte> bytes) {
 /// full-x/y box of 8 planes (2 slabs: with more workers than that, its
 /// slabs run in turn instead of in one pool launch), the whole field —
 /// decodes bit-identical to the cropped full decompress, raw and wrapped,
-/// with the tile index steering both.
+/// with the tile index checked on both.
 TEST(Roi, MatchesCroppedFullDecode) {
   const auto fields =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
@@ -136,8 +136,8 @@ TEST(Roi, SmallBoxReadsSmallFractionOfArchive) {
   EXPECT_LT(rw.bytes_read, wrapped.size());
 }
 
-/// f64 archives steer through the identical index, on both sides of the
-/// slab branch: a full-x/y box of 8 planes (slabs run in turn when workers
+/// f64 archives take the same box reads and index check, on both sides of
+/// the slab branch: a full-x/y box of 8 planes (slabs run in turn when workers
 /// outnumber them) and a box through every slab (one pool launch).
 TEST(Roi, F64MatchesCroppedFullDecode) {
   const Dim3 dims{96, 80, 64};
