@@ -14,6 +14,7 @@
 #include "metrics/stats.hh"
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 

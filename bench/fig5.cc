@@ -12,6 +12,7 @@
 #include "predictor/autotune.hh"
 #include "predictor/ginterp.hh"
 #include "predictor/lorenzo.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 

@@ -491,16 +491,19 @@ std::size_t level_rank(const dev::Dim3& dims, const InterpDims& id, int v,
 /// (stride, dimension) pass, write back the owned region on decompression)
 /// for tile `blk` of frame `f`'s lattice. Its two callers are the fused
 /// compress path, which iterates tiles inside its own worker loop so it can
-/// prefill and histogram the owned codes while they are cache-hot, and the
+/// re-bucket the tile's codes while they are cache-hot, and the
 /// reconstructor, which decodes `field` in place. Tile clamps use the
-/// lattice extents; loads, write-backs and code lookups address the frame's
-/// buffer window, which must contain the tile's closed region. tile_pass
-/// consumes dims only through its linear strides, so handing it the window
-/// with a window-local `gorigin` walks the same arithmetic over re-based
-/// indices (the AVX2 vector/scalar split may land elsewhere, which is
-/// immaterial: the scalar tail computes the exact same expressions). A
-/// lattice of scale S runs the global strides top_stride .. S as local
-/// strides s / S, each with its global level's quantizer.
+/// lattice extents; loads and write-backs address the frame's buffer
+/// window, which must contain the tile's closed region. tile_pass consumes
+/// dims only through its linear strides, so handing it other extents and
+/// origin walks the same arithmetic over re-based indices (the AVX2
+/// vector/scalar split may land elsewhere, which is immaterial: the scalar
+/// tail computes the exact same expressions). Decoding reads codes from the
+/// frame window at the tile's offset; compression writes them into
+/// `codes` as the tile's own array, owned extents row-major from 0 (only
+/// owned positions are emitted). A lattice of scale S runs the global
+/// strides top_stride .. S as local strides s / S, each with its global
+/// level's quantizer.
 template <bool kCompress, typename T>
 void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
                   TileCodes<kCompress> codes, const dev::Dim3& dims,
@@ -541,7 +544,10 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
   // Level-by-level, dimension-by-dimension interpolation, down to the
   // lattice's own level: a pass at stride s reads and writes only stride-s
   // grid positions, so the finer levels never feed the ones that ran.
-  const std::size_t gorigin = dev::linearize(f.buf, bo[0], bo[1], bo[2]);
+  const dev::Dim3 cdims =
+      kCompress ? dev::Dim3{t.owned[0], t.owned[1], t.owned[2]} : f.buf;
+  const std::size_t corigin =
+      kCompress ? 0 : dev::linearize(f.buf, bo[0], bo[1], bo[2]);
   for (std::size_t s = geo.top_stride; s >= f.scale; s >>= 1) {
     std::array<bool, 3> done{false, false, false};
     const quant::Quantizer& qz =
@@ -550,8 +556,8 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
       const int d = cfg.dim_order[k];
       if (dim_of(dims, d) == 1) continue;
       tile_pass<kCompress>(t, d, s / f.scale, done, qz,
-                           cfg.cubic[static_cast<std::size_t>(d)], f.buf,
-                           codes, gorigin);
+                           cfg.cubic[static_cast<std::size_t>(d)], cdims,
+                           codes, corigin);
       done[static_cast<std::size_t>(d)] = true;
     }
   }
@@ -575,24 +581,19 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
 /// worker count (sized exactly like the standalone histogram kernel, so the
 /// fused pass never spawns more accumulation workers than counting the codes
 /// afterwards would). Each worker, per tile:
-///   1. prefills the tile's owned region with the "perfectly predicted"
-///      code — replacing a standalone full-array prefill launch; safe
-///      because compression never *reads* codes and every global position is
-///      owned by exactly one tile, so the union of owned regions covers the
-///      array exactly once;
-///   2. runs the unchanged tile passes (run_one_tile), which overwrite the
-///      owned+targeted positions with real codes;
-///   3. re-buckets each owned row into the per-level streams while its codes
+///   1. runs the tile passes (run_one_tile), which write a code for every
+///      owned non-anchor position into the worker's tile-local array. Only
+///      those positions are read back, so no tile prefills the array;
+///   2. re-buckets each owned row into the per-level streams while its codes
 ///      are still cache-hot. Every level-v position's slot is its
 ///      closed-form rank, so workers write disjoint stream ranges and the
 ///      streams come out in ascending linear order — byte-identical to a
 ///      serial left-to-right split no matter how tiles were partitioned.
-///      Per-level histograms are counted in the same walk (plain per-worker
-///      partials, folded in fixed order);
-///   4. collects the owned region's outliers — (global index, original
-///      value) pairs wherever the final code is the outlier marker — into a
-///      private list, replacing quant::gather_outliers' two standalone
-///      full-array passes over the codes.
+///      The same walk counts the per-level histograms (plain per-worker
+///      partials, folded in fixed order) and collects the outliers —
+///      (global index, original value) pairs wherever the code is the
+///      outlier marker — into a private list. Anchors never carry a code,
+///      so no other position can hold the marker.
 /// Codes are bit-identical to the naive whole-field tile walk that
 /// tests/reference.cc keeps as the oracle (same writes, same values).
 /// The merged outlier lists are sorted by global index before being exposed;
@@ -613,8 +614,6 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
   auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
   gather_anchors_into<T>(data, dims, geo.anchor, anchors);
 
-  auto codes = ws.make<quant::Code>(data.size());
-  const auto perfect = static_cast<quant::Code>(radius);
   const std::size_t nbins = 2 * static_cast<std::size_t>(radius);
 
   const InterpDims id = interp_dims_of(dims);
@@ -645,6 +644,10 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
         std::uint32_t* hists = parts.data() + w * nlv * nbins;
         std::fill_n(hists, nlv * nbins, 0u);
         auto& outl = worker_outliers[w];
+        // One tile's codes, owned extents row-major (kMaxTileVolume bounds
+        // the closed extents). Value-initialized once per worker, not per
+        // tile: the walk below reads only positions the tile just wrote.
+        std::array<quant::Code, kMaxTileVolume> tcodes{};
         const std::size_t tb = w * tiles_per;
         const std::size_t te = std::min(tb + tiles_per, ntiles);
         for (std::size_t ti = tb; ti < te; ++ti) {
@@ -657,19 +660,15 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
             origin[i] = o;
             owned[i] = std::min(dim_of(geo.tile, i), dim_of(dims, i) - o);
           }
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t row = dev::linearize(
-                  dims, origin[0], origin[1] + y, origin[2] + z);
-              std::fill_n(codes.data() + row, owned[0], perfect);
-            }
-          run_one_tile<true, T>(blk, data, codes, dims, cfg, geo, level_qz,
+          run_one_tile<true, T>(blk, data, tcodes, dims, cfg, geo, level_qz,
                                 frame);
           for (std::size_t z = 0; z < owned[2]; ++z)
             for (std::size_t y = 0; y < owned[1]; ++y) {
               const std::size_t gy = origin[1] + y, gz = origin[2] + z;
               const std::size_t row =
                   dev::linearize(dims, origin[0], gy, gz);
+              const quant::Code* lrow =
+                  tcodes.data() + (z * owned[1] + y) * owned[0];
               for (std::size_t v = 0; v < nlv; ++v) {
                 const std::size_t s = std::size_t{1} << v;
                 const RowPattern p =
@@ -687,14 +686,13 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                 std::uint32_t* h = hists + v * nbins;
                 quant::Code* dst = streams[v].data();
                 for (; x < x0 + owned[0]; x += p.step) {
-                  const quant::Code code = codes[row + (x - x0)];
+                  const quant::Code code = lrow[x - x0];
                   dst[rank++] = code;
                   ++h[code];
+                  if (code == quant::kOutlierMarker)
+                    outl.push_back({row + (x - x0), data[row + (x - x0)]});
                 }
               }
-              for (std::size_t x = 0; x < owned[0]; ++x)
-                if (codes[row + x] == quant::kOutlierMarker)
-                  outl.push_back({row + x, data[row + x]});
             }
         }
       },
@@ -718,7 +716,6 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
   }
 
   GInterpLevelsT<T> out;
-  out.pred.codes = codes;
   out.pred.anchors = anchors;
   out.pred.outliers = {oindices, ovalues};
   out.levels.streams.assign(streams.begin(), streams.end());
@@ -1042,35 +1039,7 @@ std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
   return out;
 }
 
-/// The vector form of compression: the fused kernel over a throwaway arena,
-/// with its codes, anchors and outliers copied out.
-template <typename T>
-GInterpOutputT<T> compress_copied(std::span<const T> data,
-                                  const dev::Dim3& dims, double eb,
-                                  const InterpConfig& cfg, int radius) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  const GInterpViewT<T> p =
-      compress_fused_levels_impl<T>(data, dims, eb, cfg, radius, ws).pred;
-  return {{p.codes.begin(), p.codes.end()},
-          {p.anchors.begin(), p.anchors.end()},
-          {{p.outliers.indices.begin(), p.outliers.indices.end()},
-           {p.outliers.values.begin(), p.outliers.values.end()}}};
-}
-
 }  // namespace
-
-GInterpOutputT<float> ginterp_compress(std::span<const float> data,
-                                       const dev::Dim3& dims, double eb,
-                                       const InterpConfig& cfg, int radius) {
-  return compress_copied<float>(data, dims, eb, cfg, radius);
-}
-
-GInterpOutputT<double> ginterp_compress(std::span<const double> data,
-                                        const dev::Dim3& dims, double eb,
-                                        const InterpConfig& cfg, int radius) {
-  return compress_copied<double>(data, dims, eb, cfg, radius);
-}
 
 void ginterp_decompress_into(std::span<const quant::Code> codes,
                              std::span<const float> anchors,
@@ -1094,33 +1063,6 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
   GInterpReconstructorT<double>(codes, anchors, outliers, dims, eb, cfg,
                                 radius, out)
       .run();
-}
-
-// The output is sized by `codes`; the reconstructor checks both against
-// `dims` before it writes.
-std::vector<float> ginterp_decompress(std::span<const quant::Code> codes,
-                                      std::span<const float> anchors,
-                                      const quant::OutlierSetT<float>& outliers,
-                                      const dev::Dim3& dims, double eb,
-                                      const InterpConfig& cfg, int radius) {
-  std::vector<float> out(codes.size());
-  GInterpReconstructorT<float>(codes, anchors,
-                               {outliers.indices, outliers.values}, dims, eb,
-                               cfg, radius, out)
-      .run();
-  return out;
-}
-
-std::vector<double> ginterp_decompress(
-    std::span<const quant::Code> codes, std::span<const double> anchors,
-    const quant::OutlierSetT<double>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius) {
-  std::vector<double> out(codes.size());
-  GInterpReconstructorT<double>(codes, anchors,
-                                {outliers.indices, outliers.values}, dims, eb,
-                                cfg, radius, out)
-      .run();
-  return out;
 }
 
 int ginterp_level_count(const dev::Dim3& dims) {

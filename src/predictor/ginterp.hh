@@ -32,36 +32,15 @@
 
 namespace szi::predictor {
 
-/// Everything the prediction stage produces; the pipeline encodes `codes`
-/// with Huffman and stores anchors/outliers raw (§V-A, §VI-A).
-template <typename T>
-struct GInterpOutputT {
-  std::vector<quant::Code> codes;  ///< biased quant-codes, one per element
-  std::vector<T> anchors;          ///< lossless anchor grid
-  quant::OutlierSetT<T> outliers;  ///< |q| >= radius escapes
-};
-
-using GInterpOutput = GInterpOutputT<float>;
-
-/// The prediction stage's output in workspace memory: spans stay valid
-/// until the owning Workspace resets, and every buffer is drawn from the
-/// arena pool instead of freshly allocated.
+/// What the prediction stage stores raw beside the level streams (§V-A,
+/// §VI-A), in workspace memory: spans stay valid until the owning
+/// Workspace resets, and every buffer is drawn from the arena pool instead
+/// of freshly allocated.
 template <typename T>
 struct GInterpViewT {
-  std::span<const quant::Code> codes;
-  std::span<const T> anchors;
-  quant::OutlierViewT<T> outliers;
+  std::span<const T> anchors;       ///< lossless anchor grid
+  quant::OutlierViewT<T> outliers;  ///< |q| >= radius escapes
 };
-
-/// Predicts+quantizes `data`: ginterp_compress_fused_levels' `pred`, copied
-/// out of a throwaway arena. `cfg` normally comes from autotune(); it must
-/// be persisted for decompression.
-[[nodiscard]] GInterpOutputT<float> ginterp_compress(
-    std::span<const float> data, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius = quant::kDefaultRadius);
-[[nodiscard]] GInterpOutputT<double> ginterp_compress(
-    std::span<const double> data, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius = quant::kDefaultRadius);
 
 // ---- Level classification (the SZI2 segmented archive) -------------------
 //
@@ -89,10 +68,9 @@ struct GInterpViewT {
 [[nodiscard]] dev::Dim3 ginterp_preview_dims(const dev::Dim3& dims,
                                              int max_level);
 
-/// Per-level re-bucketing of a full code array: streams[ℓ-1] holds the
+/// A field's quant-codes, one stream per level: streams[ℓ-1] holds the
 /// level-ℓ codes in ascending linear order (ws-owned), histograms[ℓ-1]
-/// counts them over the quantizer's bins. Anchor positions are not emitted
-/// — their codes are always the "perfectly predicted" prefill.
+/// counts them over the quantizer's bins. Anchors carry no code.
 struct GInterpLevelSplit {
   std::vector<std::span<const quant::Code>> streams;
   std::vector<std::vector<std::uint32_t>> histograms;
@@ -151,13 +129,13 @@ void ginterp_scatter_levels(
     std::span<quant::Code> codes);
 
 /// Fused predict+quantize with per-level emission (the compress front end):
-/// each worker walks a contiguous range of tiles and re-buckets every owned
-/// row's codes into per-level streams (rank-addressed, so worker
-/// partitioning is unobservable) with one exact per-level histogram each,
-/// while the codes are cache-hot. `pred.codes` holds the full prefilled code
-/// array; streams/histograms are byte-identical to splitting it level by
-/// level in ascending linear order (the test oracle ginterp_split_levels in
-/// tests/reference_pipeline.hh).
+/// each worker walks a contiguous range of tiles, writes a tile's codes
+/// into a tile-local array and re-buckets them from there into per-level
+/// streams (rank-addressed, so worker partitioning is unobservable) with
+/// one exact per-level histogram each. The streams are the only code
+/// output, byte-identical to splitting the naive kernel's whole-field code
+/// array level by level (the test oracles in tests/reference*.hh). `cfg`
+/// normally comes from autotune(); it must be persisted for decompression.
 template <typename T>
 struct GInterpLevelsT {
   GInterpViewT<T> pred;
@@ -198,17 +176,6 @@ struct GInterpLevelsT {
     const quant::OutlierViewT<double>& outliers, const dev::Dim3& dims,
     double eb, const InterpConfig& cfg, int radius, int max_level,
     dev::Workspace& ws);
-
-/// Reconstructs the field from codes + anchors + outliers: the vector form
-/// of ginterp_decompress_into (same validation, same bytes).
-[[nodiscard]] std::vector<float> ginterp_decompress(
-    std::span<const quant::Code> codes, std::span<const float> anchors,
-    const quant::OutlierSetT<float>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius = quant::kDefaultRadius);
-[[nodiscard]] std::vector<double> ginterp_decompress(
-    std::span<const quant::Code> codes, std::span<const double> anchors,
-    const quant::OutlierSetT<double>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius = quant::kDefaultRadius);
 
 /// In-place reconstruction, one GInterpReconstructorT run over the whole
 /// field: outliers arrive as borrowed views, anchors and outlier originals

@@ -21,9 +21,6 @@ struct OutlierSetT {
   std::vector<T> values;
 
   [[nodiscard]] std::size_t count() const { return indices.size(); }
-  [[nodiscard]] std::size_t byte_size() const {
-    return indices.size() * (sizeof(std::uint64_t) + sizeof(T));
-  }
 
   void add(std::uint64_t index, T value) {
     indices.push_back(index);
@@ -63,9 +60,6 @@ struct OutlierViewT {
   std::span<const T> values;
 
   [[nodiscard]] std::size_t count() const { return indices.size(); }
-  [[nodiscard]] std::size_t byte_size() const {
-    return indices.size() * (sizeof(std::uint64_t) + sizeof(T));
-  }
 };
 
 /// Stream compaction of every marker-coded position: one counting pass

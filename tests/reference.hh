@@ -17,6 +17,21 @@
 #include "predictor/ginterp.hh"
 #include "predictor/lorenzo.hh"
 
+namespace szi::predictor {
+
+/// Everything the prediction stage produces, in owned vectors and with the
+/// codes as one full array (anchor positions hold the perfectly predicted
+/// code, `radius`): what the naive kernel below and the vector
+/// ginterp_compress of reference_pipeline.hh return.
+template <typename T>
+struct GInterpOutputT {
+  std::vector<quant::Code> codes;  ///< biased quant-codes, one per element
+  std::vector<T> anchors;          ///< lossless anchor grid
+  quant::OutlierSetT<T> outliers;  ///< |q| >= radius escapes
+};
+
+}  // namespace szi::predictor
+
 namespace szi::predictor::reference {
 
 [[nodiscard]] GInterpOutputT<float> ginterp_compress(

@@ -54,7 +54,6 @@ std::vector<std::byte> compress_reference(std::span<const T> data,
   t.codebook = stage.lap();
 
   predictor::GInterpViewT<T> pred;
-  pred.codes = enc.codes;
   pred.anchors = enc.anchors;
   pred.outliers.indices = enc.outliers.indices;
   pred.outliers.values = enc.outliers.values;
@@ -98,6 +97,73 @@ std::vector<std::byte> cuszi_compress_unified_book(
 }  // namespace szi
 
 namespace szi::predictor {
+
+namespace {
+
+template <typename T>
+GInterpOutputT<T> compress_full(std::span<const T> data,
+                                const dev::Dim3& dims, double eb,
+                                const InterpConfig& cfg, int radius) {
+  dev::Arena local;
+  dev::Workspace ws(local);
+  const auto fl =
+      ginterp_compress_fused_levels(data, dims, eb, cfg, radius, ws);
+  GInterpOutputT<T> out;
+  out.codes.resize(dims.volume());
+  ginterp_scatter_levels(dims, fl.levels.streams,
+                         static_cast<quant::Code>(radius), out.codes);
+  const auto& p = fl.pred;
+  out.anchors.assign(p.anchors.begin(), p.anchors.end());
+  out.outliers = {{p.outliers.indices.begin(), p.outliers.indices.end()},
+                  {p.outliers.values.begin(), p.outliers.values.end()}};
+  return out;
+}
+
+// The output is sized by `codes`; the reconstructor checks both against
+// `dims` before it writes.
+template <typename T>
+std::vector<T> decompress_full(std::span<const quant::Code> codes,
+                               std::span<const T> anchors,
+                               const quant::OutlierSetT<T>& outliers,
+                               const dev::Dim3& dims, double eb,
+                               const InterpConfig& cfg, int radius) {
+  std::vector<T> out(codes.size());
+  GInterpReconstructorT<T>(codes, anchors, {outliers.indices, outliers.values},
+                           dims, eb, cfg, radius, out)
+      .run();
+  return out;
+}
+
+}  // namespace
+
+GInterpOutputT<float> ginterp_compress(std::span<const float> data,
+                                       const dev::Dim3& dims, double eb,
+                                       const InterpConfig& cfg, int radius) {
+  return compress_full<float>(data, dims, eb, cfg, radius);
+}
+
+GInterpOutputT<double> ginterp_compress(std::span<const double> data,
+                                        const dev::Dim3& dims, double eb,
+                                        const InterpConfig& cfg, int radius) {
+  return compress_full<double>(data, dims, eb, cfg, radius);
+}
+
+std::vector<float> ginterp_decompress(std::span<const quant::Code> codes,
+                                      std::span<const float> anchors,
+                                      const quant::OutlierSetT<float>& outliers,
+                                      const dev::Dim3& dims, double eb,
+                                      const InterpConfig& cfg, int radius) {
+  return decompress_full<float>(codes, anchors, outliers, dims, eb, cfg,
+                                radius);
+}
+
+std::vector<double> ginterp_decompress(
+    std::span<const quant::Code> codes, std::span<const double> anchors,
+    const quant::OutlierSetT<double>& outliers, const dev::Dim3& dims,
+    double eb, const InterpConfig& cfg, int radius) {
+  return decompress_full<double>(codes, anchors, outliers, dims, eb, cfg,
+                                 radius);
+}
 
 GInterpLevelSplit ginterp_split_levels(std::span<const quant::Code> codes,
                                        const dev::Dim3& dims,

@@ -8,6 +8,9 @@
 //     the normal entry points;
 //   - the level split and its whole-field inverse scatter, which the fused
 //     predict kernel and the decoder's scatter are checked against;
+//   - the vector forms of the shipped G-Interp kernels, which take and
+//     return a full code array (tests and benches drive the predictor
+//     through them);
 //   - the one-symbol-per-probe Huffman chunk decoder, which the pack-table
 //     decoder is checked against, and cuSZ's generic histogram, which the
 //     top-k histogram is checked and ablated against.
@@ -24,10 +27,11 @@
 #include "huffman/histogram.hh"
 #include "huffman/huffman.hh"
 #include "predictor/ginterp.hh"
+#include "reference.hh"
 
 namespace szi {
 
-/// Reference (unfused) pipeline: autotune, the vector ginterp_compress,
+/// Reference (unfused) pipeline: autotune, reference::ginterp_compress,
 /// ginterp_split_levels (with its histograms), per-level codebooks and the
 /// shipped writer. Archive bytes are identical to cuszi_compress()
 /// (tests/test_fused_equiv.cc asserts this). `timings` reports predict,
@@ -53,6 +57,29 @@ namespace szi {
 }  // namespace szi
 
 namespace szi::predictor {
+
+/// Predicts+quantizes `data` with the shipped fused kernel
+/// (ginterp_compress_fused_levels over a throwaway arena) and rebuilds the
+/// full code array from its level streams (ginterp_scatter_levels below,
+/// anchors filled with `radius`).
+[[nodiscard]] GInterpOutputT<float> ginterp_compress(
+    std::span<const float> data, const dev::Dim3& dims, double eb,
+    const InterpConfig& cfg, int radius = quant::kDefaultRadius);
+[[nodiscard]] GInterpOutputT<double> ginterp_compress(
+    std::span<const double> data, const dev::Dim3& dims, double eb,
+    const InterpConfig& cfg, int radius = quant::kDefaultRadius);
+
+/// Reconstructs the field from a full code array + anchors + outliers: one
+/// GInterpReconstructorT run into a fresh vector (the vector form of
+/// ginterp_decompress_into: same validation, same bytes).
+[[nodiscard]] std::vector<float> ginterp_decompress(
+    std::span<const quant::Code> codes, std::span<const float> anchors,
+    const quant::OutlierSetT<float>& outliers, const dev::Dim3& dims,
+    double eb, const InterpConfig& cfg, int radius = quant::kDefaultRadius);
+[[nodiscard]] std::vector<double> ginterp_decompress(
+    std::span<const quant::Code> codes, std::span<const double> anchors,
+    const quant::OutlierSetT<double>& outliers, const dev::Dim3& dims,
+    double eb, const InterpConfig& cfg, int radius = quant::kDefaultRadius);
 
 /// Per-level re-bucketing of a full code array: streams[ℓ-1] holds the
 /// level-ℓ codes in ascending linear order (ws-owned), histograms[ℓ-1]

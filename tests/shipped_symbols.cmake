@@ -1,11 +1,15 @@
 # Fails when a shipped library defines a symbol that belongs to a test or
-# bench target: the reference pipelines and serial oracles live in
-# szi_reference (tests/reference_pipeline.cc), and the retired CLI load
-# probe lives nowhere. Run by ctest as
+# bench target: the reference pipelines, serial oracles and vector G-Interp
+# forms live in szi_reference (tests/reference_pipeline.cc), and the
+# retired CLI load probe lives nowhere. Names match on word boundaries, so
+# ginterp_compress does not match ginterp_compress_fused_levels. Run by
+# ctest as
 #   cmake -DNM=<nm> -P shipped_symbols.cmake -- <library>...
 set(forbidden
   cuszi_compress_unfused
   cuszi_compress_unified_book
+  ginterp_compress
+  ginterp_decompress
   ginterp_split_levels
   decode_chunks_reference
   histogram

@@ -118,8 +118,9 @@ TEST(Cuszi, ConcurrentCallersMatchSequential) {
 }
 
 // The Compressor adapter pools its scratch in the global arena: after a
-// compress or decompress through it, the field-sized quant-code buffer sits
-// in Arena::instance()'s free lists with nothing left outstanding, and a
+// compress or decompress through it, a field's worth of quant codes (the
+// compress's level streams, the decoder's code buffer) sits in
+// Arena::instance()'s free lists with nothing left outstanding, and a
 // repeat call is served from them. Bytes and values equal the typed API's.
 TEST(Cuszi, InterfaceDrawsScratchFromGlobalArena) {
   auto& arena = szi::dev::Arena::instance();

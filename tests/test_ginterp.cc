@@ -195,19 +195,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The fused predict kernel indexes its private per-level histogram slots by
 // launch loop index. Running it from inside an outer parallel_for makes its
-// internal launch degrade to an inline walk (g_in_launch); the codes, the
-// per-level streams and the folded per-level histograms must still come out
-// identical to a top-level run.
+// internal launch degrade to an inline walk (g_in_launch); the per-level
+// streams (the kernel's only code output) and the folded per-level
+// histograms must still come out identical to a top-level run.
 TEST(GInterpFused, NestedLaunchMatchesTopLevel) {
   const Dim3 dims{96, 96, 48};
   const auto data = smooth_field(dims, 7);
   const double eb = 1e-3;
   const auto prof = autotune(data, dims, eb);
 
-  // Codes, per-level streams and histograms, copied out of workspace
-  // memory.
+  // Per-level streams and histograms, copied out of workspace memory.
   struct Levels {
-    std::vector<szi::quant::Code> codes;
     std::vector<std::vector<szi::quant::Code>> streams;
     std::vector<std::vector<std::uint32_t>> hists;
   };
@@ -216,7 +214,6 @@ TEST(GInterpFused, NestedLaunchMatchesTopLevel) {
         std::span<const float>(data), dims, eb, prof.config,
         szi::quant::kDefaultRadius, ws);
     Levels out;
-    out.codes.assign(fl.pred.codes.begin(), fl.pred.codes.end());
     for (const auto& st : fl.levels.streams)
       out.streams.emplace_back(st.begin(), st.end());
     out.hists = fl.levels.histograms;
@@ -239,7 +236,6 @@ TEST(GInterpFused, NestedLaunchMatchesTopLevel) {
       1);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].hists, ref.hists) << "outer launch index " << i;
-    EXPECT_EQ(got[i].codes, ref.codes) << "outer launch index " << i;
     EXPECT_EQ(got[i].streams, ref.streams) << "outer launch index " << i;
   }
 }
@@ -350,25 +346,36 @@ TEST(GInterpLevels, SplitScatterRoundTrip) {
   }
 }
 
-// The fused per-level emission must be byte-identical to splitting the full
-// code array after the fact — streams, histograms, and the prefilled full
-// array alike.
-TEST(GInterpLevels, FusedLevelsMatchesSplit) {
-  const Dim3 dims{96, 48, 48};
-  const auto data = smooth_field(dims, 11);
+// The fused per-level emission must be byte-identical to splitting the naive
+// kernel's full code array after the fact — streams, histograms, and the
+// full array the streams scatter back to alike. Each tile's codes pass
+// through a tile-local array shaped by the geometry's tile (32x8x8, 16x16x1,
+// 512x1x1) and clipped at the field's far edges, so the inputs cover all
+// three geometries, partial tiles on every axis, degenerate axes, a noisy
+// field full of outliers and one f64 field.
+template <typename T>
+void expect_fused_levels_match_split(const Dim3& dims,
+                                     const std::vector<float>& f32) {
+  SCOPED_TRACE(::testing::Message() << dims.x << "x" << dims.y << "x"
+                                    << dims.z << " f" << 8 * sizeof(T));
+  const std::vector<T> data(f32.begin(), f32.end());
   const double eb = 1e-3;
-  const auto prof = autotune(data, dims, eb);
+  const auto prof = autotune(f32, dims, eb);
   const int radius = szi::quant::kDefaultRadius;
 
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);
   const auto fused = szi::predictor::ginterp_compress_fused_levels(
-      std::span<const float>(data), dims, eb, prof.config, radius, ws);
+      std::span<const T>(data), dims, eb, prof.config, radius, ws);
 
   const auto ref = szi::predictor::reference::ginterp_compress(
-      std::span<const float>(data), dims, eb, prof.config, radius);
-  ASSERT_EQ(fused.pred.codes.size(), ref.codes.size());
-  EXPECT_EQ(0, std::memcmp(fused.pred.codes.data(), ref.codes.data(),
+      std::span<const T>(data), dims, eb, prof.config, radius);
+  std::vector<szi::quant::Code> scattered(dims.volume());
+  szi::predictor::ginterp_scatter_levels(
+      dims, fused.levels.streams, static_cast<szi::quant::Code>(radius),
+      scattered);
+  ASSERT_EQ(scattered.size(), ref.codes.size());
+  EXPECT_EQ(0, std::memcmp(scattered.data(), ref.codes.data(),
                            ref.codes.size() * sizeof(szi::quant::Code)));
 
   szi::dev::Arena arena2;
@@ -389,12 +396,26 @@ TEST(GInterpLevels, FusedLevelsMatchesSplit) {
   }
 }
 
+TEST(GInterpLevels, FusedLevelsMatchesSplit) {
+  for (const auto& dims :
+       {Dim3{96, 48, 48}, Dim3{40, 33, 29}, Dim3{33, 9, 9}, Dim3{7, 5, 3},
+        Dim3{300, 211, 1}, Dim3{257, 3, 1}, Dim3{70000, 1, 1},
+        Dim3{1, 1, 300}})
+    expect_fused_levels_match_split<float>(dims, smooth_field(dims, 11));
+  const Dim3 noisy{37, 21, 18};
+  expect_fused_levels_match_split<float>(noisy, noisy_field(noisy, 12));
+  const Dim3 wide{100, 90, 20};
+  expect_fused_levels_match_split<double>(wide, smooth_field(wide, 13));
+}
+
 // Partial reconstruction must agree with the subsample of the full decode at
 // every level — passes at stride s only ever touch stride-s positions, so
 // stopping early changes nothing on the coarse grid. The preview runs on its
 // own lattice, so the shapes cover every geometry a lattice-scale slip could
 // hide in: 3-D (odd, tiny, 1x1xN, degenerate x), 2-D (top stride 8, z = 1)
-// and 1-D (top stride 256), in f32 and one in f64.
+// and 1-D (top stride 256), in f32 and one in f64. The full decode comes
+// from the naive staged tile walk (reference::ginterp_decompress), so the
+// preview is checked against a second tile driver.
 template <typename T>
 void expect_preview_matches_subsample(const Dim3& dims) {
   SCOPED_TRACE(::testing::Message() << dims.x << "x" << dims.y << "x"
@@ -406,8 +427,8 @@ void expect_preview_matches_subsample(const Dim3& dims) {
   const int radius = szi::quant::kDefaultRadius;
   const auto enc = ginterp_compress(std::span<const T>(data), dims, eb,
                                     prof.config, radius);
-  const auto full = ginterp_decompress(enc.codes, enc.anchors, enc.outliers,
-                                       dims, eb, prof.config, radius);
+  const auto full = szi::predictor::reference::ginterp_decompress(
+      enc.codes, enc.anchors, enc.outliers, dims, eb, prof.config, radius);
 
   const szi::quant::OutlierViewT<T> oview{enc.outliers.indices,
                                           enc.outliers.values};

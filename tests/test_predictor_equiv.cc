@@ -15,6 +15,7 @@
 #include "predictor/ginterp.hh"
 #include "predictor/lorenzo.hh"
 #include "reference.hh"
+#include "reference_pipeline.hh"
 
 namespace {
 
