@@ -205,25 +205,28 @@ void BM_LorenzoPredict(benchmark::State& state) {
 BENCHMARK(BM_LorenzoPredict);
 
 void BM_GInterpReconstruct(benchmark::State& state) {
-  // Anchors/outliers scatter into the caller's buffer and the tile passes
-  // reconstruct in place (GInterpReconstructorT), into one output buffer
-  // reused across iterations.
+  // What the decoder runs after its Huffman phase: GInterpReconstructorT
+  // over the fused kernel's level streams, each tile gathering its codes by
+  // rank, anchors/outliers scattered into the caller's buffer and the tile
+  // passes reconstructing in place, into one output buffer reused across
+  // iterations.
   const auto& f = miranda_field();
   const double eb = 1e-3 * 2.0;
   const auto prof = szi::predictor::autotune(f.data, f.dims, eb);
-  const auto enc =
-      szi::predictor::ginterp_compress(f.data, f.dims, eb, prof.config);
-  szi::quant::OutlierViewT<float> ov;
-  ov.indices = enc.outliers.indices;
-  ov.values = enc.outliers.values;
-  std::vector<float> out(f.dims.volume());
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);
+  const auto enc = szi::predictor::ginterp_compress_fused_levels(
+      f.view(), f.dims, eb, prof.config, szi::quant::kDefaultRadius, ws);
+  const std::vector<std::size_t> first(enc.levels.streams.size(), 0);
+  std::vector<float> out(f.dims.volume());
   for (auto _ : state) {
-    szi::predictor::ginterp_decompress_into(
-        enc.codes, std::span<const float>(enc.anchors), ov, f.dims, eb,
-        prof.config, szi::quant::kDefaultRadius, std::span<float>(out), ws);
+    szi::predictor::GInterpReconstructorT<float>(
+        enc.levels.streams, first, enc.pred.anchors, enc.pred.outliers,
+        f.dims, eb, prof.config, szi::quant::kDefaultRadius,
+        std::span<float>(out))
+        .run();
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.bytes()));

@@ -58,8 +58,8 @@ struct CompressResult {
 /// its stages one after another, so each is a wall-clock slice of `total`.
 struct DecodeTimings {
   double unwrap = 0;       ///< de-redundancy (LZSS block) decode
-  double huffman = 0;      ///< fetch, entropy decode and level scatter
-  double reconstruct = 0;  ///< anchor/outlier scatter + interpolation tiles
+  double huffman = 0;      ///< fetch and entropy decode
+  double reconstruct = 0;  ///< anchor/outlier seed + tile code gather/passes
   double total = 0;        ///< wall clock for the whole decode
 };
 

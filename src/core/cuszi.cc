@@ -515,14 +515,15 @@ std::vector<SegmentEntry> parse_directory(core::ByteReader& rd,
 //                    request fetches one contiguous range; a box request
 //                    fetches the tile index first, then exactly the bytes
 //                    covering its halo'd box;
-//   3. huffman     — every covered (level, chunk) pair;
-//   4. scatter     — plane-parallel onto the request's lattice window;
-//   5. reconstruct — the covered slabs, straight into caller memory; a box
-//                    reconstructs its halo'd box in scratch and crops it.
+//   3. huffman     — every covered (level, chunk) pair into its level's
+//                    rank window;
+//   4. reconstruct — the covered slabs, each tile gathering its codes from
+//                    the windows by rank, straight into caller memory; a
+//                    box reconstructs its halo'd box in scratch and crops it.
 // The two request kinds differ only in the fetch, which fills the same
 // per-level input for the phases after it. Work and memory scale with the
-// request: a preview never touches a full-volume buffer, and a whole
-// request never reads the tile index.
+// request: the windows are the only codes held, a preview never touches a
+// full-volume buffer, and a whole request never reads the tile index.
 
 /// One decode: the level-`level` lattice of the whole field, or the box at
 /// level 1. `all_blocks` makes a wrapped decode unwrap every block of the
@@ -612,7 +613,7 @@ class Decoder {
   [[nodiscard]] const dev::Dim3& out_dims() const { return out_dims_; }
   [[nodiscard]] int level() const { return level_; }
 
-  /// Phases 2-5 into `out`, which is sized to out_dims() once the scratch
+  /// Phases 2-4 into `out`, which is sized to out_dims() once the scratch
   /// is drawn — so a field-size output lands above the workspace blocks,
   /// not below them, and a freed output merges back into free memory.
   void run(std::vector<T>& out);
@@ -845,32 +846,27 @@ void Decoder<T>::run(std::vector<T>& out) {
       },
       1);
 
-  // Scatter onto the request's lattice window: the whole level-L lattice,
-  // or a box's halo'd box at level 1.
-  const bool box = req_.box != nullptr;
-  const dev::Dim3 lo = box ? plan_.box_lo : dev::Dim3{0, 0, 0};
-  const dev::Dim3& win = box ? plan_.box_dims : out_dims_;
-  std::vector<std::span<const quant::Code>> streams;
-  std::vector<std::size_t> first;
-  for (const auto& in : levels_) {
-    streams.push_back(in.window);
-    first.push_back(in.first);
-  }
-  auto codes = ws_.make<quant::Code>(win.volume());
-  predictor::ginterp_scatter_levels(h.dims, level_, lo, win, streams, first,
-                                    static_cast<quant::Code>(h.radius), codes);
   t_.huffman = hufft.lap() - (inner_.unwrap_seconds() - unwrap0);
 
-  // Reconstruct: straight into `out` for a whole request; a box's halo'd
-  // box in scratch, then the box cropped from it.
+  // Reconstruct from the level windows, each tile gathering its codes by
+  // rank: straight into `out` for a whole request; a box's halo'd box in
+  // scratch, then the box cropped from it.
   core::Timer recont;
-  if (!box) {
+  std::vector<std::span<const quant::Code>> windows;
+  std::vector<std::size_t> first;
+  for (const auto& in : levels_) {
+    windows.push_back(in.window);
+    first.push_back(in.first);
+  }
+  if (req_.box == nullptr) {
     out.resize(out_dims_.volume());
-    predictor::GInterpReconstructorT<T>(codes, anchors_, outliers_, h.dims,
-                                        h.eb, h.cfg, h.radius,
+    predictor::GInterpReconstructorT<T>(windows, first, anchors_, outliers_,
+                                        h.dims, h.eb, h.cfg, h.radius,
                                         std::span<T>(out), level_)
         .run();
   } else {
+    const dev::Dim3& lo = plan_.box_lo;
+    const dev::Dim3& win = plan_.box_dims;
     auto boxout = ws_.make<T>(win.volume());
     dev::launch_linear(
         win.z,
@@ -878,8 +874,9 @@ void Decoder<T>::run(std::vector<T>& out) {
           std::fill_n(boxout.data() + z * win.x * win.y, win.x * win.y, T{});
         },
         1);
-    predictor::GInterpReconstructorT<T>(codes, anchors_, outliers_, plan_,
-                                        h.dims, h.eb, h.cfg, h.radius, boxout)
+    predictor::GInterpReconstructorT<T>(windows, first, anchors_, outliers_,
+                                        plan_, h.dims, h.eb, h.cfg, h.radius,
+                                        boxout)
         .run();
     const RoiBox& b = *req_.box;
     const dev::Dim3 o = {b.lo.x - lo.x, b.lo.y - lo.y, b.lo.z - lo.z};

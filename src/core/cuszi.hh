@@ -149,8 +149,8 @@ struct SegmentInfo {
 [[nodiscard]] std::vector<double> cuszi_decompress_f64(
     std::span<const std::byte> bytes, DecodeTimings* timings = nullptr);
 
-/// Workspace forms: every decode intermediate (quant codes, anchors,
-/// outlier arrays, scatter buffer) is drawn from `ws` instead of freshly
+/// Workspace forms: every decode intermediate (level code windows,
+/// anchors, outlier arrays) is drawn from `ws` instead of freshly
 /// allocated. Output is bit-identical to the plain overloads'.
 [[nodiscard]] std::vector<float> cuszi_decompress_f32(
     std::span<const std::byte> bytes, dev::Workspace& ws);

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -27,16 +28,21 @@ namespace {
 constexpr std::size_t kMaxTileVolume = 33 * 9 * 9;
 
 /// Tail padding behind the used tile region. The stride-2 AVX2 interp walk
-/// deinterleaves 16-float windows whose last float sits one element past
-/// the final stride-2 lane it actually uses; padding keeps that discarded
-/// over-read inside the array when the used region fills the buffer
-/// exactly. Never written or consumed.
+/// deinterleaves 16-element windows (values and codes alike) whose last
+/// element sits one past the final stride-2 lane it actually uses; padding
+/// keeps that discarded over-read inside the arrays when the used region
+/// fills them exactly. Never consumed.
 constexpr std::size_t kTilePad = 8;
 
+/// One tile's closed region: values and quant-codes at the same local
+/// offsets. The codes are value-initialized with the view, so the anchor
+/// slots and padding that stride-2 vector loads read as discarded lanes are
+/// never indeterminate.
 template <typename T>
 struct TileView {
   std::array<T, kMaxTileVolume + kTilePad> buf;
-  std::array<std::size_t, 3> origin;  ///< global coords of local (0,0,0)
+  std::array<quant::Code, kMaxTileVolume + kTilePad> codes{};
+  std::array<std::size_t, 3> origin;  ///< lattice coords of local (0,0,0)
   std::array<std::size_t, 3> extent;  ///< closed local extent per dim
   std::array<std::size_t, 3> lstride; ///< local linear strides per dim
   std::array<std::size_t, 3> owned;   ///< owned extent (<= tile size)
@@ -60,10 +66,10 @@ struct PlaneOverride {
 /// level-L reconstruction runs on the positions whose interpolated
 /// coordinates are multiples of scale = 2^(L-1), in lattice coordinates:
 /// extents ceil(dims / scale), tiles tile / scale (degenerate dims have
-/// extent and tile 1 and stay whole). The tile's field buffer and code
-/// array span the lattice window [lo, lo + buf): the whole lattice, or the
-/// closed box of an ROI. Compression and full decode use the whole field at
-/// scale 1.
+/// extent and tile 1 and stay whole). The field buffer a tile loads from
+/// and writes back to spans the lattice window [lo, lo + buf): the whole
+/// lattice, or the closed box of an ROI. Compression and full decode use
+/// the whole field at scale 1.
 struct Frame {
   dev::Dim3 grid;
   dev::Dim3 tile;
@@ -72,15 +78,12 @@ struct Frame {
   dev::Dim3 buf;
 };
 
-/// What a tile walk touches in each direction: compress reads the field and
-/// writes quant-codes; decode reads quant-codes and reconstructs the field
-/// in place (closed-region loads and owned write-backs hit one buffer).
+/// What a tile walk touches in each direction: compress reads the field;
+/// decode reconstructs it in place (closed-region loads and owned
+/// write-backs hit one buffer). The codes stay in the TileView.
 template <bool kCompress, typename T>
 using TileField =
     std::conditional_t<kCompress, std::span<const T>, std::span<T>>;
-template <bool kCompress>
-using TileCodes = std::conditional_t<kCompress, std::span<quant::Code>,
-                                     std::span<const quant::Code>>;
 
 Frame lattice_frame(const dev::Dim3& dims, const Geometry& geo,
                     std::size_t scale) {
@@ -178,15 +181,12 @@ template <bool kNak>
 /// Vector part of one interior-cubic decompress row: processes the longest
 /// prefix of the `n` targets it can in 8-lane steps and returns how many it
 /// handled (the caller finishes the tail with the scalar walk). `row` is
-/// the first target in the (private, padded) tile buffer, `cp` the first
-/// target's quant-code, `avail` the codes readable from `cp` on — the
-/// stride-2 code load reads a 16-code window, so the last vector is skipped
-/// when the window would cross the end of the (shared, unpadded) code
-/// array.
+/// the first target in the tile's (padded) value buffer, `cp` its
+/// quant-code in the tile's (padded alike) code array.
 template <bool kNak, int kStride>
 [[gnu::target("avx2")]] std::size_t cubic_row_avx2(
     float* row, std::ptrdiff_t o1, std::ptrdiff_t o3, const quant::Code* cp,
-    std::size_t avail, std::size_t n, double twice_eb_v, int radius_v) {
+    std::size_t n, double twice_eb_v, int radius_v) {
   const __m256d twice_eb = _mm256_set1_pd(twice_eb_v);
   const __m256i radius = _mm256_set1_epi32(radius_v);
   std::size_t k = 0;
@@ -203,7 +203,6 @@ template <bool kNak, int kStride>
       stored = _mm256_cvtepu16_epi32(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(cp + off)));
     } else {
-      if (off + 16 > avail) break;  // code window would overrun the array
       a = deinterleave_even(row + off - o3);
       b = deinterleave_even(row + off - o1);
       c = deinterleave_even(row + off + o1);
@@ -246,8 +245,8 @@ template <bool kNak, int kStride>
 ///   - ownership along d is `cd < owned[d]`; ownership along the plane dims
 ///     splits the inner loop into an emitting prefix and a (<= 1 iteration)
 ///     non-emitting border tail instead of a per-point test;
-///   - local and global indices advance by per-iteration constant strides,
-///     replacing the per-point multiplies.
+///   - a point's value and code share one local offset, which advances by
+///     a per-iteration constant stride instead of per-point multiplies.
 /// Iteration order across points of one pass is free: a pass writes only
 /// odd multiples of s along d and reads only even multiples, so no written
 /// value is ever an input to the same pass. Per-point arithmetic (spline
@@ -257,8 +256,7 @@ template <bool kNak, int kStride>
 template <bool kCompress, typename T>
 void tile_pass(TileView<T>& t, int d, std::size_t s,
                const std::array<bool, 3>& done, const quant::Quantizer& qz,
-               CubicKind kind, const dev::Dim3& dims,
-               TileCodes<kCompress> codes, std::size_t gorigin) {
+               CubicKind kind) {
   // Plane dims: u is the faster-varying one (x unless d == 0), v the other.
   const auto u = static_cast<std::size_t>(d == 0 ? 1 : 0);
   const auto v = static_cast<std::size_t>(d == 2 ? 1 : 2);
@@ -271,11 +269,9 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
   const std::size_t step_v = done[v] ? s : 2 * s;
   const std::size_t ext_d = t.extent[dd];
 
-  const std::size_t ls_u = t.lstride[u];
   const std::size_t ls_v = t.lstride[v];
   const std::size_t ls_d = t.lstride[dd];
-  const std::size_t gs_all[3] = {1, dims.x, dims.x * dims.y};
-  const std::size_t gs_u = gs_all[u], gs_v = gs_all[v], gs_d = gs_all[dd];
+  const std::size_t dp = step_u * t.lstride[u];
 
   // Neighbor offsets along d, as signed offsets from the target pointer.
   const auto o1 = static_cast<std::ptrdiff_t>(s * ls_d);
@@ -297,26 +293,25 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
     // the neighbors its availability case guarantees exist.
     auto walk = [&](auto pred) {
       for (std::size_t pv = 0; pv < t.extent[v]; pv += step_v) {
-        T* p = t.buf.data() + cd * ls_d + pv * ls_v;
-        std::size_t gidx = gorigin + cd * gs_d + pv * gs_v;
-        const std::size_t dp = step_u * ls_u;
-        const std::size_t dg = step_u * gs_u;
+        const std::size_t off = cd * ls_d + pv * ls_v;
+        T* p = t.buf.data() + off;
+        quant::Code* c = t.codes.data() + off;
         if constexpr (kCompress) {
           const std::size_t n_emit =
               owned_d && pv < t.owned[v] ? n_u_owned : 0;
           std::size_t k = 0;
-          for (; k < n_emit; ++k, p += dp, gidx += dg) {
+          for (; k < n_emit; ++k, p += dp, c += dp) {
             const auto r = qz.quantize(*p, pred(p));
             *p = r.recon;
-            codes[gidx] = r.stored;
+            *c = r.stored;
           }
           // Border tail: recon feeds later passes, but no code is owned.
           for (; k < n_u; ++k, p += dp) *p = qz.quantize(*p, pred(p)).recon;
         } else {
           // buf[idx] holds the scattered original when the code is the
           // outlier marker; dequantize() returns it unchanged then.
-          for (std::size_t k = 0; k < n_u; ++k, p += dp, gidx += dg)
-            *p = qz.dequantize(codes[gidx], pred(p), *p);
+          for (std::size_t k = 0; k < n_u; ++k, p += dp, c += dp)
+            *p = qz.dequantize(*c, pred(p), *p);
         }
       }
     };
@@ -329,37 +324,31 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
         // AVX2 walk when the host has it; the scalar tail below the vector
         // prefix runs the exact expressions the generic walk would.
         if constexpr (!kCompress && std::is_same_v<T, float>) {
-          const std::size_t dp = step_u * ls_u;
-          const std::size_t dg = step_u * gs_u;
-          if ((dp == 1 || dp == 2) && dg == dp && n_u >= 8 &&
-              dev::has_avx2()) {
+          if ((dp == 1 || dp == 2) && n_u >= 8 && dev::has_avx2()) {
             const bool nak = kind == CubicKind::NotAKnot;
             const double teb = 2.0 * qz.eb();
             const int rad = qz.radius();
             for (std::size_t pv = 0; pv < t.extent[v]; pv += step_v) {
-              float* p = t.buf.data() + cd * ls_d + pv * ls_v;
-              std::size_t gidx = gorigin + cd * gs_d + pv * gs_v;
-              const quant::Code* cp = codes.data() + gidx;
-              const std::size_t avail = codes.size() - gidx;
+              const std::size_t off = cd * ls_d + pv * ls_v;
+              float* p = t.buf.data() + off;
+              const quant::Code* c = t.codes.data() + off;
               std::size_t k;
               if (dp == 1)
-                k = nak ? cubic_row_avx2<true, 1>(p, o1, o3, cp, avail, n_u,
-                                                  teb, rad)
-                        : cubic_row_avx2<false, 1>(p, o1, o3, cp, avail, n_u,
-                                                   teb, rad);
+                k = nak ? cubic_row_avx2<true, 1>(p, o1, o3, c, n_u, teb, rad)
+                        : cubic_row_avx2<false, 1>(p, o1, o3, c, n_u, teb,
+                                                   rad);
               else
-                k = nak ? cubic_row_avx2<true, 2>(p, o1, o3, cp, avail, n_u,
-                                                  teb, rad)
-                        : cubic_row_avx2<false, 2>(p, o1, o3, cp, avail, n_u,
-                                                   teb, rad);
+                k = nak ? cubic_row_avx2<true, 2>(p, o1, o3, c, n_u, teb, rad)
+                        : cubic_row_avx2<false, 2>(p, o1, o3, c, n_u, teb,
+                                                   rad);
               p += k * dp;
-              gidx += k * dg;
-              for (; k < n_u; ++k, p += dp, gidx += dg) {
+              c += k * dp;
+              for (; k < n_u; ++k, p += dp, c += dp) {
                 const float pr = nak
                                      ? cubic_nak(p[-o3], p[-o1], p[o1], p[o3])
                                      : cubic_natural(p[-o3], p[-o1], p[o1],
                                                      p[o3]);
-                *p = qz.dequantize(codes[gidx], pr, *p);
+                *p = qz.dequantize(*c, pr, *p);
               }
             }
             continue;
@@ -420,9 +409,10 @@ InterpDims interp_dims_of(const dev::Dim3& dims) {
           interp_levels(geo)};
 }
 
-/// Multiples of m in [0, n).
+/// Multiples of m in [0, n); m is a power of two (every stride is), so the
+/// count is a shift.
 std::size_t nmul(std::size_t n, std::size_t m) {
-  return n == 0 ? 0 : (n - 1) / m + 1;
+  return (n + m - 1) >> std::countr_zero(m);
 }
 
 /// Count along one axis of the stride-m grid positions in [0, n);
@@ -460,57 +450,68 @@ RowPattern row_pattern(std::size_t y, std::size_t z, const InterpDims& id,
   return {s, 2 * s};
 }
 
-/// Rank of the first level-v position of row (y, z) at or after column x0:
-/// the closed-form count of level-v positions strictly before it in
-/// z-major linear order. Rows and planes contribute via the same grid
-/// differencing as level_box; divisibility of y/z by s and 2s gates the
-/// partial-plane and partial-row terms.
+/// Rank of the first level-v position of row (y, z): the closed-form count
+/// of level-v positions before the row in z-major linear order. Rows and
+/// planes contribute via the same grid differencing as level_box;
+/// divisibility of y/z by s and 2s gates the partial-plane and partial-row
+/// terms.
 std::size_t level_rank(const dev::Dim3& dims, const InterpDims& id, int v,
-                       std::size_t x0, std::size_t y, std::size_t z) {
+                       std::size_t y, std::size_t z) {
   const std::size_t s = std::size_t{1} << v;
   const auto on = [](std::size_t c, bool interp, std::size_t m) {
-    return !interp || c % m == 0;
+    return !interp || (c & (m - 1)) == 0;
   };
   std::size_t r = level_box(dims.x, dims.y, z, id, s);
   if (on(z, id.iz, s))
     r += axis_count(dims.x, id.ix, s) * axis_count(y, id.iy, s);
   if (on(z, id.iz, 2 * s))
     r -= axis_count(dims.x, id.ix, 2 * s) * axis_count(y, id.iy, 2 * s);
-  const RowPattern p = row_pattern(y, z, id, v, s);
-  if (p.step != 0) {
-    const std::size_t first =
-        x0 <= p.start
-            ? p.start
-            : p.start + dev::ceil_div(x0 - p.start, p.step) * p.step;
-    r += (first - p.start) / p.step;
-  }
   return r;
 }
 
-/// The complete per-tile interpolation body (load closed region, run every
-/// (stride, dimension) pass, write back the owned region on decompression)
-/// for tile `blk` of frame `f`'s lattice. Its two callers are the fused
-/// compress path, which iterates tiles inside its own worker loop so it can
-/// re-bucket the tile's codes while they are cache-hot, and the
-/// reconstructor, which decodes `field` in place. Tile clamps use the
-/// lattice extents; loads and write-backs address the frame's buffer
-/// window, which must contain the tile's closed region. tile_pass consumes
-/// dims only through its linear strides, so handing it other extents and
-/// origin walks the same arithmetic over re-based indices (the AVX2
-/// vector/scalar split may land elsewhere, which is immaterial: the scalar
-/// tail computes the exact same expressions). Decoding reads codes from the
-/// frame window at the tile's offset; compression writes them into
-/// `codes` as the tile's own array, owned extents row-major from 0 (only
-/// owned positions are emitted). A lattice of scale S runs the global
-/// strides top_stride .. S as local strides s / S, each with its global
-/// level's quantizer.
-template <bool kCompress, typename T>
-void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
-                  TileCodes<kCompress> codes, const dev::Dim3& dims,
-                  const InterpConfig& cfg, const Geometry& geo,
-                  std::span<const quant::Quantizer> level_qz, const Frame& f,
-                  PlaneOverride<T> po = {}) {
-  TileView<T> t;
+/// The rank walk both directions share: the positions of levels v >= v0
+/// (all on the scale-S lattice, S <= 2^v0) inside the lattice box
+/// [lo, lo + ext), as runs fn(v, rank, count, x, y, z, step) of `count`
+/// level-v positions at box-local (x + i*step, y, z) holding ranks
+/// [rank, rank + count). One level_rank per z-plane and level; each lattice
+/// row advances it by the row's closed-form count (the rows between
+/// lattice rows hold no position of these levels).
+template <typename Fn>
+void for_each_level_run(const dev::Dim3& dims, const InterpDims& id,
+                        std::size_t v0, std::size_t S, const dev::Dim3& lo,
+                        const dev::Dim3& ext, Fn&& fn) {
+  const std::size_t gx0 = lo.x * S;
+  const std::size_t gx1 = (lo.x + ext.x - 1) * S + 1;
+  const int shs = std::countr_zero(S);
+  for (std::size_t z = 0; z < ext.z; ++z) {
+    const std::size_t gz = (lo.z + z) * S;
+    for (std::size_t v = v0; v < static_cast<std::size_t>(id.nlevels); ++v) {
+      const std::size_t s = std::size_t{1} << v;
+      if (id.iz && (gz & (s - 1)) != 0) continue;  // no level-v row here
+      std::size_t rank =
+          level_rank(dims, id, static_cast<int>(v), lo.y * S, gz);
+      for (std::size_t y = 0; y < ext.y; ++y) {
+        const RowPattern p =
+            row_pattern((lo.y + y) * S, gz, id, static_cast<int>(v), s);
+        if (p.step == 0 || p.start >= dims.x) continue;
+        const int sh = std::countr_zero(p.step);
+        const std::size_t row_n = ((dims.x - 1 - p.start) >> sh) + 1;
+        const std::size_t skip =
+            gx0 <= p.start ? 0 : (gx0 - p.start + p.step - 1) >> sh;
+        const std::size_t x = p.start + (skip << sh);
+        if (x < gx1)
+          fn(v, rank + skip, std::min(row_n - skip, ((gx1 - 1 - x) >> sh) + 1),
+             (x >> shs) - lo.x, y, z, p.step >> shs);
+        rank += row_n;
+      }
+    }
+  }
+}
+
+/// Places `t` on tile `blk` of frame `f`'s lattice: origin, owned and
+/// closed extents (clamped to the lattice) and local strides.
+template <typename T>
+void place_tile(TileView<T>& t, const dev::BlockIdx& blk, const Frame& f) {
   t.origin = {blk.x * f.tile.x, blk.y * f.tile.y, blk.z * f.tile.z};
   for (int i = 0; i < 3; ++i) {
     const std::size_t nd = dim_of(f.grid, i);
@@ -519,6 +520,24 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
     t.extent[i] = std::min(td + 1, nd - t.origin[i]);
   }
   t.lstride = {1, t.extent[0], t.extent[0] * t.extent[1]};
+}
+
+/// The complete per-tile interpolation body (load closed region, run every
+/// (stride, dimension) pass, write back the owned region on decompression)
+/// for the tile `t` is placed on (place_tile) in frame `f`'s lattice. Its
+/// two callers are the fused compress path, which re-buckets `t.codes`
+/// into the level streams while they are cache-hot, and the reconstructor,
+/// which fills `t.codes` from the level windows beforehand and decodes
+/// `field` in place. Loads and write-backs address the frame's buffer
+/// window, which must contain the tile's closed region. A lattice of scale
+/// S runs the global strides top_stride .. S as local strides s / S, each
+/// with its global level's quantizer.
+template <bool kCompress, typename T>
+void run_one_tile(TileView<T>& t, TileField<kCompress, T> field,
+                  const dev::Dim3& dims, const InterpConfig& cfg,
+                  const Geometry& geo,
+                  std::span<const quant::Quantizer> level_qz, const Frame& f,
+                  PlaneOverride<T> po = {}) {
   const std::array<std::size_t, 3> bo = {
       t.origin[0] - f.lo.x, t.origin[1] - f.lo.y, t.origin[2] - f.lo.z};
 
@@ -544,10 +563,6 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
   // Level-by-level, dimension-by-dimension interpolation, down to the
   // lattice's own level: a pass at stride s reads and writes only stride-s
   // grid positions, so the finer levels never feed the ones that ran.
-  const dev::Dim3 cdims =
-      kCompress ? dev::Dim3{t.owned[0], t.owned[1], t.owned[2]} : f.buf;
-  const std::size_t corigin =
-      kCompress ? 0 : dev::linearize(f.buf, bo[0], bo[1], bo[2]);
   for (std::size_t s = geo.top_stride; s >= f.scale; s >>= 1) {
     std::array<bool, 3> done{false, false, false};
     const quant::Quantizer& qz =
@@ -556,8 +571,7 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
       const int d = cfg.dim_order[k];
       if (dim_of(dims, d) == 1) continue;
       tile_pass<kCompress>(t, d, s / f.scale, done, qz,
-                           cfg.cubic[static_cast<std::size_t>(d)], cdims,
-                           codes, corigin);
+                           cfg.cubic[static_cast<std::size_t>(d)]);
       done[static_cast<std::size_t>(d)] = true;
     }
   }
@@ -580,12 +594,13 @@ void run_one_tile(const dev::BlockIdx& blk, TileField<kCompress, T> field,
 /// Tiles are statically partitioned into contiguous ranges over a fixed
 /// worker count (sized exactly like the standalone histogram kernel, so the
 /// fused pass never spawns more accumulation workers than counting the codes
-/// afterwards would). Each worker, per tile:
+/// afterwards would). Each worker keeps one TileView and, per tile:
 ///   1. runs the tile passes (run_one_tile), which write a code for every
-///      owned non-anchor position into the worker's tile-local array. Only
-///      those positions are read back, so no tile prefills the array;
-///   2. re-buckets each owned row into the per-level streams while its codes
-///      are still cache-hot. Every level-v position's slot is its
+///      owned non-anchor position into the view's code array. Only those
+///      positions are read back, so no tile prefills the array;
+///   2. re-buckets the owned region into the per-level streams while its
+///      codes are still cache-hot, by the rank walk the decoder fills tiles
+///      with (for_each_level_run). Every level-v position's slot is its
 ///      closed-form rank, so workers write disjoint stream ranges and the
 ///      streams come out in ascending linear order — byte-identical to a
 ///      serial left-to-right split no matter how tiles were partitioned.
@@ -607,8 +622,11 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                                              const InterpConfig& cfg,
                                              int radius, dev::Workspace& ws) {
   if (data.size() != dims.volume())
-    throw std::invalid_argument("ginterp_compress: size/dims mismatch");
-  if (eb <= 0) throw std::invalid_argument("ginterp_compress: eb must be > 0");
+    throw std::invalid_argument(
+        "ginterp_compress_fused_levels: size/dims mismatch");
+  if (eb <= 0)
+    throw std::invalid_argument(
+        "ginterp_compress_fused_levels: eb must be > 0");
 
   const Geometry geo = geometry_for(dims);
   auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
@@ -644,56 +662,31 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
         std::uint32_t* hists = parts.data() + w * nlv * nbins;
         std::fill_n(hists, nlv * nbins, 0u);
         auto& outl = worker_outliers[w];
-        // One tile's codes, owned extents row-major (kMaxTileVolume bounds
-        // the closed extents). Value-initialized once per worker, not per
-        // tile: the walk below reads only positions the tile just wrote.
-        std::array<quant::Code, kMaxTileVolume> tcodes{};
+        TileView<T> t;
         const std::size_t tb = w * tiles_per;
         const std::size_t te = std::min(tb + tiles_per, ntiles);
         for (std::size_t ti = tb; ti < te; ++ti) {
           const dev::Coord3 c = dev::delinearize(grid, ti);
-          const dev::BlockIdx blk{c.x, c.y, c.z, ti};
-          std::size_t origin[3], owned[3];
-          for (int i = 0; i < 3; ++i) {
-            const std::size_t o =
-                (i == 0 ? blk.x : i == 1 ? blk.y : blk.z) * dim_of(geo.tile, i);
-            origin[i] = o;
-            owned[i] = std::min(dim_of(geo.tile, i), dim_of(dims, i) - o);
-          }
-          run_one_tile<true, T>(blk, data, tcodes, dims, cfg, geo, level_qz,
-                                frame);
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t gy = origin[1] + y, gz = origin[2] + z;
-              const std::size_t row =
-                  dev::linearize(dims, origin[0], gy, gz);
-              const quant::Code* lrow =
-                  tcodes.data() + (z * owned[1] + y) * owned[0];
-              for (std::size_t v = 0; v < nlv; ++v) {
-                const std::size_t s = std::size_t{1} << v;
-                const RowPattern p =
-                    row_pattern(gy, gz, id, static_cast<int>(v), s);
-                if (p.step == 0) continue;
-                const std::size_t x0 = origin[0];
-                std::size_t x =
-                    x0 <= p.start
-                        ? p.start
-                        : p.start +
-                              dev::ceil_div(x0 - p.start, p.step) * p.step;
-                if (x >= x0 + owned[0]) continue;
-                std::size_t rank = level_rank(dims, id, static_cast<int>(v),
-                                              x, gy, gz);
-                std::uint32_t* h = hists + v * nbins;
-                quant::Code* dst = streams[v].data();
-                for (; x < x0 + owned[0]; x += p.step) {
-                  const quant::Code code = lrow[x - x0];
-                  dst[rank++] = code;
-                  ++h[code];
+          place_tile(t, {c.x, c.y, c.z, ti}, frame);
+          run_one_tile<true, T>(t, data, dims, cfg, geo, level_qz, frame);
+          const dev::Dim3 o{t.origin[0], t.origin[1], t.origin[2]};
+          for_each_level_run(
+              dims, id, 0, 1, o, {t.owned[0], t.owned[1], t.owned[2]},
+              [&](std::size_t v, std::size_t rank, std::size_t n,
+                  std::size_t x, std::size_t y, std::size_t z,
+                  std::size_t step) {
+                const quant::Code* src =
+                    t.codes.data() + x + y * t.lstride[1] + z * t.lstride[2];
+                const std::size_t g =
+                    dev::linearize(dims, o.x + x, o.y + y, o.z + z);
+                for (std::size_t k = 0; k < n; ++k) {
+                  const quant::Code code = src[k * step];
+                  streams[v][rank + k] = code;
+                  ++hists[v * nbins + code];
                   if (code == quant::kOutlierMarker)
-                    outl.push_back({row + (x - x0), data[row + (x - x0)]});
+                    outl.push_back({g + k * step, data[g + k * step]});
                 }
-              }
-            }
+              });
         }
       },
       1);
@@ -731,27 +724,70 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
   return out;
 }
 
+/// Throws std::invalid_argument unless there is one window per level and
+/// each level >= v0 window covers every rank that level holds in the box
+/// [lo, lo + ext) of the scale-S lattice. Ranks ascend plane by plane, so a
+/// level's first run in the first plane holding one and its last run in the
+/// last such plane bound them; each scan stops once every level is bounded.
+void check_level_windows(const dev::Dim3& dims, std::size_t v0,
+                         std::size_t S, const dev::Dim3& lo,
+                         const dev::Dim3& ext,
+                         std::span<const std::span<const quant::Code>> windows,
+                         std::span<const std::size_t> first) {
+  const InterpDims id = interp_dims_of(dims);
+  const auto nlv = static_cast<std::size_t>(id.nlevels);
+  if (windows.size() != nlv || first.size() != nlv)
+    throw std::invalid_argument(
+        "GInterpReconstructorT: level window count mismatch");
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::vector<std::array<std::size_t, 2>> bound(nlv, {kNone, kNone});
+  for (std::size_t side = 0; side < 2; ++side)
+    for (std::size_t k = 0, open = nlv - std::min(v0, nlv);
+         k < ext.z && open > 0; ++k) {
+      std::vector<std::size_t> plane(nlv, kNone);
+      for_each_level_run(
+          dims, id, v0, S, {lo.x, lo.y, lo.z + (side ? ext.z - 1 - k : k)},
+          {ext.x, ext.y, 1},
+          [&](std::size_t v, std::size_t rank, std::size_t n, auto&&...) {
+            plane[v] = side ? rank + n : std::min(plane[v], rank);
+          });
+      for (std::size_t v = v0; v < nlv; ++v)
+        if (bound[v][side] == kNone && plane[v] != kNone) {
+          bound[v][side] = plane[v];
+          --open;
+        }
+    }
+  for (std::size_t v = v0; v < nlv; ++v)
+    if (bound[v][0] != kNone && (bound[v][0] < first[v] ||
+                                 bound[v][1] - first[v] > windows[v].size()))
+      throw std::invalid_argument(
+          "GInterpReconstructorT: level window misses a rank");
+}
+
 }  // namespace
 
 // In-place incremental reconstruction over a window of the level lattice.
 // The constructors set up the lattice and window; seed() performs all
-// archive validation and the scatter; run_slab then reconstructs one
+// validation and the anchor/outlier scatter; run_slab then reconstructs one
 // tile-grid z-slab directly in `out` (closed-region loads and owned
-// write-backs hit the same buffer). The safety/bit-identity argument lives
+// write-backs hit the same buffer), each tile first gathering its codes
+// from the level windows by rank. The safety/bit-identity argument lives
 // with the class declaration and in docs/PERF.md.
 template <typename T>
 GInterpReconstructorT<T>::GInterpReconstructorT(
-    std::span<const quant::Code> codes, std::span<const T> anchors,
+    std::span<const std::span<const quant::Code>> windows,
+    std::span<const std::size_t> first, std::span<const T> anchors,
     const quant::OutlierViewT<T>& outliers, const dev::Dim3& dims, double eb,
     const InterpConfig& cfg, int radius, std::span<T> out, int level)
-    : codes_(codes),
+    : windows_(windows),
+      first_(first),
       out_(out),
       dims_(dims),
       geo_(geometry_for(dims)),
       cfg_(cfg),
       level_qz_(make_level_quantizers(eb, cfg, geo_, radius)) {
   if (level < 1 || level > interp_levels(geo_) + 1)
-    throw std::invalid_argument("ginterp_decompress: level out of range");
+    throw std::invalid_argument("GInterpReconstructorT: level out of range");
   scale_ = stride_of_level(level);
   const Frame f = lattice_frame(dims, geo_, scale_);
   grid_ = f.grid;
@@ -760,18 +796,20 @@ GInterpReconstructorT<T>::GInterpReconstructorT(
   // On the anchor grid no pass runs: the seed is the reconstruction, and
   // no tile is covered.
   tile_hi_ = scale_ > geo_.top_stride ? tile_lo_ : dev::grid_for(grid_, tile_);
-  if (codes.size() != grid_.volume() || out.size() != grid_.volume())
-    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
+  if (out.size() != grid_.volume())
+    throw std::invalid_argument("GInterpReconstructorT: size/dims mismatch");
   seed(anchors, {0, 0, 0}, anchor_dims(dims, geo_.anchor), outliers);
 }
 
 template <typename T>
 GInterpReconstructorT<T>::GInterpReconstructorT(
-    std::span<const quant::Code> codes, std::span<const T> anchors,
+    std::span<const std::span<const quant::Code>> windows,
+    std::span<const std::size_t> first, std::span<const T> anchors,
     const quant::OutlierViewT<T>& outliers, const GInterpRoiPlan& plan,
     const dev::Dim3& dims, double eb, const InterpConfig& cfg, int radius,
     std::span<T> out)
-    : codes_(codes),
+    : windows_(windows),
+      first_(first),
       out_(out),
       dims_(dims),
       geo_(geometry_for(dims)),
@@ -783,7 +821,7 @@ GInterpReconstructorT<T>::GInterpReconstructorT(
       buf_(plan.box_dims),
       tile_lo_(plan.tile_lo),
       tile_hi_(plan.tile_hi) {
-  if (codes.size() != buf_.volume() || out.size() != buf_.volume())
+  if (out.size() != buf_.volume())
     throw std::invalid_argument("ginterp_roi: size/box mismatch");
   if (tile_lo_.x >= tile_hi_.x || tile_lo_.y >= tile_hi_.y ||
       tile_lo_.z >= tile_hi_.z)
@@ -800,6 +838,10 @@ void GInterpReconstructorT<T>::seed(std::span<const T> anchors,
                                     const dev::Dim3& anchor_lo,
                                     const dev::Dim3& anchor_n,
                                     const quant::OutlierViewT<T>& outliers) {
+  // The covered tiles' closed regions make up the buffer window; their
+  // codes come from the level windows, checked before anything is written.
+  check_level_windows(dims_, std::countr_zero(scale_), scale_, lo_, buf_,
+                      windows_, first_);
   // Anchor count and outlier indices come from the archive; both index into
   // the output buffer, so they must be validated before any scatter.
   if (anchors.size() != anchor_n.volume())
@@ -877,6 +919,8 @@ void GInterpReconstructorT<T>::run_slab(std::size_t k) {
     po.z = (bz + 1) * tile_.z;
   }
   const Frame f{grid_, tile_, scale_, lo_, buf_};
+  const InterpDims id = interp_dims_of(dims_);
+  const auto v0 = static_cast<std::size_t>(std::countr_zero(scale_));
   // Four (bx, by)-parity waves over the covered blocks: same-parity tiles
   // are >= 2 blocks apart in every in-slab direction (parity is on the
   // lattice block index), so their closed regions (owned + 1 border plane
@@ -892,11 +936,26 @@ void GInterpReconstructorT<T>::run_slab(std::size_t k) {
     const std::size_t ny = (tile_hi_.y - by0 + 1) / 2;
     dev::launch_linear(
         nx * ny,
-        [&](std::size_t t) {
-          const dev::BlockIdx blk{bx0 + 2 * (t % nx), by0 + 2 * (t / nx), bz,
-                                  t};
-          run_one_tile<false, T>(blk, out_, codes_, dims_, cfg_, geo_,
-                                 level_qz_, f, po);
+        [&](std::size_t i) {
+          TileView<T> t;
+          place_tile(t, {bx0 + 2 * (i % nx), by0 + 2 * (i / nx), bz, i}, f);
+          for_each_level_run(
+              dims_, id, v0, scale_, {t.origin[0], t.origin[1], t.origin[2]},
+              {t.extent[0], t.extent[1], t.extent[2]},
+              [&](std::size_t v, std::size_t rank, std::size_t n,
+                  std::size_t x, std::size_t y, std::size_t z,
+                  std::size_t step) {
+                const quant::Code* src =
+                    windows_[v].data() + (rank - first_[v]);
+                quant::Code* dst =
+                    t.codes.data() + x + y * t.lstride[1] + z * t.lstride[2];
+                if (step == 1)
+                  std::memcpy(dst, src, n * sizeof(quant::Code));
+                else
+                  for (std::size_t k = 0; k < n; ++k) dst[k * step] = src[k];
+              });
+          run_one_tile<false, T>(t, out_, dims_, cfg_, geo_, level_qz_, f,
+                                 po);
         },
         1);
   }
@@ -983,7 +1042,8 @@ void ginterp_level_box_runs(const dev::Dim3& dims, int level,
               : p.start + dev::ceil_div(lo.x - p.start, p.step) * p.step;
       if (x0 >= xend) continue;
       const std::size_t n = (xend - 1 - x0) / p.step + 1;
-      fn(level_rank(dims, id, v, x0, y, z), n, x0, y, z, p.step);
+      fn(level_rank(dims, id, v, y, z) + (x0 - p.start) / p.step, n, x0, y, z,
+         p.step);
     }
 }
 
@@ -1008,8 +1068,51 @@ std::vector<T> subsample_impl(std::span<const T> full, const dev::Dim3& dims,
   return out;
 }
 
-/// Preview from a full-volume code array: gather the lattice's codes into
-/// `ws` memory and reconstruct on the lattice.
+/// The whole level-`level` lattice into `out` from a whole-field code array
+/// (size checked for `caller`): its levels >= `level` re-bucket into
+/// `ws`-owned streams, one pool task per lattice z-plane, and one
+/// GInterpReconstructorT runs over them.
+template <typename T>
+void reconstruct_from_codes(const char* caller,
+                            std::span<const quant::Code> codes,
+                            std::span<const T> anchors,
+                            const quant::OutlierViewT<T>& outliers,
+                            const dev::Dim3& dims, double eb,
+                            const InterpConfig& cfg, int radius, int level,
+                            std::span<T> out, dev::Workspace& ws) {
+  if (codes.size() != dims.volume())
+    throw std::invalid_argument(std::string(caller) + ": size/dims mismatch");
+  const InterpDims id = interp_dims_of(dims);
+  const auto nlv = static_cast<std::size_t>(id.nlevels);
+  const auto v0 = static_cast<std::size_t>(level - 1);
+  const std::size_t S = stride_of_level(level);
+  std::vector<std::span<quant::Code>> streams(nlv);
+  for (std::size_t v = v0; v < nlv; ++v)
+    streams[v] = ws.make<quant::Code>(
+        ginterp_level_volume(dims, static_cast<int>(v) + 1));
+  const dev::Dim3 g = ginterp_preview_dims(dims, level);
+  dev::launch_linear(
+      g.z,
+      [&](std::size_t z) {
+        for_each_level_run(
+            dims, id, v0, S, {0, 0, z}, {g.x, g.y, 1},
+            [&](std::size_t v, std::size_t rank, std::size_t n, std::size_t x,
+                std::size_t y, std::size_t, std::size_t step) {
+              const quant::Code* src =
+                  codes.data() + dev::linearize(dims, x * S, y * S, z * S);
+              for (std::size_t k = 0; k < n; ++k)
+                streams[v][rank + k] = src[k * step * S];
+            });
+      },
+      1);
+  const std::vector<std::span<const quant::Code>> windows(streams.begin(),
+                                                          streams.end());
+  const std::vector<std::size_t> first(nlv, 0);
+  GInterpReconstructorT<T>(windows, first, anchors, outliers, dims, eb, cfg,
+                           radius, out, level)
+      .run();
+}
+
 template <typename T>
 std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
                                         std::span<const T> anchors,
@@ -1017,25 +1120,10 @@ std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
                                         const dev::Dim3& dims, double eb,
                                         const InterpConfig& cfg, int radius,
                                         int max_level, dev::Workspace& ws) {
-  if (codes.size() != dims.volume())
-    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
   const int L = std::clamp(max_level, 1, ginterp_level_count(dims) + 1);
-  const dev::Dim3 g = ginterp_preview_dims(dims, L);
-  const std::size_t S = stride_of_level(L);
-  auto lattice = ws.make<quant::Code>(g.volume());
-  dev::launch_linear(
-      g.z,
-      [&](std::size_t z) {
-        for (std::size_t y = 0; y < g.y; ++y)
-          for (std::size_t x = 0; x < g.x; ++x)
-            lattice[dev::linearize(g, x, y, z)] =
-                codes[dev::linearize(dims, x * S, y * S, z * S)];
-      },
-      1);
-  std::vector<T> out(g.volume());
-  GInterpReconstructorT<T>(lattice, anchors, outliers, dims, eb, cfg, radius,
-                           out, L)
-      .run();
+  std::vector<T> out(ginterp_preview_dims(dims, L).volume());
+  reconstruct_from_codes<T>("ginterp_decompress_to_level", codes, anchors,
+                            outliers, dims, eb, cfg, radius, L, out, ws);
   return out;
 }
 
@@ -1047,10 +1135,8 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const dev::Dim3& dims, double eb,
                              const InterpConfig& cfg, int radius,
                              std::span<float> out, dev::Workspace& ws) {
-  (void)ws;
-  GInterpReconstructorT<float>(codes, anchors, outliers, dims, eb, cfg, radius,
-                               out)
-      .run();
+  reconstruct_from_codes<float>("ginterp_decompress_into", codes, anchors,
+                                outliers, dims, eb, cfg, radius, 1, out, ws);
 }
 
 void ginterp_decompress_into(std::span<const quant::Code> codes,
@@ -1059,10 +1145,8 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const dev::Dim3& dims, double eb,
                              const InterpConfig& cfg, int radius,
                              std::span<double> out, dev::Workspace& ws) {
-  (void)ws;
-  GInterpReconstructorT<double>(codes, anchors, outliers, dims, eb, cfg,
-                                radius, out)
-      .run();
+  reconstruct_from_codes<double>("ginterp_decompress_into", codes, anchors,
+                                 outliers, dims, eb, cfg, radius, 1, out, ws);
 }
 
 int ginterp_level_count(const dev::Dim3& dims) {
@@ -1130,78 +1214,6 @@ std::size_t LevelScatterCursor::advance(std::span<const quant::Code> stream,
     enter_row();
   }
   return watermark_;
-}
-
-void ginterp_scatter_levels(
-    const dev::Dim3& dims, int level, const dev::Dim3& lo, const dev::Dim3& ext,
-    std::span<const std::span<const quant::Code>> streams,
-    std::span<const std::size_t> first, quant::Code fill,
-    std::span<quant::Code> codes) {
-  const InterpDims id = interp_dims_of(dims);
-  const auto nlv = static_cast<std::size_t>(id.nlevels);
-  if (level < 1 || level > id.nlevels + 1 || streams.size() != nlv ||
-      first.size() != nlv || codes.size() != ext.volume())
-    throw std::invalid_argument("ginterp_scatter_levels: size/dims mismatch");
-  const std::size_t S = stride_of_level(level);
-  const dev::Dim3 g = ginterp_preview_dims(dims, level);
-  if (lo.x > g.x || ext.x > g.x - lo.x || lo.y > g.y || ext.y > g.y - lo.y ||
-      lo.z > g.z || ext.z > g.z - lo.z)
-    throw std::invalid_argument("ginterp_scatter_levels: window exceeds grid");
-  if (ext.volume() == 0) return;
-  // Global x extent of the window: every level >= `level` position is a
-  // multiple of S, so the pattern x in [gx0, gx1) are exactly its columns.
-  const std::size_t gx0 = lo.x * S;
-  const std::size_t gx1 = (lo.x + ext.x - 1) * S + 1;
-  const std::size_t plane = ext.x * ext.y;
-  // Thin planes (1D and narrow fields) batch so a claimed chunk of planes
-  // still carries tens of thousands of codes.
-  const std::size_t grain = 1 + (std::size_t{1} << 16) / (plane + 1);
-  dev::launch_linear(
-      ext.z,
-      [&](std::size_t zi) {
-        quant::Code* pz = codes.data() + zi * plane;
-        std::fill_n(pz, plane, fill);
-        const std::size_t gz = (lo.z + zi) * S;
-        for (std::size_t v = static_cast<std::size_t>(level - 1); v < nlv;
-             ++v) {
-          const std::size_t s = std::size_t{1} << v;
-          const quant::Code* src = streams[v].data();
-          const std::size_t f0 = first[v], fn = streams[v].size();
-          // Rank of the window's first row; rows between lattice rows hold
-          // no position of these levels, so each lattice row advances it by
-          // its full count.
-          std::size_t rank = level_rank(dims, id, static_cast<int>(v), 0,
-                                        lo.y * S, gz);
-          for (std::size_t yi = 0; yi < ext.y; ++yi) {
-            const RowPattern p = row_pattern((lo.y + yi) * S, gz, id,
-                                             static_cast<int>(v), s);
-            if (p.step == 0 || p.start >= dims.x) continue;
-            const int sh = std::countr_zero(p.step);
-            const std::size_t row_n = ((dims.x - 1 - p.start) >> sh) + 1;
-            const std::size_t skip =
-                gx0 <= p.start ? 0 : ((gx0 - p.start + p.step - 1) >> sh);
-            const std::size_t x = p.start + (skip << sh);
-            if (x < gx1) {
-              const std::size_t n =
-                  std::min(row_n - skip, ((gx1 - 1 - x) >> sh) + 1);
-              const std::size_t r0 = rank + skip;
-              if (r0 < f0 || r0 - f0 > fn || n > fn - (r0 - f0))
-                throw std::invalid_argument(
-                    "ginterp_scatter_levels: stream window misses a rank");
-              const quant::Code* in = src + (r0 - f0);
-              quant::Code* out = pz + yi * ext.x + (x / S - lo.x);
-              const std::size_t lstep = p.step / S;
-              if (lstep == 1) {  // every lattice x of the row: one run
-                std::memcpy(out, in, n * sizeof(quant::Code));
-              } else {
-                for (std::size_t k = 0; k < n; ++k) out[k * lstep] = in[k];
-              }
-            }
-            rank += row_n;
-          }
-        }
-      },
-      grain);
 }
 
 GInterpLevelsT<float> ginterp_compress_fused_levels(

@@ -51,7 +51,7 @@ struct GInterpViewT {
 // planes), a position's level is ℓ = countr_zero(OR of its D-coordinates)+1
 // and it is an anchor when that valuation reaches interp_levels(geo). The
 // level populations and the rank of any position within its level therefore
-// have closed forms — segment sizes and scatter targets never require a
+// have closed forms — segment sizes and stream ranks never require a
 // counting pass.
 
 /// Number of interpolation levels of the field's geometry.
@@ -80,9 +80,9 @@ struct GInterpLevelSplit {
 /// full code array in ascending linear order. advance() consumes stream
 /// symbols [consumed(), upto) and returns the new watermark — the linear
 /// index below which every position of this level has been scattered (the
-/// field volume once the stream is exhausted). No decoder uses it (they
-/// scatter with ginterp_scatter_levels); the benchmark's traced replay
-/// still does.
+/// field volume once the stream is exhausted). No decoder uses it (each
+/// reconstructed tile gathers its own codes from the level streams by
+/// rank); the benchmark's traced replay still does.
 class LevelScatterCursor {
  public:
   LevelScatterCursor(const dev::Dim3& dims, int level);
@@ -107,26 +107,6 @@ class LevelScatterCursor {
   std::size_t consumed_ = 0;
   std::size_t watermark_ = 0;
 };
-
-/// Scatters every level >= `level` onto the level-`level` lattice (the
-/// positions whose interpolated coordinates are multiples of
-/// 2^(level-1), in lattice coordinates: extents ginterp_preview_dims) —
-/// only its window [lo, lo + ext), which `codes` spans row-major. `level`
-/// runs from 1 to level_count + 1, the anchor grid, onto which no level
-/// lands. Levels below `level` never land on the lattice and are not
-/// read. streams[ℓ-1]
-/// (ℓ >= level) holds level ℓ's symbols of ranks [first[ℓ-1],
-/// first[ℓ-1] + streams[ℓ-1].size()) and must cover every rank the window
-/// holds (std::invalid_argument otherwise); positions no level names get
-/// `fill`. Each lattice z-plane is one pool task that fills itself and
-/// copies each level's rows from their closed-form ranks
-/// (ginterp_level_prefix, level_rank), so tasks write disjoint planes and
-/// carry no cursor state.
-void ginterp_scatter_levels(
-    const dev::Dim3& dims, int level, const dev::Dim3& lo, const dev::Dim3& ext,
-    std::span<const std::span<const quant::Code>> streams,
-    std::span<const std::size_t> first, quant::Code fill,
-    std::span<quant::Code> codes);
 
 /// Fused predict+quantize with per-level emission (the compress front end):
 /// each worker walks a contiguous range of tiles, writes a tile's codes
@@ -161,11 +141,10 @@ struct GInterpLevelsT {
 /// level >= max_level and returns the stride-2^(max_level-1) preview grid.
 /// Passes at stride s touch only stride-s grid positions, so the preview is
 /// bit-identical to ginterp_subsample over the full reconstruction. `codes`
-/// spans the full volume (only positions on the preview lattice are read);
-/// they are gathered onto the lattice in `ws` memory and the
-/// reconstruction runs there, in preview-sized memory. max_level is clamped
-/// to [1, level_count+1]; at level_count+1 the reconstruction is the
-/// lossless anchor grid.
+/// spans the full volume; its levels >= max_level re-bucket into level
+/// streams in `ws` memory, which GInterpReconstructorT reconstructs on the
+/// lattice. max_level is clamped to [1, level_count+1]; at level_count+1
+/// the reconstruction is the lossless anchor grid.
 [[nodiscard]] std::vector<float> ginterp_decompress_to_level(
     std::span<const quant::Code> codes, std::span<const float> anchors,
     const quant::OutlierViewT<float>& outliers, const dev::Dim3& dims,
@@ -177,14 +156,12 @@ struct GInterpLevelsT {
     double eb, const InterpConfig& cfg, int radius, int max_level,
     dev::Workspace& ws);
 
-/// In-place reconstruction, one GInterpReconstructorT run over the whole
-/// field: outliers arrive as borrowed views, anchors and outlier originals
-/// are scattered straight into the caller-provided `out` span (size
-/// dims.volume()), and the interpolation tiles read and write that same
-/// buffer — no staging copy of the field exists. See GInterpReconstructorT
-/// for the in-place safety argument and the one caveat about `out`'s prior
-/// contents on undetectably-corrupt archives. `ws` is unused (kept for
-/// call-site stability: every decode path threads one workspace through).
+/// In-place reconstruction of the whole field from a full code array: the
+/// codes re-bucket into level streams in `ws` memory, and one
+/// GInterpReconstructorT run over them reconstructs straight into the
+/// caller's `out` (size dims.volume()) — see there for the in-place safety
+/// argument and the caveat about `out`'s prior contents on
+/// undetectably-corrupt archives.
 void ginterp_decompress_into(std::span<const quant::Code> codes,
                              std::span<const float> anchors,
                              const quant::OutlierViewT<float>& outliers,
@@ -208,6 +185,13 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
 /// per-level quantizers and the per-point arithmetic are unchanged, so
 /// every lattice point comes out bit-identical to the same point of a full
 /// decode. At L = 1 on the whole field this is the full decode.
+///
+/// Codes come only from per-level windows: windows[ℓ-1] holds level ℓ's
+/// symbols of ranks [first[ℓ-1], first[ℓ-1] + windows[ℓ-1].size()), from
+/// which each tile gathers its closed region's codes by closed-form rank
+/// before its passes; levels below L are not read. A window missing a rank
+/// a covered tile reads throws std::invalid_argument before anything is
+/// written.
 ///
 /// Why in place is safe (the full argument is in docs/PERF.md):
 ///   - the only *loaded* values a tile ever consumes are anchors (never a
@@ -240,27 +224,29 @@ struct GInterpRoiPlan;
 template <typename T>
 class GInterpReconstructorT {
  public:
-  /// The whole level-`level` lattice: `codes` and `out` span
-  /// ginterp_preview_dims(dims, level) (codes from ginterp_scatter_levels at
-  /// that level). Validates archive metadata (core::CorruptArchive on a bad
-  /// anchor count or outlier index) and scatters the anchors and the
-  /// outlier originals that sit on the lattice into `out`. `level` must be
-  /// in [1, level_count + 1]; at level_count + 1, the anchor grid, no pass
-  /// runs and the seed is the reconstruction. `codes` and `out` are
-  /// borrowed and must outlive the slab runs.
-  GInterpReconstructorT(std::span<const quant::Code> codes,
+  /// The whole level-`level` lattice: `out` spans
+  /// ginterp_preview_dims(dims, level). Validates the windows and archive
+  /// metadata (core::CorruptArchive on a bad anchor count or outlier index)
+  /// and scatters the anchors and the outlier originals that sit on the
+  /// lattice into `out`. `level` must be in [1, level_count + 1]; at
+  /// level_count + 1, the anchor grid, no pass runs and the seed is the
+  /// reconstruction. The windows, `first` and `out` are borrowed and must
+  /// outlive the slab runs.
+  GInterpReconstructorT(std::span<const std::span<const quant::Code>> windows,
+                        std::span<const std::size_t> first,
                         std::span<const T> anchors,
                         const quant::OutlierViewT<T>& outliers,
                         const dev::Dim3& dims, double eb,
                         const InterpConfig& cfg, int radius, std::span<T> out,
                         int level = 1);
 
-  /// The closed box of `plan` at level 1: `codes` and `out` span
-  /// plan.box_dims, and `anchors` holds the plan's anchor window
-  /// [anchor_lo, anchor_hi) row-major. Outliers outside the box are
-  /// validated and skipped. Positions of `out` outside the covering tiles'
-  /// owned regions (the halo) hold reconstruction scratch.
-  GInterpReconstructorT(std::span<const quant::Code> codes,
+  /// The closed box of `plan` at level 1: `out` spans plan.box_dims, and
+  /// `anchors` holds the plan's anchor window [anchor_lo, anchor_hi)
+  /// row-major. Outliers outside the box are validated and skipped.
+  /// Positions of `out` outside the covering tiles' owned regions (the
+  /// halo) hold reconstruction scratch.
+  GInterpReconstructorT(std::span<const std::span<const quant::Code>> windows,
+                        std::span<const std::size_t> first,
                         std::span<const T> anchors,
                         const quant::OutlierViewT<T>& outliers,
                         const GInterpRoiPlan& plan,
@@ -286,7 +272,8 @@ class GInterpReconstructorT {
   void seed(std::span<const T> anchors, const dev::Dim3& anchor_lo,
             const dev::Dim3& anchor_n, const quant::OutlierViewT<T>& outliers);
 
-  std::span<const quant::Code> codes_;
+  std::span<const std::span<const quant::Code>> windows_;  ///< by level - 1
+  std::span<const std::size_t> first_;
   std::span<T> out_;
   dev::Dim3 dims_;
   Geometry geo_;
@@ -302,8 +289,6 @@ class GInterpReconstructorT {
   /// buf_.x * buf_.y elements each.
   std::vector<T> border_;
 };
-
-using GInterpReconstructor = GInterpReconstructorT<float>;
 
 extern template class GInterpReconstructorT<float>;
 extern template class GInterpReconstructorT<double>;

@@ -119,8 +119,8 @@ GInterpOutputT<T> compress_full(std::span<const T> data,
   return out;
 }
 
-// The output is sized by `codes`; the reconstructor checks both against
-// `dims` before it writes.
+// The output is sized by `codes`, which ginterp_decompress_into checks
+// against `dims` before it writes.
 template <typename T>
 std::vector<T> decompress_full(std::span<const quant::Code> codes,
                                std::span<const T> anchors,
@@ -128,9 +128,10 @@ std::vector<T> decompress_full(std::span<const quant::Code> codes,
                                const dev::Dim3& dims, double eb,
                                const InterpConfig& cfg, int radius) {
   std::vector<T> out(codes.size());
-  GInterpReconstructorT<T>(codes, anchors, {outliers.indices, outliers.values},
-                           dims, eb, cfg, radius, out)
-      .run();
+  dev::Arena local;
+  dev::Workspace ws(local);
+  ginterp_decompress_into(codes, anchors, {outliers.indices, outliers.values},
+                          dims, eb, cfg, radius, std::span<T>(out), ws);
   return out;
 }
 
@@ -211,9 +212,22 @@ void ginterp_scatter_levels(
         ginterp_level_volume(dims, static_cast<int>(v) + 1))
       throw std::invalid_argument(
           "ginterp_scatter_levels: level stream size mismatch");
-  const std::vector<std::size_t> first(nlv, 0);
-  ginterp_scatter_levels(dims, 1, {0, 0, 0}, dims, streams, first, fill,
-                         codes);
+  std::fill(codes.begin(), codes.end(), fill);
+  for (std::size_t v = 0; v < nlv; ++v) {
+    const auto stream = streams[v];
+    std::size_t next = 0;
+    ginterp_level_box_runs(
+        dims, static_cast<int>(v) + 1, {0, 0, 0}, dims,
+        [&](std::size_t, std::size_t count, std::size_t x0, std::size_t y,
+            std::size_t z, std::size_t step) {
+          if (count > stream.size() - next)
+            throw std::logic_error("ginterp_scatter_levels: level overruns");
+          for (std::size_t i = 0; i < count; ++i)
+            codes[dev::linearize(dims, x0 + i * step, y, z)] = stream[next++];
+        });
+    if (next != stream.size())
+      throw std::logic_error("ginterp_scatter_levels: level left unread");
+  }
 }
 
 }  // namespace szi::predictor

@@ -6,8 +6,9 @@
 //     and the unified-codebook ablation. Both write through the shipped
 //     SZI2 writer (core/cuszi_writer.hh), so their archives decode through
 //     the normal entry points;
-//   - the level split and its whole-field inverse scatter, which the fused
-//     predict kernel and the decoder's scatter are checked against;
+//   - the level split and its whole-field inverse scatter, serial walks in
+//     fill order that the fused predict kernel's streams are checked
+//     against;
 //   - the vector forms of the shipped G-Interp kernels, which take and
 //     return a full code array (tests and benches drive the predictor
 //     through them);
@@ -69,9 +70,9 @@ namespace szi::predictor {
     std::span<const double> data, const dev::Dim3& dims, double eb,
     const InterpConfig& cfg, int radius = quant::kDefaultRadius);
 
-/// Reconstructs the field from a full code array + anchors + outliers: one
-/// GInterpReconstructorT run into a fresh vector (the vector form of
-/// ginterp_decompress_into: same validation, same bytes).
+/// Reconstructs the field from a full code array + anchors + outliers:
+/// ginterp_decompress_into over a throwaway arena, into a fresh vector
+/// (same validation, same bytes).
 [[nodiscard]] std::vector<float> ginterp_decompress(
     std::span<const quant::Code> codes, std::span<const float> anchors,
     const quant::OutlierSetT<float>& outliers, const dev::Dim3& dims,
@@ -90,11 +91,11 @@ namespace szi::predictor {
     std::span<const quant::Code> codes, const dev::Dim3& dims,
     std::size_t nbins, dev::Workspace& ws);
 
-/// Whole-field inverse of the split: `codes` comes out equal to a `fill`
-/// prefill followed by a LevelScatterCursor walk over every level.
-/// streams[ℓ-1] holds level ℓ and must be exactly
-/// ginterp_level_volume(dims, ℓ) long. The level-1 whole-field case of the
-/// general ginterp_scatter_levels.
+/// Whole-field inverse of the split, a serial walk in fill order over each
+/// level's runs (ginterp_level_box_runs over the whole field): `codes`
+/// comes out equal to a `fill` prefill followed by a LevelScatterCursor
+/// walk over every level. streams[ℓ-1] holds level ℓ and must be exactly
+/// ginterp_level_volume(dims, ℓ) long.
 void ginterp_scatter_levels(
     const dev::Dim3& dims,
     std::span<const std::span<const quant::Code>> streams, quant::Code fill,

@@ -1,9 +1,10 @@
 # Fails when a shipped library defines a symbol that belongs to a test or
-# bench target: the reference pipelines, serial oracles and vector G-Interp
-# forms live in szi_reference (tests/reference_pipeline.cc), and the
-# retired CLI load probe lives nowhere. Names match on word boundaries, so
-# ginterp_compress does not match ginterp_compress_fused_levels. Run by
-# ctest as
+# bench target: the reference pipelines, serial oracles (the level split
+# and its whole-field inverse scatter among them) and vector G-Interp forms
+# live in szi_reference (tests/reference_pipeline.cc), and the retired CLI
+# load probe and the decoder's retired windowed level scatter live nowhere.
+# Names match on word boundaries, so ginterp_compress does not match
+# ginterp_compress_fused_levels. Run by ctest as
 #   cmake -DNM=<nm> -P shipped_symbols.cmake -- <library>...
 set(forbidden
   cuszi_compress_unfused
@@ -11,6 +12,7 @@ set(forbidden
   ginterp_compress
   ginterp_decompress
   ginterp_split_levels
+  ginterp_scatter_levels
   decode_chunks_reference
   histogram
   run_serve_bench)

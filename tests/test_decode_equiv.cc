@@ -8,6 +8,7 @@
 // tests/test_fused_equiv.cc for the compress side.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -166,6 +167,35 @@ TEST(DecodeEquiv, BothLzssModes) {
     ASSERT_EQ(szi::cuszi_decompress_bitcomp_f32(
                   szi::bitcomp_wrap_archive(inner, mode), ws),
               ref);
+}
+
+// The decoder's only code input is its level windows: each reconstructed
+// tile gathers its own codes from them, so a full decode's arena peak holds
+// no lattice-size code array. Measured on fresh private arenas, it stays
+// within half a code-array bucket of the compress's peak for the same field
+// (whose kernel holds no such array either); a decode that scattered the
+// windows into a field-size array would exceed it by a whole bucket.
+TEST(DecodeEquiv, FullDecodeArenaPeakHoldsNoCodeArray) {
+  const auto f = szi::datagen::miranda(szi::datagen::Size::Small).front();
+  const std::span<const float> d(f.data);
+  szi::dev::Arena compress_arena;
+  std::vector<std::byte> archive;
+  {
+    szi::dev::Workspace ws(compress_arena);
+    archive = szi::cuszi_compress(d, f.dims, kRel, nullptr, ws);
+  }
+  szi::dev::Arena decode_arena;
+  {
+    szi::dev::Workspace ws(decode_arena);
+    ASSERT_EQ(szi::cuszi_decompress_f32(archive, ws),
+              szi::cuszi_decompress_f32(archive));
+  }
+  const std::size_t bucket = std::bit_ceil(f.dims.volume() * sizeof(Code));
+  const std::size_t compress_peak = compress_arena.stats().high_water_bytes;
+  const std::size_t decode_peak = decode_arena.stats().high_water_bytes;
+  EXPECT_LE(decode_peak, compress_peak + bucket / 2)
+      << "decode peak " << decode_peak << " B, compress peak "
+      << compress_peak << " B, code-array bucket " << bucket << " B";
 }
 
 // A chunk table that lies about its extent must surface CorruptArchive from

@@ -456,6 +456,118 @@ TEST(GInterpLevels, DecompressToLevelMatchesSubsample) {
   expect_preview_matches_subsample<double>(Dim3{100, 90, 20});
 }
 
+// The reconstructor's only code input is its per-level windows, so a window
+// that misses a rank a covered tile reads must be rejected up front:
+// std::invalid_argument before anything is written to `out`. Whole lattice:
+// each level stream one symbol short at either end. Box: windows cut to
+// exactly the ranks the halo'd box holds (first > 0 on every level)
+// reconstruct the box bit-identically to the whole-lattice run, and one
+// rank less at either end throws.
+TEST(GInterpLevels, ReconstructorRejectsWindowsMissingARank) {
+  using szi::predictor::GInterpReconstructorT;
+  using Windows = std::vector<std::span<const szi::quant::Code>>;
+  const Dim3 dims{70, 41, 37};
+  const auto data = smooth_field(dims, 17);
+  const double eb = 1e-3;
+  const auto prof = autotune(data, dims, eb);
+  const int radius = szi::quant::kDefaultRadius;
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const auto fl = szi::predictor::ginterp_compress_fused_levels(
+      std::span<const float>(data), dims, eb, prof.config, radius, ws);
+  const Windows streams(fl.levels.streams.begin(), fl.levels.streams.end());
+  const std::size_t nlv = streams.size();
+  constexpr float kSentinel = -7.25e11f;
+  // Runs `run(w, first, out)` on a sentinel-filled `out` of `size` values
+  // and expects a throw that left every value untouched.
+  const auto expect_rejected = [&](std::size_t size, const auto& run,
+                                   const Windows& w,
+                                   const std::vector<std::size_t>& first) {
+    std::vector<float> out(size, kSentinel);
+    EXPECT_THROW(run(w, first, out), std::invalid_argument);
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [&](float x) { return x == kSentinel; }));
+  };
+
+  // Whole lattice.
+  const auto whole = [&](const Windows& w,
+                         const std::vector<std::size_t>& first,
+                         std::vector<float>& out) {
+    GInterpReconstructorT<float>(w, first, fl.pred.anchors, fl.pred.outliers,
+                                 dims, eb, prof.config, radius, out)
+        .run();
+  };
+  const std::vector<std::size_t> zeros(nlv, 0);
+  std::vector<float> full(dims.volume(), kSentinel);
+  whole(streams, zeros, full);
+  EXPECT_TRUE(szi::metrics::error_bounded(data, full, eb));
+  for (std::size_t v = 0; v < nlv; ++v) {
+    SCOPED_TRACE(::testing::Message() << "whole lattice, level " << v + 1);
+    Windows w = streams;
+    w[v] = streams[v].first(streams[v].size() - 1);
+    expect_rejected(dims.volume(), whole, w, zeros);
+    std::vector<std::size_t> first = zeros;
+    w[v] = streams[v].subspan(1);
+    first[v] = 1;
+    expect_rejected(dims.volume(), whole, w, first);
+  }
+
+  // Box: the level windows a random-access decode fetches, cut exactly.
+  const auto plan =
+      szi::predictor::ginterp_roi_plan(dims, {33, 9, 10}, {20, 14, 11});
+  Windows win(nlv);
+  std::vector<std::size_t> first(nlv);
+  for (std::size_t v = 0; v < nlv; ++v) {
+    std::size_t r0 = streams[v].size(), r1 = 0;
+    szi::predictor::ginterp_level_box_runs(
+        dims, static_cast<int>(v) + 1, plan.box_lo, plan.box_dims,
+        [&](std::size_t rank, std::size_t count, std::size_t, std::size_t,
+            std::size_t, std::size_t) {
+          r0 = std::min(r0, rank);
+          r1 = std::max(r1, rank + count);
+        });
+    ASSERT_GT(r0, 0u) << "level " << v + 1;
+    ASSERT_LT(r0, r1) << "level " << v + 1;
+    first[v] = r0;
+    win[v] = streams[v].subspan(r0, r1 - r0);
+  }
+  const Dim3 ad = anchor_dims(dims, geometry_for(dims).anchor);
+  std::vector<float> box_anchors;
+  for (std::size_t az = plan.anchor_lo.z; az < plan.anchor_hi.z; ++az)
+    for (std::size_t ay = plan.anchor_lo.y; ay < plan.anchor_hi.y; ++ay)
+      for (std::size_t ax = plan.anchor_lo.x; ax < plan.anchor_hi.x; ++ax)
+        box_anchors.push_back(
+            fl.pred.anchors[szi::dev::linearize(ad, ax, ay, az)]);
+  const auto box = [&](const Windows& w, const std::vector<std::size_t>& f,
+                       std::vector<float>& out) {
+    GInterpReconstructorT<float>(w, f, box_anchors, fl.pred.outliers, plan,
+                                 dims, eb, prof.config, radius, out)
+        .run();
+  };
+  std::vector<float> got(plan.box_dims.volume(), 0.0f);
+  box(win, first, got);
+  for (std::size_t z = 10; z < 21; ++z)
+    for (std::size_t y = 9; y < 23; ++y)
+      for (std::size_t x = 33; x < 53; ++x) {
+        const float a = got[szi::dev::linearize(
+            plan.box_dims, x - plan.box_lo.x, y - plan.box_lo.y,
+            z - plan.box_lo.z)];
+        const float b = full[szi::dev::linearize(dims, x, y, z)];
+        ASSERT_EQ(0, std::memcmp(&a, &b, sizeof(float)))
+            << x << "," << y << "," << z;
+      }
+  for (std::size_t v = 0; v < nlv; ++v) {
+    SCOPED_TRACE(::testing::Message() << "box, level " << v + 1);
+    Windows w = win;
+    w[v] = win[v].first(win[v].size() - 1);
+    expect_rejected(plan.box_dims.volume(), box, w, first);
+    std::vector<std::size_t> late = first;
+    w[v] = win[v].subspan(1);
+    late[v] += 1;
+    expect_rejected(plan.box_dims.volume(), box, w, late);
+  }
+}
+
 // The lround-based Quantizer::quantize body the call-free rounding
 // replaced, kept verbatim as the reference it must reproduce.
 template <typename T>
