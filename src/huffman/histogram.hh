@@ -17,11 +17,13 @@
 // worker order.
 //
 // The building blocks (histogram_workers / accumulate_banked /
-// merge_histograms) are exposed inline so the fused predictors can count
-// codes with the same banked layout inside their own worker loops — the
-// fused pipeline eliminates the separate full read pass over `codes` while
-// producing bit-identical totals (addition commutes, so partitioning the
-// elements by tile instead of by contiguous range changes nothing).
+// merge_histograms) are exposed inline so the fused predictors count codes
+// with the same banked layout inside their own worker loops: Lorenzo row by
+// row, G-Interp slice by slice as it re-buckets each tile into the level
+// streams. The fused pipeline thus skips the separate full read pass over
+// `codes` while producing bit-identical totals (addition commutes, so
+// partitioning the elements by tile instead of by contiguous range changes
+// nothing).
 #pragma once
 
 #include <algorithm>

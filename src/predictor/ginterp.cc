@@ -27,17 +27,17 @@ namespace {
 /// Largest closed-tile volume across the per-rank geometries (33*9*9).
 constexpr std::size_t kMaxTileVolume = 33 * 9 * 9;
 
-/// Tail padding behind the used tile region. The stride-2 AVX2 interp walk
-/// deinterleaves 16-element windows (values and codes alike) whose last
-/// element sits one past the final stride-2 lane it actually uses; padding
-/// keeps that discarded over-read inside the arrays when the used region
-/// fills them exactly. Never consumed.
+/// Tail padding behind the used tile region. The AVX2 x pass reads its
+/// neighbor windows up to four floats past a row's end, and the re-bucket
+/// reads a stride-2 run's codes in 32-code windows that end one past the
+/// run; padding keeps those discarded over-reads inside the arrays when the
+/// used region fills them exactly. Never consumed.
 constexpr std::size_t kTilePad = 8;
 
 /// One tile's closed region: values and quant-codes at the same local
 /// offsets. The codes are value-initialized with the view, so the anchor
-/// slots and padding that stride-2 vector loads read as discarded lanes are
-/// never indeterminate.
+/// slots and padding that vector loads read as discarded lanes are never
+/// indeterminate.
 template <typename T>
 struct TileView {
   std::array<T, kMaxTileVolume + kTilePad> buf;
@@ -96,134 +96,383 @@ Frame lattice_frame(const dev::Dim3& dims, const Geometry& geo,
   return f;
 }
 
+/// The prediction a pass applies to one target plane (Fig. 3's four
+/// circumstances, with the cubic kind resolved). Within a pass a target's
+/// neighbor availability depends only on its coordinate along the pass
+/// dimension, so every target of a plane shares one case.
+enum class Spline {
+  kCubicNak,
+  kCubicNatural,
+  kQuadLeft,
+  kQuadRight,
+  kLinear,
+  kCopy,
+};
+
+template <Spline kS>
+using SplineTag = std::integral_constant<Spline, kS>;
+
+/// Case kS's prediction for the target at `p`, whose neighbors along the
+/// pass dimension sit at p[±o1] and p[±o3]; reads only those kS uses.
+template <Spline kS, typename T>
+T predict(const T* p, std::ptrdiff_t o1, [[maybe_unused]] std::ptrdiff_t o3) {
+  if constexpr (kS == Spline::kCubicNak)
+    return cubic_nak(p[-o3], p[-o1], p[o1], p[o3]);
+  else if constexpr (kS == Spline::kCubicNatural)
+    return cubic_natural(p[-o3], p[-o1], p[o1], p[o3]);
+  else if constexpr (kS == Spline::kQuadLeft)
+    return quad_left(p[-o3], p[-o1], p[o1]);
+  else if constexpr (kS == Spline::kQuadRight)
+    return quad_right(p[-o1], p[o1], p[o3]);
+  else if constexpr (kS == Spline::kLinear)
+    return linear(p[-o1], p[o1]);
+  else
+    return p[-o1];  // one-sided nearest copy
+}
+
 #if defined(__x86_64__)
 
-// ---- AVX2 interior-cubic decompress walk (f32) -------------------------
+// ---- AVX2 pass rows (f32) ------------------------------------------------
 //
-// The finest interpolation level's interior-cubic planes dominate
-// decompression: every pass with the fast-varying dimension already done
-// (or pending) walks targets at local stride 1 or 2 while reading four
-// neighbor rows at the same stride. These kernels run 8 targets per step,
-// replicating the scalar arithmetic operation for operation:
-//   cubic_nak      (((-a) + (9*b)) + (9*c) - d) * (1/16)       [f32 ops]
-//   cubic_natural  (((-3*a) + (23*b)) + (23*c)) - (3*d), *(1/40)
-//   dequantize     f32(f64(pred) + twice_eb * f64(stored - radius)),
-//                  marker code 0 keeps the scattered value
+// Every f32 pass row at local stride 1 or 2 runs 8 targets per step, in
+// both directions, replicating the scalar arithmetic operation for
+// operation:
+//   splines      spline.hh's expressions in their evaluation order   [f32]
+//   quantize     x = (f64(orig) - f64(pred)) * inv_twice_eb, an outlier
+//                unless |x| < radius - 0.5; q = trunc(x), moved one away
+//                from zero when the fraction reaches ±0.5; recon =
+//                f32(f64(pred) + twice_eb * q), an outlier again when
+//                |f64(orig) - f64(recon)| > eb; an outlier stores the
+//                marker and keeps the original                      [f64]
+//   dequantize   f32(f64(pred) + twice_eb * f64(stored - radius)), the
+//                marker keeps the scattered value
 // No FMA exists at baseline x86-64 and target("avx2") does not enable it,
-// so neither side can contract the mul/add chains — each lane rounds where
-// the scalar rounds and the reconstruction is bit-identical
-// (tests/test_decode_equiv.cc + the SZI_NO_AVX2 determinism instance).
+// so neither side can contract the mul/add chains: each lane rounds where
+// the scalar rounds, and codes and reconstructions are bit-identical
+// (tests/test_predictor_equiv.cc, tests/test_decode_equiv.cc and their
+// SZI_NO_AVX2 instances).
+//
+// Two row shapes are covered:
+//   - y and z passes: a contiguous x-row of targets at stride 1 or 2, every
+//     lane one spline case, the neighbors in the rows at ±o1 and ±o3.
+//     Stride 2 splits each 16-float window into its even and odd floats
+//     with one in-lane shuffle, so its lanes run in the order
+//     0,1,4,5,2,3,6,7; every operand takes that order, and the store
+//     interleaves the results back with the untouched odd floats.
+//   - the x pass at local stride 1 on tile rows of extent 33 (32 at the
+//     field edge): the 16 odd-x targets and their even-x neighbors all come
+//     out of the one row, and the rim lanes (quad_right at x = 1, quad_left
+//     and the one-sided copy at the end) are blended into the cubic.
+// Loads before stores: a row step loads every vector it reads before it
+// stores, and it stores only whole windows it loaded (re-storing the lanes
+// it does not own), never with maskstore: a load overlapping an in-flight
+// masked or narrower store cannot be forwarded and stalls.
+// Coarser rows (stride >= 4) and f64 keep the scalar walk.
 
-/// Even-indexed floats of the 16-float window at `p` (stride-2 gather).
-/// Reads p[0..15]; the odd lanes are discarded, and the one float past the
-/// last used element stays inside the tile buffer thanks to kTilePad.
-[[gnu::target("avx2")]] inline __m256 deinterleave_even(const float* p) {
-  const __m256 a = _mm256_loadu_ps(p);
-  const __m256 b = _mm256_loadu_ps(p + 8);
-  const __m256 s = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
-  return _mm256_castpd_ps(
-      _mm256_permute4x64_pd(_mm256_castps_pd(s), _MM_SHUFFLE(3, 1, 2, 0)));
+/// The even floats of the 16-float window at q, in lane order
+/// 0,1,4,5,2,3,6,7.
+[[gnu::target("avx2")]] inline __m256 even8(const float* q) {
+  return _mm256_shuffle_ps(_mm256_loadu_ps(q), _mm256_loadu_ps(q + 8),
+                           _MM_SHUFFLE(2, 0, 2, 0));
 }
 
-/// Scatters 8 floats to p[0], p[2], ..., p[14] without touching the odd
-/// lanes (maskstore leaves unselected lanes unwritten).
-[[gnu::target("avx2")]] inline void interleave_even_store(float* p, __m256 r) {
-  const __m256i lo = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-  const __m256i hi = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
-  const __m256i even = _mm256_setr_epi32(-1, 0, -1, 0, -1, 0, -1, 0);
-  _mm256_maskstore_ps(p, even, _mm256_permutevar8x32_ps(r, lo));
-  _mm256_maskstore_ps(p + 8, even, _mm256_permutevar8x32_ps(r, hi));
+/// The odd floats of the 16-float window at q, in the same lane order.
+[[gnu::target("avx2")]] inline __m256 odd8(const float* q) {
+  return _mm256_shuffle_ps(_mm256_loadu_ps(q), _mm256_loadu_ps(q + 8),
+                           _MM_SHUFFLE(3, 1, 3, 1));
 }
 
-/// quant::Quantizer::dequantize for 8 lanes: two f64x4 halves compute
-/// pred + twice_eb * (stored - radius) with the scalar's rounding sequence
-/// (one mul, one add, one f64->f32 round-to-nearest-even); marker lanes
-/// keep the scattered value.
-[[gnu::target("avx2")]] inline __m256 dequantize8(__m256 pred, __m256i stored,
-                                                  __m256 scattered,
-                                                  __m256d twice_eb,
-                                                  __m256i radius) {
-  const __m256i q = _mm256_sub_epi32(stored, radius);
-  const __m256d plo = _mm256_cvtps_pd(_mm256_castps256_ps128(pred));
-  const __m256d phi = _mm256_cvtps_pd(_mm256_extractf128_ps(pred, 1));
-  const __m256d qlo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(q));
-  const __m256d qhi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(q, 1));
-  const __m128 rlo =
-      _mm256_cvtpd_ps(_mm256_add_pd(plo, _mm256_mul_pd(twice_eb, qlo)));
-  const __m128 rhi =
-      _mm256_cvtpd_ps(_mm256_add_pd(phi, _mm256_mul_pd(twice_eb, qhi)));
-  const __m256 r = _mm256_set_m128(rhi, rlo);
-  const __m256 keep = _mm256_castsi256_ps(
-      _mm256_cmpeq_epi32(stored, _mm256_setzero_si256()));
-  return _mm256_blendv_ps(r, scattered, keep);
+/// 8 lanes of a stride-kStride row starting at q.
+template <int kStride>
+[[gnu::target("avx2")]] inline __m256 lanes8(const float* q) {
+  if constexpr (kStride == 1)
+    return _mm256_loadu_ps(q);
+  else
+    return even8(q);
 }
 
-/// 8-lane spline_predict interior case, scalar op order per lane.
-template <bool kNak>
-[[gnu::target("avx2")]] inline __m256 cubic8(__m256 a, __m256 b, __m256 c,
-                                             __m256 d) {
+/// Swaps the middle 64-bit quarters: natural lane order to 0,1,4,5,2,3,6,7
+/// and back.
+[[gnu::target("avx2")]] inline __m256i swap_mid(__m256i v) {
+  return _mm256_permute4x64_epi64(v, _MM_SHUFFLE(3, 1, 2, 0));
+}
+
+/// spline.hh's case kS on 8 lanes, in the scalar's operation order.
+template <Spline kS>
+[[gnu::target("avx2")]] inline __m256 spline8([[maybe_unused]] __m256 a,
+                                              __m256 b,
+                                              [[maybe_unused]] __m256 c,
+                                              [[maybe_unused]] __m256 d) {
   const __m256 sign = _mm256_set1_ps(-0.0f);
-  if constexpr (kNak) {
+  if constexpr (kS == Spline::kCubicNak) {
     const __m256 nine = _mm256_set1_ps(9.0f);
     __m256 t = _mm256_add_ps(_mm256_xor_ps(a, sign), _mm256_mul_ps(nine, b));
     t = _mm256_add_ps(t, _mm256_mul_ps(nine, c));
-    t = _mm256_sub_ps(t, d);
-    return _mm256_mul_ps(t, _mm256_set1_ps(1.0f / 16.0f));
-  } else {
+    return _mm256_mul_ps(_mm256_sub_ps(t, d), _mm256_set1_ps(1.0f / 16.0f));
+  } else if constexpr (kS == Spline::kCubicNatural) {
     __m256 t = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(-3.0f), a),
                              _mm256_mul_ps(_mm256_set1_ps(23.0f), b));
     t = _mm256_add_ps(t, _mm256_mul_ps(_mm256_set1_ps(23.0f), c));
     t = _mm256_sub_ps(t, _mm256_mul_ps(_mm256_set1_ps(3.0f), d));
     return _mm256_mul_ps(t, _mm256_set1_ps(1.0f / 40.0f));
+  } else if constexpr (kS == Spline::kQuadLeft) {
+    __m256 t = _mm256_add_ps(_mm256_xor_ps(a, sign),
+                             _mm256_mul_ps(_mm256_set1_ps(6.0f), b));
+    t = _mm256_add_ps(t, _mm256_mul_ps(_mm256_set1_ps(3.0f), c));
+    return _mm256_mul_ps(t, _mm256_set1_ps(1.0f / 8.0f));
+  } else if constexpr (kS == Spline::kQuadRight) {
+    const __m256 t = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(3.0f), b),
+                                   _mm256_mul_ps(_mm256_set1_ps(6.0f), c));
+    return _mm256_mul_ps(_mm256_sub_ps(t, d), _mm256_set1_ps(1.0f / 8.0f));
+  } else if constexpr (kS == Spline::kLinear) {
+    return _mm256_div_ps(_mm256_add_ps(b, c), _mm256_set1_ps(2.0f));
+  } else {
+    return b;
   }
 }
 
-/// Vector part of one interior-cubic decompress row: processes the longest
-/// prefix of the `n` targets it can in 8-lane steps and returns how many it
-/// handled (the caller finishes the tail with the scalar walk). `row` is
-/// the first target in the tile's (padded) value buffer, `cp` its
-/// quant-code in the tile's (padded alike) code array.
-template <bool kNak, int kStride>
-[[gnu::target("avx2")]] std::size_t cubic_row_avx2(
-    float* row, std::ptrdiff_t o1, std::ptrdiff_t o3, const quant::Code* cp,
-    std::size_t n, double twice_eb_v, int radius_v) {
-  const __m256d twice_eb = _mm256_set1_pd(twice_eb_v);
-  const __m256i radius = _mm256_set1_epi32(radius_v);
+/// predict() on 8 lanes of a stride-kStride row: loads only the neighbor
+/// rows case kS reads, as the scalar does.
+template <Spline kS, int kStride>
+[[gnu::target("avx2")]] inline __m256 predict8(const float* t,
+                                               std::ptrdiff_t o1,
+                                               [[maybe_unused]] std::ptrdiff_t o3) {
+  constexpr bool kA = kS == Spline::kCubicNak ||
+                      kS == Spline::kCubicNatural || kS == Spline::kQuadLeft;
+  constexpr bool kD = kS == Spline::kCubicNak ||
+                      kS == Spline::kCubicNatural || kS == Spline::kQuadRight;
+  __m256 a = _mm256_setzero_ps(), c = a, d = a;
+  if constexpr (kA) a = lanes8<kStride>(t - o3);
+  if constexpr (kS != Spline::kCopy) c = lanes8<kStride>(t + o1);
+  if constexpr (kD) d = lanes8<kStride>(t + o3);
+  return spline8<kS>(a, lanes8<kStride>(t - o1), c, d);
+}
+
+/// A level quantizer's constants, broadcast.
+struct QuantLanes {
+  __m256d inv_twice_eb, code_limit, twice_eb, eb, radius;
+  __m256i radius_i;
+};
+
+[[gnu::target("avx2")]] inline QuantLanes quant_lanes(
+    const quant::Quantizer& qz) {
+  return {_mm256_set1_pd(qz.inv_twice_eb()), _mm256_set1_pd(qz.code_limit()),
+          _mm256_set1_pd(qz.twice_eb()),     _mm256_set1_pd(qz.eb()),
+          _mm256_set1_pd(qz.radius()),       _mm256_set1_epi32(qz.radius())};
+}
+
+/// quant::Quantizer::quantize on 4 lanes in f64: returns the
+/// reconstructions and sets `stored` to the biased codes (the marker on
+/// outliers, whose reconstruction is the original).
+[[gnu::target("avx2")]] inline __m128 quantize4(__m128 orig, __m128 pred,
+                                                const QuantLanes& q,
+                                                __m128i& stored) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d od = _mm256_cvtps_pd(orig);
+  const __m256d pd = _mm256_cvtps_pd(pred);
+  const __m256d x = _mm256_mul_pd(_mm256_sub_pd(od, pd), q.inv_twice_eb);
+  // NaN and ±Inf fail |x| < limit, as in the scalar.
+  const __m256d wide = _mm256_cmp_pd(_mm256_andnot_pd(sign, x), q.code_limit,
+                                     _CMP_NLT_UQ);
+  __m256d qd = _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d frac = _mm256_sub_pd(x, qd);
+  // Adding +0.0 or 1 also turns trunc's -0.0 into the +0.0 the scalar's
+  // integer q converts back to, so recon = pred + twice_eb * q keeps the
+  // scalar's sign of zero.
+  qd = _mm256_add_pd(
+      qd, _mm256_and_pd(_mm256_cmp_pd(frac, _mm256_set1_pd(0.5), _CMP_GE_OQ),
+                        one));
+  qd = _mm256_sub_pd(
+      qd, _mm256_and_pd(_mm256_cmp_pd(frac, _mm256_set1_pd(-0.5), _CMP_LE_OQ),
+                        one));
+  const __m256d rd = _mm256_cvtps_pd(
+      _mm256_cvtpd_ps(_mm256_add_pd(pd, _mm256_mul_pd(q.twice_eb, qd))));
+  const __m256d outlier = _mm256_or_pd(
+      wide, _mm256_cmp_pd(_mm256_andnot_pd(sign, _mm256_sub_pd(od, rd)), q.eb,
+                          _CMP_GT_OQ));
+  stored = _mm256_cvttpd_epi32(
+      _mm256_andnot_pd(outlier, _mm256_add_pd(qd, q.radius)));
+  return _mm256_cvtpd_ps(_mm256_blendv_pd(rd, od, outlier));
+}
+
+/// quantize4 on both f64 halves of 8 lanes; `stored` gets 8 i32 codes.
+[[gnu::target("avx2")]] inline __m256 quantize8(__m256 orig, __m256 pred,
+                                                const QuantLanes& q,
+                                                __m256i& stored) {
+  __m128i slo, shi;
+  const __m128 rlo = quantize4(_mm256_castps256_ps128(orig),
+                               _mm256_castps256_ps128(pred), q, slo);
+  const __m128 rhi = quantize4(_mm256_extractf128_ps(orig, 1),
+                               _mm256_extractf128_ps(pred, 1), q, shi);
+  stored = _mm256_set_m128i(shi, slo);
+  return _mm256_set_m128(rhi, rlo);
+}
+
+/// quant::Quantizer::dequantize on 8 lanes: two f64x4 halves compute
+/// pred + twice_eb * (stored - radius) with the scalar's rounding sequence
+/// (one mul, one add, one f64->f32 round-to-nearest-even); marker lanes
+/// keep the scattered value.
+[[gnu::target("avx2")]] inline __m256 dequantize8(__m256 pred, __m256i stored,
+                                                  __m256 scattered,
+                                                  const QuantLanes& q) {
+  const __m256i k = _mm256_sub_epi32(stored, q.radius_i);
+  const __m256d plo = _mm256_cvtps_pd(_mm256_castps256_ps128(pred));
+  const __m256d phi = _mm256_cvtps_pd(_mm256_extractf128_ps(pred, 1));
+  const __m256d klo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(k));
+  const __m256d khi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(k, 1));
+  const __m128 rlo =
+      _mm256_cvtpd_ps(_mm256_add_pd(plo, _mm256_mul_pd(q.twice_eb, klo)));
+  const __m128 rhi =
+      _mm256_cvtpd_ps(_mm256_add_pd(phi, _mm256_mul_pd(q.twice_eb, khi)));
+  const __m256 keep = _mm256_castsi256_ps(
+      _mm256_cmpeq_epi32(stored, _mm256_setzero_si256()));
+  return _mm256_blendv_ps(_mm256_set_m128(rhi, rlo), scattered, keep);
+}
+
+/// Vector part of one y- or z-pass row: the targets p[k * kStride] for k
+/// below n rounded down to a multiple of 8, predicted by case kS from the
+/// rows at ±o1 and ±o3, then quantized (codes into c[k * kStride] when
+/// `emit`) or dequantized from c. Returns how many targets it handled; the
+/// scalar walk runs the rest. The caller keeps n * kStride within the row.
+template <bool kCompress, Spline kS, int kStride>
+[[gnu::target("avx2")]] std::size_t pass_row_avx2(
+    float* p, quant::Code* c, std::ptrdiff_t o1, std::ptrdiff_t o3,
+    std::size_t n, [[maybe_unused]] bool emit, const quant::Quantizer& qz) {
+  const QuantLanes q = quant_lanes(qz);
   std::size_t k = 0;
   for (; k + 8 <= n; k += 8) {
-    const std::size_t off = k * kStride;
-    __m256 a, b, c, d, scattered;
-    __m256i stored;
+    float* t = p + k * kStride;
+    quant::Code* ct = c + k * kStride;
+    const __m256 pred = predict8<kS, kStride>(t, o1, o3);
+    __m256 orig, odd;
     if constexpr (kStride == 1) {
-      a = _mm256_loadu_ps(row + off - o3);
-      b = _mm256_loadu_ps(row + off - o1);
-      c = _mm256_loadu_ps(row + off + o1);
-      d = _mm256_loadu_ps(row + off + o3);
-      scattered = _mm256_loadu_ps(row + off);
-      stored = _mm256_cvtepu16_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cp + off)));
+      orig = _mm256_loadu_ps(t);
     } else {
-      a = deinterleave_even(row + off - o3);
-      b = deinterleave_even(row + off - o1);
-      c = deinterleave_even(row + off + o1);
-      d = deinterleave_even(row + off + o3);
-      scattered = deinterleave_even(row + off);
-      // Little-endian: the low u16 of each u32 in the window is the code at
-      // even offset 0, 2, ..., 14.
-      stored = _mm256_and_si256(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cp + off)),
-          _mm256_set1_epi32(0xFFFF));
+      orig = even8(t);
+      odd = odd8(t);
     }
-    const __m256 r =
-        dequantize8(cubic8<kNak>(a, b, c, d), stored, scattered, twice_eb,
-                    radius);
-    if constexpr (kStride == 1) {
-      _mm256_storeu_ps(row + off, r);
+    __m256 r;
+    if constexpr (kCompress) {
+      __m256i stored;
+      r = quantize8(orig, pred, q, stored);
+      if (emit) {
+        if constexpr (kStride == 1) {
+          _mm_storeu_si128(reinterpret_cast<__m128i*>(ct),
+                           _mm_packus_epi32(_mm256_castsi256_si128(stored),
+                                            _mm256_extracti128_si256(stored, 1)));
+        } else {
+          // The codes go to the even u16 of the window (little-endian: the
+          // low half of each i32); the odd ones are stored back as loaded.
+          auto* w = reinterpret_cast<__m256i*>(ct);
+          _mm256_storeu_si256(
+              w, _mm256_blend_epi16(_mm256_loadu_si256(w), swap_mid(stored),
+                                    0x55));
+        }
+      }
     } else {
-      interleave_even_store(row + off, r);
+      __m256i stored;
+      if constexpr (kStride == 1)
+        stored = _mm256_cvtepu16_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ct)));
+      else
+        stored = swap_mid(_mm256_and_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ct)),
+            _mm256_set1_epi32(0xFFFF)));
+      r = dequantize8(pred, stored, orig, q);
+    }
+    if constexpr (kStride == 1) {
+      _mm256_storeu_ps(t, r);
+    } else {
+      _mm256_storeu_ps(t, _mm256_unpacklo_ps(r, odd));
+      _mm256_storeu_ps(t + 8, _mm256_unpackhi_ps(r, odd));
     }
   }
   return k;
+}
+
+/// The x pass at local stride 1 over a tile whose x extent is 33, or 32 at
+/// the field edge (kEdge), and whose x targets are all owned. Each (y, z)
+/// row at steps (step_y, step_z) is loaded once, its 16 odd-x targets run
+/// as two 8-lane vectors in lane order 0,1,4,5,2,3,6,7, and the rim lanes
+/// are blended into the cubic: x = 1 is quad_right; x = 31 is quad_left at
+/// extent 33, while at extent 32 x = 29 is quad_left and x = 31 the
+/// one-sided copy. The stores re-store the even floats as loaded. Compress
+/// writes the codes of rows it owns.
+template <bool kCompress, bool kNak, bool kEdge>
+[[gnu::target("avx2")]] void x_pass_avx2(TileView<float>& t,
+                                         std::size_t step_y,
+                                         std::size_t step_z,
+                                         const quant::Quantizer& qz) {
+  constexpr Spline kCubic = kNak ? Spline::kCubicNak : Spline::kCubicNatural;
+  const QuantLanes q = quant_lanes(qz);
+  // The first vector's a neighbors are its b lanes shifted by one target;
+  // lane 0 (x = 1 has none) is a don't-care.
+  const __m256i prev = _mm256_setr_epi32(0, 0, 5, 2, 1, 4, 3, 6);
+  for (std::size_t z = 0; z < t.extent[2]; z += step_z)
+    for (std::size_t y = 0; y < t.extent[1]; y += step_y) {
+      const std::size_t off = y * t.lstride[1] + z * t.lstride[2];
+      float* row = t.buf.data() + off;
+      quant::Code* c = t.codes.data() + off;
+      const __m256 b0 = even8(row), o0 = odd8(row);
+      const __m256 b1 = even8(row + 16), o1 = odd8(row + 16);
+      const __m256 a0 = _mm256_permutevar8x32_ps(b0, prev);
+      const __m256 c0 = even8(row + 2), d0 = even8(row + 4);
+      const __m256 a1 = even8(row + 14), c1 = even8(row + 18);
+      const __m256 d1 = even8(row + 20);
+      const __m256 p0 =
+          _mm256_blend_ps(spline8<kCubic>(a0, b0, c0, d0),
+                          spline8<Spline::kQuadRight>(a0, b0, c0, d0), 0x01);
+      __m256 p1 = spline8<kCubic>(a1, b1, c1, d1);
+      const __m256 ql = spline8<Spline::kQuadLeft>(a1, b1, c1, d1);
+      if constexpr (kEdge)
+        p1 = _mm256_blend_ps(_mm256_blend_ps(p1, ql, 0x40), b1, 0x80);
+      else
+        p1 = _mm256_blend_ps(p1, ql, 0x80);
+      auto* cw = reinterpret_cast<__m256i*>(c);
+      __m256 r0, r1;
+      if constexpr (kCompress) {
+        __m256i s0, s1;
+        r0 = quantize8(o0, p0, q, s0);
+        r1 = quantize8(o1, p1, q, s1);
+        if (y < t.owned[1] && z < t.owned[2]) {
+          // The codes go to the odd u16 (the high half of each i32).
+          _mm256_storeu_si256(
+              cw, _mm256_blend_epi16(_mm256_loadu_si256(cw),
+                                     _mm256_slli_epi32(swap_mid(s0), 16),
+                                     0xAA));
+          _mm256_storeu_si256(
+              cw + 1, _mm256_blend_epi16(_mm256_loadu_si256(cw + 1),
+                                         _mm256_slli_epi32(swap_mid(s1), 16),
+                                         0xAA));
+        }
+      } else {
+        r0 = dequantize8(
+            p0, swap_mid(_mm256_srli_epi32(_mm256_loadu_si256(cw), 16)), o0,
+            q);
+        r1 = dequantize8(
+            p1, swap_mid(_mm256_srli_epi32(_mm256_loadu_si256(cw + 1), 16)),
+            o1, q);
+      }
+      _mm256_storeu_ps(row, _mm256_unpacklo_ps(b0, r0));
+      _mm256_storeu_ps(row + 8, _mm256_unpackhi_ps(b0, r0));
+      _mm256_storeu_ps(row + 16, _mm256_unpacklo_ps(b1, r1));
+      _mm256_storeu_ps(row + 24, _mm256_unpackhi_ps(b1, r1));
+    }
+}
+
+template <bool kCompress>
+void x_pass(TileView<float>& t, std::size_t step_y, std::size_t step_z,
+            const quant::Quantizer& qz, bool nak) {
+  const bool edge = t.extent[0] == 32;
+  if (nak && edge)
+    x_pass_avx2<kCompress, true, true>(t, step_y, step_z, qz);
+  else if (nak)
+    x_pass_avx2<kCompress, true, false>(t, step_y, step_z, qz);
+  else if (edge)
+    x_pass_avx2<kCompress, false, true>(t, step_y, step_z, qz);
+  else
+    x_pass_avx2<kCompress, false, false>(t, step_y, step_z, qz);
 }
 
 #endif  // __x86_64__
@@ -238,10 +487,8 @@ template <bool kNak, int kStride>
 /// point. But within one pass every quantity that used to be guarded depends
 /// only on the coordinate `cd` along the target dimension d:
 ///   - availability (ha/hb/hc/hd) is a function of cd alone, so the spline
-///     dispatch hoists to one selection per cd value — the interior cd range
-///     (all four neighbors present) runs the pure cubic kernel with zero
-///     per-point branches, and the rim cd values (cd = s, and the trailing
-///     one-sided cases) each get their own specialized branchless walk;
+///     dispatch hoists to one Spline case per cd value, handed to the plane
+///     walk as a compile-time tag: every case runs branchless;
 ///   - ownership along d is `cd < owned[d]`; ownership along the plane dims
 ///     splits the inner loop into an emitting prefix and a (<= 1 iteration)
 ///     non-emitting border tail instead of a per-point test;
@@ -249,10 +496,11 @@ template <bool kNak, int kStride>
 ///     a per-iteration constant stride instead of per-point multiplies.
 /// Iteration order across points of one pass is free: a pass writes only
 /// odd multiples of s along d and reads only even multiples, so no written
-/// value is ever an input to the same pass. Per-point arithmetic (spline
-/// formula, quantizer) is untouched — codes and recon are byte-identical to
-/// the reference by construction, which tests/test_predictor_equiv.cc
-/// asserts over odd/even/tiny grids.
+/// value is ever an input to the same pass. That lets f32 rows at local
+/// stride 1 or 2 run through the AVX2 kernels above (the x pass walked
+/// along x). Per-point arithmetic (spline formula, quantizer) is untouched
+/// — codes and recon are byte-identical to the reference by construction,
+/// which tests/test_predictor_equiv.cc asserts over odd/even/tiny grids.
 template <bool kCompress, typename T>
 void tile_pass(TileView<T>& t, int d, std::size_t s,
                const std::array<bool, 3>& done, const quant::Quantizer& qz,
@@ -281,6 +529,22 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
   const std::size_t n_u = dev::ceil_div(t.extent[u], step_u);
   const std::size_t n_u_owned = std::min(n_u, dev::ceil_div(t.owned[u], step_u));
 
+  // f32 rows along x at local stride 1 or 2 take the AVX2 kernels: the x
+  // pass row by row on full-width tiles, the y and z passes up to the
+  // widest prefix whose windows stay inside the row.
+  [[maybe_unused]] bool vec_rows = false;
+#if defined(__x86_64__)
+  if constexpr (std::is_same_v<T, float>) {
+    if (dev::has_avx2()) {
+      if (d == 0 && s == 1 && t.owned[0] >= 32 && t.extent[0] <= 33) {
+        x_pass<kCompress>(t, step_u, step_v, qz, kind == CubicKind::NotAKnot);
+        return;
+      }
+      vec_rows = d != 0 && dp <= 2;
+    }
+  }
+#endif
+
   for (std::size_t cd = s; cd < ext_d; cd += 2 * s) {
     // Neighbor availability for this whole plane (hb := cd >= s holds by
     // construction of the walk).
@@ -289,89 +553,68 @@ void tile_pass(TileView<T>& t, int d, std::size_t s,
     const bool hd = cd + 3 * s < ext_d;
     const bool owned_d = cd < t.owned[dd];
 
-    // One full plane with a fixed predictor functor; `pred(p)` reads only
-    // the neighbors its availability case guarantees exist.
-    auto walk = [&](auto pred) {
+    // One full plane with case kS; predict<kS> reads only the neighbors
+    // its availability case guarantees exist.
+    auto walk = [&]<Spline kS>(SplineTag<kS>) {
       for (std::size_t pv = 0; pv < t.extent[v]; pv += step_v) {
         const std::size_t off = cd * ls_d + pv * ls_v;
         T* p = t.buf.data() + off;
         quant::Code* c = t.codes.data() + off;
-        if constexpr (kCompress) {
-          const std::size_t n_emit =
-              owned_d && pv < t.owned[v] ? n_u_owned : 0;
-          std::size_t k = 0;
-          for (; k < n_emit; ++k, p += dp, c += dp) {
-            const auto r = qz.quantize(*p, pred(p));
-            *p = r.recon;
-            *c = r.stored;
+        // Decompression decodes every target; compression emits the codes
+        // of the owned prefix and only reconstructs the border tail.
+        const std::size_t n_emit =
+            !kCompress ? n_u : (owned_d && pv < t.owned[v] ? n_u_owned : 0);
+        std::size_t k = 0;
+#if defined(__x86_64__)
+        if constexpr (std::is_same_v<T, float>) {
+          if (vec_rows) {
+            const std::size_t n =
+                std::min(n_emit > 0 ? n_emit : n_u, t.extent[0] / dp);
+            k = dp == 1 ? pass_row_avx2<kCompress, kS, 1>(p, c, o1, o3, n,
+                                                          n_emit > 0, qz)
+                        : pass_row_avx2<kCompress, kS, 2>(p, c, o1, o3, n,
+                                                          n_emit > 0, qz);
           }
-          // Border tail: recon feeds later passes, but no code is owned.
-          for (; k < n_u; ++k, p += dp) *p = qz.quantize(*p, pred(p)).recon;
-        } else {
-          // buf[idx] holds the scattered original when the code is the
-          // outlier marker; dequantize() returns it unchanged then.
-          for (std::size_t k = 0; k < n_u; ++k, p += dp, c += dp)
-            *p = qz.dequantize(*c, pred(p), *p);
         }
+#endif
+        for (; k < n_emit; ++k) {
+          T* pk = p + k * dp;
+          if constexpr (kCompress) {
+            const auto r = qz.quantize(*pk, predict<kS>(pk, o1, o3));
+            *pk = r.recon;
+            c[k * dp] = r.stored;
+          } else {
+            // buf holds the scattered original when the code is the
+            // outlier marker; dequantize() returns it unchanged then.
+            *pk = qz.dequantize(c[k * dp], predict<kS>(pk, o1, o3), *pk);
+          }
+        }
+        // Border tail: recon feeds later passes, but no code is owned.
+        if constexpr (kCompress)
+          for (; k < n_u; ++k) {
+            T* pk = p + k * dp;
+            *pk = qz.quantize(*pk, predict<kS>(pk, o1, o3)).recon;
+          }
       }
     };
 
     if (hc) {
       if (ha && hd) {
-#if defined(__x86_64__)
-        // Interior-cubic decompression at unit or double local stride (the
-        // fast-varying dimension at the finest levels) takes the 8-lane
-        // AVX2 walk when the host has it; the scalar tail below the vector
-        // prefix runs the exact expressions the generic walk would.
-        if constexpr (!kCompress && std::is_same_v<T, float>) {
-          if ((dp == 1 || dp == 2) && n_u >= 8 && dev::has_avx2()) {
-            const bool nak = kind == CubicKind::NotAKnot;
-            const double teb = 2.0 * qz.eb();
-            const int rad = qz.radius();
-            for (std::size_t pv = 0; pv < t.extent[v]; pv += step_v) {
-              const std::size_t off = cd * ls_d + pv * ls_v;
-              float* p = t.buf.data() + off;
-              const quant::Code* c = t.codes.data() + off;
-              std::size_t k;
-              if (dp == 1)
-                k = nak ? cubic_row_avx2<true, 1>(p, o1, o3, c, n_u, teb, rad)
-                        : cubic_row_avx2<false, 1>(p, o1, o3, c, n_u, teb,
-                                                   rad);
-              else
-                k = nak ? cubic_row_avx2<true, 2>(p, o1, o3, c, n_u, teb, rad)
-                        : cubic_row_avx2<false, 2>(p, o1, o3, c, n_u, teb,
-                                                   rad);
-              p += k * dp;
-              c += k * dp;
-              for (; k < n_u; ++k, p += dp, c += dp) {
-                const float pr = nak
-                                     ? cubic_nak(p[-o3], p[-o1], p[o1], p[o3])
-                                     : cubic_natural(p[-o3], p[-o1], p[o1],
-                                                     p[o3]);
-                *p = qz.dequantize(*c, pr, *p);
-              }
-            }
-            continue;
-          }
-        }
-#endif
-        // Interior: the branchless cubic walk (the overwhelming majority of
-        // points at fine strides).
+        // Interior: the cubic (the overwhelming majority of points at fine
+        // strides).
         if (kind == CubicKind::NotAKnot)
-          walk([=](const T* p) { return cubic_nak(p[-o3], p[-o1], p[o1], p[o3]); });
+          walk(SplineTag<Spline::kCubicNak>{});
         else
-          walk([=](const T* p) {
-            return cubic_natural(p[-o3], p[-o1], p[o1], p[o3]);
-          });
+          walk(SplineTag<Spline::kCubicNatural>{});
       } else if (ha) {
-        walk([=](const T* p) { return quad_left(p[-o3], p[-o1], p[o1]); });
+        walk(SplineTag<Spline::kQuadLeft>{});
       } else if (hd) {
-        walk([=](const T* p) { return quad_right(p[-o1], p[o1], p[o3]); });
+        walk(SplineTag<Spline::kQuadRight>{});
       } else {
-        walk([=](const T* p) { return linear(p[-o1], p[o1]); });
+        walk(SplineTag<Spline::kLinear>{});
       }
     } else {
-      walk([=](const T* p) { return p[-o1]; });  // one-sided nearest copy
+      walk(SplineTag<Spline::kCopy>{});
     }
   }
 }
@@ -589,6 +832,55 @@ void run_one_tile(TileView<T>& t, TileField<kCompress, T> field,
   }
 }
 
+#if defined(__x86_64__)
+/// copy_run's vector body for stride 1 and 2: copies the run's whole
+/// 16-code chunks, each screened for the outlier marker with one compare
+/// (ORed into `marker`), and returns how many codes it copied. A stride-2
+/// chunk reads 32 codes, one past its last.
+[[gnu::target("avx2")]] std::size_t copy_run_avx2(const quant::Code* src,
+                                                  std::size_t step,
+                                                  std::size_t n,
+                                                  quant::Code* dst,
+                                                  bool& marker) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i low = _mm256_set1_epi32(0xFFFF);
+  __m256i hits = zero;
+  std::size_t k = 0;
+  for (; k + 16 <= n; k += 16) {
+    __m256i v;
+    if (step == 1) {
+      v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + k));
+    } else {
+      const auto* w = reinterpret_cast<const __m256i*>(src + 2 * k);
+      v = swap_mid(_mm256_packus_epi32(
+          _mm256_and_si256(_mm256_loadu_si256(w), low),
+          _mm256_and_si256(_mm256_loadu_si256(w + 1), low)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + k), v);
+    hits = _mm256_or_si256(hits, _mm256_cmpeq_epi16(v, zero));
+  }
+  marker |= !_mm256_testz_si256(hits, hits);
+  return k;
+}
+#endif
+
+/// Copies the run src[k * step], k < n, into dst and reports whether it
+/// holds the outlier marker.
+bool copy_run(const quant::Code* src, std::size_t step, std::size_t n,
+              quant::Code* dst) {
+  bool marker = false;
+  std::size_t k = 0;
+#if defined(__x86_64__)
+  if (step <= 2 && n >= 16 && dev::has_avx2())
+    k = copy_run_avx2(src, step, n, dst, marker);
+#endif
+  for (; k < n; ++k) {
+    dst[k] = src[k * step];
+    marker |= dst[k] == quant::kOutlierMarker;
+  }
+  return marker;
+}
+
 /// The fused predict pass with per-level emission (the compress front end).
 ///
 /// Tiles are statically partitioned into contiguous ranges over a fixed
@@ -650,7 +942,10 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                std::max<std::size_t>(ntiles, 1));
   const std::size_t tiles_per = dev::ceil_div(ntiles, nworkers);
 
-  auto parts = ws.make<std::uint32_t>(nworkers * nlv * nbins);
+  // Banked private histograms, level-major: level v's parts (every
+  // worker's banks) are one contiguous block for merge_histograms.
+  const std::size_t nparts = nworkers * huffman::kHistogramBanks;
+  auto parts = ws.make<std::uint32_t>(nlv * nparts * nbins);
   struct Outlier {
     std::uint64_t index;
     T value;
@@ -659,8 +954,12 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
   dev::launch_linear(
       nworkers,
       [&](std::size_t w) {
-        std::uint32_t* hists = parts.data() + w * nlv * nbins;
-        std::fill_n(hists, nlv * nbins, 0u);
+        const auto hist = [&](std::size_t v) {
+          return parts.data() +
+                 (v * nparts + w * huffman::kHistogramBanks) * nbins;
+        };
+        for (std::size_t v = 0; v < nlv; ++v)
+          std::fill_n(hist(v), huffman::kHistogramBanks * nbins, 0u);
         auto& outl = worker_outliers[w];
         TileView<T> t;
         const std::size_t tb = w * tiles_per;
@@ -675,17 +974,17 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
               [&](std::size_t v, std::size_t rank, std::size_t n,
                   std::size_t x, std::size_t y, std::size_t z,
                   std::size_t step) {
-                const quant::Code* src =
-                    t.codes.data() + x + y * t.lstride[1] + z * t.lstride[2];
+                quant::Code* slice = streams[v].data() + rank;
+                const bool marker = copy_run(
+                    t.codes.data() + x + y * t.lstride[1] + z * t.lstride[2],
+                    step, n, slice);
+                huffman::accumulate_banked(slice, n, hist(v), nbins);
+                if (!marker) return;
                 const std::size_t g =
                     dev::linearize(dims, o.x + x, o.y + y, o.z + z);
-                for (std::size_t k = 0; k < n; ++k) {
-                  const quant::Code code = src[k * step];
-                  streams[v][rank + k] = code;
-                  ++hists[v * nbins + code];
-                  if (code == quant::kOutlierMarker)
+                for (std::size_t k = 0; k < n; ++k)
+                  if (slice[k] == quant::kOutlierMarker)
                     outl.push_back({g + k * step, data[g + k * step]});
-                }
               });
         }
       },
@@ -713,14 +1012,9 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
   out.pred.outliers = {oindices, ovalues};
   out.levels.streams.assign(streams.begin(), streams.end());
   out.levels.histograms.resize(nlv);
-  for (std::size_t v = 0; v < nlv; ++v) {
-    auto& h = out.levels.histograms[v];
-    h.assign(nbins, 0u);
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      const std::uint32_t* part = parts.data() + (w * nlv + v) * nbins;
-      for (std::size_t b = 0; b < nbins; ++b) h[b] += part[b];
-    }
-  }
+  for (std::size_t v = 0; v < nlv; ++v)
+    out.levels.histograms[v] = huffman::merge_histograms(
+        parts.subspan(v * nparts * nbins, nparts * nbins), nparts, nbins);
   return out;
 }
 

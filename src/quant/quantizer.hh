@@ -37,6 +37,11 @@ class Quantizer {
 
   [[nodiscard]] double eb() const { return eb_; }
   [[nodiscard]] int radius() const { return radius_; }
+  /// The constants quantize() and dequantize() compute with, for vector
+  /// kernels that replicate them lane by lane.
+  [[nodiscard]] double twice_eb() const { return twice_eb_; }
+  [[nodiscard]] double inv_twice_eb() const { return inv_twice_eb_; }
+  [[nodiscard]] double code_limit() const { return code_limit_; }
 
   template <typename T>
   struct Result {
